@@ -15,6 +15,7 @@ from .grads import (
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,
+    conv_backward_input_reflect,
     maxpool_backward,
 )
 from .grid import HexTensor, cell_count
@@ -109,7 +110,8 @@ def run_oracle_suite(seed: int, cases: int, tol: float = 1e-10, inject_fault: bo
 
 
 def run_adjoint_suite(seed: int, cases: int, tol: float = 1e-10):
-    """<conv(I, K), D> == <I, conv_backward_input(D, K)> for bias-free K."""
+    """<conv(I, K), D> == <I, conv_backward_input(D, K)> for bias-free K,
+    and conv_backward_input == the point-reflection reference."""
     rng = np.random.default_rng(seed)
     rows = []
     failures = []
@@ -129,6 +131,8 @@ def run_adjoint_suite(seed: int, cases: int, tol: float = 1e-10):
         back = conv_backward_input(delta, bank, stride, side)
         rhs = float(np.vdot(t.data, back.data))
         err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        reference = conv_backward_input_reflect(delta, bank, stride, side)
+        err = max(err, rel_err(back.data, reference.data))
         case_id = f"adjoint_{i:03d}_L{side}_k{fside}_s{stride}"
         ok = err <= tol
         rows.append(

@@ -97,17 +97,22 @@ def read_pnm(path) -> SquareImage:
     """Binary 8-bit PGM (P5) or PPM (P6); values scaled to [0, 1]."""
     raw = Path(path).read_bytes()
     tokens = _pnm_tokens(raw)
-    magic, _ = next(tokens)
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
-    (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
+    try:
+        magic, _ = next(tokens)
+        if magic not in (b"P5", b"P6"):
+            raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
+        (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
+    except StopIteration:
+        raise ValueError(f"{path}: truncated PNM header") from None
     w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
     if maxval < 1 or maxval > 255:
         raise ValueError(f"{path}: only 8-bit PNM supported, maxval {maxval}")
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: invalid PNM size {w}x{h}")
     channels = 1 if magic == b"P5" else 3
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=end + 1, count=h * w * channels)
-    if pixels.size != h * w * channels:
+    if h * w * channels > len(raw) - end - 1:
         raise ValueError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=end + 1, count=h * w * channels)
     data = pixels.reshape(h, w, channels).transpose(2, 0, 1) / float(maxval)
     return SquareImage(data)
 

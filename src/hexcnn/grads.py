@@ -1,10 +1,14 @@
 """Backward kernels: error propagation and gradients for conv and pool layers.
 
-The input gradient of a strided valid convolution is computed as its
-exact adjoint: scatter the error onto the dense anchor grid, then run a
-full convolution against the channel-transposed, point-reflected filter
-bank.  Filter gradients are the valid cross-correlation of the layer
-input with the error, and bias gradients are plain error sums.
+The filter gradient is the error times the transposed window matrix.
+The input gradient is the exact transpose of the window gather (col2im):
+one BLAS product forms every window's error, and ``np.bincount``
+scatter-adds it per channel through the tap-major window table, so
+cells no window reaches (floor mode) get zero.  Pool errors return along
+the same table.  ``conv_backward_input_reflect`` keeps the paper's
+construction as a reference: upsample the error onto the dense anchor
+grid, then full-convolve with the channel-transposed, point-reflected
+bank.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .grid import (
     offset_table,
     reflect_permutation,
 )
-from .ops import ArgmaxMap, HexFilterBank, conv_full, valid_geometry, window_columns
+from .matmul import gemm
+from .ops import ArgmaxMap, HexFilterBank, conv_full, tap_gather, valid_geometry, window_columns
 
 __all__ = [
     "LayerGradients",
@@ -29,14 +34,12 @@ __all__ = [
     "transpose_reflect",
     "conv_backward",
     "conv_backward_input",
+    "conv_backward_input_reflect",
     "conv_backward_filter",
     "maxpool_backward",
     "avgpool_backward",
     "apply_activation_backward",
 ]
-
-ACTIVATIONS = ("identity", "relu")
-
 
 @dataclass(frozen=True, eq=False)
 class LayerGradients:
@@ -101,24 +104,49 @@ def _embed_offsets(small_side: int, big_side: int) -> np.ndarray:
     return idx
 
 
+def _forward_geometry(delta: HexTensor, filter_side: int, stride: int, input_side: int):
+    """The valid geometry whose output the error belongs to; floor mode allowed."""
+    geom = valid_geometry(input_side, filter_side, stride, floor_mode=True)
+    if geom.output_side != delta.side:
+        raise ValueError(
+            f"error side {delta.side} does not match forward output {geom.output_side}"
+        )
+    return geom
+
+
+def _scatter_add(values: np.ndarray, g: np.ndarray, target_cells: int) -> np.ndarray:
+    """Sum (channels, *g.shape) values into the offsets ``g``, per channel."""
+    idx = g.ravel()
+    out = np.empty((values.shape[0], target_cells), dtype=values.dtype)
+    for c, row in enumerate(values.reshape(values.shape[0], -1)):
+        out[c] = np.bincount(idx, weights=row, minlength=target_cells)
+    return out
+
+
 def conv_backward_input(
     delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
+    geom = _forward_geometry(delta, bank.filter_side, stride, input_side)
+    dcols = gemm(bank.weights.reshape(bank.filters, -1).T, delta.data)  # (C*E, P)
+    g = tap_gather(input_side, bank.filter_side, stride, geom.output_side)
+    out = _scatter_add(dcols.reshape(bank.in_channels, -1), g, cell_count(input_side))
+    return HexTensor(input_side, bank.in_channels, out)
+
+
+def conv_backward_input_reflect(
+    delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
+) -> HexTensor:
+    """Reference input gradient: upsample, then full convolution with the
+    channel-transposed, point-reflected bank."""
+    _forward_geometry(delta, bank.filter_side, stride, input_side)
     dense_side = (delta.side - 1) * stride + 1
-    reach = dense_side + bank.filter_side - 1
-    if reach > input_side:
-        raise ValueError(
-            f"error of side {delta.side} at stride {stride} does not fit input {input_side}"
-        )
-    if reach != input_side and (input_side - bank.filter_side) % stride == 0:
-        raise ValueError("error side does not match the forward geometry")
     up = upsample_stride(delta, stride, dense_side)
     d_in = conv_full(up, transpose_reflect(bank))
     if d_in.side == input_side:
         return d_in
-    # floor-mode forward: windows never reached past hex(reach); the rest
-    # of the input receives zero gradient.
+    # floor-mode forward: windows never reached past hex(d_in.side); the
+    # rest of the input receives zero gradient.
     out = np.zeros((d_in.channels, cell_count(input_side)), dtype=d_in.dtype)
     out[:, _embed_offsets(d_in.side, input_side)] = d_in.data
     return HexTensor(input_side, d_in.channels, out)
@@ -136,13 +164,9 @@ def conv_backward_filter(
         filter_side = t.side - stride * (delta.side - 1)
         if filter_side < 1:
             raise ValueError("error side is too large for this input and stride")
-    geom = valid_geometry(t.side, filter_side, stride, floor_mode=True)
-    if geom.output_side != delta.side:
-        raise ValueError(
-            f"error side {delta.side} does not match forward output {geom.output_side}"
-        )
-    cols = window_columns(t, geom)  # (P, C*E)
-    dw = delta.data @ cols  # (F, C*E)
+    geom = _forward_geometry(delta, filter_side, stride, t.side)
+    cols = window_columns(t, geom)  # (C*E, P)
+    dw = gemm(delta.data, cols.T)  # (F, C*E)
     d_weights = dw.reshape(delta.channels, t.channels, cell_count(filter_side))
     d_bias = delta.data.sum(axis=1)
     return d_weights, d_bias
@@ -152,28 +176,20 @@ def maxpool_backward(delta: HexTensor, amap: ArgmaxMap) -> HexTensor:
     """Route each error value back to the cell that won its window."""
     if delta.side != amap.output_side or delta.channels != amap.channels:
         raise ValueError("error shape does not match the argmax map")
-    out = np.zeros((delta.channels, cell_count(amap.input_side)), dtype=delta.dtype)
-    rows = np.arange(delta.channels)[:, None]
-    np.add.at(out, (rows, amap.winners), delta.data)
-    return HexTensor(amap.input_side, delta.channels, out)
+    n = cell_count(amap.input_side)
+    idx = amap.winners + n * np.arange(delta.channels)[:, None]
+    out = np.bincount(idx.ravel(), weights=delta.data.ravel(), minlength=delta.channels * n)
+    return HexTensor(amap.input_side, delta.channels, out.astype(delta.dtype, copy=False))
 
 
 def avgpool_backward(
     delta: HexTensor, window_side: int, stride: int, input_side: int
 ) -> HexTensor:
     """Spread each error value uniformly over its window."""
-    geom = valid_geometry(input_side, window_side, stride, floor_mode=True)
-    if geom.output_side != delta.side:
-        raise ValueError(
-            f"error side {delta.side} does not match forward output {geom.output_side}"
-        )
-    from .ops import window_gather
-
-    g = window_gather(input_side, window_side, stride, delta.side)
-    share = delta.data / g.shape[1]
-    out = np.zeros((delta.channels, cell_count(input_side)), dtype=delta.dtype)
-    rows = np.arange(delta.channels)[:, None, None]
-    np.add.at(out, (rows, g[None, :, :]), share[:, :, None])
+    geom = _forward_geometry(delta, window_side, stride, input_side)
+    g = tap_gather(input_side, window_side, stride, geom.output_side)
+    share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
+    out = _scatter_add(share, g, cell_count(input_side))
     return HexTensor(input_side, delta.channels, out)
 
 

@@ -4,6 +4,8 @@ Each window becomes one matrix row (channel major, then filter storage
 order of the cells); the filter bank becomes a matrix whose column f is
 filter f flattened the same way.  The product, plus bias, is the
 convolution output in storage order.
+Both are transposed views of what ``conv_valid`` multiplies, so
+``conv_gemm`` makes the same BLAS call and gives the same bits.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Im2ColMatrix:
     filter_cells: int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values)
+        v = np.asarray(self.values)
         if v.shape != (self.patches, self.channels * self.filter_cells):
             raise ValueError(f"im2col matrix has shape {v.shape}, metadata disagrees")
         v.setflags(write=False)
@@ -54,7 +56,7 @@ class FilterMatrix:
     filter_cells: int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values)
+        v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] != self.channels * self.filter_cells:
             raise ValueError(f"filter matrix has shape {v.shape}, metadata disagrees")
         v.setflags(write=False)
@@ -75,14 +77,14 @@ def im2col(
     t: HexTensor, filter_side: int, stride: int, floor_mode: bool = False
 ) -> Im2ColMatrix:
     geom = valid_geometry(t.side, filter_side, stride, floor_mode)
-    values = window_columns(t, geom)
+    values = window_columns(t, geom).T
     return Im2ColMatrix(
         values, cell_count(geom.output_side), t.channels, cell_count(filter_side)
     )
 
 
 def filters_to_matrix(bank: HexFilterBank) -> FilterMatrix:
-    values = np.ascontiguousarray(bank.weights.reshape(bank.filters, -1).T)
+    values = bank.weights.reshape(bank.filters, -1).T
     return FilterMatrix(values, bank.in_channels, bank.cells_per_filter)
 
 
@@ -99,11 +101,7 @@ def matrix_to_filters(
 
 
 def conv_gemm(
-    t: HexTensor,
-    bank: HexFilterBank,
-    stride: int = 1,
-    floor_mode: bool = False,
-    backend: str | None = None,
+    t: HexTensor, bank: HexFilterBank, stride: int = 1, floor_mode: bool = False
 ) -> HexTensor:
     """Convolution via explicit im2col and matrix multiplication."""
     if bank.in_channels != t.channels:
@@ -112,7 +110,6 @@ def conv_gemm(
         )
     a = im2col(t, bank.filter_side, stride, floor_mode)
     b = filters_to_matrix(bank)
-    y = gemm(a.values, b.values) if backend is None else gemm(a.values, b.values, backend=backend)
-    y = y + bank.bias
+    y = gemm(b.values.T, a.values.T) + bank.bias[:, None]
     geom = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
-    return HexTensor(geom.output_side, bank.filters, np.ascontiguousarray(y.T))
+    return HexTensor(geom.output_side, bank.filters, y)

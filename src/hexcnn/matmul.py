@@ -1,9 +1,9 @@
-"""Dense matrix multiplication backends for the convolution lowering.
+"""The one dense matrix product behind every convolution lowering.
 
-The default is a cache-blocked kernel with configurable tile sizes and a
-fixed tile traversal order, so every output element accumulates its
-k-blocks in the same sequence on every run.  ``backend="numpy"``
-delegates to the platform BLAS instead.
+``gemm`` hands the product to the platform BLAS through ``a @ b`` and
+meters its multiply-accumulates.  BLAS accumulation order depends only
+on the operand shapes, memory layouts and thread count, so equal calls
+give equal bits on one machine.
 """
 
 from __future__ import annotations
@@ -12,43 +12,14 @@ import numpy as np
 
 from .instrument import add_macs
 
-DEFAULT_BACKEND = "blocked"
-TILE_M = 64
-TILE_K = 64
-TILE_N = 64
 
-
-def gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    backend: str = DEFAULT_BACKEND,
-    tile_m: int = TILE_M,
-    tile_k: int = TILE_K,
-    tile_n: int = TILE_N,
-) -> np.ndarray:
-    """Dense product a @ b; raises on dimension mismatch."""
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense product a @ b of two 2-D arrays; raises on dimension mismatch."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"gemm expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    add_macs(m * n * k)
-    if backend == "numpy":
-        return a @ b
-    if backend != "blocked":
-        raise ValueError(f"unknown gemm backend {backend!r}")
-    if min(tile_m, tile_k, tile_n) < 1:
-        raise ValueError("tile sizes must be positive")
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
-    for i0 in range(0, m, tile_m):
-        i1 = min(i0 + tile_m, m)
-        for k0 in range(0, k, tile_k):
-            ablk = a[i0:i1, k0 : min(k0 + tile_k, k)]
-            bblk = b[k0 : min(k0 + tile_k, k)]
-            for j0 in range(0, n, tile_n):
-                j1 = min(j0 + tile_n, n)
-                out[i0:i1, j0:j1] += ablk @ bblk[:, j0:j1]
-    return out
+    add_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    return a @ b

@@ -25,6 +25,7 @@ from .grads import (
     maxpool_backward,
 )
 from .grid import HexTensor, cell_count
+from .instrument import add_macs
 from .ops import HexFilterBank, avgpool, conv_valid, maxpool
 
 __all__ = [
@@ -261,6 +262,7 @@ def _forward_sample(net: Network, t: HexTensor):
         elif spec.kind == "dense":
             w, b = net.params[i]
             z = w @ x + b
+            add_macs(w.size)
             cache.append((x, z))
             x = _act(z, spec.activation)
         else:  # softmax_xent: loss layer, logits pass through
@@ -297,6 +299,7 @@ def _backward_sample(net: Network, cache, d: np.ndarray, grads) -> None:
             gw += np.outer(d, x)
             gb += d
             d = w.T @ d
+            add_macs(2 * w.size)  # weight and input gradients
         elif spec.kind == "flatten":
             side, channels = cache[i]
             d = HexTensor(side, channels, d.reshape(channels, -1))
@@ -493,20 +496,23 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
     if raw[:4] != HXM_MAGIC:
         raise ValueError(f"{path}: not an HXM1 checkpoint")
     off = 4
-    (dlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    digest = raw[off : off + dlen]
-    off += dlen
-    if digest != config_digest(cfg):
-        raise ValueError(f"{path}: checkpoint was saved for a different config")
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    arrays = []
-    for _ in range(count):
-        (size,) = struct.unpack_from("<I", raw, off)
+    try:
+        (dlen,) = struct.unpack_from("<I", raw, off)
         off += 4
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype("=f8"))
-        off += size * 8
+        digest = raw[off : off + dlen]
+        off += dlen
+        if digest != config_digest(cfg):
+            raise ValueError(f"{path}: checkpoint was saved for a different config")
+        (count,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        arrays = []
+        for _ in range(count):
+            (size,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            arrays.append(np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype("=f8"))
+            off += size * 8
+    except struct.error:
+        raise ValueError(f"{path}: truncated checkpoint") from None
     net = build_network(cfg)
     expected = list(_param_arrays(net))
     if len(arrays) != len(expected) or any(a.size != e.size for a, e in zip(arrays, expected)):

@@ -7,8 +7,10 @@ every window cell is guaranteed to be a valid input cell (hexagons are
 closed under this index addition), which is asserted when a window
 table is first built.
 
-Accumulation per output cell runs channel major, then filter storage
-order, so results do not depend on how work is scheduled.
+The window table is kept tap major, so one ``np.take`` lays the windows
+out as a contiguous (channels*window_cells, patches) matrix; convolution
+is one BLAS product of the (filters, channels*window_cells) weights with
+it, already in output storage order.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "ArgmaxMap",
     "valid_geometry",
     "full_geometry",
+    "tap_gather",
     "window_gather",
     "conv_valid",
     "conv_full",
@@ -90,9 +93,7 @@ class ConvGeometry:
     input_side: int
     filter_side: int
     stride: int
-    mode: str
     output_side: int
-    exact: bool = True
 
 
 def valid_geometry(
@@ -116,30 +117,30 @@ def valid_geometry(
             f"stride {stride} does not tile input {input_side} with window {filter_side}"
         )
     out = span // stride + 1
-    return ConvGeometry(input_side, filter_side, stride, "valid", out, span % stride == 0)
+    return ConvGeometry(input_side, filter_side, stride, out)
 
 
 def full_geometry(input_side: int, filter_side: int) -> ConvGeometry:
     if input_side < 1 or filter_side < 1:
         raise ValueError("side lengths must be positive")
-    return ConvGeometry(input_side, filter_side, 1, "full", input_side + filter_side - 1)
+    return ConvGeometry(input_side, filter_side, 1, input_side + filter_side - 1)
 
 
 @lru_cache(maxsize=None)
-def window_gather(
+def tap_gather(
     input_side: int, filter_side: int, stride: int, output_side: int
 ) -> np.ndarray:
-    """(patches, window_cells) storage offsets of every window, in order.
+    """(window_cells, patches) storage offsets of every window, tap major.
 
-    Row p lists the input offsets of output cell p's window, filter
+    Column p lists the input offsets of output cell p's window in filter
     storage order; within a window these are strictly increasing.
     """
     anchors = cells(output_side) * stride
     offs = cells(filter_side)
     table = offset_table(input_side)
     idx = table[
-        anchors[:, None, 0] + offs[None, :, 0],
-        anchors[:, None, 1] + offs[None, :, 1],
+        offs[:, None, 0] + anchors[None, :, 0],
+        offs[:, None, 1] + anchors[None, :, 1],
     ]
     if (idx < 0).any():
         raise AssertionError(
@@ -150,24 +151,25 @@ def window_gather(
     return idx
 
 
+def window_gather(
+    input_side: int, filter_side: int, stride: int, output_side: int
+) -> np.ndarray:
+    """(patches, window_cells) view of ``tap_gather``: row p is window p."""
+    return tap_gather(input_side, filter_side, stride, output_side).T
+
+
 def window_columns(t: HexTensor, geom: ConvGeometry) -> np.ndarray:
-    """Window values as a (patches, channels*window_cells) matrix."""
-    g = window_gather(geom.input_side, geom.filter_side, geom.stride, geom.output_side)
-    win = t.data[:, g]  # (C, P, E)
-    p = g.shape[0]
-    return np.ascontiguousarray(win.transpose(1, 0, 2).reshape(p, -1))
+    """Window values as a contiguous (channels*window_cells, patches) matrix.
 
-
-def _filter_columns(bank: HexFilterBank) -> np.ndarray:
-    return np.ascontiguousarray(bank.weights.reshape(bank.filters, -1).T)
+    Rows run channel major, then filter storage order, matching
+    ``weights.reshape(filters, -1)``; column p is window p.
+    """
+    g = tap_gather(geom.input_side, geom.filter_side, geom.stride, geom.output_side)
+    return np.take(t.data, g, axis=1).reshape(-1, g.shape[1])
 
 
 def conv_valid(
-    t: HexTensor,
-    bank: HexFilterBank,
-    stride: int = 1,
-    floor_mode: bool = False,
-    backend: str | None = None,
+    t: HexTensor, bank: HexFilterBank, stride: int = 1, floor_mode: bool = False
 ) -> HexTensor:
     """Valid hexagonal cross-correlation plus per-filter bias."""
     if bank.in_channels != t.channels:
@@ -176,19 +178,17 @@ def conv_valid(
         )
     geom = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
     cols = window_columns(t, geom)
-    wmat = _filter_columns(bank)
-    y = gemm(cols, wmat) if backend is None else gemm(cols, wmat, backend=backend)
-    y = y + bank.bias
-    return HexTensor(geom.output_side, bank.filters, np.ascontiguousarray(y.T))
+    y = gemm(bank.weights.reshape(bank.filters, -1), cols) + bank.bias[:, None]
+    return HexTensor(geom.output_side, bank.filters, y)
 
 
-def conv_full(t: HexTensor, bank: HexFilterBank, backend: str | None = None) -> HexTensor:
+def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
     """Full convolution (every overlapping placement), output side L+Lk-1.
 
     Realized as valid convolution after 2*(Lk-1) rings of zero padding.
     """
     padded = pad_rings(t, 2 * (bank.filter_side - 1))
-    return conv_valid(padded, bank, 1, backend=backend)
+    return conv_valid(padded, bank, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,13 +216,13 @@ def maxpool(
 ) -> tuple[HexTensor, ArgmaxMap]:
     """Max over each hexagonal window; ties go to the smallest offset."""
     geom = valid_geometry(t.side, window_side, stride, floor_mode)
-    g = window_gather(geom.input_side, window_side, stride, geom.output_side)
-    win = t.data[:, g]  # (C, P, E)
+    g = tap_gather(t.side, window_side, stride, geom.output_side)
+    win = np.take(t.data, g, axis=1)  # (C, E, P)
     # argmax returns the first maximum; window offsets ascend, so the
     # smallest flat offset wins ties.
-    e_star = win.argmax(axis=2)
-    out = np.take_along_axis(win, e_star[:, :, None], axis=2)[:, :, 0]
-    winners = g[np.arange(g.shape[0])[None, :], e_star]
+    e_star = win.argmax(axis=1)
+    out = np.take_along_axis(win, e_star[:, None, :], axis=1)[:, 0, :]
+    winners = g[e_star, np.arange(g.shape[1])[None, :]]
     amap = ArgmaxMap(t.side, window_side, stride, geom.output_side, winners)
     return HexTensor(geom.output_side, t.channels, out), amap
 
@@ -232,6 +232,5 @@ def avgpool(
 ) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
     geom = valid_geometry(t.side, window_side, stride, floor_mode)
-    g = window_gather(geom.input_side, window_side, stride, geom.output_side)
-    win = t.data[:, g]
-    return HexTensor(geom.output_side, t.channels, win.mean(axis=2))
+    g = tap_gather(t.side, window_side, stride, geom.output_side)
+    return HexTensor(geom.output_side, t.channels, np.take(t.data, g, axis=1).mean(axis=1))

@@ -152,6 +152,11 @@ def test_resample_bad_inputs(tmp_path, capsys):
     write_img1(img_path, SquareImage(np.ones((1, 4, 4))))
     assert main(["resample", str(tmp_path / "missing.img1"), str(tmp_path / "o.hxt")]) == 2
     assert main(["resample", str(img_path), str(tmp_path / "o.hxt"), "--side", "nope"]) == 2
+    # a header cut before maxval, sizes past the data, an empty image
+    truncated = tmp_path / "t.pgm"
+    for header in (b"P5 4 4", b"P5 9999999999 9999999999 255\n", b"P5 0 4 255\n"):
+        truncated.write_bytes(header)
+        assert main(["resample", str(truncated), str(tmp_path / "o.hxt")]) == 2
 
 
 def test_usage_error_exit_code():

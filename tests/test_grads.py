@@ -6,6 +6,7 @@ from hexcnn.grads import (
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,
+    conv_backward_input_reflect,
     maxpool_backward,
     transpose_reflect,
     upsample_stride,
@@ -230,6 +231,30 @@ def test_adjoint_identity():
         lhs = np.vdot(out.data, delta.data)
         rhs = np.vdot(t.data, conv_backward_input(delta, bank, stride, side).data)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+def test_conv_backward_input_matches_point_reflection_reference():
+    # the col2im scatter against the paper's construction (upsample, full
+    # convolution with the transposed point-reflected bank, embed), on
+    # exact and floor-mode sides
+    rng = np.random.default_rng(13)
+    floor_cases = 0
+    for _ in range(60):
+        fside = int(rng.integers(1, 5))
+        stride = int(rng.integers(1, 4))
+        out_side = int(rng.integers(1, 5))
+        rim = int(rng.integers(0, stride))
+        side = stride * (out_side - 1) + fside + rim
+        floor_cases += rim > 0
+        channels, filters = (int(n) for n in rng.integers(1, 4, size=2))
+        bank = HexFilterBank(fside, rng.standard_normal((filters, channels, cell_count(fside))))
+        delta = HexTensor(out_side, filters, rng.standard_normal((filters, cell_count(out_side))))
+        got = conv_backward_input(delta, bank, stride, side)
+        ref = conv_backward_input_reflect(delta, bank, stride, side)
+        assert got.side == ref.side == side and got.channels == ref.channels == channels
+        scale = np.abs(ref.data).max()
+        assert np.abs(got.data - ref.data).max() <= 1e-10 * scale
+    assert floor_cases > 10
 
 
 def test_upsample_mass_and_maxpool_mass_conservation():

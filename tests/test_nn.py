@@ -261,6 +261,10 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(logits_a, logits_b)
     with pytest.raises(ValueError):
         load_checkpoint(path, tiny_cfg(seed=4))
+    truncated = tmp_path / "truncated.hxm"
+    truncated.write_bytes(path.read_bytes()[:45])  # cut inside the first array's size
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(truncated, cfg)
 
 
 def test_dataset_round_trip(tmp_path):
