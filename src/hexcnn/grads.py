@@ -84,6 +84,7 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
         return delta
     out = np.zeros((delta.channels, cell_count(target_side)), dtype=delta.dtype)
     out[:, _anchor_scatter(delta.side, stride, target_side)] = delta.data
+    out.setflags(write=False)
     return HexTensor(target_side, delta.channels, out)
 
 
@@ -131,6 +132,7 @@ def conv_backward_input(
     dcols = gemm(bank.weights.reshape(bank.filters, -1).T, delta.data)  # (C*E, P)
     g = tap_gather(input_side, bank.filter_side, stride, geom.output_side)
     out = _scatter_add(dcols.reshape(bank.in_channels, -1), g, cell_count(input_side))
+    out.setflags(write=False)
     return HexTensor(input_side, bank.in_channels, out)
 
 
@@ -179,7 +181,10 @@ def maxpool_backward(delta: HexTensor, amap: ArgmaxMap) -> HexTensor:
     n = cell_count(amap.input_side)
     idx = amap.winners + n * np.arange(delta.channels)[:, None]
     out = np.bincount(idx.ravel(), weights=delta.data.ravel(), minlength=delta.channels * n)
-    return HexTensor(amap.input_side, delta.channels, out.astype(delta.dtype, copy=False))
+    out = out.astype(delta.dtype, copy=False)
+    out.shape = (delta.channels, n)  # in place: a reshaped view would be copied
+    out.setflags(write=False)
+    return HexTensor(amap.input_side, delta.channels, out)
 
 
 def avgpool_backward(
@@ -190,6 +195,7 @@ def avgpool_backward(
     g = tap_gather(input_side, window_side, stride, geom.output_side)
     share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
     out = _scatter_add(share, g, cell_count(input_side))
+    out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)
 
 
@@ -200,5 +206,7 @@ def apply_activation_backward(delta: HexTensor, preact: HexTensor, kind: str) ->
     if kind == "identity":
         return delta
     if kind == "relu":
-        return HexTensor(delta.side, delta.channels, delta.data * (preact.data > 0))
+        out = delta.data * (preact.data > 0)
+        out.setflags(write=False)
+        return HexTensor(delta.side, delta.channels, out)
     raise ValueError(f"unknown activation {kind!r}")

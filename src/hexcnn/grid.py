@@ -158,7 +158,12 @@ class HexTensor:
 
     ``data`` is (channels, cell_count(side)), column major within each
     channel, read-only after construction so values can be shared
-    freely.
+    freely.  Construction copies the array unless it is owned
+    (``base is None``), read-only, C-contiguous and already of the
+    target dtype and shape; such an array is adopted as is.  Kernels
+    mark their fresh outputs read-only so they are adopted; a caller's
+    writable array, or a view of any array, is copied, so later writes
+    to it never reach the tensor.
     """
 
     side: int
@@ -176,8 +181,16 @@ class HexTensor:
             raise ValueError(
                 f"data has {arr.size} elements, expected {self.channels}x{n}"
             )
-        arr = arr.astype(dtype, copy=True).reshape(self.channels, n)
-        arr.setflags(write=False)
+        owned = (
+            arr.base is None
+            and not arr.flags.writeable
+            and arr.flags.c_contiguous
+            and arr.dtype == dtype
+            and arr.shape == (self.channels, n)
+        )
+        if not owned:
+            arr = arr.astype(dtype, copy=True).reshape(self.channels, n)
+            arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @classmethod
@@ -226,4 +239,5 @@ def pad_rings(t: HexTensor, rings: int) -> HexTensor:
     out_side = t.side + rings
     out = np.zeros((t.channels, cell_count(out_side)), dtype=t.dtype)
     out[:, _pad_scatter(t.side, rings)] = t.data
+    out.setflags(write=False)
     return HexTensor(out_side, t.channels, out)

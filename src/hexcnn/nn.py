@@ -2,9 +2,14 @@
 forward/backward, SGD training, presets, and checkpoints.
 
 Conv and pool layers run on the hexagonal kernels; after a flatten the
-dense head works exactly like any rectangle-based network.  Training is
-plain SGD with a fixed update order, so a fixed seed reproduces the
-same trajectory bit for bit.
+dense head works exactly like any rectangle-based network.  The trunk
+(conv and pool layers up to and including the flatten) runs one sample
+at a time, which keeps each sample's activations small enough to stay
+in cache; the flattened features are stacked into a (batch, features)
+matrix, so every dense layer, the softmax cross-entropy and their
+gradients are one batched product each.  Training is plain SGD with a
+fixed update order, so a fixed seed reproduces the same trajectory bit
+for bit.
 """
 
 from __future__ import annotations
@@ -241,14 +246,40 @@ def xent_loss_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     return loss, g
 
 
-def _forward_sample(net: Network, t: HexTensor):
+def _xent_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of softmax over each row of (B, classes) logits,
+    and its gradient with respect to the logits; the batched form of
+    ``xent_loss_grad``."""
+    n = len(labels)
+    rows = np.arange(n)
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    d = e / e.sum(axis=1, keepdims=True)
+    loss = -np.log(np.maximum(d[rows, labels], 1e-300)).sum() / n
+    d[rows, labels] -= 1.0
+    d /= n
+    return float(loss), d
+
+
+def _head_start(net: Network) -> int:
+    """Index of the first layer after the flatten: where the head begins."""
+    for i, spec in enumerate(net.cfg.layers):
+        if spec.kind == "flatten":
+            return i + 1
+    raise ValueError("network has no flatten layer")
+
+
+def _trunk_forward(net: Network, t: HexTensor, stop: int):
+    """One sample through layers [0, stop): its flat features and cache."""
     x = t
     cache = []
-    for i, spec in enumerate(net.cfg.layers):
+    for i, spec in enumerate(net.cfg.layers[:stop]):
         if spec.kind == "hexconv":
             z = conv_valid(x, net.params[i], spec.stride)
             cache.append((x, z))
-            x = HexTensor(z.side, z.channels, _act(z.data, spec.activation))
+            a = _act(z.data, spec.activation)
+            a.setflags(write=False)
+            x = HexTensor(z.side, z.channels, a)
         elif spec.kind == "hexmaxpool":
             out, amap = maxpool(x, spec.window, spec.stride, floor_mode=True)
             cache.append(amap)
@@ -256,51 +287,63 @@ def _forward_sample(net: Network, t: HexTensor):
         elif spec.kind == "hexavgpool":
             cache.append(x.side)
             x = avgpool(x, spec.window, spec.stride, floor_mode=True)
-        elif spec.kind == "flatten":
+        else:  # flatten
             cache.append((x.side, x.channels))
             x = x.data.ravel()
-        elif spec.kind == "dense":
-            w, b = net.params[i]
-            z = w @ x + b
-            add_macs(w.size)
-            cache.append((x, z))
-            x = _act(z, spec.activation)
-        else:  # softmax_xent: loss layer, logits pass through
-            cache.append(None)
     return x, cache
 
 
-def forward(net: Network, batch) -> tuple[np.ndarray, list]:
-    """Run the batch; returns (logits (B, classes), per-sample caches)."""
+@dataclass(frozen=True, eq=False)
+class _Caches:
+    """What ``forward`` keeps for ``backward``: per sample, one trunk
+    cache entry per trunk layer; per dense layer of the head, its index
+    and its (B, in) inputs and (B, units) pre-activations."""
+
+    trunk: list
+    head: list
+
+    def __len__(self) -> int:
+        return len(self.trunk)
+
+
+def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
+    """Run the batch; returns (logits (B, classes), caches for ``backward``).
+
+    The trunk (conv and pool layers up to the flatten) runs one sample
+    at a time, so each sample's activations stay small enough for the
+    cache; the flattened features are stacked into (B, features) and
+    every dense layer of the head runs once for the whole batch.
+    """
     if net.shapes[-1][0] != "flat":
         raise ValueError("network does not end in a flat output")
-    logits = []
-    caches = []
+    stop = _head_start(net)
+    features = []
+    trunk = []
     for t in batch:
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
-        out, cache = _forward_sample(net, t)
-        logits.append(out)
-        caches.append(cache)
-    return np.stack(logits), caches
-
-
-def _backward_sample(net: Network, cache, d: np.ndarray, grads) -> None:
-    for i in reversed(range(len(net.cfg.layers))):
+        x, cache = _trunk_forward(net, t, stop)
+        features.append(x)
+        trunk.append(cache)
+    x = np.stack(features)
+    head = []
+    for i in range(stop, len(net.cfg.layers)):
         spec = net.cfg.layers[i]
-        if spec.kind == "softmax_xent":
-            continue
         if spec.kind == "dense":
-            x, z = cache[i]
-            if spec.activation == "relu":
-                d = d * (z > 0)
-            w, _ = net.params[i]
-            gw, gb = grads[i]
-            gw += np.outer(d, x)
-            gb += d
-            d = w.T @ d
-            add_macs(2 * w.size)  # weight and input gradients
-        elif spec.kind == "flatten":
+            w, b = net.params[i]
+            z = x @ w.T + b
+            add_macs(len(x) * w.size)
+            head.append((i, x, z))
+            x = _act(z, spec.activation)
+        # softmax_xent: loss layer, logits pass through
+    return x, _Caches(trunk, head)
+
+
+def _trunk_backward(net: Network, cache, d: np.ndarray, grads) -> None:
+    """One sample's feature error back through its trunk (one cache entry per layer)."""
+    for i in reversed(range(len(cache))):
+        spec = net.cfg.layers[i]
+        if spec.kind == "flatten":
             side, channels = cache[i]
             d = HexTensor(side, channels, d.reshape(channels, -1))
         elif spec.kind == "hexmaxpool":
@@ -318,33 +361,40 @@ def _backward_sample(net: Network, cache, d: np.ndarray, grads) -> None:
                 d = conv_backward_input(d, net.params[i], spec.stride, x.side)
 
 
-def _zero_grads(net: Network):
-    grads = []
-    for p in net.params:
-        if isinstance(p, HexFilterBank):
-            grads.append((np.zeros_like(p.weights), np.zeros_like(p.bias)))
-        elif p is not None:
-            grads.append((np.zeros_like(p[0]), np.zeros_like(p[1])))
-        else:
-            grads.append(None)
-    return grads
+def _trunk_grads(net: Network) -> list:
+    """Zeroed (weights, bias) accumulators for the conv layers, None for
+    every other layer; the head's gradients are set once per batch."""
+    return [
+        (np.zeros_like(p.weights), np.zeros_like(p.bias)) if isinstance(p, HexFilterBank) else None
+        for p in net.params
+    ]
 
 
-def backward(net: Network, logits: np.ndarray, caches, labels):
-    """Mean cross-entropy loss and gradients for every parameter."""
+def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
+    """Mean cross-entropy loss and gradients for every parameter.
+
+    Softmax cross-entropy and the dense head run once over the batch;
+    then each sample's row of the feature error walks back through its
+    own trunk.
+    """
     if net.cfg.layers[-1].kind != "softmax_xent":
         raise ValueError("backward requires a softmax_xent head")
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(caches):
         raise ValueError("labels do not match the forward batch")
-    grads = _zero_grads(net)
-    total = 0.0
     n = len(caches)
-    for b in range(n):
-        loss, d = xent_loss_grad(logits[b], int(labels[b]))
-        total += loss
-        _backward_sample(net, caches[b], d / n, grads)
-    return total / n, grads
+    loss, d = _xent_batch(logits, labels)
+    grads = _trunk_grads(net)
+    for i, x, z in reversed(caches.head):
+        if net.cfg.layers[i].activation == "relu":
+            d = d * (z > 0)
+        w, _ = net.params[i]
+        grads[i] = (d.T @ x, d.sum(axis=0))
+        d = d @ w
+        add_macs(2 * n * w.size)  # weight and input gradients
+    for cache, row in zip(caches.trunk, d):
+        _trunk_backward(net, cache, row, grads)
+    return loss, grads
 
 
 def apply_gradients(net: Network, grads, learning_rate: float) -> None:

@@ -179,6 +179,7 @@ def conv_valid(
     geom = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
     cols = window_columns(t, geom)
     y = gemm(bank.weights.reshape(bank.filters, -1), cols) + bank.bias[:, None]
+    y.setflags(write=False)
     return HexTensor(geom.output_side, bank.filters, y)
 
 
@@ -214,14 +215,20 @@ class ArgmaxMap:
 def maxpool(
     t: HexTensor, window_side: int, stride: int, floor_mode: bool = False
 ) -> tuple[HexTensor, ArgmaxMap]:
-    """Max over each hexagonal window; ties go to the smallest offset."""
+    """Max over each hexagonal window; ties go to the smallest offset.
+
+    NaN counts as the maximum: a window holding a NaN outputs NaN, and
+    its first NaN tap (in window storage order) is the winner that
+    ``maxpool_backward`` routes the gradient to.
+    """
     geom = valid_geometry(t.side, window_side, stride, floor_mode)
     g = tap_gather(t.side, window_side, stride, geom.output_side)
     win = np.take(t.data, g, axis=1)  # (C, E, P)
-    # argmax returns the first maximum; window offsets ascend, so the
-    # smallest flat offset wins ties.
+    # argmax returns the first maximum (or first NaN); window offsets
+    # ascend, so the smallest flat offset wins ties.
     e_star = win.argmax(axis=1)
-    out = np.take_along_axis(win, e_star[:, None, :], axis=1)[:, 0, :]
+    out = win.max(axis=1)
+    out.setflags(write=False)
     winners = g[e_star, np.arange(g.shape[1])[None, :]]
     amap = ArgmaxMap(t.side, window_side, stride, geom.output_side, winners)
     return HexTensor(geom.output_side, t.channels, out), amap
@@ -233,4 +240,6 @@ def avgpool(
     """Arithmetic mean over each hexagonal window."""
     geom = valid_geometry(t.side, window_side, stride, floor_mode)
     g = tap_gather(t.side, window_side, stride, geom.output_side)
-    return HexTensor(geom.output_side, t.channels, np.take(t.data, g, axis=1).mean(axis=1))
+    out = np.take(t.data, g, axis=1).mean(axis=1)
+    out.setflags(write=False)
+    return HexTensor(geom.output_side, t.channels, out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,35 +95,51 @@ def cell_centers(
     return np.stack([x, y], axis=1)
 
 
-def square_to_hex(
-    img: SquareImage, side: int, geom: HexLatticeGeometry = HexLatticeGeometry()
-) -> HexTensor:
-    """Bilinearly sample the image at each cell center.
+# Image sizes come from outside, so the plan cache is bounded.
+@lru_cache(maxsize=16)
+def _bilinear_plan(
+    side: int, height: int, width: int, geom: HexLatticeGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What bilinear sampling at every cell center reads, per image size.
 
-    The hexagon is centered on the image center; positions outside the
-    image read as zero.
+    Returns (4, N) arrays for the taps (y0, x0), (y0, x0+1), (y0+1, x0),
+    (y0+1, x0+1): flat pixel indices (clipped into the image), whether
+    the unclipped tap lies inside the image, and the bilinear weights.
     """
-    if side != int(side) or side < 1:
-        raise ValueError(f"side must be a positive integer, got {side!r}")
-    center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
+    center = ((width - 1) / 2.0, (height - 1) / 2.0)
     pos = cell_centers(side, geom, center)
     x, y = pos[:, 0], pos[:, 1]
     x0 = np.floor(x).astype(np.int64)
     y0 = np.floor(y).astype(np.int64)
     fx = x - x0
     fy = y - y0
+    taps = ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1))
+    index = np.stack([yy.clip(0, height - 1) * width + xx.clip(0, width - 1) for yy, xx in taps])
+    inside = np.stack([(yy >= 0) & (yy < height) & (xx >= 0) & (xx < width) for yy, xx in taps])
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    for a in (index, inside, weights):
+        a.setflags(write=False)
+    return index, inside, weights
 
-    def tap(yy, xx):
-        inside = (yy >= 0) & (yy < img.height) & (xx >= 0) & (xx < img.width)
-        vals = img.data[:, yy.clip(0, img.height - 1), xx.clip(0, img.width - 1)]
-        return np.where(inside[None, :], vals, 0.0)
 
-    out = (
-        tap(y0, x0) * ((1 - fy) * (1 - fx))[None, :]
-        + tap(y0, x0 + 1) * ((1 - fy) * fx)[None, :]
-        + tap(y0 + 1, x0) * (fy * (1 - fx))[None, :]
-        + tap(y0 + 1, x0 + 1) * (fy * fx)[None, :]
-    )
+def square_to_hex(
+    img: SquareImage, side: int, geom: HexLatticeGeometry = HexLatticeGeometry()
+) -> HexTensor:
+    """Bilinearly sample the image at each cell center.
+
+    The hexagon is centered on the image center; positions outside the
+    image read as zero, even where the pixel their index is clipped to
+    is NaN.  The sampling plan (indices, inside masks, weights) depends
+    only on (side, image size, geometry) and is cached, so each call
+    does one gather and the weighted sum.
+    """
+    if side != int(side) or side < 1:
+        raise ValueError(f"side must be a positive integer, got {side!r}")
+    index, inside, w = _bilinear_plan(int(side), img.height, img.width, geom)
+    vals = np.take(img.data.reshape(img.channels, -1), index, axis=1)  # (C, 4, N)
+    vals = np.where(inside, vals, 0.0)
+    out = vals[:, 0] * w[0] + vals[:, 1] * w[1] + vals[:, 2] * w[2] + vals[:, 3] * w[3]
+    out.setflags(write=False)
     return HexTensor(side, img.channels, out)
 
 

@@ -7,6 +7,12 @@ not only the hexagonal ones), and corner weight gradients are masked so
 the frozen zeros never move.  Cells outside the embedded hexagon are
 re-zeroed after each layer, so the hexagonal cells carry exactly the
 same values as the native path, up to floating-point summation order.
+Like ``nn``, the trunk runs per sample and the dense head once per
+batch; the head is kept as this module's own code so the baseline
+stays independent of the path it checks.  Every product that
+convolution lowers to goes through ``matmul.gemm``, and the dense
+layers meter their MACs, so the baseline's work is counted like the
+native path's.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -19,8 +25,18 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import HexTensor, cells
+from .instrument import add_macs
 from .matmul import gemm
-from .nn import Network, TrainConfig, _act, _zero_grads, apply_gradients, xent_loss_grad
+from .nn import (
+    Network,
+    TrainConfig,
+    _act,
+    _Caches,
+    _head_start,
+    _trunk_grads,
+    _xent_batch,
+    apply_gradients,
+)
 from .ops import valid_geometry
 from .zeroout import ZeroOutFilterBank, hex_mask, zeroout_filter
 
@@ -96,23 +112,35 @@ def _transpose_rot180(zbank: ZeroOutFilterBank) -> ZeroOutFilterBank:
 
 
 def forward_zeroout(net: Network, batch):
-    """Mirror of nn.forward on the parallelogram embedding."""
-    logits = []
-    caches = []
+    """Mirror of nn.forward on the parallelogram embedding: the trunk per
+    sample, then the dense head once over the stacked (B, features)."""
+    stop = _head_start(net)
+    features = []
+    trunk = []
     for t in batch:
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
-        out, cache = _forward_sample(net, t)
-        logits.append(out)
-        caches.append(cache)
-    return np.stack(logits), caches
+        x, cache = _trunk_forward(net, t, stop)
+        features.append(x)
+        trunk.append(cache)
+    x = np.stack(features)
+    head = []
+    for i in range(stop, len(net.cfg.layers)):
+        spec = net.cfg.layers[i]
+        if spec.kind == "dense":
+            w, b = net.params[i]
+            z = x @ w.T + b
+            add_macs(len(x) * w.size)
+            head.append((i, x, z))
+            x = _act(z, spec.activation)
+    return x, _Caches(trunk, head)
 
 
-def _forward_sample(net: Network, t: HexTensor):
+def _trunk_forward(net: Network, t: HexTensor, stop: int):
     x = _embed(t)
     cache = []
-    for i, spec in enumerate(net.cfg.layers):
-        side = net.shapes[i][1] if net.shapes[i][0] == "hex" else None
+    for i, spec in enumerate(net.cfg.layers[:stop]):
+        side = net.shapes[i][1]
         if spec.kind == "hexconv":
             zbank = zeroout_filter(net.params[i])
             z = _rect_conv_all(x, zbank, spec.stride)
@@ -136,34 +164,16 @@ def _forward_sample(net: Network, t: HexTensor):
                 cache.append((side, geom.output_side))
             out[:, _hex_flat(geom.output_side)] = vals
             x = out.reshape(x.shape[0], span_o, span_o)
-        elif spec.kind == "flatten":
+        else:  # flatten
             cache.append((side, x.shape[0]))
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()
-        elif spec.kind == "dense":
-            w, b = net.params[i]
-            z = w @ x + b
-            cache.append((x, z))
-            x = _act(z, spec.activation)
-        else:
-            cache.append(None)
     return x, cache
 
 
-def _backward_sample(net: Network, cache, d, grads) -> None:
-    for i in reversed(range(len(net.cfg.layers))):
+def _trunk_backward(net: Network, cache, d, grads) -> None:
+    for i in reversed(range(len(cache))):
         spec = net.cfg.layers[i]
-        if spec.kind == "softmax_xent":
-            continue
-        if spec.kind == "dense":
-            x, z = cache[i]
-            if spec.activation == "relu":
-                d = d * (z > 0)
-            w, _ = net.params[i]
-            gw, gb = grads[i]
-            gw += np.outer(d, x)
-            gb += d
-            d = w.T @ d
-        elif spec.kind == "flatten":
+        if spec.kind == "flatten":
             side, channels = cache[i]
             span = 2 * side - 1
             rect = np.zeros((channels, span * span))
@@ -197,7 +207,7 @@ def _backward_sample(net: Network, cache, d, grads) -> None:
             # zero off the hexagon, so extra anchors contribute nothing)
             g = _rect_window_gather(x.shape[1], x.shape[2], k, spec.stride)
             cols = x.reshape(x.shape[0], -1)[:, g].transpose(1, 0, 2).reshape(g.shape[0], -1)
-            dw = (d.reshape(f, -1) @ cols).reshape(f, x.shape[0], k, k)
+            dw = gemm(d.reshape(f, -1), cols).reshape(f, x.shape[0], k, k)
             dw = dw.transpose(0, 1, 3, 2) * hex_mask(spec.window)  # corners stay frozen
             uv = cells(spec.window)
             gw, gb = grads[i]
@@ -225,16 +235,22 @@ def _conv_backward_input_rect(d, zbank, stride, input_side):
 
 
 def backward_zeroout(net: Network, logits, caches, labels):
-    """Loss and hex-layout gradients computed on the embedded layout."""
-    labels = np.asarray(labels)
-    grads = _zero_grads(net)
-    total = 0.0
+    """Loss and hex-layout gradients computed on the embedded layout:
+    the dense head once over the batch, then each sample's trunk."""
+    labels = np.asarray(labels, dtype=np.int64)
     n = len(caches)
-    for b in range(n):
-        loss, d = xent_loss_grad(logits[b], int(labels[b]))
-        total += loss
-        _backward_sample(net, caches[b], d / n, grads)
-    return total / n, grads
+    loss, d = _xent_batch(logits, labels)
+    grads = _trunk_grads(net)
+    for i, x, z in reversed(caches.head):
+        if net.cfg.layers[i].activation == "relu":
+            d = d * (z > 0)
+        w, _ = net.params[i]
+        grads[i] = (d.T @ x, d.sum(axis=0))
+        d = d @ w
+        add_macs(2 * n * w.size)
+    for cache, row in zip(caches.trunk, d):
+        _trunk_backward(net, cache, row, grads)
+    return loss, grads
 
 
 def train_step_zeroout(net: Network, batch, labels, tc: TrainConfig) -> float:

@@ -12,7 +12,7 @@ from hexcnn.grads import (
     upsample_stride,
 )
 from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
-from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool
+from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, window_gather
 
 H = 1e-6
 
@@ -154,6 +154,24 @@ def test_maxpool_backward_disjoint_windows_and_mass():
         assert back.data[0, win] == val
     assert np.count_nonzero(back.data) == 7
     assert back.data.sum() == pytest.approx(delta.data.sum())
+
+
+def test_maxpool_nan_window_outputs_nan_and_routes_to_first_nan():
+    # side 3, window 2, stride 1: seven overlapping windows
+    x = np.arange(19.0)
+    x[[3, 8]] = np.nan  # both in windows 0 (taps 2, 5) and 2 (taps 0, 3); 8 in 3 and 5; none in 1, 4, 6
+    out, amap = maxpool(HexTensor(3, 1, x), 2, 1)
+    back = maxpool_backward(HexTensor(2, 1, np.ones(7)), amap)
+    g = window_gather(3, 2, 1, 2)
+    for p, window in enumerate(g):
+        vals = x[window]
+        if np.isnan(vals).any():
+            first_nan = window[np.isnan(vals).argmax()]
+            assert np.isnan(out.data[0, p]) and amap.winners[0, p] == first_nan
+        else:
+            assert out.data[0, p] == vals.max() and amap.winners[0, p] == window[vals.argmax()]
+    assert np.isnan(out.data).any() and not np.isnan(out.data).all()
+    assert back.data.sum() == 7.0 and back.data[0, 3] == back.data[0, 8] == 2.0
 
 
 def test_maxpool_backward_zero_delta():

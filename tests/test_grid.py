@@ -158,3 +158,30 @@ def test_pad_rings_preserves_sum(side, rings):
     rng = np.random.default_rng(side * 10 + rings)
     t = HexTensor(side, 2, rng.standard_normal((2, cell_count(side))))
     assert np.isclose(pad_rings(t, rings).data.sum(), t.data.sum())
+
+
+def test_hextensor_copies_writable_arrays_and_views():
+    a = np.arange(7.0).reshape(1, 7).copy()  # owned and writable
+    t = HexTensor(2, 1, a)
+    a[0, 0] = 9.0  # the caller's array stays the caller's
+    assert t.data[0, 0] == 0.0 and not np.shares_memory(t.data, a)
+
+    owner = np.arange(7.0).reshape(1, 7).copy()
+    view = owner[:]
+    view.setflags(write=False)  # read-only, but the owner can still write
+    t = HexTensor(2, 1, view)
+    owner[0, 1] = 9.0
+    assert t.data[0, 1] == 1.0 and not np.shares_memory(t.data, owner)
+
+
+def test_hextensor_adopts_owned_read_only_arrays():
+    a = np.arange(14.0).reshape(2, 7).copy()
+    a.setflags(write=False)
+    assert HexTensor(2, 2, a).data is a
+    # a different dtype or shape still goes through a copy
+    b = np.arange(7, dtype=np.int64).reshape(1, 7).copy()
+    b.setflags(write=False)
+    assert HexTensor(2, 1, b).data.dtype == np.float64
+    c = np.arange(14.0)
+    c.setflags(write=False)
+    assert HexTensor(2, 2, c).data.shape == (2, 7)

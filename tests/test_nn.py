@@ -22,7 +22,8 @@ from hexcnn.nn import (
     xent_loss_grad,
 )
 from hexcnn.ops import conv_valid, maxpool
-from hexcnn.zeronet import forward_zeroout, train_step_zeroout
+from hexcnn.instrument import MacMeter
+from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
 
 
 def tiny_cfg(seed=0):
@@ -121,6 +122,61 @@ def test_backward_softmax_saturated_near_zero_grads():
     assert loss < 1e-20 and np.abs(g).max() < 1e-20
 
 
+def composed_cfg(seed=14):
+    """conv, floor-mode stride-3 maxpool, conv, avgpool, flatten, a relu
+    dense layer and a dense layer into softmax."""
+    return NetworkConfig(
+        13,
+        2,
+        (
+            LayerSpec.conv(3, 2, 1, "relu"),
+            LayerSpec.maxpool(2, 3),
+            LayerSpec.conv(4, 2, 1, "relu"),
+            LayerSpec.avgpool(2, 1),
+            LayerSpec.flatten(),
+            LayerSpec.dense(5, "relu"),
+            LayerSpec.dense(3),
+            LayerSpec.softmax(),
+        ),
+        seed,
+    )
+
+
+def check_network_gradients(cfg, n, probes):
+    """Central finite differences of the mean batch loss against
+    ``backward`` at (layer, 0 weights / 1 bias, coordinate) probes."""
+    net = build_network(cfg)
+    rng = np.random.default_rng(3)
+    batch, labels = make_two_class_dataset(rng, n, cfg.input_side, cfg.input_channels)
+    labels = labels % 3
+    logits, caches = forward(net, batch)
+    _, grads = backward(net, logits, caches, labels)
+
+    def loss_at(layer, which, coord, offset):
+        params = list(net.params)
+        p = params[layer]
+        if hasattr(p, "weights"):
+            w, b = p.weights.copy(), p.bias.copy()
+            (w if which == 0 else b)[coord] += offset
+            params[layer] = type(p)(p.filter_side, w, b)
+        else:
+            w, b = p[0].copy(), p[1].copy()
+            (w if which == 0 else b)[coord] += offset
+            params[layer] = (w, b)
+        probe = type(net)(net.cfg, params, net.shapes, net.floor_pools)
+        lg, _ = forward(probe, batch)
+        return sum(xent_loss_grad(lg[i], int(labels[i]))[0] for i in range(n)) / n
+
+    h = 1e-6
+    count = 0
+    for layer, which, coord in probes:
+        analytic = grads[layer][which][coord]
+        numeric = (loss_at(layer, which, coord, h) - loss_at(layer, which, coord, -h)) / (2 * h)
+        assert abs(analytic - numeric) <= 1e-5 * max(abs(analytic), abs(numeric), 1.0)
+        count += 1
+    assert count == len(probes)
+
+
 def test_full_network_gradient_finite_difference():
     cfg = NetworkConfig(
         5,
@@ -134,39 +190,20 @@ def test_full_network_gradient_finite_difference():
         ),
         seed=11,
     )
-    net = build_network(cfg)
-    rng = np.random.default_rng(3)
-    batch, labels = make_two_class_dataset(rng, 4, 5)
-    labels = labels % 3
+    check_network_gradients(cfg, 4, [(0, 0, (0, 0, 3)), (0, 1, (1,)), (3, 0, (2, 1)), (3, 1, (0,))])
+
+
+def test_composed_network_gradient_finite_difference():
+    probes = [(0, 0, (1, 0, 4)), (2, 0, (3, 2, 6)), (5, 0, (4, 10)), (5, 1, (2,)), (6, 0, (1, 3)), (6, 1, (0,))]
+    check_network_gradients(composed_cfg(), 3, probes)
+
+
+def test_backward_rejects_label_count_mismatch():
+    net = build_network(tiny_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 5)
     logits, caches = forward(net, batch)
-    _, grads = backward(net, logits, caches, labels)
-
-    def loss_at(layer, which, coord, offset):
-        import copy
-
-        params = list(net.params)
-        p = params[layer]
-        if hasattr(p, "weights"):
-            w, b = p.weights.copy(), p.bias.copy()
-            (w if which == 0 else b)[coord] += offset
-            params[layer] = type(p)(p.filter_side, w, b)
-        else:
-            w, b = p[0].copy(), p[1].copy()
-            (w if which == 0 else b)[coord] += offset
-            params[layer] = (w, b)
-        probe = type(net)(net.cfg, params, net.shapes, net.floor_pools)
-        lg, _ = forward(probe, batch)
-        return sum(xent_loss_grad(lg[i], int(labels[i]))[0] for i in range(4)) / 4
-
-    h = 1e-6
-    probes = [(0, 0, (0, 0, 3)), (0, 1, (1,)), (3, 0, (2, 1)), (3, 1, (0,))]
-    count = 0
-    for layer, which, coord in probes:
-        analytic = grads[layer][which][coord]
-        numeric = (loss_at(layer, which, coord, h) - loss_at(layer, which, coord, -h)) / (2 * h)
-        assert abs(analytic - numeric) <= 1e-5 * max(abs(analytic), abs(numeric), 1.0)
-        count += 1
-    assert count == len(probes)
+    with pytest.raises(ValueError, match="labels"):
+        backward(net, logits, caches, labels[:2])
 
 
 def test_train_step_zero_lr_keeps_parameters():
@@ -329,3 +366,36 @@ def test_zeroout_twin_supports_avgpool():
     lg_a, _ = forward(net_a, data[:2])
     lg_b, _ = forward_zeroout(net_b, data[:2])
     assert np.abs(lg_a - lg_b).max() <= 1e-10
+
+
+def test_zeroout_gradients_match_on_composed_network():
+    net = build_network(composed_cfg(seed=15))
+    assert net.floor_pools == {1}
+    rng = np.random.default_rng(16)
+    batch, labels = make_two_class_dataset(rng, 3, 13, 2)
+    la, ga = backward(net, *forward(net, batch), labels)
+    lb, gb = backward_zeroout(net, *forward_zeroout(net, batch), labels)
+    assert abs(la - lb) <= 1e-8 * max(abs(la), abs(lb))
+    for a, b in zip(ga, gb):
+        assert (a is None) == (b is None)
+        for x, y in zip(a or (), b or ()):
+            assert np.abs(x - y).max() <= 1e-8 * max(np.abs(x).max(), np.abs(y).max(), 1e-300)
+
+
+def test_zeroout_filter_gradient_is_mac_metered():
+    # one conv at layer 0 (no input gradient): backward meters the filter
+    # gradient, as many MACs as the forward conv, plus the dense weight
+    # and input gradients
+    cfg = NetworkConfig(
+        5, 2, (LayerSpec.conv(3, 2, 1, "relu"), LayerSpec.flatten(), LayerSpec.dense(4), LayerSpec.softmax())
+    )
+    net = build_network(cfg)
+    batch, labels = make_two_class_dataset(np.random.default_rng(17), 3, 5, 2)
+    with MacMeter() as fwd:
+        logits, caches = forward_zeroout(net, batch)
+    with MacMeter() as bwd:
+        backward_zeroout(net, logits, caches, labels)
+    dense = 3 * net.params[2][0].size
+    conv = 3 * 9 * 2 * 3 * 7 * 7  # batch * 3x3 taps * C * F * anchors on the 9x9 embedding
+    assert fwd.macs == conv + dense
+    assert bwd.macs == conv + 2 * dense

@@ -57,6 +57,61 @@ def test_square_to_hex_outside_is_zero():
     assert t.data[0, np.argmin(np.hypot(centers[:, 0] - 1.5, centers[:, 1] - 1.5))] == 1.0
 
 
+def unplanned_square_to_hex(img, side, geom=HexLatticeGeometry()):
+    """The per-call bilinear formula that the cached plan replaces."""
+    center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
+    pos = cell_centers(side, geom, center)
+    x, y = pos[:, 0], pos[:, 1]
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
+    fx = x - x0
+    fy = y - y0
+
+    def tap(yy, xx):
+        inside = (yy >= 0) & (yy < img.height) & (xx >= 0) & (xx < img.width)
+        vals = img.data[:, yy.clip(0, img.height - 1), xx.clip(0, img.width - 1)]
+        return np.where(inside[None, :], vals, 0.0)
+
+    return (
+        tap(y0, x0) * ((1 - fy) * (1 - fx))[None, :]
+        + tap(y0, x0 + 1) * ((1 - fy) * fx)[None, :]
+        + tap(y0 + 1, x0) * (fy * (1 - fx))[None, :]
+        + tap(y0 + 1, x0 + 1) * (fy * fx)[None, :]
+    )
+
+
+def same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def test_square_to_hex_plan_matches_unplanned_formula():
+    rng = np.random.default_rng(21)
+    tall = rng.standard_normal((2, 23, 14))  # non-square, two channels
+    nan_in = rng.standard_normal((1, 16, 16))
+    nan_in[0, 7, 8] = np.nan  # read by cells inside the hexagon
+    nan_out = rng.standard_normal((1, 6, 6))
+    nan_out[0, 0, 0] = np.nan  # a corner that outside cells clip to
+    cases = [
+        (tall, 9, HexLatticeGeometry()),
+        (nan_in, 6, HexLatticeGeometry()),
+        (nan_out, 6, HexLatticeGeometry()),
+        (rng.standard_normal((1, 16, 16)), 7, HexLatticeGeometry(1.37)),
+    ]
+    for _ in range(2):  # alternate image sizes in one process: each gets its own plan
+        for data, side, geom in cases:
+            img = SquareImage(data)
+            got = square_to_hex(img, side, geom).data
+            assert same_bits(got, unplanned_square_to_hex(img, side, geom))
+    # outside cells read 0, not the NaN they clip to; cells reading the
+    # corner from inside are NaN
+    got = square_to_hex(SquareImage(nan_out), 6).data[0]
+    centers = cell_centers(6, HexLatticeGeometry(), (2.5, 2.5))
+    far = (centers < -1).any(axis=1) | (centers > 6).any(axis=1)
+    assert far.any() and not got[far].any()
+    assert np.isnan(got).any()
+
+
 def test_lattice_geometry_validation():
     with pytest.raises(ValueError):
         HexLatticeGeometry(0.0)
