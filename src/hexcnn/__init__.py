@@ -2,10 +2,10 @@
 
 Hexagon-shaped tensors are stored without rectangular padding;
 convolution and pooling use hexagon-shaped windows, backpropagation is
-the exact adjoint of the forward kernels, and an im2col/GEMM lowering
-provides the fast path.  A ZeroOut reference (rectangular embedding
-with zeroed filter corners) serves as the correctness oracle and the
-baseline for space and time comparisons.
+the exact adjoint of the forward kernels, and each convolution is one
+im2col matrix times the filter matrix.  A ZeroOut reference
+(rectangular embedding with zeroed filter corners) serves as the
+correctness oracle and the baseline for space and time comparisons.
 """
 
 from .grid import (
@@ -22,16 +22,14 @@ from .grid import (
 )
 from .ops import ArgmaxMap, HexFilterBank, avgpool, conv_full, conv_valid, maxpool
 from .grads import (
-    LayerGradients,
     apply_activation_backward,
     avgpool_backward,
-    conv_backward,
     conv_backward_filter,
     conv_backward_input,
     maxpool_backward,
     upsample_stride,
 )
-from .im2col import FilterMatrix, Im2ColMatrix, conv_gemm, filters_to_matrix, gemm, im2col, patch_count
+from .im2col import gemm, im2col, patch_count
 from .zeroout import (
     RectTensor,
     ZeroOutFilterBank,

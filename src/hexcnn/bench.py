@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .grid import HexTensor, cell_count
-from .im2col import conv_gemm, filters_to_matrix
 from .instrument import MacMeter
 from .nn import PRESETS, TrainConfig, build_network, make_two_class_dataset, train_step
 from .ops import HexFilterBank, conv_valid, valid_geometry
@@ -43,7 +42,6 @@ class BenchResult:
     channels: int
     filters: int
     reps: int
-    threads: int
     wall_time_s: float
     macs: int
     output_cells: int
@@ -52,42 +50,11 @@ class BenchResult:
     bytes_filters: int
 
     def row(self) -> list:
-        return [
-            self.case_id,
-            self.method,
-            self.input_side,
-            self.filter_side,
-            self.stride,
-            self.channels,
-            self.filters,
-            self.reps,
-            self.threads,
-            f"{self.wall_time_s:.6e}",
-            self.macs,
-            self.output_cells,
-            self.bytes_input,
-            self.bytes_im2col,
-            self.bytes_filters,
-        ]
+        """CSV cells in field order; the wall time in scientific notation."""
+        return [f"{v:.6e}" if isinstance(v, float) else v for v in astuple(self)]
 
 
-BENCH_CONV_HEADER = [
-    "case_id",
-    "method",
-    "input_side",
-    "filter_side",
-    "stride",
-    "channels",
-    "filters",
-    "reps",
-    "threads",
-    "wall_time_s",
-    "macs",
-    "output_cells",
-    "bytes_input",
-    "bytes_im2col",
-    "bytes_filters",
-]
+BENCH_CONV_HEADER = [f.name for f in fields(BenchResult)]
 
 
 def _median_time(fn, reps: int) -> float:
@@ -108,9 +75,8 @@ def bench_conv(
     filters: int = 1,
     reps: int = 5,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[BenchResult]:
-    """Time hex direct, hex via im2col/GEMM, and the ZeroOut reference."""
+    """Time the hex convolution and the ZeroOut reference."""
     rng = np.random.default_rng(seed)
     results = []
     for side in sizes:
@@ -132,20 +98,8 @@ def bench_conv(
         results.append(
             BenchResult(
                 case_id, "hex_direct", side, filter_side, stride, channels, filters,
-                reps, threads, time_direct, macs_direct, hex_out,
+                reps, time_direct, macs_direct, hex_out,
                 t.data.nbytes, im2col_bytes, bank.weights.nbytes,
-            )
-        )
-
-        with MacMeter() as meter:
-            conv_gemm(t, bank, stride)
-        macs_gemm = meter.macs
-        time_gemm = _median_time(lambda: conv_gemm(t, bank, stride), reps)
-        results.append(
-            BenchResult(
-                case_id, "hex_gemm", side, filter_side, stride, channels, filters,
-                reps, threads, time_gemm, macs_gemm, hex_out,
-                t.data.nbytes, im2col_bytes, filters_to_matrix(bank).values.nbytes,
             )
         )
 
@@ -164,7 +118,7 @@ def bench_conv(
         results.append(
             BenchResult(
                 case_id, "zeroout_ref", side, filter_side, stride, channels, filters,
-                reps, threads, time_zero, macs_zero, rect_out_cells,
+                reps, time_zero, macs_zero, rect_out_cells,
                 rect.data.nbytes, 0, zbank.weights.nbytes,
             )
         )
@@ -230,7 +184,6 @@ BENCH_TRAIN_HEADER = [
     "batch",
     "steps",
     "reps",
-    "threads",
     "path",
     "median_step_time_s",
     "first_loss",
@@ -248,7 +201,6 @@ def bench_train(
     reps: int = 1,
     learning_rate: float = 0.1,
     seed: int = 0,
-    threads: int = 1,
 ):
     """Train the same network on both layouts; time steps, compare losses."""
     if preset not in PRESETS:
@@ -286,8 +238,8 @@ def bench_train(
     zero_med = float(np.median(zero_times))
     fmt = lambda x: f"{x:.6e}"
     return [
-        [preset, side, batch, steps, reps, threads, "hexcnn", fmt(hex_med),
+        [preset, side, batch, steps, reps, "hexcnn", fmt(hex_med),
          fmt(hex_losses[0]), fmt(hex_losses[-1]), fmt(0.0), fmt(1.0)],
-        [preset, side, batch, steps, reps, threads, "zeroout", fmt(zero_med),
+        [preset, side, batch, steps, reps, "zeroout", fmt(zero_med),
          fmt(zero_losses[0]), fmt(zero_losses[-1]), fmt(gap), fmt(zero_med / hex_med)],
     ]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -19,13 +18,6 @@ from .fileio import read_image, write_hxt
 from .resample import min_cover_side, square_to_hex
 
 VERIFY_HEADER = ["suite", "case", "status", "max_rel_err"]
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HEXCNN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_csv(path, header, rows) -> None:
@@ -44,6 +36,25 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def cmd_verify(args) -> int:
@@ -85,7 +96,6 @@ def cmd_bench_conv(args) -> int:
         filters=args.filters,
         reps=args.reps,
         seed=args.seed,
-        threads=args.threads,
     )
     benched = {r.input_side for r in results}
     for side in args.sizes:
@@ -106,7 +116,6 @@ def cmd_bench_train(args) -> int:
             reps=args.reps,
             learning_rate=args.lr,
             seed=args.seed,
-            threads=args.threads,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -144,50 +153,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the oracle, adjoint, and gradient suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50, help="randomized cases per suite")
-    p.add_argument("--gradient-probes", type=int, default=20)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--cases", type=_non_negative_int, default=50, help="randomized cases per suite")
+    p.add_argument("--gradient-probes", type=_non_negative_int, default=20)
     p.add_argument("--inject-fault", action="store_true",
                    help="test hook: corrupt one kernel result to exercise the failure path")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("space-report", help="storage formulas for hex input vs baselines")
     p.add_argument("--sizes", type=_int_list, default=[30, 60, 90, 120],
                    help="comma-separated hexagon side lengths")
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--filter-side", type=int, default=2)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--channels", type=_positive_int, default=3)
+    p.add_argument("--filter-side", type=_positive_int, default=2)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_space_report)
 
-    p = sub.add_parser("bench-conv", help="time hex direct vs GEMM vs ZeroOut convolution")
+    p = sub.add_parser("bench-conv", help="time hex vs ZeroOut convolution")
     p.add_argument("--sizes", type=_int_list, default=[64, 128, 256])
-    p.add_argument("--filter-side", type=int, default=2)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--filters", type=int, default=1)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="recorded parallelism cap (kernels run sequentially)")
+    p.add_argument("--filter-side", type=_positive_int, default=2)
+    p.add_argument("--stride", type=_positive_int, default=1)
+    p.add_argument("--channels", type=_positive_int, default=3)
+    p.add_argument("--filters", type=_positive_int, default=1)
+    p.add_argument("--reps", type=_positive_int, default=5)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_bench_conv)
 
     p = sub.add_parser("bench-train", help="time one network on both layouts")
     p.add_argument("--preset", choices=["hexlenet4", "hexlenet5"], default="hexlenet5")
-    p.add_argument("--side", type=int, default=17)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--side", type=_positive_int, default=17)
+    p.add_argument("--batch", type=_positive_int, default=8)
+    p.add_argument("--steps", type=_positive_int, default=5)
+    p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_bench_train)
 
     p = sub.add_parser("resample", help="resample a square image onto a hexagon")

@@ -66,6 +66,8 @@ def read_img1(path) -> SquareImage:
     if len(raw) < 16 or raw[:4] != IMG_MAGIC:
         raise ValueError(f"{path}: not an IMG1 file")
     h, w, c = _HEADER.unpack(raw[4:16])
+    if h < 1 or w < 1 or c < 1:
+        raise ValueError(f"{path}: invalid header (height {h}, width {w}, channels {c})")
     expected = h * w * c * 4
     if len(raw) - 16 != expected:
         raise ValueError(

@@ -13,7 +13,6 @@ bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,10 +28,8 @@ from .matmul import gemm
 from .ops import ArgmaxMap, HexFilterBank, conv_full, tap_gather, valid_geometry, window_columns
 
 __all__ = [
-    "LayerGradients",
     "upsample_stride",
     "transpose_reflect",
-    "conv_backward",
     "conv_backward_input",
     "conv_backward_input_reflect",
     "conv_backward_filter",
@@ -40,23 +37,6 @@ __all__ = [
     "avgpool_backward",
     "apply_activation_backward",
 ]
-
-@dataclass(frozen=True, eq=False)
-class LayerGradients:
-    """Gradient bundle of one conv layer; shapes mirror the forward pass."""
-
-    d_input: HexTensor
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
-
-
-def conv_backward(
-    t: HexTensor, delta: HexTensor, bank: HexFilterBank, stride: int = 1
-) -> LayerGradients:
-    """Input, weight, and bias gradients of one valid convolution."""
-    dw, db = conv_backward_filter(t, delta, stride, bank.filter_side)
-    d_in = conv_backward_input(delta, bank, stride, t.side)
-    return LayerGradients(d_in, dw, db)
 
 
 @lru_cache(maxsize=None)

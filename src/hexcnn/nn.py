@@ -421,8 +421,8 @@ def train_step(net: Network, batch, labels, tc: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 # presets
 
-def hex_lenet(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
-    """LeNet-style stack on hexagonal tensors.
+def _lenet(input_side: int, classes: int, seed: int, first: int) -> NetworkConfig:
+    """LeNet-style stack on hexagonal tensors, ``first`` first-stage filters.
 
     Pool strides follow the non-overlapping side-2 tiling (stride 3)
     and fall back to floor geometry when the side does not divide;
@@ -432,7 +432,7 @@ def hex_lenet(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
         input_side,
         1,
         (
-            LayerSpec.conv(6, 2, 1, "relu"),
+            LayerSpec.conv(first, 2, 1, "relu"),
             LayerSpec.maxpool(2, 3),
             LayerSpec.conv(16, 2, 1, "relu"),
             LayerSpec.maxpool(2, 3),
@@ -447,25 +447,14 @@ def hex_lenet(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
     return cfg
 
 
+def hex_lenet(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
+    """LeNet-style stack on hexagonal tensors (6 first-stage filters)."""
+    return _lenet(input_side, classes, seed, 6)
+
+
 def hex_lenet4(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
     """Narrower sibling of hex_lenet (4 first-stage filters)."""
-    cfg = NetworkConfig(
-        input_side,
-        1,
-        (
-            LayerSpec.conv(4, 2, 1, "relu"),
-            LayerSpec.maxpool(2, 3),
-            LayerSpec.conv(16, 2, 1, "relu"),
-            LayerSpec.maxpool(2, 3),
-            LayerSpec.flatten(),
-            LayerSpec.dense(120, "relu"),
-            LayerSpec.dense(classes),
-            LayerSpec.softmax(),
-        ),
-        seed,
-    )
-    build_network(cfg)
-    return cfg
+    return _lenet(input_side, classes, seed, 4)
 
 
 def _vgg(input_side, classes, convs_per_block, seed, width_scale, channels=3):

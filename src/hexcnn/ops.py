@@ -30,7 +30,6 @@ __all__ = [
     "valid_geometry",
     "full_geometry",
     "tap_gather",
-    "window_gather",
     "conv_valid",
     "conv_full",
     "maxpool",
@@ -149,13 +148,6 @@ def tap_gather(
     idx = np.ascontiguousarray(idx)
     idx.setflags(write=False)
     return idx
-
-
-def window_gather(
-    input_side: int, filter_side: int, stride: int, output_side: int
-) -> np.ndarray:
-    """(patches, window_cells) view of ``tap_gather``: row p is window p."""
-    return tap_gather(input_side, filter_side, stride, output_side).T
 
 
 def window_columns(t: HexTensor, geom: ConvGeometry) -> np.ndarray:

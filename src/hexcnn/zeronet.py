@@ -44,7 +44,7 @@ __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
 @lru_cache(maxsize=None)
-def _rect_window_gather(h: int, w: int, k: int, stride: int) -> np.ndarray:
+def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
     """Flat indices of every k-by-k window, column major within the window."""
     out_h = (h - k) // stride + 1
     out_w = (w - k) // stride + 1
@@ -98,7 +98,7 @@ def _rect_conv_all(x: np.ndarray, zbank: ZeroOutFilterBank, stride: int) -> np.n
     """Strided cross-correlation over every rectangular anchor, plus bias."""
     c, h, w = x.shape
     k = zbank.span
-    g = _rect_window_gather(h, w, k, stride)
+    g = _rect_windows(h, w, k, stride)
     p = g.shape[0]
     cols = np.ascontiguousarray(x.reshape(c, -1)[:, g].transpose(1, 0, 2).reshape(p, -1))
     y = gemm(cols, _zbank_cols(zbank)) + zbank.bias
@@ -205,7 +205,7 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             f = d.shape[0]
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
-            g = _rect_window_gather(x.shape[1], x.shape[2], k, spec.stride)
+            g = _rect_windows(x.shape[1], x.shape[2], k, spec.stride)
             cols = x.reshape(x.shape[0], -1)[:, g].transpose(1, 0, 2).reshape(g.shape[0], -1)
             dw = gemm(d.reshape(f, -1), cols).reshape(f, x.shape[0], k, k)
             dw = dw.transpose(0, 1, 3, 2) * hex_mask(spec.window)  # corners stay frozen

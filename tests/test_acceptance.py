@@ -64,8 +64,8 @@ def test_criterion_04_patch_count_reproduction():
     mat = im2col(HexTensor(5, 3, rng.standard_normal((3, 61))), 2, 3)
     report(
         "side-5 / window-2 / stride-3 input yields 7 patches and a 7x21 matrix",
-        patches == 7 and mat.values.shape == (7, 21),
-        f"patches={patches}, shape={mat.values.shape}",
+        patches == 7 and mat.shape == (7, 21),
+        f"patches={patches}, shape={mat.shape}",
     )
 
 
@@ -73,7 +73,7 @@ def test_criterion_05_oracle_equivalence_200_cases():
     rows, failures = run_oracle_suite(seed=2024, cases=200, tol=1e-10)
     worst = max(r["max_rel_err"] for r in rows)
     report(
-        "direct, GEMM, and ZeroOut convolution agree within 1e-10 on 200 cases",
+        "native and ZeroOut convolution agree within 1e-10 on 200 cases",
         len(rows) == 200 and not failures,
         f"worst rel err {worst:.3e}",
     )

@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_bench_conv_small(capsys):
     header = rows[0]
     assert header[0] == "case_id" and "wall_time_s" in header
     body = rows[1:]
-    assert len(body) == 6  # two sizes x three methods
+    assert len(body) == 4  # two sizes x two methods
     rec = {(r[0], r[1]): dict(zip(header, r)) for r in body}
     hexr = rec[("conv_L16_k2_s1", "hex_direct")]
     zero = rec[("conv_L16_k2_s1", "zeroout_ref")]
@@ -157,20 +158,35 @@ def test_resample_bad_inputs(tmp_path, capsys):
     for header in (b"P5 4 4", b"P5 9999999999 9999999999 255\n", b"P5 0 4 255\n"):
         truncated.write_bytes(header)
         assert main(["resample", str(truncated), str(tmp_path / "o.hxt")]) == 2
+    # an IMG1 header with zero channels and no payload
+    empty = tmp_path / "e.img1"
+    empty.write_bytes(b"IMG1" + struct.pack("<III", 4, 4, 0))
+    assert main(["resample", str(empty), str(tmp_path / "o.hxt")]) == 2
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bench-conv", "--sizes", "abc"])
-    assert exc.value.code == 2
-
-
-def test_threads_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("HEXCNN_THREADS", "4")
-    code, rows = run_cli(["bench-conv", "--sizes", "4", "--reps", "1"], capsys)
-    assert code == 0
-    rec = dict(zip(rows[0], rows[1]))
-    assert rec["threads"] == "4"
+def test_usage_error_exit_code(capsys):
+    for argv in (
+        ["no-such-command"],
+        ["bench-conv", "--sizes", "abc"],
+        ["bench-conv", "--reps", "0"],
+        ["bench-conv", "--channels", "0"],
+        ["bench-conv", "--filters", "0"],
+        ["bench-conv", "--filter-side", "-1"],
+        ["bench-conv", "--stride", "0"],
+        ["bench-conv", "--seed", "-1"],
+        ["bench-train", "--reps", "0"],
+        ["bench-train", "--side", "0"],
+        ["bench-train", "--batch", "0"],
+        ["bench-train", "--steps", "-2"],
+        ["space-report", "--filter-side", "0"],
+        ["space-report", "--stride", "0"],
+        ["space-report", "--channels", "0"],
+        ["verify", "--gradient-probes", "-3"],
+        ["verify", "--cases", "-1"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--cases", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "Traceback" not in capsys.readouterr().err

@@ -12,7 +12,7 @@ from hexcnn.grads import (
     upsample_stride,
 )
 from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
-from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, window_gather
+from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, tap_gather
 
 H = 1e-6
 
@@ -162,7 +162,7 @@ def test_maxpool_nan_window_outputs_nan_and_routes_to_first_nan():
     x[[3, 8]] = np.nan  # both in windows 0 (taps 2, 5) and 2 (taps 0, 3); 8 in 3 and 5; none in 1, 4, 6
     out, amap = maxpool(HexTensor(3, 1, x), 2, 1)
     back = maxpool_backward(HexTensor(2, 1, np.ones(7)), amap)
-    g = window_gather(3, 2, 1, 2)
+    g = tap_gather(3, 2, 1, 2).T
     for p, window in enumerate(g):
         vals = x[window]
         if np.isnan(vals).any():
@@ -283,22 +283,6 @@ def test_upsample_mass_and_maxpool_mass_conservation():
     _, amap = maxpool(t, 3, 2)
     d = HexTensor(3, 2, rng.standard_normal((2, 19)))
     assert maxpool_backward(d, amap).data.sum() == pytest.approx(d.data.sum())
-
-
-def test_conv_backward_bundle_mirrors_forward_shapes():
-    rng = np.random.default_rng(11)
-    from hexcnn.grads import conv_backward
-
-    t = HexTensor(5, 2, rng.standard_normal((2, 61)))
-    bank = HexFilterBank.random(rng, 3, 2, 2)
-    out = conv_valid(t, bank)
-    g = conv_backward(t, out, bank)
-    assert g.d_input.side == t.side and g.d_input.channels == t.channels
-    assert g.d_weights.shape == bank.weights.shape
-    assert g.d_bias.shape == bank.bias.shape
-    dw, db = conv_backward_filter(t, out, 1, 2)
-    assert np.array_equal(g.d_weights, dw) and np.array_equal(g.d_bias, db)
-    assert np.array_equal(g.d_input.data, conv_backward_input(out, bank, 1, 5).data)
 
 
 def test_conv_backward_floor_mode_finite_difference():

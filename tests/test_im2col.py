@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from hexcnn.grid import HexTensor, cell_count
-from hexcnn.im2col import (
-    conv_gemm,
-    filters_to_matrix,
-    gemm,
-    im2col,
-    matrix_to_filters,
-    patch_count,
-)
-from hexcnn.ops import HexFilterBank, conv_valid
+from hexcnn.grid import HexTensor
+from hexcnn.im2col import gemm, im2col, patch_count
 
 
 def naive_matmul(a, b):
@@ -42,44 +34,19 @@ def test_patch_count_rejects_nondividing_stride():
 def test_im2col_shape_seven_by_twentyone():
     rng = np.random.default_rng(0)
     t = HexTensor(5, 3, rng.standard_normal((3, 61)))
-    mat = im2col(t, 2, 3)
-    assert mat.values.shape == (7, 21)
-    assert (mat.patches, mat.channels, mat.filter_cells) == (7, 3, 7)
+    assert im2col(t, 2, 3).shape == (7, 21)
 
 
 def test_im2col_whole_input_is_storage_vector():
     t = HexTensor(3, 1, np.arange(19.0))
     mat = im2col(t, 3, 1)
-    assert mat.values.shape == (1, 19)
-    assert np.array_equal(mat.values[0], t.data[0])
+    assert mat.shape == (1, 19)
+    assert np.array_equal(mat[0], t.data[0])
 
 
 def test_im2col_constant_input():
     t = HexTensor(4, 2, np.full(74, 2.5))
-    assert np.all(im2col(t, 2, 1).values == 2.5)
-
-
-def test_filter_matrix_round_trip():
-    rng = np.random.default_rng(1)
-    bank = HexFilterBank.random(rng, 4, 3, 2)
-    mat = filters_to_matrix(bank)
-    assert mat.values.shape == (21, 4)
-    back = matrix_to_filters(mat, 2, bank.bias)
-    assert np.array_equal(back.weights, bank.weights)
-    assert np.array_equal(back.bias, bank.bias)
-    assert np.array_equal(filters_to_matrix(back).values, mat.values)
-
-
-def test_filter_matrix_single_filter_column():
-    rng = np.random.default_rng(2)
-    bank = HexFilterBank(2, rng.standard_normal((1, 1, 7)))
-    assert np.array_equal(filters_to_matrix(bank).values[:, 0], bank.weights[0, 0])
-
-
-def test_filter_matrix_identical_filters():
-    w = np.tile(np.arange(7.0), (2, 1, 1))
-    mat = filters_to_matrix(HexFilterBank(2, w)).values
-    assert np.array_equal(mat[:, 0], mat[:, 1])
+    assert np.all(im2col(t, 2, 1) == 2.5)
 
 
 def test_gemm_identity_and_hand_case():
@@ -104,42 +71,6 @@ def test_gemm_matches_naive(shape):
     ref = naive_matmul(a, b)
     scale = np.abs(ref).max()
     assert np.abs(gemm(a, b) - ref).max() <= 1e-12 * scale
-
-
-def test_conv_gemm_matches_direct_bitwise():
-    rng = np.random.default_rng(6)
-    t = HexTensor(6, 3, rng.standard_normal((3, cell_count(6))))
-    bank = HexFilterBank.random(rng, 4, 3, 2)
-    assert np.array_equal(conv_gemm(t, bank, 2).data, conv_valid(t, bank, 2).data)
-
-
-def test_conv_gemm_delta_and_allones_cases():
-    t = HexTensor(2, 1, np.arange(1.0, 8.0))
-    bank = HexFilterBank(2, np.ones((1, 1, 7)))
-    assert conv_gemm(t, bank).data[0, 0] == 28.0
-
-    w = np.zeros((1, 1, 7))
-    w[0, 0, 0] = 1.0
-    rng = np.random.default_rng(7)
-    big = HexTensor(4, 1, rng.standard_normal((1, 37)))
-    delta = HexFilterBank(2, w)
-    assert np.array_equal(conv_gemm(big, delta).data, conv_valid(big, delta).data)
-
-
-def test_conv_gemm_random_instances_match():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        fside = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 4))
-        out_side = int(rng.integers(1, 4))
-        side = stride * (out_side - 1) + fside
-        c = int(rng.integers(1, 4))
-        f = int(rng.integers(1, 4))
-        t = HexTensor(side, c, rng.standard_normal((c, cell_count(side))))
-        bank = HexFilterBank.random(rng, f, c, fside)
-        a = conv_gemm(t, bank, stride)
-        b = conv_valid(t, bank, stride)
-        assert np.array_equal(a.data, b.data)
 
 
 def test_im2col_footprint_ratio_tends_to_7_12():

@@ -9,8 +9,8 @@ from hexcnn.ops import (
     conv_full,
     conv_valid,
     maxpool,
+    tap_gather,
     valid_geometry,
-    window_gather,
 )
 
 
@@ -41,7 +41,7 @@ def test_conv_delta_filter_crops():
     t = HexTensor(4, 2, rng.standard_normal((2, 37)))
     out = conv_valid(t, delta_bank(2, 2))
     # channel-summed translated crop of the input
-    g = window_gather(4, 2, 1, 3)
+    g = tap_gather(4, 2, 1, 3).T
     expected = t.data[:, g[:, 0]].sum(axis=0)
     assert np.allclose(out.data[0], expected)
 
@@ -153,7 +153,7 @@ def test_maxpool_winners_inside_window():
     rng = np.random.default_rng(7)
     t = HexTensor(7, 2, rng.standard_normal((2, cell_count(7))))
     _, amap = maxpool(t, 3, 2)
-    g = window_gather(7, 3, 2, amap.output_side)
+    g = tap_gather(7, 3, 2, amap.output_side).T
     for c in range(2):
         for p in range(g.shape[0]):
             assert amap.winners[c, p] in g[p]
@@ -180,7 +180,7 @@ def test_avgpool_matches_patch_enumeration():
     rng = np.random.default_rng(8)
     t = HexTensor(5, 2, rng.standard_normal((2, 61)))
     out = avgpool(t, 2, 3)
-    g = window_gather(5, 2, 3, 2)
+    g = tap_gather(5, 2, 3, 2).T
     for c in range(2):
         for p in range(g.shape[0]):
             assert out.data[c, p] == pytest.approx(t.data[c, g[p]].mean(), rel=1e-15)
