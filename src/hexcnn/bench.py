@@ -208,7 +208,7 @@ def bench_train(
     cfg = PRESETS[preset](side, 2, seed=seed)
     rng = np.random.default_rng(seed + 1)
     data, labels = make_two_class_dataset(rng, batch * steps, side)
-    tc = TrainConfig(learning_rate, batch, steps, seed)
+    tc = TrainConfig(learning_rate, batch)
 
     def run(step_fn):
         net = build_network(cfg)

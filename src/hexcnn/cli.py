@@ -20,22 +20,31 @@ from .resample import min_cover_side, square_to_hex
 VERIFY_HEADER = ["suite", "case", "status", "max_rel_err"]
 
 
-def _write_csv(path, header, rows) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+def _write_csv(out, header, rows) -> None:
+    """``out`` is the file ``main`` opened for ``--out``, or None for stdout."""
+    writer = csv.writer(out or sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _report_skipped(sizes, kept, reason: str) -> None:
+    """Name on stderr each requested side that produced no row."""
+    for side in sizes:
+        if side not in kept:
+            print(f"skipping side {side}: {reason}", file=sys.stderr)
 
 
 def _int_list(text: str) -> list[int]:
+    """argparse type: a non-empty comma-separated list of integers >= 1."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}"
+        )
+    return values
 
 
 def _int_at_least(minimum: int):
@@ -83,6 +92,7 @@ def cmd_verify(args) -> int:
 
 def cmd_space_report(args) -> int:
     rows = bench.space_report(args.sizes, channels=args.channels, filter_side=args.filter_side, stride=args.stride)
+    _report_skipped(args.sizes, {r[0] for r in rows}, f"smaller than filter side {args.filter_side}")
     _write_csv(args.out, bench.SPACE_REPORT_HEADER, rows)
     return 0
 
@@ -97,11 +107,8 @@ def cmd_bench_conv(args) -> int:
         reps=args.reps,
         seed=args.seed,
     )
-    benched = {r.input_side for r in results}
-    for side in args.sizes:
-        if side not in benched:
-            print(f"skipping side {side}: geometry invalid for filter "
-                  f"{args.filter_side} stride {args.stride}", file=sys.stderr)
+    _report_skipped(args.sizes, {r.input_side for r in results},
+                    f"geometry invalid for filter {args.filter_side} stride {args.stride}")
     _write_csv(args.out, bench.BENCH_CONV_HEADER, [r.row() for r in results])
     return 0
 
@@ -141,7 +148,11 @@ def cmd_resample(args) -> int:
             print(f"error: --side must be a positive integer or 'auto', got {args.side!r}",
                   file=sys.stderr)
             return 2
-    write_hxt(args.output, square_to_hex(img, side))
+    try:
+        write_hxt(args.output, square_to_hex(img, side))
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -203,7 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    path = getattr(args, "out", None)
+    if path is None:
+        return args.func(args)
+    # open the CSV before any work, so an unwritable path is a usage error
+    try:
+        out = open(path, "w", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        args.out = out
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -193,14 +193,6 @@ class HexTensor:
             arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def zeros(cls, side: int, channels: int = 1, dtype=np.float64) -> "HexTensor":
-        return cls(side, channels, np.zeros((channels, cell_count(side)), dtype=dtype))
-
-    @classmethod
-    def filled(cls, side: int, channels: int, value: float, dtype=np.float64) -> "HexTensor":
-        return cls(side, channels, np.full((channels, cell_count(side)), value, dtype=dtype))
-
     @property
     def cell_count(self) -> int:
         return self.data.shape[1]
@@ -211,9 +203,6 @@ class HexTensor:
 
     def value(self, channel: int, u: int, v: int) -> float:
         return float(self.data[channel, flat_offset(self.side, u, v)])
-
-    def astype(self, dtype) -> "HexTensor":
-        return HexTensor(self.side, self.channels, self.data.astype(dtype))
 
 
 @lru_cache(maxsize=None)

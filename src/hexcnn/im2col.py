@@ -25,9 +25,7 @@ def patch_count(input_side: int, filter_side: int, stride: int) -> int:
     return cell_count(geom.output_side)
 
 
-def im2col(
-    t: HexTensor, filter_side: int, stride: int, floor_mode: bool = False
-) -> np.ndarray:
+def im2col(t: HexTensor, filter_side: int, stride: int) -> np.ndarray:
     """(patches, channels*filter_cells) matrix of flattened windows."""
-    geom = valid_geometry(t.side, filter_side, stride, floor_mode)
+    geom = valid_geometry(t.side, filter_side, stride)
     return window_columns(t, geom).T

@@ -107,14 +107,12 @@ class NetworkConfig:
 class TrainConfig:
     learning_rate: float
     batch_size: int = 1
-    steps: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise ValueError("learning rate must be non-negative")
-        if self.batch_size < 1 or self.steps < 1:
-            raise ValueError("batch size and steps must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1")
 
 
 class Network:
@@ -133,13 +131,7 @@ class Network:
         self.floor_pools = floor_pools  # layer indices where the stride floors
 
     def parameter_count(self) -> int:
-        total = 0
-        for p in self.params:
-            if isinstance(p, HexFilterBank):
-                total += p.weights.size + p.bias.size
-            elif p is not None:
-                total += p[0].size + p[1].size
-        return total
+        return sum(a.size for a in _param_arrays(self))
 
     def describe(self) -> list[str]:
         lines = [f"input: hex side {self.cfg.input_side}, {self.cfg.input_channels} channels"]
@@ -306,23 +298,17 @@ class _Caches:
         return len(self.trunk)
 
 
-def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
-    """Run the batch; returns (logits (B, classes), caches for ``backward``).
-
-    The trunk (conv and pool layers up to the flatten) runs one sample
-    at a time, so each sample's activations stay small enough for the
-    cache; the flattened features are stacked into (B, features) and
-    every dense layer of the head runs once for the whole batch.
-    """
-    if net.shapes[-1][0] != "flat":
-        raise ValueError("network does not end in a flat output")
+def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Caches]:
+    """``forward`` with the per-sample trunk passed in: ``trunk_forward(net,
+    t, stop)`` returns one sample's flat features and its trunk cache.
+    The dense head is the same algebra on every layout."""
     stop = _head_start(net)
     features = []
     trunk = []
     for t in batch:
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
-        x, cache = _trunk_forward(net, t, stop)
+        x, cache = trunk_forward(net, t, stop)
         features.append(x)
         trunk.append(cache)
     x = np.stack(features)
@@ -337,6 +323,17 @@ def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
             x = _act(z, spec.activation)
         # softmax_xent: loss layer, logits pass through
     return x, _Caches(trunk, head)
+
+
+def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
+    """Run the batch; returns (logits (B, classes), caches for ``backward``).
+
+    The trunk (conv and pool layers up to the flatten) runs one sample
+    at a time, so each sample's activations stay small enough for the
+    cache; the flattened features are stacked into (B, features) and
+    every dense layer of the head runs once for the whole batch.
+    """
+    return _forward_with(net, batch, _trunk_forward)
 
 
 def _trunk_backward(net: Network, cache, d: np.ndarray, grads) -> None:
@@ -370,13 +367,10 @@ def _trunk_grads(net: Network) -> list:
     ]
 
 
-def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
-    """Mean cross-entropy loss and gradients for every parameter.
-
-    Softmax cross-entropy and the dense head run once over the batch;
-    then each sample's row of the feature error walks back through its
-    own trunk.
-    """
+def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
+    """``backward`` with the per-sample trunk passed in:
+    ``trunk_backward(net, cache, d, grads)`` walks one sample's feature
+    error back through its trunk and adds to the conv gradients."""
     if net.cfg.layers[-1].kind != "softmax_xent":
         raise ValueError("backward requires a softmax_xent head")
     labels = np.asarray(labels, dtype=np.int64)
@@ -393,8 +387,18 @@ def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
         d = d @ w
         add_macs(2 * n * w.size)  # weight and input gradients
     for cache, row in zip(caches.trunk, d):
-        _trunk_backward(net, cache, row, grads)
+        trunk_backward(net, cache, row, grads)
     return loss, grads
+
+
+def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
+    """Mean cross-entropy loss and gradients for every parameter.
+
+    Softmax cross-entropy and the dense head run once over the batch;
+    then each sample's row of the feature error walks back through its
+    own trunk.
+    """
+    return _backward_with(net, logits, caches, labels, _trunk_backward)
 
 
 def apply_gradients(net: Network, grads, learning_rate: float) -> None:

@@ -7,12 +7,15 @@ not only the hexagonal ones), and corner weight gradients are masked so
 the frozen zeros never move.  Cells outside the embedded hexagon are
 re-zeroed after each layer, so the hexagonal cells carry exactly the
 same values as the native path, up to floating-point summation order.
-Like ``nn``, the trunk runs per sample and the dense head once per
-batch; the head is kept as this module's own code so the baseline
-stays independent of the path it checks.  Every product that
-convolution lowers to goes through ``matmul.gemm``, and the dense
-layers meter their MACs, so the baseline's work is counted like the
-native path's.
+Only the trunk (conv and pool layers up to and including the flatten)
+lives here: it is the part that depends on the layout, and it is the
+oracle.  After the flatten both layouts run the same dense algebra, so
+``forward_zeroout`` and ``backward_zeroout`` hand this module's
+per-sample trunk to ``nn``'s batch driver, which runs the head once
+per batch; the finite-difference tests and the manual-composition test
+check that head on their own.  Every product that convolution lowers
+to goes through ``matmul.gemm``, so the baseline's work is metered
+like the native path's.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -25,18 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import HexTensor, cells
-from .instrument import add_macs
 from .matmul import gemm
-from .nn import (
-    Network,
-    TrainConfig,
-    _act,
-    _Caches,
-    _head_start,
-    _trunk_grads,
-    _xent_batch,
-    apply_gradients,
-)
+from .nn import Network, TrainConfig, _act, _backward_with, _forward_with, apply_gradients
 from .ops import valid_geometry
 from .zeroout import ZeroOutFilterBank, hex_mask, zeroout_filter
 
@@ -112,28 +105,8 @@ def _transpose_rot180(zbank: ZeroOutFilterBank) -> ZeroOutFilterBank:
 
 
 def forward_zeroout(net: Network, batch):
-    """Mirror of nn.forward on the parallelogram embedding: the trunk per
-    sample, then the dense head once over the stacked (B, features)."""
-    stop = _head_start(net)
-    features = []
-    trunk = []
-    for t in batch:
-        if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
-            raise ValueError("batch input does not match the network config")
-        x, cache = _trunk_forward(net, t, stop)
-        features.append(x)
-        trunk.append(cache)
-    x = np.stack(features)
-    head = []
-    for i in range(stop, len(net.cfg.layers)):
-        spec = net.cfg.layers[i]
-        if spec.kind == "dense":
-            w, b = net.params[i]
-            z = x @ w.T + b
-            add_macs(len(x) * w.size)
-            head.append((i, x, z))
-            x = _act(z, spec.activation)
-    return x, _Caches(trunk, head)
+    """``nn.forward`` with the trunk run on the parallelogram embedding."""
+    return _forward_with(net, batch, _trunk_forward)
 
 
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
@@ -235,22 +208,9 @@ def _conv_backward_input_rect(d, zbank, stride, input_side):
 
 
 def backward_zeroout(net: Network, logits, caches, labels):
-    """Loss and hex-layout gradients computed on the embedded layout:
-    the dense head once over the batch, then each sample's trunk."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(caches)
-    loss, d = _xent_batch(logits, labels)
-    grads = _trunk_grads(net)
-    for i, x, z in reversed(caches.head):
-        if net.cfg.layers[i].activation == "relu":
-            d = d * (z > 0)
-        w, _ = net.params[i]
-        grads[i] = (d.T @ x, d.sum(axis=0))
-        d = d @ w
-        add_macs(2 * n * w.size)
-    for cache, row in zip(caches.trunk, d):
-        _trunk_backward(net, cache, row, grads)
-    return loss, grads
+    """``nn.backward`` with each sample's trunk walked back on the
+    embedded layout; the gradients come out in the hex layout."""
+    return _backward_with(net, logits, caches, labels, _trunk_backward)
 
 
 def train_step_zeroout(net: Network, batch, labels, tc: TrainConfig) -> float:

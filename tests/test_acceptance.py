@@ -123,7 +123,7 @@ def test_criterion_09_training_smoke():
     cfg = hex_lenet(side, 2, seed=3)
     rng = np.random.default_rng(7)
     data, labels = make_two_class_dataset(rng, 200, side)
-    tc = TrainConfig(0.1, batch, steps, 0)
+    tc = TrainConfig(0.1, batch)
     net_hex = build_network(cfg)
     net_zero = build_network(cfg)
     hex_losses, zero_losses = [], []

@@ -84,11 +84,31 @@ def test_bench_conv_small(capsys):
 
 
 def test_bench_conv_skips_invalid_geometry(capsys):
-    code = main(["bench-conv", "--sizes", "3,4", "--stride", "2", "--reps", "1"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "skipping side 3" in captured.err
-    assert "conv_L4_k2_s2" in captured.out
+    for argv, skipped, kept in (
+        (["bench-conv", "--sizes", "3,4", "--stride", "2", "--reps", "1"], "side 3", "conv_L4_k2_s2"),
+        (["space-report", "--sizes", "1,30"], "side 1", "\n30,"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"skipping {skipped}" in captured.err
+        assert kept in captured.out
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    img_path = tmp_path / "c.img1"
+    write_img1(img_path, SquareImage(np.ones((1, 4, 4))))
+    for argv in (
+        ["verify", "--cases", "1", "--gradient-probes", "1", "--out", out],
+        ["space-report", "--sizes", "30", "--out", out],
+        ["space-report", "--sizes", "30", "--out", str(tmp_path)],  # a directory
+        ["resample", str(img_path), out],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_bench_train_paths_agree(capsys):
@@ -168,6 +188,10 @@ def test_usage_error_exit_code(capsys):
     for argv in (
         ["no-such-command"],
         ["bench-conv", "--sizes", "abc"],
+        ["bench-conv", "--sizes="],
+        ["space-report", "--sizes=0,-3"],
+        ["space-report", "--sizes="],
+        ["space-report", "--sizes", "30,0"],
         ["bench-conv", "--reps", "0"],
         ["bench-conv", "--channels", "0"],
         ["bench-conv", "--filters", "0"],

@@ -198,12 +198,35 @@ def test_composed_network_gradient_finite_difference():
     check_network_gradients(composed_cfg(), 3, probes)
 
 
+LAYOUTS = ((forward, backward), (forward_zeroout, backward_zeroout))
+
+
 def test_backward_rejects_label_count_mismatch():
     net = build_network(tiny_cfg())
-    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 5)
-    logits, caches = forward(net, batch)
-    with pytest.raises(ValueError, match="labels"):
-        backward(net, logits, caches, labels[:2])
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 4, 5)
+    for fwd, bwd in LAYOUTS:
+        logits, caches = fwd(net, batch)
+        with pytest.raises(ValueError, match="labels"):
+            bwd(net, logits, caches, labels[:3])
+
+
+def test_backward_requires_softmax_head():
+    cfg = NetworkConfig(5, 1, (LayerSpec.conv(2, 2, 1, "relu"), LayerSpec.flatten(), LayerSpec.dense(3)))
+    net = build_network(cfg)
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 2, 5)
+    for fwd, bwd in LAYOUTS:
+        logits, caches = fwd(net, batch)
+        assert logits.shape == (2, 3)
+        with pytest.raises(ValueError, match="softmax_xent"):
+            bwd(net, logits, caches, labels)
+
+
+def test_forward_requires_flatten():
+    net = build_network(NetworkConfig(5, 1, (LayerSpec.conv(2, 2, 1, "relu"),)))
+    batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 5)
+    for fwd, _ in LAYOUTS:
+        with pytest.raises(ValueError, match="flatten"):
+            fwd(net, batch)
 
 
 def test_train_step_zero_lr_keeps_parameters():
@@ -211,7 +234,7 @@ def test_train_step_zero_lr_keeps_parameters():
     net = build_network(cfg)
     rng = np.random.default_rng(4)
     batch, labels = make_two_class_dataset(rng, 6, 5)
-    tc = TrainConfig(0.0, 6, 1, 0)
+    tc = TrainConfig(0.0, 6)
     before = [
         (p.weights.copy(), p.bias.copy()) if hasattr(p, "weights") else
         (p[0].copy(), p[1].copy()) if p is not None else None
@@ -233,7 +256,7 @@ def test_training_loss_strictly_decreases_on_separable_set():
     cfg = tiny_cfg(seed=2)
     rng = np.random.default_rng(5)
     batch, labels = make_two_class_dataset(rng, 16, 5, separation=2.0)
-    tc = TrainConfig(0.1, 16, 10, 0)
+    tc = TrainConfig(0.1, 16)
     net = build_network(cfg)
     losses = [train_step(net, batch, labels, tc) for _ in range(10)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -245,7 +268,7 @@ def test_training_determinism_bitwise():
         net = build_network(cfg)
         rng = np.random.default_rng(6)
         data, labels = make_two_class_dataset(rng, 24, 5)
-        tc = TrainConfig(0.05, 8, 3, 0)
+        tc = TrainConfig(0.05, 8)
         return [train_step(net, data[i * 8 : (i + 1) * 8], labels[i * 8 : (i + 1) * 8], tc) for i in range(3)]
 
     assert run() == run()
@@ -289,7 +312,7 @@ def test_checkpoint_round_trip(tmp_path):
     net = build_network(cfg)
     rng = np.random.default_rng(8)
     batch, labels = make_two_class_dataset(rng, 4, 5)
-    train_step(net, batch, labels, TrainConfig(0.1, 4, 1, 0))
+    train_step(net, batch, labels, TrainConfig(0.1, 4))
     path = tmp_path / "model.hxm"
     save_checkpoint(net, path)
     back = load_checkpoint(path, cfg)
@@ -331,7 +354,7 @@ def test_zeroout_training_trajectory_matches():
     cfg = tiny_cfg(seed=12)
     rng = np.random.default_rng(11)
     data, labels = make_two_class_dataset(rng, 40, 5)
-    tc = TrainConfig(0.1, 8, 5, 0)
+    tc = TrainConfig(0.1, 8)
     net_a = build_network(cfg)
     net_b = build_network(cfg)
     for s in range(5):
@@ -359,7 +382,7 @@ def test_zeroout_twin_supports_avgpool():
     data, labels = make_two_class_dataset(rng, 8, 5)
     net_a = build_network(cfg)
     net_b = build_network(cfg)
-    tc = TrainConfig(0.1, 8, 1, 0)
+    tc = TrainConfig(0.1, 8)
     la = train_step(net_a, data, labels, tc)
     lb = train_step_zeroout(net_b, data, labels, tc)
     assert abs(la - lb) <= 1e-10

@@ -201,5 +201,5 @@ def test_conv_single_precision_path():
     bank32 = HexFilterBank(2, w)
     out32 = conv_valid(t32, bank32)
     assert out32.dtype == np.float32
-    out64 = conv_valid(t32.astype(np.float64), HexFilterBank(2, w.astype(np.float64)))
+    out64 = conv_valid(HexTensor(5, 2, x.astype(np.float64)), HexFilterBank(2, w.astype(np.float64)))
     assert np.allclose(out32.data, out64.data, atol=1e-4)
