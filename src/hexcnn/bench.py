@@ -230,10 +230,10 @@ def bench_train(
         hex_times.extend(t_h)
         zero_losses, t_z = run(train_step_zeroout)
         zero_times.extend(t_z)
-    gap = max(
-        abs(a - b) / max(abs(a), abs(b), 1e-300)
-        for a, b in zip(hex_losses, zero_losses)
-    )
+    # np.max and np.maximum keep a NaN (Python's max drops it), so a
+    # diverged run cannot read as agreement between the layouts
+    h, z = np.array(hex_losses), np.array(zero_losses)
+    gap = float(np.max(np.abs(h - z) / np.maximum(np.maximum(np.abs(h), np.abs(z)), 1e-300)))
     hex_med = float(np.median(hex_times))
     zero_med = float(np.median(zero_times))
     fmt = lambda x: f"{x:.6e}"

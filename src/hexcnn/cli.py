@@ -27,6 +27,13 @@ def _write_csv(out, header, rows) -> None:
     writer.writerows(rows)
 
 
+def _cannot_write(path, exc: OSError | ValueError) -> int:
+    """Report an output path that cannot be opened (ValueError: a NUL in
+    it) as a usage error."""
+    print(f"error: cannot write {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+    return 2
+
+
 def _report_skipped(sizes, kept, reason: str) -> None:
     """Name on stderr each requested side that produced no row."""
     for side in sizes:
@@ -148,11 +155,11 @@ def cmd_resample(args) -> int:
             print(f"error: --side must be a positive integer or 'auto', got {args.side!r}",
                   file=sys.stderr)
             return 2
+    hex_img = square_to_hex(img, side)
     try:
-        write_hxt(args.output, square_to_hex(img, side))
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return 2
+        write_hxt(args.output, hex_img)
+    except (OSError, ValueError) as exc:
+        return _cannot_write(args.output, exc)
     return 0
 
 
@@ -220,9 +227,8 @@ def main(argv=None) -> int:
     # open the CSV before any work, so an unwritable path is a usage error
     try:
         out = open(path, "w", newline="")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        return _cannot_write(path, exc)
     with out:
         args.out = out
         return args.func(args)

@@ -109,8 +109,8 @@ class TrainConfig:
     batch_size: int = 1
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
 

@@ -28,7 +28,6 @@ __all__ = [
     "ConvGeometry",
     "ArgmaxMap",
     "valid_geometry",
-    "full_geometry",
     "tap_gather",
     "conv_valid",
     "conv_full",
@@ -76,10 +75,6 @@ class HexFilterBank:
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def cells_per_filter(self) -> int:
-        return self.weights.shape[2]
-
     @classmethod
     def random(cls, rng, filters, in_channels, filter_side, scale=1.0) -> "HexFilterBank":
         w = rng.standard_normal((filters, in_channels, cell_count(filter_side))) * scale
@@ -117,12 +112,6 @@ def valid_geometry(
         )
     out = span // stride + 1
     return ConvGeometry(input_side, filter_side, stride, out)
-
-
-def full_geometry(input_side: int, filter_side: int) -> ConvGeometry:
-    if input_side < 1 or filter_side < 1:
-        raise ValueError("side lengths must be positive")
-    return ConvGeometry(input_side, filter_side, 1, input_side + filter_side - 1)
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,17 @@ oracle.  After the flatten both layouts run the same dense algebra, so
 ``forward_zeroout`` and ``backward_zeroout`` hand this module's
 per-sample trunk to ``nn``'s batch driver, which runs the head once
 per batch; the finite-difference tests and the manual-composition test
-check that head on their own.  Every product that convolution lowers
-to goes through ``matmul.gemm``, so the baseline's work is metered
-like the native path's.
+check that head on their own.
+
+The trunk lowers convolution the way the native kernels do, in its own
+code: a cached tap-major (taps, patches) window table, so one
+``np.take`` yields the contiguous (channels*k*k, patches) window matrix;
+one ``matmul.gemm`` for the forward product, one for the filter
+gradient, and a col2im input gradient (one ``gemm``, then a per-channel
+``np.bincount`` scatter through the same table).  Pool errors return
+along the hex-window tables by ``np.bincount`` too.  Every product is
+metered like the native path's, and the input gradient does exactly
+the forward product's MACs.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -36,72 +44,85 @@ from .zeroout import ZeroOutFilterBank, hex_mask, zeroout_filter
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
-@lru_cache(maxsize=None)
-def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
-    """Flat indices of every k-by-k window, column major within the window."""
-    out_h = (h - k) // stride + 1
-    out_w = (w - k) // stride + 1
-    ii, jj = np.meshgrid(np.arange(out_h) * stride, np.arange(out_w) * stride, indexing="ij")
-    anchors = (ii * w + jj).reshape(-1)
-    dj, di = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    offs = (di * w + dj).reshape(-1)  # dj outer, di inner
-    g = anchors[:, None] + offs[None, :]
+def _flat(uv: np.ndarray, width: int) -> np.ndarray:
+    """Flat offsets of (row, col) pairs in a row-major array ``width`` wide."""
+    return uv[:, 0] * width + uv[:, 1]
+
+
+def _tap_major(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(taps, patches) window table: column p holds anchor p plus every tap offset."""
+    g = np.ascontiguousarray(offsets[:, None] + anchors[None, :])
     g.setflags(write=False)
     return g
+
+
+@lru_cache(maxsize=None)
+def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
+    """Every k-by-k window of an h-by-w array, taps column major within the window."""
+    rows = np.arange((h - k) // stride + 1) * stride * w
+    cols = np.arange((w - k) // stride + 1) * stride
+    taps = np.arange(k)
+    return _tap_major((rows[:, None] + cols).ravel(), (taps[:, None] + taps * w).ravel())
 
 
 @lru_cache(maxsize=None)
 def _rect_hexwin_gather(input_side: int, window_side: int, stride: int, output_side: int) -> np.ndarray:
     """Hex-shaped windows addressed on the rectangular embedding."""
     span = 2 * input_side - 1
-    anchors = cells(output_side) * stride
-    offs = cells(window_side)
-    g = (anchors[:, None, 0] + offs[None, :, 0]) * span + (
-        anchors[:, None, 1] + offs[None, :, 1]
-    )
-    g = np.ascontiguousarray(g)
-    g.setflags(write=False)
-    return g
+    return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
 
 
 @lru_cache(maxsize=None)
 def _hex_flat(side: int) -> np.ndarray:
     """Flat rectangular indices of the embedded hexagon's cells, storage order."""
-    uv = cells(side)
-    idx = uv[:, 0] * (2 * side - 1) + uv[:, 1]
-    idx = np.ascontiguousarray(idx)
+    idx = _flat(cells(side), 2 * side - 1)
     idx.setflags(write=False)
     return idx
 
 
-def _zbank_cols(zbank: ZeroOutFilterBank) -> np.ndarray:
-    """(C*k*k, F) filter matrix in the same window order as the gathers."""
-    mat = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
-    return np.ascontiguousarray(mat.T)
+def _to_rect(values: np.ndarray, side: int) -> np.ndarray:
+    """(channels, cells) hexagon values on the zeroed (channels, 2L-1, 2L-1) embedding."""
+    span = 2 * side - 1
+    out = np.zeros((values.shape[0], span * span))
+    out[:, _hex_flat(side)] = values
+    return out.reshape(-1, span, span)
 
 
-def _embed(t: HexTensor) -> np.ndarray:
-    span = 2 * t.side - 1
-    out = np.zeros((t.channels, span * span))
-    out[:, _hex_flat(t.side)] = t.data
-    return out.reshape(t.channels, span, span)
+def _scatter_add(values: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
+    """Sum (channels, *g.shape) values into the flat offsets ``g``, per channel."""
+    idx = g.ravel()
+    out = np.empty((values.shape[0], size))
+    for c, row in enumerate(values.reshape(values.shape[0], -1)):
+        out[c] = np.bincount(idx, weights=row, minlength=size)
+    return out
+
+
+def _zbank_rows(zbank: ZeroOutFilterBank) -> np.ndarray:
+    """(F, C*k*k) filter matrix, taps in the same column-major order as the windows."""
+    return zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
+
+
+def _window_matrix(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The (C*k*k, patches) window matrix of a (C, h, w) array."""
+    c, h, w = x.shape
+    g = _rect_windows(h, w, k, stride)
+    return np.take(x.reshape(c, -1), g, axis=1).reshape(c * k * k, -1)
 
 
 def _rect_conv_all(x: np.ndarray, zbank: ZeroOutFilterBank, stride: int) -> np.ndarray:
     """Strided cross-correlation over every rectangular anchor, plus bias."""
-    c, h, w = x.shape
     k = zbank.span
-    g = _rect_windows(h, w, k, stride)
-    p = g.shape[0]
-    cols = np.ascontiguousarray(x.reshape(c, -1)[:, g].transpose(1, 0, 2).reshape(p, -1))
-    y = gemm(cols, _zbank_cols(zbank)) + zbank.bias
-    out_h = (h - k) // stride + 1
-    return np.ascontiguousarray(y.T).reshape(zbank.filters, out_h, -1)
+    y = gemm(_zbank_rows(zbank), _window_matrix(x, k, stride)) + zbank.bias[:, None]
+    return y.reshape(zbank.filters, (x.shape[1] - k) // stride + 1, -1)
 
 
-def _transpose_rot180(zbank: ZeroOutFilterBank) -> ZeroOutFilterBank:
-    w = zbank.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    return ZeroOutFilterBank(zbank.hex_side, w, np.zeros(w.shape[0]))
+def _rect_conv_backward_input(d: np.ndarray, zbank: ZeroOutFilterBank, stride: int, shape) -> np.ndarray:
+    """Adjoint of ``_rect_conv_all``'s window product (col2im): the error
+    on a (C, h, w) input; cells no window reaches get zero."""
+    c, h, w = shape
+    dcols = gemm(_zbank_rows(zbank).T, d.reshape(d.shape[0], -1))  # (C*k*k, P)
+    g = _rect_windows(h, w, zbank.span, stride)
+    return _scatter_add(dcols.reshape(c, -1), g, h * w).reshape(shape)
 
 
 def forward_zeroout(net: Network, batch):
@@ -110,7 +131,7 @@ def forward_zeroout(net: Network, batch):
 
 
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
-    x = _embed(t)
+    x = _to_rect(t.data, t.side)
     cache = []
     for i, spec in enumerate(net.cfg.layers[:stop]):
         side = net.shapes[i][1]
@@ -124,19 +145,15 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             geom = valid_geometry(side, spec.window, spec.stride, floor_mode=True)
             g = _rect_hexwin_gather(side, spec.window, spec.stride, geom.output_side)
-            win = x.reshape(x.shape[0], -1)[:, g]
-            span_o = 2 * geom.output_side - 1
-            out = np.zeros((x.shape[0], span_o * span_o))
+            win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
             if spec.kind == "hexmaxpool":
-                e_star = win.argmax(axis=2)
-                vals = np.take_along_axis(win, e_star[:, :, None], axis=2)[:, :, 0]
-                winners = g[np.arange(g.shape[0])[None, :], e_star]
+                vals = win.max(axis=1)
+                winners = g[win.argmax(axis=1), np.arange(g.shape[1])[None, :]]
                 cache.append((side, geom.output_side, winners))
             else:
-                vals = win.mean(axis=2)
+                vals = win.mean(axis=1)
                 cache.append((side, geom.output_side))
-            out[:, _hex_flat(geom.output_side)] = vals
-            x = out.reshape(x.shape[0], span_o, span_o)
+            x = _to_rect(vals, geom.output_side)
         else:  # flatten
             cache.append((side, x.shape[0]))
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()
@@ -148,27 +165,21 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
         spec = net.cfg.layers[i]
         if spec.kind == "flatten":
             side, channels = cache[i]
-            span = 2 * side - 1
-            rect = np.zeros((channels, span * span))
-            rect[:, _hex_flat(side)] = d.reshape(channels, -1)
-            d = rect.reshape(channels, span, span)
+            d = _to_rect(d.reshape(channels, -1), side)
         elif spec.kind == "hexmaxpool":
             side, out_side, winners = cache[i]
-            c = d.shape[0]
+            c, n = d.shape[0], (2 * side - 1) ** 2
+            idx = winners + n * np.arange(c)[:, None]
             dvals = d.reshape(c, -1)[:, _hex_flat(out_side)]
-            span = 2 * side - 1
-            out = np.zeros((c, span * span))
-            np.add.at(out, (np.arange(c)[:, None], winners), dvals)
-            d = out.reshape(c, span, span)
+            d = np.bincount(idx.ravel(), weights=dvals.ravel(), minlength=c * n)
+            d = d.reshape(c, 2 * side - 1, -1)
         elif spec.kind == "hexavgpool":
             side, out_side = cache[i]
             c = d.shape[0]
             g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
-            share = d.reshape(c, -1)[:, _hex_flat(out_side)] / g.shape[1]
-            span = 2 * side - 1
-            out = np.zeros((c, span * span))
-            np.add.at(out, (np.arange(c)[:, None, None], g[None, :, :]), share[:, :, None])
-            d = out.reshape(c, span, span)
+            share = d.reshape(c, -1)[:, _hex_flat(out_side)] / g.shape[0]
+            share = np.broadcast_to(share[:, None, :], (c, *g.shape))
+            d = _scatter_add(share, g, (2 * side - 1) ** 2).reshape(c, 2 * side - 1, -1)
         else:  # hexconv
             x, z = cache[i]
             if spec.activation == "relu":
@@ -178,33 +189,15 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             f = d.shape[0]
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
-            g = _rect_windows(x.shape[1], x.shape[2], k, spec.stride)
-            cols = x.reshape(x.shape[0], -1)[:, g].transpose(1, 0, 2).reshape(g.shape[0], -1)
-            dw = gemm(d.reshape(f, -1), cols).reshape(f, x.shape[0], k, k)
-            dw = dw.transpose(0, 1, 3, 2) * hex_mask(spec.window)  # corners stay frozen
-            uv = cells(spec.window)
+            dw = gemm(d.reshape(f, -1), _window_matrix(x, k, spec.stride).T)
+            dw = dw.reshape(f, x.shape[0], k, k).transpose(0, 1, 3, 2)
+            uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=(1, 2))
             if i > 0:
-                d = _conv_backward_input_rect(d, zbank, spec.stride, net.shapes[i][1])
-
-
-def _conv_backward_input_rect(d, zbank, stride, input_side):
-    f, oh, ow = d.shape
-    uh = (oh - 1) * stride + 1
-    uw = (ow - 1) * stride + 1
-    up = np.zeros((f, uh, uw))
-    up[:, ::stride, ::stride] = d
-    k = zbank.span
-    pad = k - 1
-    padded = np.zeros((f, uh + 2 * pad, uw + 2 * pad))
-    padded[:, pad : pad + uh, pad : pad + uw] = up
-    out = _rect_conv_all(padded, _transpose_rot180(zbank), 1)
-    span = 2 * input_side - 1
-    if out.shape[1] != span:
-        raise AssertionError("rect adjoint produced a mismatched extent")
-    return out * hex_mask(input_side)
+                d = _rect_conv_backward_input(d, zbank, spec.stride, x.shape)
+                d *= hex_mask(net.shapes[i][1])
 
 
 def backward_zeroout(net: Network, logits, caches, labels):

@@ -104,6 +104,8 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
         ["space-report", "--sizes", "30", "--out", out],
         ["space-report", "--sizes", "30", "--out", str(tmp_path)],  # a directory
         ["resample", str(img_path), out],
+        ["space-report", "--sizes", "30", "--out", "x\x00.csv"],  # open() raises ValueError
+        ["resample", str(img_path), "x\x00.hxt"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -137,6 +139,20 @@ def test_bench_train_zero_lr_identical_losses(capsys):
     assert recs[0]["first_loss"] == recs[1]["first_loss"]
     assert recs[0]["last_loss"] == recs[1]["last_loss"]
     assert float(recs[1]["max_rel_loss_gap_vs_hex"]) <= 1e-10
+
+
+def test_bench_train_diverged_run_reports_nan(capsys):
+    # a learning rate this large overflows the weights on the first step;
+    # the NaN losses must not read as agreement between the layouts
+    with np.errstate(all="ignore"):
+        code, rows = run_cli(
+            ["bench-train", "--side", "17", "--batch", "1", "--steps", "2", "--lr=1e308"],
+            capsys,
+        )
+    assert code == 0
+    recs = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert [r["last_loss"] for r in recs] == ["nan", "nan"]
+    assert recs[1]["max_rel_loss_gap_vs_hex"] == "nan"
 
 
 def test_resample_constant_image(tmp_path, capsys):
@@ -213,4 +229,8 @@ def test_usage_error_exit_code(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
+    # parsed, then rejected by TrainConfig: the CLI maps the ValueError to 2
+    for lr in ("inf", "-inf", "nan", "-1"):
+        assert main(["bench-train", f"--lr={lr}"]) == 2, lr
         assert "Traceback" not in capsys.readouterr().err

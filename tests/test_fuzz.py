@@ -1,6 +1,7 @@
-"""Malformed-input contract of the four readers: mutated or truncated
-HXT1, IMG1, PGM/PPM and HXM1 bytes either parse or raise ValueError,
-and ``hexcnn resample`` on such an image exits 0 or 2, never 1."""
+"""Malformed-input contract of the four readers and the CLI: mutated or
+truncated HXT1, IMG1, PGM/PPM and HXM1 bytes either parse or raise
+ValueError, ``hexcnn resample`` on such an image exits 0 or 2, never 1,
+and any argv exits 0, 1 or 2 without a traceback."""
 
 import struct
 import tempfile
@@ -130,3 +131,75 @@ def test_fuzz_resample_tiny_headers(tmp_path, kind, dims):
     path = tmp_path / "x.img"
     path.write_bytes(raw)
     assert main(["resample", str(path), str(tmp_path / "x.hxt")]) in (0, 2)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# junk never starts with "-", so it cannot abbreviate a real flag; half
+# of it is drawn from characters that matter in numbers, lists and paths
+JUNK = (st.text("01e.,=/ \x00é", max_size=6) | st.text(max_size=6)).filter(lambda s: not s.startswith("-"))
+UNKNOWN_FLAGS = st.sampled_from(["--bogus", "--no-such-flag", "-z", "--"])
+SIZES = st.lists(st.integers(-1, 9), max_size=3).map(lambda v: ",".join(map(str, v)))
+OUT = st.sampled_from(["o.csv", "missing/o.csv", "."]) | JUNK
+# flag -> value strategy (None: a switch); the work each subcommand does
+# is bounded by the flags in BOUNDED, which always come last so they win
+CLI_FLAGS = {
+    "verify": {"--seed": _ints(-1, 3), "--cases": _ints(-1, 2), "--gradient-probes": _ints(-1, 2),
+               "--inject-fault": None, "--out": OUT},
+    "space-report": {"--sizes": SIZES, "--channels": _ints(0, 3), "--filter-side": _ints(0, 3),
+                     "--stride": _ints(0, 3), "--out": OUT},
+    "bench-conv": {"--sizes": SIZES, "--filter-side": _ints(0, 3), "--stride": _ints(0, 3),
+                   "--channels": _ints(0, 3), "--filters": _ints(0, 3), "--reps": _ints(0, 2),
+                   "--seed": _ints(-1, 3), "--out": OUT},
+    "bench-train": {"--preset": st.sampled_from(["hexlenet4", "hexlenet5", "lenet"]),
+                    "--side": _ints(0, 17), "--batch": _ints(0, 2), "--steps": _ints(0, 2),
+                    "--reps": _ints(0, 2), "--seed": _ints(-1, 3), "--out": OUT,
+                    "--lr": st.sampled_from(["0.1", "0", "-1", "inf", "nan", "1e308"])},
+    "resample": {"--side": _ints(-1, 4) | st.just("auto")},
+}
+BOUNDED = {"verify": ("--cases", "--gradient-probes"), "bench-conv": ("--sizes", "--reps"),
+           "bench-train": ("--batch", "--steps", "--reps")}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags = CLI_FLAGS[command]
+
+    def flag(name):
+        if flags[name] is None:
+            return [name]
+        value = draw(flags[name]) if draw(st.integers(0, 4)) else draw(JUNK)
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    argv = [command]
+    if command == "resample":
+        argv += draw(st.lists(st.sampled_from(["in.pgm", "missing.pgm", "o.hxt", "missing/o.hxt"]) | JUNK,
+                              max_size=3))
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv += flag(name)
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(JUNK | UNKNOWN_FLAGS | st.just("-h")))
+    for name in BOUNDED.get(command, ()):
+        argv += [name, draw(flags[name])]
+    return argv
+
+
+@settings(FUZZ, max_examples=150)
+@given(argv=cli_argv())
+def test_fuzz_cli_argv(tmp_path, monkeypatch, capsys, argv):
+    """Any argv gives exit 0, 1 or 2 and never a traceback; a failing
+    ``verify`` writes its replay into the working directory, so run in
+    ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.pgm").write_bytes(PGM)
+    try:
+        with np.errstate(all="ignore"):  # a --lr of 1e308 overflows, as it should
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err, argv

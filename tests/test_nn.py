@@ -406,19 +406,26 @@ def test_zeroout_gradients_match_on_composed_network():
 
 
 def test_zeroout_filter_gradient_is_mac_metered():
-    # one conv at layer 0 (no input gradient): backward meters the filter
-    # gradient, as many MACs as the forward conv, plus the dense weight
-    # and input gradients
-    cfg = NetworkConfig(
-        5, 2, (LayerSpec.conv(3, 2, 1, "relu"), LayerSpec.flatten(), LayerSpec.dense(4), LayerSpec.softmax())
+    # backward meters each conv's filter gradient and, past layer 0, its
+    # input gradient, each exactly as many MACs as that conv's forward
+    # product, plus the dense weight and input gradients.  Per conv:
+    # batch * 3x3 taps * C * F * anchors on the embedding.
+    cases = (
+        (5, 2, (3,), 3, 4, (9 * 2 * 3 * 7 * 7,)),  # 9x9 embedding
+        (7, 2, (3, 4), 2, 2, (9 * 2 * 3 * 11 * 11, 9 * 3 * 4 * 9 * 9)),  # 13x13, 11x11
     )
-    net = build_network(cfg)
-    batch, labels = make_two_class_dataset(np.random.default_rng(17), 3, 5, 2)
-    with MacMeter() as fwd:
-        logits, caches = forward_zeroout(net, batch)
-    with MacMeter() as bwd:
-        backward_zeroout(net, logits, caches, labels)
-    dense = 3 * net.params[2][0].size
-    conv = 3 * 9 * 2 * 3 * 7 * 7  # batch * 3x3 taps * C * F * anchors on the 9x9 embedding
-    assert fwd.macs == conv + dense
-    assert bwd.macs == conv + 2 * dense
+    for side, channels, filters, batch_size, classes, per_sample in cases:
+        convs = [LayerSpec.conv(f, 2, 1, "relu") for f in filters]
+        cfg = NetworkConfig(
+            side, channels, (*convs, LayerSpec.flatten(), LayerSpec.dense(classes), LayerSpec.softmax())
+        )
+        net = build_network(cfg)
+        batch, labels = make_two_class_dataset(np.random.default_rng(17), batch_size, side, channels)
+        with MacMeter() as fwd:
+            logits, caches = forward_zeroout(net, batch)
+        with MacMeter() as bwd:
+            backward_zeroout(net, logits, caches, labels)
+        dense = batch_size * net.params[len(filters) + 1][0].size
+        conv = [batch_size * m for m in per_sample]
+        assert fwd.macs == sum(conv) + dense
+        assert bwd.macs == sum(conv) + sum(conv[1:]) + 2 * dense

@@ -14,6 +14,7 @@ from hexcnn.zeroout import (
     zeroout_filter,
     zeroout_to_hex,
 )
+from hexcnn.zeronet import _rect_conv_all, _rect_conv_backward_input
 
 
 def test_embed_marks_invalid_corners():
@@ -147,3 +148,35 @@ def test_footprint_identity():
         assert rect.data.size == (2 * side - 1) ** 2 * 3
     # cell ratio tends to 3/4
     assert abs(cell_count(500) / (2 * 500 - 1) ** 2 - 0.75) < 1e-2
+
+
+def _rect_geometries(seed, count):
+    """Random (x, zero-bias ZeroOut bank, stride) triples: strides 1-3,
+    filter sides 1-3, 1-4 channels and filters, any remainder at the edge."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        side = int(rng.integers(1, 4))
+        stride = int(rng.integers(1, 4))
+        c, f = (int(n) for n in rng.integers(1, 5, size=2))
+        k = 2 * side - 1
+        h, w = (int(n) for n in rng.integers(k, k + 3 * stride + 2, size=2))
+        bank = HexFilterBank(side, rng.standard_normal((f, c, cell_count(side))))
+        yield rng.standard_normal((c, h, w)), zeroout_filter(bank), stride
+
+
+def test_rect_conv_all_matches_reference():
+    for x, zb, s in _rect_geometries(11, 60):
+        want = rect_conv_reference(RectTensor(x), zb, s).data
+        assert rel_err(_rect_conv_all(x, zb, s), want) <= 1e-10
+
+
+def test_rect_conv_backward_input_is_adjoint():
+    rng = np.random.default_rng(12)
+    for x, zb, s in _rect_geometries(13, 60):
+        y = _rect_conv_all(x, zb, s)
+        d = rng.standard_normal(y.shape)
+        dx = _rect_conv_backward_input(d, zb, s, x.shape)
+        assert dx.shape == x.shape
+        lhs = np.vdot(y, d)
+        rhs = np.vdot(x, dx)
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (x.shape, zb.weights.shape, s)
