@@ -3,7 +3,8 @@ and the space report.
 
 Timing protocol: one warm-up call, then the median of ``reps`` timed
 repetitions on a monotonic clock.  MAC counts come from the kernels'
-own counters; byte counts are the actual array allocations.
+own counters; byte counts are the actual array allocations (for the
+native window matrix, the largest block ``conv_valid`` builds).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .grid import HexTensor, cell_count
 from .instrument import MacMeter
 from .nn import PRESETS, TrainConfig, build_network, make_two_class_dataset, train_step
+from . import ops
 from .ops import HexFilterBank, conv_valid, valid_geometry
 from .zeronet import train_step_zeroout
 from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
@@ -94,7 +96,7 @@ def bench_conv(
             conv_valid(t, bank, stride)
         macs_direct = meter.macs
         time_direct = _median_time(lambda: conv_valid(t, bank, stride), reps)
-        im2col_bytes = hex_out * channels * e_k * 8
+        im2col_bytes = min(hex_out, ops.PATCH_BLOCK) * channels * e_k * t.data.itemsize
         results.append(
             BenchResult(
                 case_id, "hex_direct", side, filter_side, stride, channels, filters,

@@ -2,10 +2,12 @@
 
 The filter gradient is the error times the transposed window matrix.
 The input gradient is the exact transpose of the window gather (col2im):
-one BLAS product forms every window's error, and ``np.bincount``
+a BLAS product forms the windows' error, and ``np.bincount``
 scatter-adds it per channel through the tap-major window table, so
-cells no window reaches (floor mode) get zero.  Pool errors return along
-the same table.  ``conv_backward_input_reflect`` keeps the paper's
+cells no window reaches (floor mode) get zero.  Both walk the patches
+in the forward's blocks (``ops.patch_blocks``) and sum the blocks'
+shares, so neither holds a whole window matrix.  Pool errors return
+along the same table.  ``conv_backward_input_reflect`` keeps the paper's
 construction as a reference: upsample the error onto the dense anchor
 grid, then full-convolve with the channel-transposed, point-reflected
 bank.
@@ -25,7 +27,15 @@ from .grid import (
     reflect_permutation,
 )
 from .matmul import gemm
-from .ops import ArgmaxMap, HexFilterBank, conv_full, tap_gather, valid_geometry, window_columns
+from .ops import (
+    ArgmaxMap,
+    HexFilterBank,
+    conv_full,
+    patch_blocks,
+    tap_gather,
+    valid_geometry,
+    window_columns,
+)
 
 __all__ = [
     "upsample_stride",
@@ -95,13 +105,12 @@ def _forward_geometry(delta: HexTensor, filter_side: int, stride: int, input_sid
     return geom
 
 
-def _scatter_add(values: np.ndarray, g: np.ndarray, target_cells: int) -> np.ndarray:
-    """Sum (channels, *g.shape) values into the offsets ``g``, per channel."""
+def _scatter_add(out: np.ndarray, values: np.ndarray, g: np.ndarray) -> None:
+    """Add (channels, *g.shape) values into the offsets ``g`` of the
+    (channels, cells) array ``out``, per channel."""
     idx = g.ravel()
-    out = np.empty((values.shape[0], target_cells), dtype=values.dtype)
     for c, row in enumerate(values.reshape(values.shape[0], -1)):
-        out[c] = np.bincount(idx, weights=row, minlength=target_cells)
-    return out
+        out[c] += np.bincount(idx, weights=row, minlength=out.shape[1])
 
 
 def conv_backward_input(
@@ -109,9 +118,12 @@ def conv_backward_input(
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
     geom = _forward_geometry(delta, bank.filter_side, stride, input_side)
-    dcols = gemm(bank.weights.reshape(bank.filters, -1).T, delta.data)  # (C*E, P)
+    w_t = bank.weights.reshape(bank.filters, -1).T
     g = tap_gather(input_side, bank.filter_side, stride, geom.output_side)
-    out = _scatter_add(dcols.reshape(bank.in_channels, -1), g, cell_count(input_side))
+    out = np.zeros((bank.in_channels, cell_count(input_side)), np.result_type(w_t, delta.data))
+    for b in patch_blocks(g.shape[1]):
+        # (C*E, patches in b) window errors, dropped before the next block's
+        _scatter_add(out, gemm(w_t, delta.data[:, b]).reshape(bank.in_channels, -1), g[:, b])
     out.setflags(write=False)
     return HexTensor(input_side, bank.in_channels, out)
 
@@ -147,8 +159,13 @@ def conv_backward_filter(
         if filter_side < 1:
             raise ValueError("error side is too large for this input and stride")
     geom = _forward_geometry(delta, filter_side, stride, t.side)
-    cols = window_columns(t, geom)  # (C*E, P)
-    dw = gemm(delta.data, cols.T)  # (F, C*E)
+    parts = (
+        gemm(delta.data[:, b], window_columns(t, geom, b).T)
+        for b in patch_blocks(delta.data.shape[1])
+    )
+    dw = next(parts)  # (F, C*E); a single block is used as is
+    for part in parts:
+        dw += part
     d_weights = dw.reshape(delta.channels, t.channels, cell_count(filter_side))
     d_bias = delta.data.sum(axis=1)
     return d_weights, d_bias
@@ -174,7 +191,8 @@ def avgpool_backward(
     geom = _forward_geometry(delta, window_side, stride, input_side)
     g = tap_gather(input_side, window_side, stride, geom.output_side)
     share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
-    out = _scatter_add(share, g, cell_count(input_side))
+    out = np.zeros((delta.channels, cell_count(input_side)), delta.dtype)
+    _scatter_add(out, share, g)
     out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)
 

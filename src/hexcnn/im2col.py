@@ -4,8 +4,9 @@
 filter storage order of the cells.  Reshaped to (filters,
 channels*filter_cells), the filter bank holds each filter flattened the
 same way, so a convolution is one product of the two plus bias.
-``conv_valid`` makes that BLAS call on the tap-major window matrix, whose
-transposed view ``im2col`` returns.
+``conv_valid`` makes that BLAS call on the tap-major window matrix one
+block of patches at a time; ``im2col`` materializes the whole matrix and
+returns its transposed view.
 """
 
 from __future__ import annotations

@@ -13,8 +13,12 @@ import numpy as np
 from .instrument import add_macs
 
 
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense product a @ b of two 2-D arrays; raises on dimension mismatch."""
+def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense product a @ b of two 2-D arrays; raises on dimension mismatch.
+
+    With ``out`` the product is written there (it may be a column block
+    of a larger array) and ``out`` is returned.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -22,4 +26,4 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     add_macs(a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b
+    return np.matmul(a, b, out=out)

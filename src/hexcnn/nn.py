@@ -367,16 +367,27 @@ def _trunk_grads(net: Network) -> list:
     ]
 
 
+def _class_indices(labels, batch: int, classes: int) -> np.ndarray:
+    """Labels as int64 class indices, one per sample; a wrong count, a
+    non-integer or a class outside [0, classes) raises ``ValueError``."""
+    y = np.asarray(labels)
+    if y.shape != (batch,):
+        raise ValueError("labels do not match the forward batch")
+    if y.dtype.kind not in "iuf" or not (np.isfinite(y) & (y == np.trunc(y))).all():
+        raise ValueError("labels must be integer class indices")
+    if y.min() < 0 or y.max() >= classes:
+        raise ValueError(f"labels must lie in [0, {classes}), got {y.min()}..{y.max()}")
+    return y.astype(np.int64)
+
+
 def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
     """``backward`` with the per-sample trunk passed in:
     ``trunk_backward(net, cache, d, grads)`` walks one sample's feature
     error back through its trunk and adds to the conv gradients."""
     if net.cfg.layers[-1].kind != "softmax_xent":
         raise ValueError("backward requires a softmax_xent head")
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != len(caches):
-        raise ValueError("labels do not match the forward batch")
     n = len(caches)
+    labels = _class_indices(labels, n, logits.shape[1])
     loss, d = _xent_batch(logits, labels)
     grads = _trunk_grads(net)
     for i, x, z in reversed(caches.head):

@@ -7,10 +7,13 @@ every window cell is guaranteed to be a valid input cell (hexagons are
 closed under this index addition), which is asserted when a window
 table is first built.
 
-The window table is kept tap major, so one ``np.take`` lays the windows
-out as a contiguous (channels*window_cells, patches) matrix; convolution
-is one BLAS product of the (filters, channels*window_cells) weights with
-it, already in output storage order.
+The window table is kept tap major, so one ``np.take`` lays a run of
+windows out as a contiguous (channels*window_cells, patches) matrix;
+convolution is a BLAS product of the (filters, channels*window_cells)
+weights with it, already in output storage order.  The matrix is built
+for at most ``PATCH_BLOCK`` patches at a time, so the memory a
+convolution (or its gradients, in ``grads``) takes grows with the block,
+not with the output size.
 """
 
 from __future__ import annotations
@@ -28,12 +31,27 @@ __all__ = [
     "ConvGeometry",
     "ArgmaxMap",
     "valid_geometry",
+    "PATCH_BLOCK",
+    "patch_blocks",
     "tap_gather",
     "conv_valid",
     "conv_full",
     "maxpool",
     "avgpool",
 ]
+
+
+# Patches per window-matrix block.  A count of patches, not of bytes:
+# BLAS re-packs the whole weight matrix on every product, so a block
+# sized in bytes makes wide layers pay that once per few hundred patches.
+# Chosen from a sweep over 1024, 2048 and 4096 on the benchmark workloads.
+PATCH_BLOCK = 2048
+
+
+def patch_blocks(patches: int):
+    """Consecutive slices of at most ``PATCH_BLOCK`` patches covering ``patches``."""
+    for lo in range(0, patches, PATCH_BLOCK):
+        yield slice(lo, lo + PATCH_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,27 +157,35 @@ def tap_gather(
     return idx
 
 
-def window_columns(t: HexTensor, geom: ConvGeometry) -> np.ndarray:
-    """Window values as a contiguous (channels*window_cells, patches) matrix.
+def window_columns(t: HexTensor, geom: ConvGeometry, patches: slice = slice(None)) -> np.ndarray:
+    """Values of the windows ``patches`` as a contiguous
+    (channels*window_cells, len(patches)) matrix; all windows by default.
 
     Rows run channel major, then filter storage order, matching
-    ``weights.reshape(filters, -1)``; column p is window p.
+    ``weights.reshape(filters, -1)``; column j is window patches[j].
     """
-    g = tap_gather(geom.input_side, geom.filter_side, geom.stride, geom.output_side)
+    g = tap_gather(geom.input_side, geom.filter_side, geom.stride, geom.output_side)[:, patches]
     return np.take(t.data, g, axis=1).reshape(-1, g.shape[1])
 
 
 def conv_valid(
     t: HexTensor, bank: HexFilterBank, stride: int = 1, floor_mode: bool = False
 ) -> HexTensor:
-    """Valid hexagonal cross-correlation plus per-filter bias."""
+    """Valid hexagonal cross-correlation plus per-filter bias.
+
+    One product per block of patches, each written into its columns of
+    the output.
+    """
     if bank.in_channels != t.channels:
         raise ValueError(
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
         )
     geom = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
-    cols = window_columns(t, geom)
-    y = gemm(bank.weights.reshape(bank.filters, -1), cols) + bank.bias[:, None]
+    w = bank.weights.reshape(bank.filters, -1)
+    y = np.empty((bank.filters, cell_count(geom.output_side)), np.result_type(w, t.data))
+    for b in patch_blocks(y.shape[1]):
+        gemm(w, window_columns(t, geom, b), out=y[:, b])
+    y += bank.bias[:, None]
     y.setflags(write=False)
     return HexTensor(geom.output_side, bank.filters, y)
 

@@ -23,7 +23,10 @@ gradient, and a col2im input gradient (one ``gemm``, then a per-channel
 ``np.bincount`` scatter through the same table).  Pool errors return
 along the hex-window tables by ``np.bincount`` too.  Every product is
 metered like the native path's, and the input gradient does exactly
-the forward product's MACs.
+the forward product's MACs.  Each hex filter bank is packed into its
+corner-zeroed rectangles once, on first use, not per sample and pass
+(``_packed``).  The trunk builds each window matrix whole; only the
+native kernels block it.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -31,6 +34,7 @@ baseline side of the training benchmark.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +42,7 @@ import numpy as np
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import Network, TrainConfig, _act, _backward_with, _forward_with, apply_gradients
-from .ops import valid_geometry
+from .ops import HexFilterBank, valid_geometry
 from .zeroout import ZeroOutFilterBank, hex_mask, zeroout_filter
 
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
@@ -97,9 +101,23 @@ def _scatter_add(values: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _zbank_rows(zbank: ZeroOutFilterBank) -> np.ndarray:
-    """(F, C*k*k) filter matrix, taps in the same column-major order as the windows."""
-    return zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
+# hex bank -> (packed bank, its filter matrix).  Banks are frozen and
+# their arrays read-only, so an entry cannot go stale; it is dropped with
+# its bank.
+_PACKED = weakref.WeakKeyDictionary()
+
+
+def _packed(bank: HexFilterBank) -> tuple[ZeroOutFilterBank, np.ndarray]:
+    """The bank packed into corner-zeroed rectangles, and its (F, C*k*k)
+    filter matrix with taps in the windows' column-major order; built on
+    the bank's first use."""
+    hit = _PACKED.get(bank)
+    if hit is None:
+        zbank = zeroout_filter(bank)
+        rows = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
+        rows.setflags(write=False)
+        hit = _PACKED[bank] = (zbank, rows)
+    return hit
 
 
 def _window_matrix(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -109,18 +127,21 @@ def _window_matrix(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return np.take(x.reshape(c, -1), g, axis=1).reshape(c * k * k, -1)
 
 
-def _rect_conv_all(x: np.ndarray, zbank: ZeroOutFilterBank, stride: int) -> np.ndarray:
-    """Strided cross-correlation over every rectangular anchor, plus bias."""
+def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarray:
+    """Strided cross-correlation with the packed bank over every
+    rectangular anchor, plus bias."""
+    zbank, rows = _packed(bank)
     k = zbank.span
-    y = gemm(_zbank_rows(zbank), _window_matrix(x, k, stride)) + zbank.bias[:, None]
+    y = gemm(rows, _window_matrix(x, k, stride)) + zbank.bias[:, None]
     return y.reshape(zbank.filters, (x.shape[1] - k) // stride + 1, -1)
 
 
-def _rect_conv_backward_input(d: np.ndarray, zbank: ZeroOutFilterBank, stride: int, shape) -> np.ndarray:
+def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, shape) -> np.ndarray:
     """Adjoint of ``_rect_conv_all``'s window product (col2im): the error
     on a (C, h, w) input; cells no window reaches get zero."""
     c, h, w = shape
-    dcols = gemm(_zbank_rows(zbank).T, d.reshape(d.shape[0], -1))  # (C*k*k, P)
+    zbank, rows = _packed(bank)
+    dcols = gemm(rows.T, d.reshape(d.shape[0], -1))  # (C*k*k, P)
     g = _rect_windows(h, w, zbank.span, stride)
     return _scatter_add(dcols.reshape(c, -1), g, h * w).reshape(shape)
 
@@ -136,8 +157,7 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
     for i, spec in enumerate(net.cfg.layers[:stop]):
         side = net.shapes[i][1]
         if spec.kind == "hexconv":
-            zbank = zeroout_filter(net.params[i])
-            z = _rect_conv_all(x, zbank, spec.stride)
+            z = _rect_conv_all(x, net.params[i], spec.stride)
             out_side = (side - spec.window) // spec.stride + 1
             z = z * hex_mask(out_side)
             cache.append((x, z))
@@ -184,8 +204,7 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             x, z = cache[i]
             if spec.activation == "relu":
                 d = d * (z > 0)
-            zbank = zeroout_filter(net.params[i])
-            k = zbank.span
+            k = 2 * spec.window - 1
             f = d.shape[0]
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
@@ -196,7 +215,7 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=(1, 2))
             if i > 0:
-                d = _rect_conv_backward_input(d, zbank, spec.stride, x.shape)
+                d = _rect_conv_backward_input(d, net.params[i], spec.stride, x.shape)
                 d *= hex_mask(net.shapes[i][1])
 
 

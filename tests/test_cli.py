@@ -7,6 +7,8 @@ import pytest
 
 from hexcnn.cli import main
 from hexcnn.fileio import read_hxt, write_img1
+from hexcnn.im2col import patch_count
+from hexcnn.ops import PATCH_BLOCK
 from hexcnn.resample import SquareImage
 
 
@@ -81,6 +83,16 @@ def test_bench_conv_small(capsys):
     hex_per = int(hexr["macs"]) / int(hexr["output_cells"])
     zero_per = int(zero["macs"]) / int(zero["output_cells"])
     assert hex_per / zero_per == pytest.approx(7 / 9)
+
+
+def test_bench_conv_im2col_bytes_are_the_largest_block(capsys):
+    # side 16 has 631 patches, one block; the big side has more than a block
+    big = next(side for side in range(16, 200) if patch_count(side, 2, 1) > PATCH_BLOCK)
+    code, rows = run_cli(["bench-conv", "--sizes", f"16,{big}", "--reps", "1"], capsys)
+    assert code == 0
+    got = {r[0]: int(dict(zip(rows[0], r))["bytes_im2col"]) for r in rows[1:] if r[1] == "hex_direct"}
+    per_patch = 3 * 7 * 8  # channels x taps x float64
+    assert got == {"conv_L16_k2_s1": 631 * per_patch, f"conv_L{big}_k2_s1": PATCH_BLOCK * per_patch}
 
 
 def test_bench_conv_skips_invalid_geometry(capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from hexcnn.nn import (
 )
 from hexcnn.ops import conv_valid, maxpool
 from hexcnn.instrument import MacMeter
+from hexcnn import zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
 
 
@@ -208,6 +211,19 @@ def test_backward_rejects_label_count_mismatch():
         logits, caches = fwd(net, batch)
         with pytest.raises(ValueError, match="labels"):
             bwd(net, logits, caches, labels[:3])
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 0.7], ids=["negative", "past_last_class", "fractional"])
+def test_backward_rejects_labels_that_are_not_class_indices(bad):
+    # tiny_cfg has 4 classes; a label -1 used to wrap to the last class,
+    # 4 escaped as IndexError and 0.7 was truncated to class 0
+    net = build_network(tiny_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 5)
+    labels = [*labels[:2], bad]
+    for fwd, bwd in LAYOUTS:
+        logits, caches = fwd(net, batch)
+        with pytest.raises(ValueError, match="labels"):
+            bwd(net, logits, caches, labels)
 
 
 def test_backward_requires_softmax_head():
@@ -403,6 +419,28 @@ def test_zeroout_gradients_match_on_composed_network():
         assert (a is None) == (b is None)
         for x, y in zip(a or (), b or ()):
             assert np.abs(x - y).max() <= 1e-8 * max(np.abs(x).max(), np.abs(y).max(), 1e-300)
+
+
+def test_zeroout_step_packs_each_bank_once(monkeypatch):
+    # batch 3, two convs: forward and backward used to pack every bank
+    # for every sample, 3 * 2 * 2 = 12 times
+    cfg = NetworkConfig(
+        7, 2, (LayerSpec.conv(3, 2), LayerSpec.conv(2, 2), LayerSpec.flatten(), LayerSpec.dense(2), LayerSpec.softmax())
+    )
+    net = build_network(cfg)
+    batch, labels = make_two_class_dataset(np.random.default_rng(18), 3, 7, 2)
+    packs = []
+    real = zeronet.zeroout_filter
+    monkeypatch.setattr(zeronet, "zeroout_filter", lambda bank: packs.append(bank) or real(bank))
+    before = len(zeronet._PACKED)
+    old = [weakref.ref(net.params[i]) for i in (0, 1)]
+    train_step_zeroout(net, batch, labels, TrainConfig(0.1))
+    assert [weakref.ref(b) for b in packs] == old
+    packs.clear()
+    # the step replaced both banks: their entries died with them
+    assert all(r() is None for r in old) and len(zeronet._PACKED) == before
+    train_step_zeroout(net, batch, labels, TrainConfig(0.1))
+    assert len(packs) == 2
 
 
 def test_zeroout_filter_gradient_is_mac_metered():

@@ -151,7 +151,7 @@ def test_footprint_identity():
 
 
 def _rect_geometries(seed, count):
-    """Random (x, zero-bias ZeroOut bank, stride) triples: strides 1-3,
+    """Random (x, zero-bias hex bank, stride) triples: strides 1-3,
     filter sides 1-3, 1-4 channels and filters, any remainder at the edge."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -161,22 +161,22 @@ def _rect_geometries(seed, count):
         k = 2 * side - 1
         h, w = (int(n) for n in rng.integers(k, k + 3 * stride + 2, size=2))
         bank = HexFilterBank(side, rng.standard_normal((f, c, cell_count(side))))
-        yield rng.standard_normal((c, h, w)), zeroout_filter(bank), stride
+        yield rng.standard_normal((c, h, w)), bank, stride
 
 
 def test_rect_conv_all_matches_reference():
-    for x, zb, s in _rect_geometries(11, 60):
-        want = rect_conv_reference(RectTensor(x), zb, s).data
-        assert rel_err(_rect_conv_all(x, zb, s), want) <= 1e-10
+    for x, bank, s in _rect_geometries(11, 60):
+        want = rect_conv_reference(RectTensor(x), zeroout_filter(bank), s).data
+        assert rel_err(_rect_conv_all(x, bank, s), want) <= 1e-10
 
 
 def test_rect_conv_backward_input_is_adjoint():
     rng = np.random.default_rng(12)
-    for x, zb, s in _rect_geometries(13, 60):
-        y = _rect_conv_all(x, zb, s)
+    for x, bank, s in _rect_geometries(13, 60):
+        y = _rect_conv_all(x, bank, s)
         d = rng.standard_normal(y.shape)
-        dx = _rect_conv_backward_input(d, zb, s, x.shape)
+        dx = _rect_conv_backward_input(d, bank, s, x.shape)
         assert dx.shape == x.shape
         lhs = np.vdot(y, d)
         rhs = np.vdot(x, dx)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (x.shape, zb.weights.shape, s)
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (x.shape, bank.weights.shape, s)
