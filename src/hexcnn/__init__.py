@@ -31,7 +31,6 @@ from .grads import (
 )
 from .im2col import gemm, im2col, patch_count
 from .zeroout import (
-    RectTensor,
     ZeroOutFilterBank,
     embed_parallelogram,
     extract_hex,

@@ -110,7 +110,7 @@ def bench_conv(
         with MacMeter() as meter:
             zout = rect_conv_reference(rect, zbank, stride)
         macs_zero = meter.macs
-        rect_out_cells = zout.height * zout.width
+        rect_out_cells = zout.shape[1] * zout.shape[2]
         time_zero = _median_time(
             lambda: extract_hex(
                 rect_conv_reference(embed_parallelogram(t), zbank, stride), geom.output_side
@@ -121,7 +121,7 @@ def bench_conv(
             BenchResult(
                 case_id, "zeroout_ref", side, filter_side, stride, channels, filters,
                 reps, time_zero, macs_zero, rect_out_cells,
-                rect.data.nbytes, 0, zbank.weights.nbytes,
+                rect.nbytes, 0, zbank.weights.nbytes,
             )
         )
     return results

@@ -156,6 +156,20 @@ def _probe_coords(rng, shape, count):
     return [np.unravel_index(int(f), shape) for f in flat]
 
 
+def _probe(results, name, analytic, x, loss, coords, tol, h) -> int:
+    """Central differences of ``loss`` at ``x`` against ``analytic`` at each
+    coordinate; appends one (name, ok, err) result per probe and returns
+    the probe count."""
+    for c in coords:
+        xp = x.copy()
+        xp[c] += h
+        hi = loss(xp)
+        xp[c] -= 2 * h
+        lo = loss(xp)
+        results.append((name, *_fd_ok(analytic[c], (hi - lo) / (2 * h), tol)))
+    return len(coords)
+
+
 def _grad_cases_conv(rng, probes, tol, h, results, target):
     """FD checks for conv input/filter/bias gradients, E = sum(O^2)/2."""
     instances = max(1, probes // 5)
@@ -168,39 +182,20 @@ def _grad_cases_conv(rng, probes, tol, h, results, target):
         bank = HexFilterBank.random(rng, filters, channels, fside)
         t = HexTensor(side, channels, x)
         out = conv_valid(t, bank, stride)
+        name = f"{target}_{inst}"
         if target == "conv_input":
             grad = conv_backward_input(out, bank, stride, side).data
             coords = _probe_coords(rng, x.shape, min(5, probes - done))
-            for c in coords:
-                xp = x.copy()
-                xp[c] += h
-                hi = _sq_loss(conv_valid(HexTensor(side, channels, xp), bank, stride))
-                xp[c] -= 2 * h
-                lo = _sq_loss(conv_valid(HexTensor(side, channels, xp), bank, stride))
-                ok, err = _fd_ok(grad[c], (hi - lo) / (2 * h), tol)
-                results.append((f"{target}_{inst}", ok, err))
-                done += 1
+            loss = lambda xp: _sq_loss(conv_valid(HexTensor(side, channels, xp), bank, stride))
+            done += _probe(results, name, grad, x, loss, coords, tol, h)
         else:
             dw, db = conv_backward_filter(t, out, stride, fside)
-            n_probe = min(5, probes - done)
-            coords = _probe_coords(rng, bank.weights.shape, n_probe)
-            for c in coords:
-                wp = bank.weights.copy()
-                wp[c] += h
-                hi = _sq_loss(conv_valid(t, HexFilterBank(fside, wp, bank.bias), stride))
-                wp[c] -= 2 * h
-                lo = _sq_loss(conv_valid(t, HexFilterBank(fside, wp, bank.bias), stride))
-                ok, err = _fd_ok(dw[c], (hi - lo) / (2 * h), tol)
-                results.append((f"{target}_{inst}", ok, err))
-                done += 1
-            bp = bank.bias.copy()
+            coords = _probe_coords(rng, bank.weights.shape, min(5, probes - done))
+            loss = lambda wp: _sq_loss(conv_valid(t, HexFilterBank(fside, wp, bank.bias), stride))
+            done += _probe(results, name, dw, bank.weights, loss, coords, tol, h)
             f = int(rng.integers(0, filters))
-            bp[f] += h
-            hi = _sq_loss(conv_valid(t, HexFilterBank(fside, bank.weights, bp), stride))
-            bp[f] -= 2 * h
-            lo = _sq_loss(conv_valid(t, HexFilterBank(fside, bank.weights, bp), stride))
-            ok, err = _fd_ok(db[f], (hi - lo) / (2 * h), tol)
-            results.append((f"{target}_bias_{inst}", ok, err))
+            loss = lambda bp: _sq_loss(conv_valid(t, HexFilterBank(fside, bank.weights, bp), stride))
+            _probe(results, f"{target}_bias_{inst}", db, bank.bias, loss, [f], tol, h)
         if done >= probes:
             break
 
@@ -216,30 +211,19 @@ def _grad_cases_pool(rng, probes, tol, h, results, target):
         if target == "maxpool":
             out, amap = maxpool(t, fside, stride)
             grad = maxpool_backward(out, amap).data
+            loss = lambda xp: _sq_loss(maxpool(HexTensor(side, channels, xp), fside, stride)[0])
         else:
             out = avgpool(t, fside, stride)
             grad = avgpool_backward(out, fside, stride, side).data
+            loss = lambda xp: _sq_loss(avgpool(HexTensor(side, channels, xp), fside, stride))
         coords = _probe_coords(rng, x.shape, min(5, probes - done))
-        for c in coords:
-            xp = x.copy()
-            xp[c] += h
-            if target == "maxpool":
-                hi = _sq_loss(maxpool(HexTensor(side, channels, xp), fside, stride)[0])
-            else:
-                hi = _sq_loss(avgpool(HexTensor(side, channels, xp), fside, stride))
-            xp[c] -= 2 * h
-            if target == "maxpool":
-                lo = _sq_loss(maxpool(HexTensor(side, channels, xp), fside, stride)[0])
-            else:
-                lo = _sq_loss(avgpool(HexTensor(side, channels, xp), fside, stride))
-            ok, err = _fd_ok(grad[c], (hi - lo) / (2 * h), tol)
-            results.append((f"{target}_{inst}", ok, err))
-            done += 1
+        done += _probe(results, f"{target}_{inst}", grad, x, loss, coords, tol, h)
         if done >= probes:
             break
 
 
 def _grad_cases_activation(rng, probes, tol, h, results):
+    loss = lambda xp: 0.5 * float(np.sum(np.maximum(xp, 0.0) ** 2))
     done = 0
     inst = 0
     while done < probes:
@@ -249,15 +233,8 @@ def _grad_cases_activation(rng, probes, tol, h, results):
         pre = HexTensor(side, channels, x)
         out = HexTensor(side, channels, np.maximum(x, 0.0))
         grad = apply_activation_backward(out, pre, "relu").data
-        for c in _probe_coords(rng, x.shape, min(5, probes - done)):
-            xp = x.copy()
-            xp[c] += h
-            hi = 0.5 * float(np.sum(np.maximum(xp, 0.0) ** 2))
-            xp[c] -= 2 * h
-            lo = 0.5 * float(np.sum(np.maximum(xp, 0.0) ** 2))
-            ok, err = _fd_ok(grad[c], (hi - lo) / (2 * h), tol)
-            results.append((f"activation_{inst}", ok, err))
-            done += 1
+        coords = _probe_coords(rng, x.shape, min(5, probes - done))
+        done += _probe(results, f"activation_{inst}", grad, x, loss, coords, tol, h)
         inst += 1
 
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "check_int",
     "cell_count",
     "row_bounds",
     "col_bounds",
@@ -38,20 +39,23 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def _check_side(side) -> None:
-    if side != int(side) or int(side) < 1:
-        raise ValueError(f"side length must be a positive integer, got {side!r}")
+def check_int(value, what: str, least: int = 1) -> int:
+    """``value`` as an int: a Python or numpy integer (not a bool) of at
+    least ``least``; anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def cell_count(side: int) -> int:
     """Number of cells in a hexagon of the given side length."""
-    _check_side(side)
+    check_int(side, "side length")
     return 3 * side * (side - 1) + 1
 
 
 def row_bounds(side: int, u: int) -> tuple[int, int]:
     """Inclusive column range (v_min, v_max) of row ``u``."""
-    _check_side(side)
+    check_int(side, "side length")
     if not 0 <= u <= 2 * side - 2:
         raise ValueError(f"row {u} out of range for side {side}")
     return max(0, u - side + 1), min(2 * side - 2, u + side - 1)
@@ -59,14 +63,14 @@ def row_bounds(side: int, u: int) -> tuple[int, int]:
 
 def col_bounds(side: int, v: int) -> tuple[int, int]:
     """Inclusive row range (u_min, u_max) of column ``v``."""
-    _check_side(side)
+    check_int(side, "side length")
     if not 0 <= v <= 2 * side - 2:
         raise ValueError(f"column {v} out of range for side {side}")
     return max(0, v - side + 1), min(2 * side - 2, v + side - 1)
 
 
 def is_valid_cell(side: int, u: int, v: int) -> bool:
-    _check_side(side)
+    check_int(side, "side length")
     if not 0 <= u <= 2 * side - 2:
         return False
     return max(0, u - side + 1) <= v <= min(2 * side - 2, u + side - 1)
@@ -93,7 +97,7 @@ def flat_offset(side: int, u: int, v: int) -> int:
 @lru_cache(maxsize=None)
 def cells(side: int) -> np.ndarray:
     """All valid (u, v) pairs in storage order, as an (N, 2) int array."""
-    _check_side(side)
+    check_int(side, "side length")
     out = np.empty((cell_count(side), 2), dtype=np.int64)
     i = 0
     for v in range(2 * side - 1):
@@ -109,9 +113,9 @@ def cells(side: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def offset_table(side: int) -> np.ndarray:
     """(2L-1, 2L-1) lookup of storage offsets; -1 marks invalid (u, v)."""
+    uv = cells(side)
     span = 2 * side - 1
     table = np.full((span, span), -1, dtype=np.int64)
-    uv = cells(side)
     table[uv[:, 0], uv[:, 1]] = np.arange(len(uv))
     table.setflags(write=False)
     return table
@@ -171,9 +175,8 @@ class HexTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        _check_side(self.side)
-        if self.channels != int(self.channels) or self.channels < 1:
-            raise ValueError(f"channels must be a positive integer, got {self.channels!r}")
+        check_int(self.side, "side length")
+        check_int(self.channels, "channels")
         n = cell_count(self.side)
         arr = np.asarray(self.data)
         dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float64
@@ -221,8 +224,7 @@ def pad_rings(t: HexTensor, rings: int) -> HexTensor:
     Cell (u, v) moves to (u + rings, v + rings); the sum of all values
     is preserved.
     """
-    if rings != int(rings) or rings < 0:
-        raise ValueError(f"ring count must be a non-negative integer, got {rings!r}")
+    check_int(rings, "ring count", 0)
     if rings == 0:
         return t
     out_side = t.side + rings

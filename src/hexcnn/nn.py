@@ -29,9 +29,9 @@ from .grads import (
     conv_backward_input,
     maxpool_backward,
 )
-from .grid import HexTensor, cell_count
-from .instrument import add_macs
-from .ops import HexFilterBank, avgpool, conv_valid, maxpool
+from .grid import HexTensor, cell_count, check_int
+from .matmul import gemm
+from .ops import HexFilterBank, avgpool, conv_valid, maxpool, valid_geometry
 
 __all__ = [
     "LayerSpec",
@@ -146,73 +146,72 @@ class Network:
         return lines
 
 
-def _fail(i, spec, msg):
-    raise ValueError(f"layer {i} ({spec.kind}): {msg}")
-
-
 def build_network(cfg: NetworkConfig) -> Network:
     """Validate the layer chain, allocate and initialize all parameters.
 
     Weights are uniform in [-a, a] with a = sqrt(6 / (fan_in + fan_out));
-    biases start at zero.
+    biases start at zero.  A bad layer raises ``ValueError`` naming its
+    index and kind; conv geometry must tile exactly, pool geometry floors.
     """
+    check_int(cfg.input_side, "input side")
+    check_int(cfg.input_channels, "input channels")
     rng = np.random.default_rng(cfg.seed)
     shape = ("hex", cfg.input_side, cfg.input_channels)
     shapes = [shape]
     params = []
     floor_pools = set()
     for i, spec in enumerate(cfg.layers):
-        if spec.kind not in KINDS:
-            _fail(i, spec, f"unknown layer kind")
-        if spec.kind == "hexconv":
-            if shape[0] != "hex":
-                _fail(i, spec, "needs a hexagonal input")
-            _, side, channels = shape
-            if spec.window > side:
-                _fail(i, spec, f"window {spec.window} exceeds side {side}")
-            if (side - spec.window) % spec.stride:
-                _fail(i, spec, f"stride {spec.stride} does not tile side {side}")
-            if spec.activation not in ACTIVATIONS:
-                _fail(i, spec, f"unknown activation {spec.activation!r}")
-            e = cell_count(spec.window)
-            a = np.sqrt(6.0 / (channels * e + spec.filters * e))
-            w = rng.uniform(-a, a, size=(spec.filters, channels, e))
-            params.append(HexFilterBank(spec.window, w))
-            shape = ("hex", (side - spec.window) // spec.stride + 1, spec.filters)
-        elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            if shape[0] != "hex":
-                _fail(i, spec, "needs a hexagonal input")
-            _, side, channels = shape
-            if spec.window > side:
-                _fail(i, spec, f"window {spec.window} exceeds side {side}")
-            if (side - spec.window) % spec.stride:
-                floor_pools.add(i)
-            params.append(None)
-            shape = ("hex", (side - spec.window) // spec.stride + 1, channels)
-        elif spec.kind == "flatten":
-            if shape[0] != "hex":
-                _fail(i, spec, "input is already flat")
-            _, side, channels = shape
-            params.append(None)
-            shape = ("flat", channels * cell_count(side))
-        elif spec.kind == "dense":
-            if shape[0] != "flat":
-                _fail(i, spec, "needs a flat input (insert flatten)")
-            if spec.activation not in ACTIVATIONS:
-                _fail(i, spec, f"unknown activation {spec.activation!r}")
-            fan_in = shape[1]
-            a = np.sqrt(6.0 / (fan_in + spec.units))
-            w = rng.uniform(-a, a, size=(spec.units, fan_in))
-            params.append((w, np.zeros(spec.units)))
-            shape = ("flat", spec.units)
-        else:  # softmax_xent
-            if shape[0] != "flat":
-                _fail(i, spec, "needs logits (a flat input)")
-            if i != len(cfg.layers) - 1:
-                _fail(i, spec, "must be the final layer")
-            params.append(None)
+        try:
+            shape, param = _build_layer(spec, shape, rng, i == len(cfg.layers) - 1)
+        except ValueError as e:
+            raise ValueError(f"layer {i} ({spec.kind}): {e}") from None
+        if spec.kind in ("hexmaxpool", "hexavgpool") and (shapes[-1][1] - spec.window) % spec.stride:
+            floor_pools.add(i)
+        params.append(param)
         shapes.append(shape)
     return Network(cfg, params, shapes, floor_pools)
+
+
+def _build_layer(spec: LayerSpec, shape, rng, last: bool):
+    """One layer's output shape and initialized parameters (None if it
+    has none), given its input shape."""
+    if spec.kind not in KINDS:
+        raise ValueError("unknown layer kind")
+    if spec.kind in ("hexconv", "hexmaxpool", "hexavgpool"):
+        if shape[0] != "hex":
+            raise ValueError("needs a hexagonal input")
+        _, side, channels = shape
+        pool = spec.kind != "hexconv"
+        out_side = valid_geometry(side, spec.window, spec.stride, floor_mode=pool).output_side
+        if pool:
+            return ("hex", out_side, channels), None
+        check_int(spec.filters, "filters")
+        if spec.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {spec.activation!r}")
+        e = cell_count(spec.window)
+        a = np.sqrt(6.0 / (channels * e + spec.filters * e))
+        w = rng.uniform(-a, a, size=(spec.filters, channels, e))
+        return ("hex", out_side, spec.filters), HexFilterBank(spec.window, w)
+    if spec.kind == "flatten":
+        if shape[0] != "hex":
+            raise ValueError("input is already flat")
+        return ("flat", shape[2] * cell_count(shape[1])), None
+    if spec.kind == "softmax_xent":
+        if shape[0] != "flat":
+            raise ValueError("needs logits (a flat input)")
+        if not last:
+            raise ValueError("must be the final layer")
+        return shape, None
+    # dense
+    if shape[0] != "flat":
+        raise ValueError("needs a flat input (insert flatten)")
+    check_int(spec.units, "units")
+    if spec.activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {spec.activation!r}")
+    fan_in = shape[1]
+    a = np.sqrt(6.0 / (fan_in + spec.units))
+    w = rng.uniform(-a, a, size=(spec.units, fan_in))
+    return ("flat", spec.units), (w, np.zeros(spec.units))
 
 
 def _act(x: np.ndarray, kind: str) -> np.ndarray:
@@ -317,8 +316,7 @@ def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Cach
         spec = net.cfg.layers[i]
         if spec.kind == "dense":
             w, b = net.params[i]
-            z = x @ w.T + b
-            add_macs(len(x) * w.size)
+            z = gemm(x, w.T) + b
             head.append((i, x, z))
             x = _act(z, spec.activation)
         # softmax_xent: loss layer, logits pass through
@@ -394,9 +392,8 @@ def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward
         if net.cfg.layers[i].activation == "relu":
             d = d * (z > 0)
         w, _ = net.params[i]
-        grads[i] = (d.T @ x, d.sum(axis=0))
-        d = d @ w
-        add_macs(2 * n * w.size)  # weight and input gradients
+        grads[i] = (gemm(d.T, x), d.sum(axis=0))
+        d = gemm(d, w)
     for cache, row in zip(caches.trunk, d):
         trunk_backward(net, cache, row, grads)
     return loss, grads

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, cells, offset_table, pad_rings
+from .grid import HexTensor, cell_count, cells, check_int, offset_table, pad_rings
 from .matmul import gemm
 
 __all__ = [
@@ -115,10 +115,9 @@ def valid_geometry(
 
     With ``floor_mode`` the trailing remainder is dropped instead.
     """
-    if input_side < 1 or filter_side < 1:
-        raise ValueError("side lengths must be positive")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
+    check_int(input_side, "input side")
+    check_int(filter_side, "window side")
+    check_int(stride, "stride")
     if filter_side > input_side:
         raise ValueError(
             f"window side {filter_side} exceeds input side {input_side}"

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, cells
+from .grid import HexTensor, cell_count, cells, check_int
 
 __all__ = [
     "SquareImage",
@@ -77,8 +77,7 @@ class HexLatticeGeometry:
 
 def min_cover_side(x: int) -> int:
     """Smallest hexagon side whose region covers an x-by-x pixel square."""
-    if x != int(x) or x < 1:
-        raise ValueError(f"square side must be a positive integer, got {x!r}")
+    check_int(x, "square side")
     return (3 * x + 1 + 3) // 4  # ceil((3x+1)/4)
 
 
@@ -133,9 +132,7 @@ def square_to_hex(
     only on (side, image size, geometry) and is cached, so each call
     does one gather and the weighted sum.
     """
-    if side != int(side) or side < 1:
-        raise ValueError(f"side must be a positive integer, got {side!r}")
-    index, inside, w = _bilinear_plan(int(side), img.height, img.width, geom)
+    index, inside, w = _bilinear_plan(check_int(side, "side"), img.height, img.width, geom)
     vals = np.take(img.data.reshape(img.channels, -1), index, axis=1)  # (C, 4, N)
     vals = np.where(inside, vals, 0.0)
     out = vals[:, 0] * w[0] + vals[:, 1] * w[1] + vals[:, 2] * w[2] + vals[:, 3] * w[3]

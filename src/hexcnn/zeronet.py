@@ -1,12 +1,17 @@
 """The same networks realized on the ZeroOut parallelogram embedding.
 
-Every layer keeps its activations in rectangular (channels, h, w)
-arrays, convolution multiplies the zeroed corner taps like a genuine
-hexagon-imitation framework (computing all rectangular output cells,
-not only the hexagonal ones), and corner weight gradients are masked so
-the frozen zeros never move.  Cells outside the embedded hexagon are
-re-zeroed after each layer, so the hexagonal cells carry exactly the
-same values as the native path, up to floating-point summation order.
+Every layer keeps its activations in plain (channels, 2L-1, 2L-1)
+float64 arrays on ``zeroout``'s one embedding: the input enters through
+``embed_parallelogram``, pool outputs and the flatten's error re-enter
+through the same zero-fill scatter (``_to_rect``), and the flatten reads
+the hexagon back through its flat offsets (``_hex_flat``); this module
+keeps no embedding of its own.  Convolution multiplies the zeroed corner
+taps like a genuine hexagon-imitation framework (computing all
+rectangular output cells, not only the hexagonal ones), and corner
+weight gradients are masked so the frozen zeros never move.  Cells
+outside the embedded hexagon are re-zeroed after each layer, so the
+hexagonal cells carry exactly the same values as the native path, up to
+floating-point summation order.
 Only the trunk (conv and pool layers up to and including the flatten)
 lives here: it is the part that depends on the layout, and it is the
 oracle.  After the flatten both layouts run the same dense algebra, so
@@ -42,8 +47,10 @@ import numpy as np
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import Network, TrainConfig, _act, _backward_with, _forward_with, apply_gradients
-from .ops import HexFilterBank, valid_geometry
-from .zeroout import ZeroOutFilterBank, hex_mask, zeroout_filter
+from .ops import HexFilterBank
+from .zeroout import (
+    ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
+)
 
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
@@ -74,22 +81,6 @@ def _rect_hexwin_gather(input_side: int, window_side: int, stride: int, output_s
     """Hex-shaped windows addressed on the rectangular embedding."""
     span = 2 * input_side - 1
     return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
-
-
-@lru_cache(maxsize=None)
-def _hex_flat(side: int) -> np.ndarray:
-    """Flat rectangular indices of the embedded hexagon's cells, storage order."""
-    idx = _flat(cells(side), 2 * side - 1)
-    idx.setflags(write=False)
-    return idx
-
-
-def _to_rect(values: np.ndarray, side: int) -> np.ndarray:
-    """(channels, cells) hexagon values on the zeroed (channels, 2L-1, 2L-1) embedding."""
-    span = 2 * side - 1
-    out = np.zeros((values.shape[0], span * span))
-    out[:, _hex_flat(side)] = values
-    return out.reshape(-1, span, span)
 
 
 def _scatter_add(values: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
@@ -152,28 +143,26 @@ def forward_zeroout(net: Network, batch):
 
 
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
-    x = _to_rect(t.data, t.side)
+    x = embed_parallelogram(t)
     cache = []
     for i, spec in enumerate(net.cfg.layers[:stop]):
-        side = net.shapes[i][1]
+        side, out_side = net.shapes[i][1], net.shapes[i + 1][1]
         if spec.kind == "hexconv":
             z = _rect_conv_all(x, net.params[i], spec.stride)
-            out_side = (side - spec.window) // spec.stride + 1
             z = z * hex_mask(out_side)
             cache.append((x, z))
             x = _act(z, spec.activation)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            geom = valid_geometry(side, spec.window, spec.stride, floor_mode=True)
-            g = _rect_hexwin_gather(side, spec.window, spec.stride, geom.output_side)
+            g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
             win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
             if spec.kind == "hexmaxpool":
                 vals = win.max(axis=1)
                 winners = g[win.argmax(axis=1), np.arange(g.shape[1])[None, :]]
-                cache.append((side, geom.output_side, winners))
+                cache.append((side, out_side, winners))
             else:
                 vals = win.mean(axis=1)
-                cache.append((side, geom.output_side))
-            x = _to_rect(vals, geom.output_side)
+                cache.append((side, out_side))
+            x = _to_rect(vals, out_side)
         else:  # flatten
             cache.append((side, x.shape[0]))
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()

@@ -2,9 +2,13 @@
 filters with structurally zeroed corners.
 
 This module is the trusted reference for every hexagonal kernel and the
-baseline measured by the benchmark CLI.  The convolution is a plain
-nested-loop cross-correlation on purpose; keeping it simple is what
-makes it an oracle.
+baseline measured by the benchmark CLI.  Embedded tensors are plain
+(channels, 2L-1, 2L-1) float64 arrays whose cells outside the hexagon
+(``~hex_mask(L)``) are zero.  One embedding, a flat-offset scatter
+(``_to_rect``), serves this oracle, the filter packing and the ZeroOut
+network trunk (``zeronet``).  The convolution is a plain nested-loop
+cross-correlation on purpose; keeping it simple is what makes it an
+oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cells
+from .grid import HexTensor, cells, check_int
 from .instrument import add_macs
 from .ops import HexFilterBank
 
 __all__ = [
-    "RectTensor",
     "ZeroOutFilterBank",
     "hex_mask",
     "embed_parallelogram",
@@ -30,74 +33,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class RectTensor:
-    """Dense (channels, height, width) array with an optional validity mask."""
-
-    data: np.ndarray
-    mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 3:
-            raise ValueError(f"rect tensor must be (channels, h, w), got {d.shape}")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != d.shape[1:]:
-                raise ValueError("mask shape does not match the spatial extent")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "mask", m)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
 @lru_cache(maxsize=None)
 def hex_mask(side: int) -> np.ndarray:
     """(2L-1, 2L-1) boolean mask of the embedded hexagon's cells."""
+    uv = cells(side)
     span = 2 * side - 1
     m = np.zeros((span, span), dtype=bool)
-    uv = cells(side)
     m[uv[:, 0], uv[:, 1]] = True
     m.setflags(write=False)
     return m
 
 
-def embed_parallelogram(t: HexTensor) -> RectTensor:
-    """Pad a hex tensor into a (2L-1) x (2L-1) parallelogram.
-
-    Hex cell (u, v) lands at rectangular index (u, v); the remaining
-    corner cells are zero and masked invalid.
-    """
-    span = 2 * t.side - 1
-    out = np.zeros((t.channels, span, span))
-    uv = cells(t.side)
-    out[:, uv[:, 0], uv[:, 1]] = t.data
-    return RectTensor(out, hex_mask(t.side))
-
-
-def extract_hex(r: RectTensor, side: int) -> HexTensor:
-    """Read the hexagon of the given side off rectangular indices (u, v)."""
-    span = 2 * side - 1
-    if r.height < span or r.width < span:
-        raise ValueError(
-            f"rect {r.height}x{r.width} cannot contain a hexagon of side {side}"
-        )
+@lru_cache(maxsize=None)
+def _hex_flat(side: int) -> np.ndarray:
+    """Flat offsets of the embedded hexagon's cells in its (2L-1, 2L-1)
+    rectangle, in hex storage order."""
     uv = cells(side)
-    return HexTensor(side, r.channels, r.data[:, uv[:, 0], uv[:, 1]])
+    idx = uv[:, 0] * (2 * side - 1) + uv[:, 1]
+    idx.setflags(write=False)
+    return idx
+
+
+def _to_rect(values: np.ndarray, side: int) -> np.ndarray:
+    """(channels, cells) hexagon values on the zeroed (channels, 2L-1, 2L-1)
+    float64 embedding: cell (u, v) lands at rectangular index (u, v)."""
+    span = 2 * side - 1
+    out = np.zeros((values.shape[0], span * span))
+    out[:, _hex_flat(side)] = values
+    return out.reshape(-1, span, span)
+
+
+def embed_parallelogram(t: HexTensor) -> np.ndarray:
+    """Pad a hex tensor into its (C, 2L-1, 2L-1) parallelogram; the corner
+    cells outside the hexagon (``~hex_mask(L)``) are zero."""
+    return _to_rect(t.data, t.side)
+
+
+def extract_hex(r: np.ndarray, side: int) -> HexTensor:
+    """Read the hexagon of the given side off rectangular indices (u, v)
+    of a (C, h, w) array."""
+    span = 2 * side - 1
+    if r.ndim != 3 or r.shape[1] < span or r.shape[2] < span:
+        raise ValueError(f"rect {r.shape} cannot contain a hexagon of side {side}")
+    uv = cells(side)
+    return HexTensor(side, r.shape[0], r[:, uv[:, 0], uv[:, 1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,53 +116,47 @@ class ZeroOutFilterBank:
 
 def zeroout_filter(bank: HexFilterBank) -> ZeroOutFilterBank:
     """Pack hex filters into rectangles, corner weights fixed at zero."""
-    span = 2 * bank.filter_side - 1
-    w = np.zeros((bank.filters, bank.in_channels, span, span))
-    uv = cells(bank.filter_side)
-    w[:, :, uv[:, 0], uv[:, 1]] = bank.weights
-    return ZeroOutFilterBank(bank.filter_side, w, bank.bias)
+    f, c, n = bank.weights.shape
+    w = _to_rect(bank.weights.reshape(f * c, n), bank.filter_side)
+    return ZeroOutFilterBank(bank.filter_side, w.reshape(f, c, *w.shape[1:]), bank.bias)
 
 
 def zeroout_to_hex(zbank: ZeroOutFilterBank) -> HexFilterBank:
     """Recover the hex bank; round-trips losslessly with zeroout_filter."""
-    uv = cells(zbank.hex_side)
-    return HexFilterBank(
-        zbank.hex_side, zbank.weights[:, :, uv[:, 0], uv[:, 1]], zbank.bias
-    )
+    w = zbank.weights.reshape(zbank.filters, zbank.in_channels, -1)[:, :, _hex_flat(zbank.hex_side)]
+    return HexFilterBank(zbank.hex_side, w, zbank.bias)
 
 
 def rect_conv_reference(
-    r: RectTensor, zbank: ZeroOutFilterBank, stride: int = 1, mode: str = "valid"
-) -> RectTensor:
-    """Nested-loop rectangular cross-correlation plus bias.
+    r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1, mode: str = "valid"
+) -> np.ndarray:
+    """Nested-loop rectangular cross-correlation of a (C, h, w) array, plus
+    bias; returns the (filters, out_h, out_w) float64 result.
 
     Window values are flattened column major so the accumulation visits
     cells in the same order as the hexagonal kernels (the zero corners
     are multiplied like any other tap, which is the point of measuring
     this baseline).
     """
-    if zbank.in_channels != r.channels:
-        raise ValueError(
-            f"filter bank expects {zbank.in_channels} channels, input has {r.channels}"
-        )
+    data = np.asarray(r, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError(f"rect input must be (channels, h, w), got {data.shape}")
+    c, h, w = data.shape
+    if zbank.in_channels != c:
+        raise ValueError(f"filter bank expects {zbank.in_channels} channels, input has {c}")
     if mode == "full":
         pad = zbank.span - 1
-        padded = np.zeros(
-            (r.channels, r.height + 2 * pad, r.width + 2 * pad)
-        )
-        padded[:, pad : pad + r.height, pad : pad + r.width] = r.data
-        return rect_conv_reference(RectTensor(padded), zbank, stride, "valid")
+        padded = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
+        return rect_conv_reference(padded, zbank, stride, "valid")
     if mode != "valid":
         raise ValueError(f"unknown mode {mode!r}")
     k = zbank.span
-    if r.height < k or r.width < k:
-        raise ValueError(f"input {r.height}x{r.width} smaller than window {k}")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    out_h = (r.height - k) // stride + 1
-    out_w = (r.width - k) // stride + 1
+    if h < k or w < k:
+        raise ValueError(f"input {h}x{w} smaller than window {k}")
+    check_int(stride, "stride")
+    out_h = (h - k) // stride + 1
+    out_w = (w - k) // stride + 1
     wmat = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
-    data = r.data
     out = np.empty((zbank.filters, out_h, out_w))
     for i in range(out_h):
         i0 = i * stride
@@ -193,4 +166,4 @@ def rect_conv_reference(
             out[:, i, j] = wmat @ window.transpose(0, 2, 1).reshape(-1)
     out += zbank.bias[:, None, None]
     add_macs(out_h * out_w * zbank.filters * zbank.in_channels * k * k)
-    return RectTensor(out)
+    return out

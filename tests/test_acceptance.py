@@ -112,7 +112,7 @@ def test_criterion_08_mac_ratio_exact():
             out = conv_valid(t, bank)
         with MacMeter() as zero_m:
             rect = rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank))
-        ratio = Fraction(hex_m.macs * rect.height * rect.width, zero_m.macs * out.cell_count)
+        ratio = Fraction(hex_m.macs * rect.shape[1] * rect.shape[2], zero_m.macs * out.cell_count)
         ok = ok and ratio == expect
         details.append(f"window {fside}: {ratio} vs {expect}")
     report("instrumented per-output MAC ratio equals cell count over square taps", ok, "; ".join(details))

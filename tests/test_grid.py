@@ -17,6 +17,10 @@ from hexcnn.grid import (
     rot180_filter,
     row_bounds,
 )
+from hexcnn.nn import LayerSpec, NetworkConfig, build_network
+from hexcnn.ops import HexFilterBank, conv_valid, maxpool
+from hexcnn.resample import SquareImage, min_cover_side, square_to_hex
+from hexcnn.zeroout import hex_mask, rect_conv_reference, zeroout_filter
 
 
 @pytest.mark.parametrize("side,count", [(1, 1), (2, 7), (5, 61)])
@@ -130,6 +134,44 @@ def test_hextensor_validation():
     assert t.data.shape == (2, 7)
     with pytest.raises(ValueError):
         t.data[0, 0] = 1.0  # read-only
+
+
+_T3 = HexTensor(3, 1, np.zeros(19))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: HexTensor(2.0, 1, [1.0] * 7), id="hextensor_side"),
+        pytest.param(lambda: HexTensor(2, 1.0, [1.0] * 7), id="hextensor_channels"),
+        pytest.param(lambda: HexTensor(True, 1, [1.0]), id="hextensor_bool_side"),
+        pytest.param(lambda: pad_rings(_T3, 1.0), id="pad_rings"),
+        pytest.param(lambda: conv_valid(_T3, HexFilterBank(2, np.zeros((1, 1, 7))), 1.0), id="conv_stride"),
+        pytest.param(lambda: maxpool(_T3, 2, 1.0), id="maxpool_stride"),
+        pytest.param(
+            lambda: build_network(NetworkConfig(5.0, 1, (LayerSpec.conv(1, 2, 1), LayerSpec.flatten()))),
+            id="build_input_side",
+        ),
+        pytest.param(lambda: square_to_hex(SquareImage(np.zeros((4, 4))), 7.0), id="square_to_hex"),
+        pytest.param(lambda: min_cover_side(4.0), id="min_cover_side"),
+        pytest.param(lambda: cell_count(2.0), id="cell_count"),
+        pytest.param(lambda: cells(True), id="cells_bool"),
+        pytest.param(lambda: offset_table(2.0), id="offset_table"),
+        pytest.param(lambda: hex_mask(2.0), id="hex_mask"),
+        pytest.param(
+            lambda: rect_conv_reference(np.zeros((1, 3, 3)), zeroout_filter(HexFilterBank(1, [[[1.0]]])), 1.0),
+            id="rect_conv_stride",
+        ),
+    ],
+)
+def test_integer_arguments_reject_floats_and_bools(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert cell_count(np.int64(2)) == 7
+    assert pad_rings(HexTensor(np.int32(1), np.uint8(1), [1.0]), np.int64(1)).side == 2
 
 
 def test_hextensor_value_lookup():

@@ -58,11 +58,17 @@ def test_shape_inference_examples():
 
 
 def test_build_reports_offending_layer():
-    cfg = NetworkConfig(3, 1, (LayerSpec.conv(2, 2, 1), LayerSpec.conv(2, 4, 1)))
-    with pytest.raises(ValueError, match="layer 1"):
-        build_network(cfg)
-    with pytest.raises(ValueError, match="layer 0"):
-        build_network(NetworkConfig(3, 1, (LayerSpec.dense(5),)))
+    cases = [
+        ((3, 1, (LayerSpec.conv(2, 2, 1), LayerSpec.conv(2, 4, 1))), "layer 1"),
+        ((3, 1, (LayerSpec.dense(5),)), "layer 0"),
+        ((3, 1, (LayerSpec.conv(2, 2, 0),)), r"layer 0 \(hexconv\): stride"),
+        ((3, 1, (LayerSpec.maxpool(2, 0),)), r"layer 0 \(hexmaxpool\): stride"),
+        ((3, 1, (LayerSpec.flatten(), LayerSpec.dense(0))), r"layer 1 \(dense\): units"),
+        ((3, 0, (LayerSpec.flatten(),)), "input channels"),
+    ]
+    for args, match in cases:
+        with pytest.raises(ValueError, match=match):
+            build_network(NetworkConfig(*args))
 
 
 def test_init_bounds_follow_fan_in_out():

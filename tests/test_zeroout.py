@@ -6,7 +6,6 @@ from hexcnn.grid import HexTensor, cell_count
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import HexFilterBank, conv_full, conv_valid
 from hexcnn.zeroout import (
-    RectTensor,
     embed_parallelogram,
     extract_hex,
     hex_mask,
@@ -20,16 +19,16 @@ from hexcnn.zeronet import _rect_conv_all, _rect_conv_backward_input
 def test_embed_marks_invalid_corners():
     t = HexTensor(2, 1, np.ones(7))
     rect = embed_parallelogram(t)
-    assert rect.data.shape == (1, 3, 3)
-    assert not rect.mask[0, 2] and not rect.mask[2, 0]
-    assert rect.mask.sum() == 7
-    assert rect.data[0, 0, 2] == 0.0 and rect.data[0, 2, 0] == 0.0
+    assert rect.shape == (1, 3, 3)
+    assert not hex_mask(2)[0, 2] and not hex_mask(2)[2, 0]
+    assert hex_mask(2).sum() == 7
+    assert rect[0, 0, 2] == 0.0 and rect[0, 2, 0] == 0.0
 
 
 def test_embed_single_cell():
     t = HexTensor(1, 1, np.array([3.0]))
     rect = embed_parallelogram(t)
-    assert rect.data.shape == (1, 1, 1) and rect.data[0, 0, 0] == 3.0
+    assert rect.shape == (1, 1, 1) and rect[0, 0, 0] == 3.0
 
 
 @pytest.mark.parametrize("side,valid,total", [(2, 7, 9), (5, 61, 81)])
@@ -42,10 +41,10 @@ def test_extract_round_trip():
     rng = np.random.default_rng(0)
     t = HexTensor(4, 3, rng.standard_normal((3, 37)))
     assert np.array_equal(extract_hex(embed_parallelogram(t), 4).data, t.data)
-    zeros = extract_hex(RectTensor(np.zeros((2, 7, 7))), 4)
+    zeros = extract_hex(np.zeros((2, 7, 7)), 4)
     assert not zeros.data.any()
     with pytest.raises(ValueError):
-        extract_hex(RectTensor(np.zeros((1, 3, 3))), 3)
+        extract_hex(np.zeros((1, 3, 3)), 3)
 
 
 def test_zeroout_filter_packing():
@@ -81,21 +80,21 @@ def test_zeroout_rejects_nonzero_corners():
 
 def test_rect_conv_scaling_filter():
     rng = np.random.default_rng(2)
-    r = RectTensor(rng.standard_normal((1, 4, 5)))
+    r = rng.standard_normal((1, 4, 5))
     z = zeroout_filter(HexFilterBank(1, np.array([[[1.5]]])))
     out = rect_conv_reference(r, z)
-    assert np.allclose(out.data, 1.5 * r.data)
+    assert np.allclose(out, 1.5 * r)
 
 
 def test_rect_conv_allones_hand_case():
-    r = RectTensor(np.ones((1, 3, 3)))
+    r = np.ones((1, 3, 3))
     w = np.ones((1, 1, 3, 3))
     from hexcnn.zeroout import ZeroOutFilterBank
 
     w[0, 0, 0, 2] = w[0, 0, 2, 0] = 0.0
     z = ZeroOutFilterBank(2, w, np.zeros(1))
     out = rect_conv_reference(r, z)
-    assert out.data.shape == (1, 1, 1) and out.data[0, 0, 0] == 7.0
+    assert out.shape == (1, 1, 1) and out[0, 0, 0] == 7.0
 
 
 def test_rect_conv_full_mode_matches_hex_full():
@@ -137,7 +136,7 @@ def test_mac_overhead_ratio():
     with MacMeter() as rect_m:
         rect_out = rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank))
     per_hex = hex_m.macs / out.cell_count
-    per_rect = rect_m.macs / (rect_out.height * rect_out.width)
+    per_rect = rect_m.macs / (rect_out.shape[1] * rect_out.shape[2])
     assert per_rect / per_hex == pytest.approx(9 / 7)
 
 
@@ -145,7 +144,7 @@ def test_footprint_identity():
     for side in (2, 5, 9):
         t = HexTensor(side, 3, np.zeros((3, cell_count(side))))
         rect = embed_parallelogram(t)
-        assert rect.data.size == (2 * side - 1) ** 2 * 3
+        assert rect.size == (2 * side - 1) ** 2 * 3
     # cell ratio tends to 3/4
     assert abs(cell_count(500) / (2 * 500 - 1) ** 2 - 0.75) < 1e-2
 
@@ -166,7 +165,7 @@ def _rect_geometries(seed, count):
 
 def test_rect_conv_all_matches_reference():
     for x, bank, s in _rect_geometries(11, 60):
-        want = rect_conv_reference(RectTensor(x), zeroout_filter(bank), s).data
+        want = rect_conv_reference(x, zeroout_filter(bank), s)
         assert rel_err(_rect_conv_all(x, bank, s), want) <= 1e-10
 
 
