@@ -3,8 +3,8 @@ and the space report.
 
 Timing protocol: one warm-up call, then the median of ``reps`` timed
 repetitions on a monotonic clock.  MAC counts come from the kernels'
-own counters; byte counts are the actual array allocations (for the
-native window matrix, the largest block ``conv_valid`` builds).
+own counters; byte counts are the actual array allocations (for a
+window matrix, the largest block the lowering builds).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .instrument import MacMeter
 from .nn import PRESETS, TrainConfig, build_network, make_two_class_dataset, train_step
 from . import ops
 from .ops import HexFilterBank, conv_valid, valid_geometry
-from .zeronet import train_step_zeroout
+from .zeronet import _rect_conv_all, train_step_zeroout
 from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
 
 __all__ = [
@@ -78,7 +78,9 @@ def bench_conv(
     reps: int = 5,
     seed: int = 0,
 ) -> list[BenchResult]:
-    """Time the hex convolution and the ZeroOut reference."""
+    """Time the hex convolution, the ZeroOut reference (the nested-loop
+    oracle) and the fair ZeroOut lowering (``zeronet``'s blocked BLAS
+    product), each from a hex tensor to hex outputs."""
     rng = np.random.default_rng(seed)
     results = []
     for side in sizes:
@@ -122,6 +124,20 @@ def bench_conv(
                 case_id, "zeroout_ref", side, filter_side, stride, channels, filters,
                 reps, time_zero, macs_zero, rect_out_cells,
                 rect.nbytes, 0, zbank.weights.nbytes,
+            )
+        )
+
+        def fair():
+            return extract_hex(_rect_conv_all(embed_parallelogram(t), bank, stride), geom.output_side)
+
+        with MacMeter() as meter:
+            fair()
+        fair_bytes = min(rect_out_cells, ops.PATCH_BLOCK) * channels * zbank.span**2 * rect.itemsize
+        results.append(
+            BenchResult(
+                case_id, "zeroout_fair", side, filter_side, stride, channels, filters,
+                reps, _median_time(fair, reps), meter.macs, rect_out_cells,
+                rect.nbytes, fair_bytes, zbank.weights.nbytes,
             )
         )
     return results

@@ -23,6 +23,7 @@ from .grid import (
     HexTensor,
     cell_count,
     cells,
+    check_int,
     offset_table,
     reflect_permutation,
 )
@@ -65,6 +66,8 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
 
     All other cells are zero, so the total mass is preserved.
     """
+    check_int(stride, "stride")
+    check_int(target_side, "target side")
     expected = (delta.side - 1) * stride + 1
     if target_side != expected:
         raise ValueError(

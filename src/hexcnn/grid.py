@@ -39,11 +39,17 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def check_int(value, what: str, least: int = 1) -> int:
+def check_int(value, what: str, least: int | None = 1) -> int:
     """``value`` as an int: a Python or numpy integer (not a bool) of at
-    least ``least``; anything else raises ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    least ``least`` (of any size when ``least`` is None); anything else
+    raises ``ValueError``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or (least is not None and value < least)
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -56,6 +62,7 @@ def cell_count(side: int) -> int:
 def row_bounds(side: int, u: int) -> tuple[int, int]:
     """Inclusive column range (v_min, v_max) of row ``u``."""
     check_int(side, "side length")
+    check_int(u, "row", None)
     if not 0 <= u <= 2 * side - 2:
         raise ValueError(f"row {u} out of range for side {side}")
     return max(0, u - side + 1), min(2 * side - 2, u + side - 1)
@@ -64,13 +71,17 @@ def row_bounds(side: int, u: int) -> tuple[int, int]:
 def col_bounds(side: int, v: int) -> tuple[int, int]:
     """Inclusive row range (u_min, u_max) of column ``v``."""
     check_int(side, "side length")
+    check_int(v, "column", None)
     if not 0 <= v <= 2 * side - 2:
         raise ValueError(f"column {v} out of range for side {side}")
     return max(0, v - side + 1), min(2 * side - 2, v + side - 1)
 
 
 def is_valid_cell(side: int, u: int, v: int) -> bool:
+    """Whether (u, v) is a cell of the hexagon; coordinates must be integers."""
     check_int(side, "side length")
+    check_int(u, "row", None)
+    check_int(v, "column", None)
     if not 0 <= u <= 2 * side - 2:
         return False
     return max(0, u - side + 1) <= v <= min(2 * side - 2, u + side - 1)

@@ -22,16 +22,19 @@ check that head on their own.
 
 The trunk lowers convolution the way the native kernels do, in its own
 code: a cached tap-major (taps, patches) window table, so one
-``np.take`` yields the contiguous (channels*k*k, patches) window matrix;
-one ``matmul.gemm`` for the forward product, one for the filter
-gradient, and a col2im input gradient (one ``gemm``, then a per-channel
-``np.bincount`` scatter through the same table).  Pool errors return
-along the hex-window tables by ``np.bincount`` too.  Every product is
-metered like the native path's, and the input gradient does exactly
-the forward product's MACs.  Each hex filter bank is packed into its
-corner-zeroed rectangles once, on first use, not per sample and pass
-(``_packed``).  The trunk builds each window matrix whole; only the
-native kernels block it.
+``np.take`` yields a contiguous (channels*k*k, patches) window matrix.
+Like the native kernels it builds that matrix for at most
+``ops.PATCH_BLOCK`` patches at a time (``ops.patch_blocks``): the
+forward writes one ``matmul.gemm`` per block into the block's output
+columns, the filter gradient sums one product per block, and the col2im
+input gradient (a ``gemm``, then a per-channel ``np.bincount`` scatter
+through the same table) adds each block into the input error before the
+next block is built.  Pool windows are small and are gathered whole;
+their errors return along the hex-window tables by ``np.bincount`` too.
+Every product is metered like the native path's, and the input gradient
+does exactly the forward product's MACs.  Each hex filter bank is packed
+into its corner-zeroed rectangles once, on first use, not per sample and
+pass (``_packed``).
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -47,7 +50,7 @@ import numpy as np
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import Network, TrainConfig, _act, _backward_with, _forward_with, apply_gradients
-from .ops import HexFilterBank
+from .ops import HexFilterBank, patch_blocks
 from .zeroout import (
     ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
 )
@@ -83,13 +86,12 @@ def _rect_hexwin_gather(input_side: int, window_side: int, stride: int, output_s
     return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
 
 
-def _scatter_add(values: np.ndarray, g: np.ndarray, size: int) -> np.ndarray:
-    """Sum (channels, *g.shape) values into the flat offsets ``g``, per channel."""
+def _scatter_add(out: np.ndarray, values: np.ndarray, g: np.ndarray) -> None:
+    """Add (channels, *g.shape) values into the flat offsets ``g`` of the
+    (channels, cells) array ``out``, per channel."""
     idx = g.ravel()
-    out = np.empty((values.shape[0], size))
     for c, row in enumerate(values.reshape(values.shape[0], -1)):
-        out[c] = np.bincount(idx, weights=row, minlength=size)
-    return out
+        out[c] += np.bincount(idx, weights=row, minlength=out.shape[1])
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and
@@ -111,20 +113,33 @@ def _packed(bank: HexFilterBank) -> tuple[ZeroOutFilterBank, np.ndarray]:
     return hit
 
 
-def _window_matrix(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """The (C*k*k, patches) window matrix of a (C, h, w) array."""
+def _window_matrix(x: np.ndarray, k: int, stride: int, patches: slice) -> np.ndarray:
+    """The (C*k*k, len(patches)) window matrix of the windows ``patches``
+    of a (C, h, w) array."""
     c, h, w = x.shape
-    g = _rect_windows(h, w, k, stride)
+    g = _rect_windows(h, w, k, stride)[:, patches]
     return np.take(x.reshape(c, -1), g, axis=1).reshape(c * k * k, -1)
 
 
 def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarray:
     """Strided cross-correlation with the packed bank over every
-    rectangular anchor, plus bias."""
+    rectangular anchor, plus bias; one product per block of patches,
+    each written into its columns of the output."""
     zbank, rows = _packed(bank)
     k = zbank.span
-    y = gemm(rows, _window_matrix(x, k, stride)) + zbank.bias[:, None]
-    return y.reshape(zbank.filters, (x.shape[1] - k) // stride + 1, -1)
+    out_h = (x.shape[1] - k) // stride + 1
+    p = out_h * ((x.shape[2] - k) // stride + 1)
+    y = None
+    for b in patch_blocks(p):
+        cols = _window_matrix(x, k, stride, b)
+        if y is None:
+            # made after the first take: np.take copies the read-only
+            # window table, and that copy is gone by now
+            y = np.empty((zbank.filters, p))
+        gemm(rows, cols, out=y[:, b])
+        del cols  # before the next block's is built
+    y += zbank.bias[:, None]
+    return y.reshape(zbank.filters, out_h, -1)
 
 
 def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, shape) -> np.ndarray:
@@ -132,9 +147,13 @@ def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, s
     on a (C, h, w) input; cells no window reaches get zero."""
     c, h, w = shape
     zbank, rows = _packed(bank)
-    dcols = gemm(rows.T, d.reshape(d.shape[0], -1))  # (C*k*k, P)
     g = _rect_windows(h, w, zbank.span, stride)
-    return _scatter_add(dcols.reshape(c, -1), g, h * w).reshape(shape)
+    d = d.reshape(d.shape[0], -1)
+    out = np.zeros((c, h * w))
+    for b in patch_blocks(g.shape[1]):
+        # (C*k*k, patches in b) window errors, dropped before the next block's
+        _scatter_add(out, gemm(rows.T, d[:, b]).reshape(c, -1), g[:, b])
+    return out.reshape(shape)
 
 
 def forward_zeroout(net: Network, batch):
@@ -188,16 +207,22 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
             share = d.reshape(c, -1)[:, _hex_flat(out_side)] / g.shape[0]
             share = np.broadcast_to(share[:, None, :], (c, *g.shape))
-            d = _scatter_add(share, g, (2 * side - 1) ** 2).reshape(c, 2 * side - 1, -1)
+            d = np.zeros((c, (2 * side - 1) ** 2))
+            _scatter_add(d, share, g)
+            d = d.reshape(c, 2 * side - 1, -1)
         else:  # hexconv
             x, z = cache[i]
             if spec.activation == "relu":
                 d = d * (z > 0)
             k = 2 * spec.window - 1
             f = d.shape[0]
+            d2 = d.reshape(f, -1)
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
-            dw = gemm(d.reshape(f, -1), _window_matrix(x, k, spec.stride).T)
+            dw = sum(
+                gemm(d2[:, b], _window_matrix(x, k, spec.stride, b).T)
+                for b in patch_blocks(d2.shape[1])
+            )
             dw = dw.reshape(f, x.shape[0], k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]

@@ -75,7 +75,7 @@ def test_bench_conv_small(capsys):
     header = rows[0]
     assert header[0] == "case_id" and "wall_time_s" in header
     body = rows[1:]
-    assert len(body) == 4  # two sizes x two methods
+    assert len(body) == 6  # two sizes x three methods
     rec = {(r[0], r[1]): dict(zip(header, r)) for r in body}
     hexr = rec[("conv_L16_k2_s1", "hex_direct")]
     zero = rec[("conv_L16_k2_s1", "zeroout_ref")]
@@ -83,6 +83,11 @@ def test_bench_conv_small(capsys):
     hex_per = int(hexr["macs"]) / int(hexr["output_cells"])
     zero_per = int(zero["macs"]) / int(zero["output_cells"])
     assert hex_per / zero_per == pytest.approx(7 / 9)
+    # the fair lowering does the oracle's MACs over the same 29x29 anchors,
+    # in one block of window matrix: 841 patches x 3 channels x 3x3 taps
+    fair = rec[("conv_L16_k2_s1", "zeroout_fair")]
+    assert fair["macs"] == zero["macs"] and fair["output_cells"] == zero["output_cells"] == "841"
+    assert int(fair["bytes_im2col"]) == 841 * 3 * 9 * 8
 
 
 def test_bench_conv_im2col_bytes_are_the_largest_block(capsys):

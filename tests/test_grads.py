@@ -61,6 +61,14 @@ def test_upsample_rejects_bad_target():
         upsample_stride(t, 3, 5)
 
 
+@pytest.mark.parametrize("stride, target_side", [(0, 1), (2.0, 3), (2, 3.0)])
+def test_upsample_rejects_zero_and_float_arguments(stride, target_side):
+    # stride 0 would send all seven values to one anchor and lose their mass
+    t = HexTensor(2, 1, np.arange(1.0, 8.0))
+    with pytest.raises(ValueError, match="integer"):
+        upsample_stride(t, stride, target_side)
+
+
 def test_transpose_reflect_swaps_and_reflects():
     rng = np.random.default_rng(1)
     bank = HexFilterBank.random(rng, 3, 2, 2)

@@ -162,6 +162,13 @@ _T3 = HexTensor(3, 1, np.zeros(19))
             lambda: rect_conv_reference(np.zeros((1, 3, 3)), zeroout_filter(HexFilterBank(1, [[[1.0]]])), 1.0),
             id="rect_conv_stride",
         ),
+        pytest.param(lambda: flat_offset(2, 0.5, 0), id="flat_offset_row"),
+        pytest.param(lambda: flat_offset(2, 1, 1.0), id="flat_offset_column"),
+        pytest.param(lambda: is_valid_cell(2, 1.5, 1), id="is_valid_cell_row"),
+        pytest.param(lambda: is_valid_cell(2, 1, True), id="is_valid_cell_bool_column"),
+        pytest.param(lambda: point_reflect(2, 0.5, 0.5), id="point_reflect"),
+        pytest.param(lambda: row_bounds(2, 1.0), id="row_bounds"),
+        pytest.param(lambda: col_bounds(2, np.float64(1.0)), id="col_bounds"),
     ],
 )
 def test_integer_arguments_reject_floats_and_bools(call):
@@ -171,6 +178,8 @@ def test_integer_arguments_reject_floats_and_bools(call):
 
 def test_integer_arguments_accept_numpy_integers():
     assert cell_count(np.int64(2)) == 7
+    assert flat_offset(2, np.int64(2), np.int32(1)) == 4
+    assert is_valid_cell(2, -1, 0) is False  # an integer off the hexagon is no error here
     assert pad_rings(HexTensor(np.int32(1), np.uint8(1), [1.0]), np.int64(1)).side == 2
 
 

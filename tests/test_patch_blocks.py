@@ -1,18 +1,19 @@
 """The conv lowering split into many window-matrix blocks.
 
-``ops.PATCH_BLOCK`` is set to 5, a prime, so every convolution below
-runs several blocks and the last one is short.  The existing oracle,
-adjoint, finite-difference, float32, MAC-count and cross-layout tests
-are imported and run again under that block size, each with its own
-tolerance unchanged.
+``ops.PATCH_BLOCK`` is set to 5, a prime, so every convolution below,
+native or ZeroOut, runs several blocks and the last one is short.  The
+existing oracle, adjoint, finite-difference, float32, MAC-count and
+cross-layout tests are imported and run again under that block size,
+each with its own tolerance unchanged.
 """
 
 import numpy as np
 import pytest
 
-from hexcnn import grads, matmul, ops
+from hexcnn import grads, matmul, ops, zeronet
 from hexcnn.grid import HexTensor
 from hexcnn.im2col import im2col
+from hexcnn.nn import LayerSpec, NetworkConfig, build_network, make_two_class_dataset
 from hexcnn.ops import HexFilterBank
 
 from test_grads import (  # noqa: F401  (collected again here)
@@ -24,11 +25,17 @@ from test_grads import (  # noqa: F401  (collected again here)
 )
 from test_nn import (  # noqa: F401
     test_composed_network_gradient_finite_difference,
+    test_zeroout_filter_gradient_is_mac_metered,
     test_zeroout_gradients_match_on_composed_network,
     test_zeroout_training_trajectory_matches,
 )
 from test_ops import test_conv_accumulation_is_mac_counted, test_conv_single_precision_path  # noqa: F401
-from test_zeroout import test_mac_overhead_ratio, test_oracle_identity_randomized  # noqa: F401
+from test_zeroout import (  # noqa: F401
+    test_mac_overhead_ratio,
+    test_oracle_identity_randomized,
+    test_rect_conv_all_matches_reference,
+    test_rect_conv_backward_input_is_adjoint,
+)
 
 BLOCK = 5
 
@@ -71,6 +78,26 @@ def test_every_conv_product_runs_block_by_block(monkeypatch):
 
     products = _counting(monkeypatch, grads, "gemm")
     grads.conv_backward_input(out, bank, 1, 5)
+    assert products == want
+
+
+def test_every_zeroout_conv_product_runs_block_by_block(monkeypatch):
+    # a side-5 hexagon embeds in 9x9; 3x3 windows: 49 patches, 9 blocks of 5, then 4
+    net = build_network(
+        NetworkConfig(5, 2, (LayerSpec.conv(3, 2, 1), LayerSpec.flatten(), LayerSpec.dense(2), LayerSpec.softmax()))
+    )
+    batch, labels = make_two_class_dataset(np.random.default_rng(23), 1, 5, 2)
+    want = [5] * 9 + [4]
+
+    cols = _counting(monkeypatch, zeronet, "_window_matrix")
+    logits, caches = zeronet.forward_zeroout(net, batch)
+    assert cols == want
+    zeronet.backward_zeroout(net, logits, caches, labels)
+    assert cols == want * 2  # then the filter gradient's
+
+    products = _counting(monkeypatch, zeronet, "gemm")
+    d = np.random.default_rng(24).standard_normal((3, 7, 7))
+    zeronet._rect_conv_backward_input(d, net.params[0], 1, (2, 9, 9))
     assert products == want
 
 
