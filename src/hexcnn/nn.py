@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .grads import (
-    apply_activation_backward,
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,
@@ -222,6 +221,13 @@ def _act(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _relu_mask(z: np.ndarray, kind: str):
+    """What backward reads of an activation: the boolean ``z > 0`` for
+    relu (one byte a value, where ``z`` takes eight), nothing for
+    identity.  ``d * mask`` has the bits of ``d * (z > 0)``."""
+    return z > 0 if kind == "relu" else None
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
@@ -261,16 +267,19 @@ def _head_start(net: Network) -> int:
 
 
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
-    """One sample through layers [0, stop): its flat features and cache."""
+    """One sample through layers [0, stop): its flat features and cache,
+    one entry per layer holding only what ``_trunk_backward`` reads (a
+    conv keeps its input and its relu mask, never its pre-activation)."""
     x = t
     cache = []
     for i, spec in enumerate(net.cfg.layers[:stop]):
         if spec.kind == "hexconv":
             z = conv_valid(x, net.params[i], spec.stride)
-            cache.append((x, z))
+            cache.append((x, _relu_mask(z.data, spec.activation)))
             a = _act(z.data, spec.activation)
             a.setflags(write=False)
             x = HexTensor(z.side, z.channels, a)
+            del z  # not live beside the next conv's output
         elif spec.kind == "hexmaxpool":
             out, amap = maxpool(x, spec.window, spec.stride, floor_mode=True)
             cache.append(amap)
@@ -286,9 +295,11 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
 
 @dataclass(frozen=True, eq=False)
 class _Caches:
-    """What ``forward`` keeps for ``backward``: per sample, one trunk
-    cache entry per trunk layer; per dense layer of the head, its index
-    and its (B, in) inputs and (B, units) pre-activations."""
+    """What ``forward`` keeps for ``backward``: per sample, a list of one
+    trunk cache entry per trunk layer; per dense layer of the head, its
+    index, its (B, in) inputs and its (B, units) relu mask (None for
+    identity).  ``backward`` consumes both lists, popping each entry as
+    it walks it, so the caches serve one ``backward`` only."""
 
     trunk: list
     head: list
@@ -300,16 +311,21 @@ class _Caches:
 def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Caches]:
     """``forward`` with the per-sample trunk passed in: ``trunk_forward(net,
     t, stop)`` returns one sample's flat features and its trunk cache.
-    The dense head is the same algebra on every layout."""
+    The dense head is the same algebra on every layout.  An empty batch
+    or an item that is not a ``HexTensor`` raises ``ValueError``."""
     stop = _head_start(net)
     features = []
     trunk = []
     for t in batch:
+        if not isinstance(t, HexTensor):
+            raise ValueError(f"batch items must be HexTensors, got {type(t).__name__}")
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
         x, cache = trunk_forward(net, t, stop)
         features.append(x)
         trunk.append(cache)
+    if not trunk:
+        raise ValueError("batch is empty")
     x = np.stack(features)
     head = []
     for i in range(stop, len(net.cfg.layers)):
@@ -317,7 +333,7 @@ def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Cach
         if spec.kind == "dense":
             w, b = net.params[i]
             z = gemm(x, w.T) + b
-            head.append((i, x, z))
+            head.append((i, x, _relu_mask(z, spec.activation)))
             x = _act(z, spec.activation)
         # softmax_xent: loss layer, logits pass through
     return x, _Caches(trunk, head)
@@ -334,26 +350,32 @@ def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
     return _forward_with(net, batch, _trunk_forward)
 
 
-def _trunk_backward(net: Network, cache, d: np.ndarray, grads) -> None:
-    """One sample's feature error back through its trunk (one cache entry per layer)."""
-    for i in reversed(range(len(cache))):
+def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
+    """One sample's feature error back through its trunk, popping each
+    layer's cache entry as it walks it (the list ends empty)."""
+    while cache:
+        i = len(cache) - 1
         spec = net.cfg.layers[i]
         if spec.kind == "flatten":
-            side, channels = cache[i]
+            side, channels = cache.pop()
             d = HexTensor(side, channels, d.reshape(channels, -1))
         elif spec.kind == "hexmaxpool":
-            d = maxpool_backward(d, cache[i])
+            d = maxpool_backward(d, cache.pop())
         elif spec.kind == "hexavgpool":
-            d = avgpool_backward(d, spec.window, spec.stride, cache[i])
+            d = avgpool_backward(d, spec.window, spec.stride, cache.pop())
         else:  # hexconv
-            x, z = cache[i]
-            d = apply_activation_backward(d, z, spec.activation)
+            x, mask = cache.pop()
+            if mask is not None:
+                out = d.data * mask
+                out.setflags(write=False)
+                d = HexTensor(d.side, d.channels, out)
             gw, gb = grads[i]
             dw, db = conv_backward_filter(x, d, spec.stride, spec.window)
             gw += dw
             gb += db
+            del x, mask  # released before the input gradient is built
             if i > 0:
-                d = conv_backward_input(d, net.params[i], spec.stride, x.side)
+                d = conv_backward_input(d, net.params[i], spec.stride, net.shapes[i][1])
 
 
 def _trunk_grads(net: Network) -> list:
@@ -378,24 +400,42 @@ def _class_indices(labels, batch: int, classes: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
-    """``backward`` with the per-sample trunk passed in:
-    ``trunk_backward(net, cache, d, grads)`` walks one sample's feature
-    error back through its trunk and adds to the conv gradients."""
-    if net.cfg.layers[-1].kind != "softmax_xent":
-        raise ValueError("backward requires a softmax_xent head")
-    n = len(caches)
-    labels = _class_indices(labels, n, logits.shape[1])
-    loss, d = _xent_batch(logits, labels)
-    grads = _trunk_grads(net)
-    for i, x, z in reversed(caches.head):
-        if net.cfg.layers[i].activation == "relu":
-            d = d * (z > 0)
+def _head_backward(net: Network, head: list, d: np.ndarray, grads) -> np.ndarray:
+    """The logits' error back through the dense head, popping each
+    layer's cache entry as it walks it; returns the (B, features) error."""
+    while head:
+        i, x, mask = head.pop()
+        if mask is not None:
+            d = d * mask
         w, _ = net.params[i]
         grads[i] = (gemm(d.T, x), d.sum(axis=0))
         d = gemm(d, w)
-    for cache, row in zip(caches.trunk, d):
-        trunk_backward(net, cache, row, grads)
+    return d
+
+
+def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
+    """``backward`` with the per-sample trunk passed in:
+    ``trunk_backward(net, cache, d, grads)`` walks one sample's feature
+    error back through its trunk cache, emptying it, and adds to the
+    conv gradients.  Consumes ``caches``; every check runs first."""
+    if net.cfg.layers[-1].kind != "softmax_xent":
+        raise ValueError("backward requires a softmax_xent head")
+    n = len(caches)
+    if not n:
+        raise ValueError("caches were already consumed by a backward")
+    classes = net.shapes[-1][1]
+    if np.shape(logits) != (n, classes):
+        raise ValueError(
+            f"logits of shape {np.shape(logits)} do not match the caches' ({n}, {classes})"
+        )
+    labels = _class_indices(labels, n, classes)
+    loss, d = _xent_batch(logits, labels)
+    grads = _trunk_grads(net)
+    d = _head_backward(net, caches.head, d, grads)
+    trunk = caches.trunk
+    trunk.reverse()  # popped from the end: samples in batch order
+    for row in d:
+        trunk_backward(net, trunk.pop(), row, grads)
     return loss, grads
 
 
@@ -404,7 +444,10 @@ def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
 
     Softmax cross-entropy and the dense head run once over the batch;
     then each sample's row of the feature error walks back through its
-    own trunk.
+    own trunk.  ``backward`` consumes ``caches``, dropping each layer's
+    entry once walked (a conv's input as soon as its filter gradient is
+    formed), so a second call on the same caches raises ``ValueError``;
+    so do logits that are not (samples, classes) of the caches.
     """
     return _backward_with(net, logits, caches, labels, _trunk_backward)
 
@@ -423,9 +466,9 @@ def apply_gradients(net: Network, grads, learning_rate: float) -> None:
 
 
 def train_step(net: Network, batch, labels, tc: TrainConfig) -> float:
-    """One SGD step; returns the batch loss before the update."""
-    logits, caches = forward(net, batch)
-    loss, grads = backward(net, logits, caches, labels)
+    """One SGD step; returns the batch loss before the update.  No cache
+    is alive during the update."""
+    loss, grads = backward(net, *forward(net, batch), labels)
     apply_gradients(net, grads, tc.learning_rate)
     return loss
 

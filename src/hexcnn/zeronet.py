@@ -36,6 +36,13 @@ does exactly the forward product's MACs.  Each hex filter bank is packed
 into its corner-zeroed rectangles once, on first use, not per sample and
 pass (``_packed``).
 
+The backward cache holds what the native trunk's does: a conv keeps its
+embedded input and, for relu, the boolean mask of its hex-masked output
+(``_relu_mask``), never the float64 pre-activation; ``nn``'s driver
+hands ``_trunk_backward`` each sample's cache list, which pops every
+entry as it walks it and drops a conv's input once its filter gradient
+is formed.
+
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
 """
@@ -49,7 +56,9 @@ import numpy as np
 
 from .grid import HexTensor, cells
 from .matmul import gemm
-from .nn import Network, TrainConfig, _act, _backward_with, _forward_with, apply_gradients
+from .nn import (
+    Network, TrainConfig, _act, _backward_with, _forward_with, _relu_mask, apply_gradients,
+)
 from .ops import HexFilterBank, patch_blocks
 from .zeroout import (
     ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
@@ -168,9 +177,10 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         side, out_side = net.shapes[i][1], net.shapes[i + 1][1]
         if spec.kind == "hexconv":
             z = _rect_conv_all(x, net.params[i], spec.stride)
-            z = z * hex_mask(out_side)
-            cache.append((x, z))
+            z *= hex_mask(out_side)
+            cache.append((x, _relu_mask(z, spec.activation)))
             x = _act(z, spec.activation)
+            del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
             win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
@@ -189,20 +199,21 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
 
 
 def _trunk_backward(net: Network, cache, d, grads) -> None:
-    for i in reversed(range(len(cache))):
+    while cache:
+        i = len(cache) - 1
         spec = net.cfg.layers[i]
         if spec.kind == "flatten":
-            side, channels = cache[i]
+            side, channels = cache.pop()
             d = _to_rect(d.reshape(channels, -1), side)
         elif spec.kind == "hexmaxpool":
-            side, out_side, winners = cache[i]
+            side, out_side, winners = cache.pop()
             c, n = d.shape[0], (2 * side - 1) ** 2
             idx = winners + n * np.arange(c)[:, None]
             dvals = d.reshape(c, -1)[:, _hex_flat(out_side)]
             d = np.bincount(idx.ravel(), weights=dvals.ravel(), minlength=c * n)
             d = d.reshape(c, 2 * side - 1, -1)
         elif spec.kind == "hexavgpool":
-            side, out_side = cache[i]
+            side, out_side = cache.pop()
             c = d.shape[0]
             g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
             share = d.reshape(c, -1)[:, _hex_flat(out_side)] / g.shape[0]
@@ -211,9 +222,9 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             _scatter_add(d, share, g)
             d = d.reshape(c, 2 * side - 1, -1)
         else:  # hexconv
-            x, z = cache[i]
-            if spec.activation == "relu":
-                d = d * (z > 0)
+            x, mask = cache.pop()
+            if mask is not None:
+                d = d * mask
             k = 2 * spec.window - 1
             f = d.shape[0]
             d2 = d.reshape(f, -1)
@@ -228,8 +239,10 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=(1, 2))
+            shape = x.shape
+            del x, mask  # released before the input gradient is built
             if i > 0:
-                d = _rect_conv_backward_input(d, net.params[i], spec.stride, x.shape)
+                d = _rect_conv_backward_input(d, net.params[i], spec.stride, shape)
                 d *= hex_mask(net.shapes[i][1])
 
 
@@ -241,7 +254,6 @@ def backward_zeroout(net: Network, logits, caches, labels):
 
 def train_step_zeroout(net: Network, batch, labels, tc: TrainConfig) -> float:
     """SGD step driven entirely by the embedded kernels."""
-    logits, caches = forward_zeroout(net, batch)
-    loss, grads = backward_zeroout(net, logits, caches, labels)
+    loss, grads = backward_zeroout(net, *forward_zeroout(net, batch), labels)
     apply_gradients(net, grads, tc.learning_rate)
     return loss

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,9 +24,9 @@ from hexcnn.nn import (
     train_step,
     xent_loss_grad,
 )
-from hexcnn.ops import conv_valid, maxpool
+from hexcnn.ops import PATCH_BLOCK, conv_valid, maxpool
 from hexcnn.instrument import MacMeter
-from hexcnn import zeronet
+from hexcnn import nn, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
 
 
@@ -241,6 +242,75 @@ def test_backward_requires_softmax_head():
         assert logits.shape == (2, 3)
         with pytest.raises(ValueError, match="softmax_xent"):
             bwd(net, logits, caches, labels)
+
+
+def test_backward_rejects_logits_that_do_not_match_the_caches():
+    # logits for 2 samples against caches for 3 used to raise IndexError,
+    # logits for 3 against caches for 2 a gemm shape error, and 1-D
+    # logits "tuple index out of range"
+    net = build_network(tiny_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 5)
+    for fwd, bwd in LAYOUTS:
+        logits, caches = fwd(net, batch)
+        _, two = fwd(net, batch[:2])
+        for bad, cc, y in ((logits[:2], caches, labels), (logits, two, labels[:2]), (logits[0], caches, labels)):
+            with pytest.raises(ValueError, match="logits"):
+                bwd(net, bad, cc, y)
+        # the failed calls consumed nothing
+        loss, _ = bwd(net, logits, caches, labels)
+        assert np.isfinite(loss)
+
+
+def test_backward_consumes_its_caches():
+    net = build_network(composed_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
+    for fwd, bwd in LAYOUTS:
+        logits, caches = fwd(net, batch)
+        samples = list(caches.trunk)
+        bwd(net, logits, caches, labels)
+        assert not caches.trunk and not caches.head and not any(samples)
+        # a second call raises before it forms any product
+        with MacMeter() as meter, pytest.raises(ValueError, match="consumed"):
+            bwd(net, logits, caches, labels)
+        assert meter.macs == 0
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch, layout):
+    # composed_cfg's second conv (layer 2) reads the first pool's output;
+    # that array lives in the cache alone, so once backward has formed
+    # the conv's filter gradient nothing keeps it
+    net = build_network(composed_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
+    (fwd, bwd), module, name = {
+        "native": (LAYOUTS[0], nn, "conv_backward_input"),
+        "zeroout": (LAYOUTS[1], zeronet, "_rect_conv_backward_input"),
+    }[layout]
+    logits, caches = fwd(net, batch)
+    inputs = [weakref.ref(sample[2][0]) for sample in caches.trunk]
+    live = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        live.append(sum(r() is not None for r in inputs))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    bwd(net, logits, caches, labels)
+    # one call per sample, in batch order: the sample's own input and
+    # every earlier one are gone, the later ones still cached
+    assert live == [2, 1, 0]
+
+
+def test_forward_rejects_empty_batches_and_items_that_are_not_tensors():
+    # used to raise numpy's "need at least one array to stack" and an
+    # AttributeError
+    net = build_network(tiny_cfg())
+    for fwd, _ in LAYOUTS:
+        with pytest.raises(ValueError, match="empty"):
+            fwd(net, [])
+        with pytest.raises(ValueError, match="HexTensor"):
+            fwd(net, [np.zeros(5)])
 
 
 def test_forward_requires_flatten():
@@ -473,3 +543,73 @@ def test_zeroout_filter_gradient_is_mac_metered():
         conv = [batch_size * m for m in per_sample]
         assert fwd.macs == sum(conv) + dense
         assert bwd.macs == sum(conv) + sum(conv[1:]) + 2 * dense
+
+
+def test_vgg13_trajectory_matches_zeroout():
+    # a deep conv->conv stack: each conv's cached input is the previous
+    # conv's activation, released as backward walks it
+    cfg = hex_vgg13(94, 2, seed=19, width_scale=1 / 16)
+    rng = np.random.default_rng(20)
+    data, labels = make_two_class_dataset(rng, 4, 94, 3)
+    tc = TrainConfig(0.05)
+    net_a = build_network(cfg)
+    net_b = build_network(cfg)
+    for s in range(2):
+        batch, y = data[2 * s : 2 * s + 2], labels[2 * s : 2 * s + 2]
+        la = train_step(net_a, batch, y, tc)
+        lb = train_step_zeroout(net_b, batch, y, tc)
+        assert abs(la - lb) <= 1e-8 * max(abs(la), abs(lb))
+        for a, b in zip(nn._param_arrays(net_a), nn._param_arrays(net_b)):
+            assert np.abs(a - b).max() <= 1e-8 * max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+
+
+def _step_bytes_bound(net, batch, values, taps):
+    """Bytes one SGD step may hold at once if each conv caches only its
+    input (8 bytes a value) and its relu mask (1 byte an output cell).
+
+    ``values(side)`` is the values per channel of a side-``side``
+    activation on the layout and ``taps(window)`` the taps of a
+    side-``window`` filter.  Per sample: the conv inputs and masks, and
+    the max-pool winners (8 bytes an output cell; pool windows are
+    hexagons on both layouts).  Once: one layer's working set, that is
+    its window block twice (the block and ``np.take``'s copy of its
+    index table) and three output-sized arrays (output, activation,
+    error), and the head's batch inputs, outputs and parameters.
+    """
+    cache = block = out = head = 0
+    for i, spec in enumerate(net.cfg.layers):
+        before, after = net.shapes[i], net.shapes[i + 1]
+        if spec.kind == "hexconv":
+            (_, side, c), (_, out_side, f) = before, after
+            cache += 8 * c * values(side) + f * values(out_side)
+            block = max(block, 8 * c * taps(spec.window) * min(values(out_side), PATCH_BLOCK))
+            out = max(out, 8 * f * values(out_side))
+        elif spec.kind == "hexmaxpool":
+            (_, _, c), (_, out_side, _) = before, after
+            cache += 8 * c * cell_count(out_side)
+            block = max(block, 8 * c * cell_count(spec.window) * cell_count(out_side))
+        elif spec.kind == "dense":
+            fan_in, units = before[1], after[1]
+            head += 8 * (batch * (fan_in + units) + (fan_in + 1) * units)
+    return batch * cache + 2 * block + 3 * out + head
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_train_step_peak_holds_only_what_backward_reads(layout):
+    # caching each conv's float64 pre-activation (8 bytes an output cell,
+    # not 1) puts both layouts' peaks well over this bound
+    step, values, taps = {
+        "native": (train_step, cell_count, cell_count),
+        "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2),
+    }[layout]
+    net = build_network(hex_lenet(17, 2, seed=3))
+    batch, labels = make_two_class_dataset(np.random.default_rng(21), 8, 17)
+    tc = TrainConfig(0.01)
+    step(net, batch, labels, tc)  # builds the cached window tables
+    tracemalloc.start()
+    try:
+        step(net, batch, labels, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _step_bytes_bound(net, 8, values, taps)
