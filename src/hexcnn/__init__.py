@@ -39,7 +39,6 @@ from .zeroout import (
     zeroout_to_hex,
 )
 from .resample import (
-    HexLatticeGeometry,
     OverheadReport,
     SquareImage,
     min_cover_side,

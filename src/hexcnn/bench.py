@@ -1,10 +1,11 @@
-"""Benchmark drivers: convolution micro-benchmarks, training benchmarks,
-and the space report.
+"""Benchmark drivers: convolution micro-benchmarks and the space report.
 
 Timing protocol: one warm-up call, then the median of ``reps`` timed
 repetitions on a monotonic clock.  MAC counts come from the kernels'
-own counters; byte counts are the actual array allocations (for a
-window matrix, the largest block the lowering builds).
+own counters, read over the warm-up call; byte counts are the actual
+array allocations (for a window matrix, the largest block the lowering
+builds).  Training time on both layouts is measured by hexbench's
+``lenet-train`` workload.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 
 from .grid import HexTensor, cell_count
 from .instrument import MacMeter
-from .nn import PRESETS, TrainConfig, build_network, make_two_class_dataset, train_step
 from . import ops
 from .ops import HexFilterBank, conv_valid, valid_geometry
-from .zeronet import _rect_conv_all, train_step_zeroout
+from .zeronet import _rect_conv_all
 from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "bench_conv",
     "SPACE_REPORT_HEADER",
     "space_report",
-    "BENCH_TRAIN_HEADER",
-    "bench_train",
 ]
 
 
@@ -59,14 +57,16 @@ class BenchResult:
 BENCH_CONV_HEADER = [f.name for f in fields(BenchResult)]
 
 
-def _median_time(fn, reps: int) -> float:
-    fn()  # warm-up
+def _measure(fn, reps: int) -> tuple[float, int]:
+    """(median seconds of ``reps`` timed calls, MACs of the warm-up call)."""
+    with MacMeter() as meter:
+        fn()  # warm-up
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return float(np.median(times)), meter.macs
 
 
 def bench_conv(
@@ -85,61 +85,36 @@ def bench_conv(
     results = []
     for side in sizes:
         try:
-            geom = valid_geometry(side, filter_side, stride)
+            out_side = valid_geometry(side, filter_side, stride).output_side
         except ValueError:
             continue  # caller reports skipped cases
         t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
         bank = HexFilterBank.random(rng, filters, channels, filter_side)
-        e_k = cell_count(filter_side)
-        hex_out = cell_count(geom.output_side)
-        case_id = f"conv_L{side}_k{filter_side}_s{stride}"
-
-        with MacMeter() as meter:
-            conv_valid(t, bank, stride)
-        macs_direct = meter.macs
-        time_direct = _median_time(lambda: conv_valid(t, bank, stride), reps)
-        im2col_bytes = min(hex_out, ops.PATCH_BLOCK) * channels * e_k * t.data.itemsize
-        results.append(
-            BenchResult(
-                case_id, "hex_direct", side, filter_side, stride, channels, filters,
-                reps, time_direct, macs_direct, hex_out,
-                t.data.nbytes, im2col_bytes, bank.weights.nbytes,
-            )
-        )
-
-        rect = embed_parallelogram(t)
         zbank = zeroout_filter(bank)
-        with MacMeter() as meter:
-            zout = rect_conv_reference(rect, zbank, stride)
-        macs_zero = meter.macs
-        rect_out_cells = zout.shape[1] * zout.shape[2]
-        time_zero = _median_time(
-            lambda: extract_hex(
-                rect_conv_reference(embed_parallelogram(t), zbank, stride), geom.output_side
-            ),
-            reps,
+        rect = embed_parallelogram(t)
+        hex_out = cell_count(out_side)
+        rect_out = ((rect.shape[1] - zbank.span) // stride + 1) ** 2
+        # (method, timed call, output cells, input, window-matrix block and filter bytes)
+        methods = (
+            ("hex_direct", lambda: conv_valid(t, bank, stride), hex_out, t.data.nbytes,
+             min(hex_out, ops.PATCH_BLOCK) * channels * cell_count(filter_side) * t.data.itemsize,
+             bank.weights.nbytes),
+            ("zeroout_ref",
+             lambda: extract_hex(rect_conv_reference(embed_parallelogram(t), zbank, stride), out_side),
+             rect_out, rect.nbytes, 0, zbank.weights.nbytes),
+            ("zeroout_fair",
+             lambda: extract_hex(_rect_conv_all(embed_parallelogram(t), bank, stride), out_side),
+             rect_out, rect.nbytes,
+             min(rect_out, ops.PATCH_BLOCK) * channels * zbank.span**2 * rect.itemsize,
+             zbank.weights.nbytes),
         )
-        results.append(
-            BenchResult(
-                case_id, "zeroout_ref", side, filter_side, stride, channels, filters,
-                reps, time_zero, macs_zero, rect_out_cells,
-                rect.nbytes, 0, zbank.weights.nbytes,
+        for method, fn, *cells_and_bytes in methods:
+            results.append(
+                BenchResult(
+                    f"conv_L{side}_k{filter_side}_s{stride}", method, side, filter_side,
+                    stride, channels, filters, reps, *_measure(fn, reps), *cells_and_bytes,
+                )
             )
-        )
-
-        def fair():
-            return extract_hex(_rect_conv_all(embed_parallelogram(t), bank, stride), geom.output_side)
-
-        with MacMeter() as meter:
-            fair()
-        fair_bytes = min(rect_out_cells, ops.PATCH_BLOCK) * channels * zbank.span**2 * rect.itemsize
-        results.append(
-            BenchResult(
-                case_id, "zeroout_fair", side, filter_side, stride, channels, filters,
-                reps, _median_time(fair, reps), meter.macs, rect_out_cells,
-                rect.nbytes, fair_bytes, zbank.weights.nbytes,
-            )
-        )
     return results
 
 
@@ -162,18 +137,21 @@ def space_report(sizes, channels: int = 3, filter_side: int = 2, stride: int = 1
 
     Input cells: hex 3x(x-1)+1 versus the (2x-1)^2 ZeroOut parallelogram
     and the (2x-1) * ceil(sqrt(3) x) Quasi-H rectangle.  Convolution
-    cells compare the window matrices each method materializes.
+    cells compare the window matrices each method materializes.  Sides
+    the convolution rejects (too small, or not tiled by the stride) get
+    no row, as in ``bench_conv``.
     """
     e_k = cell_count(filter_side)
     span_k = 2 * filter_side - 1
     rows = []
     for x in sizes:
-        if x < filter_side:
-            continue
+        try:
+            out_side = valid_geometry(x, filter_side, stride).output_side
+        except ValueError:
+            continue  # caller reports skipped cases
         hex_cells = cell_count(x)
         zero_cells = (2 * x - 1) ** 2
         quasih_cells = (2 * x - 1) * math.ceil(math.sqrt(3.0) * x)
-        out_side = (x - filter_side) // stride + 1
         hex_patches = cell_count(out_side)
         rect_out = (2 * x - 1 - span_k) // stride + 1
         rect_patches = rect_out * rect_out
@@ -194,70 +172,3 @@ def space_report(sizes, channels: int = 3, filter_side: int = 2, stride: int = 1
             ]
         )
     return rows
-
-
-BENCH_TRAIN_HEADER = [
-    "preset",
-    "side",
-    "batch",
-    "steps",
-    "reps",
-    "path",
-    "median_step_time_s",
-    "first_loss",
-    "last_loss",
-    "max_rel_loss_gap_vs_hex",
-    "time_ratio_vs_hex",
-]
-
-
-def bench_train(
-    preset: str,
-    side: int,
-    batch: int = 8,
-    steps: int = 5,
-    reps: int = 1,
-    learning_rate: float = 0.1,
-    seed: int = 0,
-):
-    """Train the same network on both layouts; time steps, compare losses."""
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    cfg = PRESETS[preset](side, 2, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    data, labels = make_two_class_dataset(rng, batch * steps, side)
-    tc = TrainConfig(learning_rate, batch)
-
-    def run(step_fn):
-        net = build_network(cfg)
-        losses = []
-        times = []
-        for s in range(steps):
-            lo = s * batch
-            t0 = time.perf_counter()
-            loss = step_fn(net, data[lo : lo + batch], labels[lo : lo + batch], tc)
-            times.append(time.perf_counter() - t0)
-            losses.append(loss)
-        return losses, times
-
-    hex_losses = zero_losses = None
-    hex_times = []
-    zero_times = []
-    for _ in range(reps):
-        hex_losses, t_h = run(train_step)
-        hex_times.extend(t_h)
-        zero_losses, t_z = run(train_step_zeroout)
-        zero_times.extend(t_z)
-    # np.max and np.maximum keep a NaN (Python's max drops it), so a
-    # diverged run cannot read as agreement between the layouts
-    h, z = np.array(hex_losses), np.array(zero_losses)
-    gap = float(np.max(np.abs(h - z) / np.maximum(np.maximum(np.abs(h), np.abs(z)), 1e-300)))
-    hex_med = float(np.median(hex_times))
-    zero_med = float(np.median(zero_times))
-    fmt = lambda x: f"{x:.6e}"
-    return [
-        [preset, side, batch, steps, reps, "hexcnn", fmt(hex_med),
-         fmt(hex_losses[0]), fmt(hex_losses[-1]), fmt(0.0), fmt(1.0)],
-        [preset, side, batch, steps, reps, "zeroout", fmt(zero_med),
-         fmt(zero_losses[0]), fmt(zero_losses[-1]), fmt(gap), fmt(zero_med / hex_med)],
-    ]

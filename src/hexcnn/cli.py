@@ -1,5 +1,6 @@
-"""Command-line interface: verification, space reports, micro-benchmarks,
-training benchmarks, and image resampling, all emitting CSV.
+"""Command-line interface: verification, space reports and convolution
+micro-benchmarks as CSV, and image resampling.  Training time on both
+layouts is measured by hexbench's ``lenet-train`` workload.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -34,11 +35,12 @@ def _cannot_write(path, exc: OSError | ValueError) -> int:
     return 2
 
 
-def _report_skipped(sizes, kept, reason: str) -> None:
+def _report_skipped(args, kept) -> None:
     """Name on stderr each requested side that produced no row."""
-    for side in sizes:
+    for side in args.sizes:
         if side not in kept:
-            print(f"skipping side {side}: {reason}", file=sys.stderr)
+            print(f"skipping side {side}: geometry invalid for filter {args.filter_side} "
+                  f"stride {args.stride}", file=sys.stderr)
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,7 +101,7 @@ def cmd_verify(args) -> int:
 
 def cmd_space_report(args) -> int:
     rows = bench.space_report(args.sizes, channels=args.channels, filter_side=args.filter_side, stride=args.stride)
-    _report_skipped(args.sizes, {r[0] for r in rows}, f"smaller than filter side {args.filter_side}")
+    _report_skipped(args, {r[0] for r in rows})
     _write_csv(args.out, bench.SPACE_REPORT_HEADER, rows)
     return 0
 
@@ -114,27 +116,8 @@ def cmd_bench_conv(args) -> int:
         reps=args.reps,
         seed=args.seed,
     )
-    _report_skipped(args.sizes, {r.input_side for r in results},
-                    f"geometry invalid for filter {args.filter_side} stride {args.stride}")
+    _report_skipped(args, {r.input_side for r in results})
     _write_csv(args.out, bench.BENCH_CONV_HEADER, [r.row() for r in results])
-    return 0
-
-
-def cmd_bench_train(args) -> int:
-    try:
-        rows = bench.bench_train(
-            args.preset,
-            args.side,
-            batch=args.batch,
-            steps=args.steps,
-            reps=args.reps,
-            learning_rate=args.lr,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_csv(args.out, bench.BENCH_TRAIN_HEADER, rows)
     return 0
 
 
@@ -198,17 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench_conv)
-
-    p = sub.add_parser("bench-train", help="time one network on both layouts")
-    p.add_argument("--preset", choices=["hexlenet4", "hexlenet5"], default="hexlenet5")
-    p.add_argument("--side", type=_positive_int, default=17)
-    p.add_argument("--batch", type=_positive_int, default=8)
-    p.add_argument("--steps", type=_positive_int, default=5)
-    p.add_argument("--reps", type=_positive_int, default=1)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench_train)
 
     p = sub.add_parser("resample", help="resample a square image onto a hexagon")
     p.add_argument("input", help="IMG1, PGM (P5), or PPM (P6) file")

@@ -150,17 +150,13 @@ def conv_backward_input_reflect(
 
 
 def conv_backward_filter(
-    t: HexTensor, delta: HexTensor, stride: int, filter_side: int | None = None
+    t: HexTensor, delta: HexTensor, stride: int, filter_side: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight and bias gradients of a valid convolution.
 
     Returns (d_weights, d_bias) with d_weights shaped like the filter
     bank weights (filters, channels, cells).
     """
-    if filter_side is None:
-        filter_side = t.side - stride * (delta.side - 1)
-        if filter_side < 1:
-            raise ValueError("error side is too large for this input and stride")
     geom = _forward_geometry(delta, filter_side, stride, t.side)
     parts = (
         gemm(delta.data[:, b], window_columns(t, geom, b).T)

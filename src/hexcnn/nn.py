@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,6 @@ __all__ = [
     "hex_lenet4",
     "hex_vgg13",
     "hex_vgg16",
-    "PRESETS",
     "save_checkpoint",
     "load_checkpoint",
     "save_dataset",
@@ -108,10 +108,10 @@ class TrainConfig:
     batch_size: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr < np.inf:
+            raise ValueError(f"learning rate must be a finite, non-negative real number, got {lr!r}")
+        check_int(self.batch_size, "batch size")
 
 
 class Network:
@@ -538,9 +538,6 @@ def hex_vgg13(input_side: int, classes: int, seed: int = 0, width_scale: float =
 def hex_vgg16(input_side: int, classes: int, seed: int = 0, width_scale: float = 1.0):
     """VGG-16-style stack; provided as a buildable preset, not a trained model."""
     return _vgg(input_side, classes, (2, 2, 3, 3, 3), seed, width_scale)
-
-
-PRESETS = {"hexlenet4": hex_lenet4, "hexlenet5": hex_lenet}
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,9 @@ class HexFilterBank:
         return self.weights.shape[1]
 
     @classmethod
-    def random(cls, rng, filters, in_channels, filter_side, scale=1.0) -> "HexFilterBank":
-        w = rng.standard_normal((filters, in_channels, cell_count(filter_side))) * scale
-        b = rng.standard_normal(filters) * scale
-        return cls(filter_side, w, b)
+    def random(cls, rng, filters, in_channels, filter_side) -> "HexFilterBank":
+        w = rng.standard_normal((filters, in_channels, cell_count(filter_side)))
+        return cls(filter_side, w, rng.standard_normal(filters))
 
 
 @dataclass(frozen=True)

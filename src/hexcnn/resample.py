@@ -2,10 +2,11 @@
 and padding-overhead accounting.
 
 The hex lattice lives in the image plane (x right, y down) with axial
-basis e_v = (1, 0) and e_u = (-1/2, sqrt(3)/2), scaled by a configurable
-step.  The 120-degree pair keeps all six lattice neighbors, including
-the (u+1, v+1) diagonal, exactly one step apart, so the cell region of a
-side-L hexagon maps to a regular hexagon in the plane.
+basis e_v = (1, 0) and e_u = (-1/2, sqrt(3)/2): the cell pitch is a
+fixed 1, the pixel pitch.  The 120-degree pair keeps all six lattice
+neighbors, including the (u+1, v+1) diagonal, exactly one pitch apart,
+so the cell region of a side-L hexagon maps to a regular hexagon in the
+plane.
 """
 
 from __future__ import annotations
@@ -20,19 +21,12 @@ from .grid import HexTensor, cell_count, cells, check_int
 
 __all__ = [
     "SquareImage",
-    "HexLatticeGeometry",
     "OverheadReport",
     "min_cover_side",
     "cell_centers",
     "square_to_hex",
     "overhead_report",
 ]
-
-# Asymptotic padded-area constants (fractions of the x*x square) quoted
-# for reference alongside the exact cell counts; the cell counts are the
-# numbers this library actually allocates.
-HEX_PAD_AREA_LIMIT = 0.563
-ZEROOUT_PAD_AREA_LIMIT = 0.577
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,41 +58,26 @@ class SquareImage:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class HexLatticeGeometry:
-    """Plane embedding of the axial lattice; scale is the cell pitch."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-
 def min_cover_side(x: int) -> int:
     """Smallest hexagon side whose region covers an x-by-x pixel square."""
     check_int(x, "square side")
     return (3 * x + 1 + 3) // 4  # ceil((3x+1)/4)
 
 
-def cell_centers(
-    side: int, geom: HexLatticeGeometry, center: tuple[float, float]
-) -> np.ndarray:
+def cell_centers(side: int, center: tuple[float, float]) -> np.ndarray:
     """(N, 2) plane positions (x, y) of all cells, hexagon centered at ``center``."""
     uv = cells(side).astype(np.float64)
     c = side - 1
     du = uv[:, 0] - c
     dv = uv[:, 1] - c
-    x = center[0] + geom.scale * (dv - 0.5 * du)
-    y = center[1] + geom.scale * (math.sqrt(3.0) / 2.0) * du
+    x = center[0] + (dv - 0.5 * du)
+    y = center[1] + (math.sqrt(3.0) / 2.0) * du
     return np.stack([x, y], axis=1)
 
 
 # Image sizes come from outside, so the plan cache is bounded.
 @lru_cache(maxsize=16)
-def _bilinear_plan(
-    side: int, height: int, width: int, geom: HexLatticeGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bilinear_plan(side: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What bilinear sampling at every cell center reads, per image size.
 
     Returns (4, N) arrays for the taps (y0, x0), (y0, x0+1), (y0+1, x0),
@@ -106,7 +85,7 @@ def _bilinear_plan(
     the unclipped tap lies inside the image, and the bilinear weights.
     """
     center = ((width - 1) / 2.0, (height - 1) / 2.0)
-    pos = cell_centers(side, geom, center)
+    pos = cell_centers(side, center)
     x, y = pos[:, 0], pos[:, 1]
     x0 = np.floor(x).astype(np.int64)
     y0 = np.floor(y).astype(np.int64)
@@ -121,18 +100,16 @@ def _bilinear_plan(
     return index, inside, weights
 
 
-def square_to_hex(
-    img: SquareImage, side: int, geom: HexLatticeGeometry = HexLatticeGeometry()
-) -> HexTensor:
+def square_to_hex(img: SquareImage, side: int) -> HexTensor:
     """Bilinearly sample the image at each cell center.
 
     The hexagon is centered on the image center; positions outside the
     image read as zero, even where the pixel their index is clipped to
     is NaN.  The sampling plan (indices, inside masks, weights) depends
-    only on (side, image size, geometry) and is cached, so each call
+    only on the side and the image size and is cached, so each call
     does one gather and the weighted sum.
     """
-    index, inside, w = _bilinear_plan(check_int(side, "side"), img.height, img.width, geom)
+    index, inside, w = _bilinear_plan(check_int(side, "side"), img.height, img.width)
     vals = np.take(img.data.reshape(img.channels, -1), index, axis=1)  # (C, 4, N)
     vals = np.where(inside, vals, 0.0)
     out = vals[:, 0] * w[0] + vals[:, 1] * w[1] + vals[:, 2] * w[2] + vals[:, 3] * w[3]
@@ -151,17 +128,13 @@ class OverheadReport:
     quasih_cells: int
     hex_pad_fraction: float
     zeroout_pad_fraction: float
-    hex_pad_area_limit: float = HEX_PAD_AREA_LIMIT
-    zeroout_pad_area_limit: float = ZEROOUT_PAD_AREA_LIMIT
 
 
 def overhead_report(x: int) -> OverheadReport:
     """Input-footprint comparison for an x-by-x square input.
 
     Pad fractions are exact cell-count ratios relative to the x*x
-    pixels; the asymptotic plane-area constants are carried alongside
-    for reference (they assume a different lattice density, so the two
-    scales are not expected to agree).
+    pixels.
     """
     y = min_cover_side(x)
     hex_cells = cell_count(y)

@@ -321,6 +321,19 @@ def test_forward_requires_flatten():
             fwd(net, batch)
 
 
+def test_train_config_rejects_malformed_arguments():
+    # the learning rate is a finite, non-negative real number and not a
+    # bool; the batch size is an integer >= 1 (grid.check_int)
+    for args in (
+        ("0.1",), (True,), (float("inf"),), (-np.inf,), (np.nan,), (-1,), (None,),
+        (0.1, "2"), (0.1, 1.5), (0.1, 0), (0.1, True),
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(*args)
+    for args in ((0.05, 32), (0,), (1, 1), (np.float64(0.1), np.int64(2))):
+        TrainConfig(*args)
+
+
 def test_train_step_zero_lr_keeps_parameters():
     cfg = tiny_cfg()
     net = build_network(cfg)

@@ -4,7 +4,6 @@ import pytest
 from hexcnn.fileio import read_hxt, read_image, read_img1, read_pnm, write_hxt, write_img1
 from hexcnn.grid import HexTensor
 from hexcnn.resample import (
-    HexLatticeGeometry,
     SquareImage,
     cell_centers,
     min_cover_side,
@@ -44,23 +43,23 @@ def test_square_to_hex_linear_ramp_exact():
     # bilinear reproduces linear functions wherever the support is interior
     img = SquareImage(np.tile(np.arange(64.0), (64, 1)))
     t = square_to_hex(img, 8)
-    centers = cell_centers(8, HexLatticeGeometry(), ((64 - 1) / 2, (64 - 1) / 2))
+    centers = cell_centers(8, ((64 - 1) / 2, (64 - 1) / 2))
     assert np.allclose(t.data[0], centers[:, 0], atol=1e-12)
 
 
 def test_square_to_hex_outside_is_zero():
     img = SquareImage(np.ones((1, 4, 4)))
     t = square_to_hex(img, 10)  # hexagon far larger than the image
-    centers = cell_centers(10, HexLatticeGeometry(), (1.5, 1.5))
+    centers = cell_centers(10, (1.5, 1.5))
     far = np.hypot(centers[:, 0] - 1.5, centers[:, 1] - 1.5) > 6
     assert not t.data[0, far].any()
     assert t.data[0, np.argmin(np.hypot(centers[:, 0] - 1.5, centers[:, 1] - 1.5))] == 1.0
 
 
-def unplanned_square_to_hex(img, side, geom=HexLatticeGeometry()):
+def unplanned_square_to_hex(img, side):
     """The per-call bilinear formula that the cached plan replaces."""
     center = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
-    pos = cell_centers(side, geom, center)
+    pos = cell_centers(side, center)
     x, y = pos[:, 0], pos[:, 1]
     x0 = np.floor(x).astype(np.int64)
     y0 = np.floor(y).astype(np.int64)
@@ -93,38 +92,31 @@ def test_square_to_hex_plan_matches_unplanned_formula():
     nan_out = rng.standard_normal((1, 6, 6))
     nan_out[0, 0, 0] = np.nan  # a corner that outside cells clip to
     cases = [
-        (tall, 9, HexLatticeGeometry()),
-        (nan_in, 6, HexLatticeGeometry()),
-        (nan_out, 6, HexLatticeGeometry()),
-        (rng.standard_normal((1, 16, 16)), 7, HexLatticeGeometry(1.37)),
+        (tall, 9),
+        (nan_in, 6),
+        (nan_out, 6),
     ]
     for _ in range(2):  # alternate image sizes in one process: each gets its own plan
-        for data, side, geom in cases:
+        for data, side in cases:
             img = SquareImage(data)
-            got = square_to_hex(img, side, geom).data
-            assert same_bits(got, unplanned_square_to_hex(img, side, geom))
+            got = square_to_hex(img, side).data
+            assert same_bits(got, unplanned_square_to_hex(img, side))
     # outside cells read 0, not the NaN they clip to; cells reading the
     # corner from inside are NaN
     got = square_to_hex(SquareImage(nan_out), 6).data[0]
-    centers = cell_centers(6, HexLatticeGeometry(), (2.5, 2.5))
+    centers = cell_centers(6, (2.5, 2.5))
     far = (centers < -1).any(axis=1) | (centers > 6).any(axis=1)
     assert far.any() and not got[far].any()
     assert np.isnan(got).any()
 
 
-def test_lattice_geometry_validation():
-    with pytest.raises(ValueError):
-        HexLatticeGeometry(0.0)
-
-
 def test_neighbor_distance_equals_scale():
-    geom = HexLatticeGeometry(2.5)
-    c = cell_centers(2, geom, (0.0, 0.0))
+    c = cell_centers(2, (0.0, 0.0))
     # center cell (1,1) has six neighbors in a side-2 hexagon
     center = c[3]
     others = np.delete(c, 3, axis=0)
     d = np.hypot(others[:, 0] - center[0], others[:, 1] - center[1])
-    assert np.allclose(d, 2.5)
+    assert np.allclose(d, 1.0)  # the cell pitch equals the pixel pitch
 
 
 def test_overhead_report_examples():
@@ -133,7 +125,6 @@ def test_overhead_report_examples():
     assert overhead_report(1).hex_cells == 1
     assert overhead_report(120).quasih_cells == 239 * 208
     assert r.hex_pad_fraction == pytest.approx((1801 - 1024) / 1024)
-    assert r.hex_pad_area_limit == 0.563 and r.zeroout_pad_area_limit == 0.577
 
 
 def test_overhead_orderings():
