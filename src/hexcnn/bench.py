@@ -85,7 +85,7 @@ def bench_conv(
     results = []
     for side in sizes:
         try:
-            out_side = valid_geometry(side, filter_side, stride).output_side
+            out_side = valid_geometry(side, filter_side, stride)
         except ValueError:
             continue  # caller reports skipped cases
         t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
@@ -146,7 +146,7 @@ def space_report(sizes, channels: int = 3, filter_side: int = 2, stride: int = 1
     rows = []
     for x in sizes:
         try:
-            out_side = valid_geometry(x, filter_side, stride).output_side
+            out_side = valid_geometry(x, filter_side, stride)
         except ValueError:
             continue  # caller reports skipped cases
         hex_cells = cell_count(x)

@@ -10,23 +10,15 @@ shares, so neither holds a whole window matrix.  Pool errors return
 along the same table.  ``conv_backward_input_reflect`` keeps the paper's
 construction as a reference: upsample the error onto the dense anchor
 grid, then full-convolve with the channel-transposed, point-reflected
-bank.
+bank.  The anchor grid and the floor-mode embedding are row 0 of a
+side-1 window table: a side-1 window is its anchor alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .grid import (
-    HexTensor,
-    cell_count,
-    cells,
-    check_int,
-    offset_table,
-    reflect_permutation,
-)
+from .grid import HexTensor, cell_count, check_int, reflect_permutation
 from .matmul import gemm
 from .ops import (
     ArgmaxMap,
@@ -50,17 +42,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _anchor_scatter(output_side: int, stride: int, target_side: int) -> np.ndarray:
-    uv = cells(output_side) * stride
-    idx = offset_table(target_side)[uv[:, 0], uv[:, 1]]
-    if (idx < 0).any():
-        raise AssertionError("stride anchor fell outside the target hexagon")
-    idx = np.ascontiguousarray(idx)
-    idx.setflags(write=False)
-    return idx
-
-
 def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTensor:
     """Scatter values onto the dense anchor grid: (u, v) -> (s*u, s*v).
 
@@ -76,7 +57,7 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
     if stride == 1:
         return delta
     out = np.zeros((delta.channels, cell_count(target_side)), dtype=delta.dtype)
-    out[:, _anchor_scatter(delta.side, stride, target_side)] = delta.data
+    out[:, tap_gather(target_side, 1, stride, delta.side)[0]] = delta.data
     out.setflags(write=False)
     return HexTensor(target_side, delta.channels, out)
 
@@ -88,24 +69,19 @@ def transpose_reflect(bank: HexFilterBank) -> HexFilterBank:
     return HexFilterBank(bank.filter_side, w)
 
 
-@lru_cache(maxsize=None)
-def _embed_offsets(small_side: int, big_side: int) -> np.ndarray:
-    # hex(small) index pairs are all valid cells of hex(big); keep (u, v).
-    uv = cells(small_side)
-    idx = offset_table(big_side)[uv[:, 0], uv[:, 1]]
-    idx = np.ascontiguousarray(idx)
-    idx.setflags(write=False)
-    return idx
+def _forward_windows(delta: HexTensor, window_side: int, stride: int, input_side: int) -> np.ndarray:
+    """The window table of the forward that output the error; floor mode allowed."""
+    out_side = valid_geometry(input_side, window_side, stride, floor_mode=True)
+    if out_side != delta.side:
+        raise ValueError(f"error side {delta.side} does not match forward output {out_side}")
+    return tap_gather(input_side, window_side, stride, out_side)
 
 
-def _forward_geometry(delta: HexTensor, filter_side: int, stride: int, input_side: int):
-    """The valid geometry whose output the error belongs to; floor mode allowed."""
-    geom = valid_geometry(input_side, filter_side, stride, floor_mode=True)
-    if geom.output_side != delta.side:
+def _check_error_channels(delta: HexTensor, bank: HexFilterBank) -> None:
+    if delta.channels != bank.filters:
         raise ValueError(
-            f"error side {delta.side} does not match forward output {geom.output_side}"
+            f"error has {delta.channels} channels, filter bank has {bank.filters} filters"
         )
-    return geom
 
 
 def _scatter_add(out: np.ndarray, values: np.ndarray, g: np.ndarray) -> None:
@@ -120,9 +96,9 @@ def conv_backward_input(
     delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
-    geom = _forward_geometry(delta, bank.filter_side, stride, input_side)
+    _check_error_channels(delta, bank)
+    g = _forward_windows(delta, bank.filter_side, stride, input_side)
     w_t = bank.weights.reshape(bank.filters, -1).T
-    g = tap_gather(input_side, bank.filter_side, stride, geom.output_side)
     out = np.zeros((bank.in_channels, cell_count(input_side)), np.result_type(w_t, delta.data))
     for b in patch_blocks(g.shape[1]):
         # (C*E, patches in b) window errors, dropped before the next block's
@@ -136,7 +112,8 @@ def conv_backward_input_reflect(
 ) -> HexTensor:
     """Reference input gradient: upsample, then full convolution with the
     channel-transposed, point-reflected bank."""
-    _forward_geometry(delta, bank.filter_side, stride, input_side)
+    _check_error_channels(delta, bank)
+    _forward_windows(delta, bank.filter_side, stride, input_side)
     dense_side = (delta.side - 1) * stride + 1
     up = upsample_stride(delta, stride, dense_side)
     d_in = conv_full(up, transpose_reflect(bank))
@@ -145,7 +122,7 @@ def conv_backward_input_reflect(
     # floor-mode forward: windows never reached past hex(d_in.side); the
     # rest of the input receives zero gradient.
     out = np.zeros((d_in.channels, cell_count(input_side)), dtype=d_in.dtype)
-    out[:, _embed_offsets(d_in.side, input_side)] = d_in.data
+    out[:, tap_gather(input_side, 1, 1, d_in.side)[0]] = d_in.data
     return HexTensor(input_side, d_in.channels, out)
 
 
@@ -157,11 +134,8 @@ def conv_backward_filter(
     Returns (d_weights, d_bias) with d_weights shaped like the filter
     bank weights (filters, channels, cells).
     """
-    geom = _forward_geometry(delta, filter_side, stride, t.side)
-    parts = (
-        gemm(delta.data[:, b], window_columns(t, geom, b).T)
-        for b in patch_blocks(delta.data.shape[1])
-    )
+    g = _forward_windows(delta, filter_side, stride, t.side)
+    parts = (gemm(delta.data[:, b], window_columns(t, g[:, b]).T) for b in patch_blocks(g.shape[1]))
     dw = next(parts)  # (F, C*E); a single block is used as is
     for part in parts:
         dw += part
@@ -187,8 +161,7 @@ def avgpool_backward(
     delta: HexTensor, window_side: int, stride: int, input_side: int
 ) -> HexTensor:
     """Spread each error value uniformly over its window."""
-    geom = _forward_geometry(delta, window_side, stride, input_side)
-    g = tap_gather(input_side, window_side, stride, geom.output_side)
+    g = _forward_windows(delta, window_side, stride, input_side)
     share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
     out = np.zeros((delta.channels, cell_count(input_side)), delta.dtype)
     _scatter_add(out, share, g)

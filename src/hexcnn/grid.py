@@ -11,6 +11,9 @@ back to ``L``, for a total of ``3L(L-1)+1`` cells.  Storage within one
 channel is column major: all valid cells of column ``v=0`` top to
 bottom, then column ``v=1``, and so on.  Multi-channel tensors store
 channels outermost.
+
+``offsets`` is the one map from (u, v) pairs to storage offsets; every
+index table of the native kernels is built through it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "flat_offset",
     "cells",
     "offset_table",
+    "offsets",
     "point_reflect",
     "reflect_permutation",
     "rot180_filter",
@@ -87,22 +91,11 @@ def is_valid_cell(side: int, u: int, v: int) -> bool:
     return max(0, u - side + 1) <= v <= min(2 * side - 2, u + side - 1)
 
 
-@lru_cache(maxsize=None)
-def _col_starts(side: int) -> tuple[int, ...]:
-    """Storage offset of the first cell of each column, plus the total."""
-    starts = [0]
-    for v in range(2 * side - 1):
-        u_min, u_max = col_bounds(side, v)
-        starts.append(starts[-1] + u_max - u_min + 1)
-    return tuple(starts)
-
-
 def flat_offset(side: int, u: int, v: int) -> int:
     """Column-major storage offset of cell (u, v) within one channel."""
     if not is_valid_cell(side, u, v):
         raise ValueError(f"({u}, {v}) is not a valid cell for side {side}")
-    u_min, _ = col_bounds(side, v)
-    return _col_starts(side)[v] + (u - u_min)
+    return int(offsets(side, (u, v)))
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +125,20 @@ def offset_table(side: int) -> np.ndarray:
     return table
 
 
+def offsets(side: int, uv) -> np.ndarray:
+    """Storage offsets of the (..., 2) cell pairs ``uv``, shaped ``uv.shape[:-1]``;
+    a pair outside the hexagon is a geometry bug (``AssertionError``)."""
+    table = offset_table(side)
+    uv = np.asarray(uv)
+    u, v = uv[..., 0], uv[..., 1]
+    span = 2 * side - 2
+    if not ((0 <= u) & (u <= span) & (0 <= v) & (v <= span) & (abs(u - v) < side)).all():
+        raise AssertionError(f"cell pair outside the side-{side} hexagon")
+    idx = np.array(table[u, v], order="C")
+    idx.setflags(write=False)
+    return idx
+
+
 def point_reflect(side: int, u: int, v: int) -> tuple[int, int]:
     """Reflect a cell through the hexagon center: (u, v) -> (2L-2-u, 2L-2-v)."""
     if not is_valid_cell(side, u, v):
@@ -145,12 +152,7 @@ def reflect_permutation(side: int) -> np.ndarray:
 
     The permutation is an involution, so it maps either direction.
     """
-    uv = cells(side)
-    span = 2 * side - 2
-    perm = offset_table(side)[span - uv[:, 0], span - uv[:, 1]]
-    perm = np.ascontiguousarray(perm)
-    perm.setflags(write=False)
-    return perm
+    return offsets(side, 2 * side - 2 - cells(side))
 
 
 def rot180_filter(side: int, values: np.ndarray) -> np.ndarray:
@@ -173,12 +175,13 @@ class HexTensor:
 
     ``data`` is (channels, cell_count(side)), column major within each
     channel, read-only after construction so values can be shared
-    freely.  Construction copies the array unless it is owned
-    (``base is None``), read-only, C-contiguous and already of the
-    target dtype and shape; such an array is adopted as is.  Kernels
-    mark their fresh outputs read-only so they are adopted; a caller's
-    writable array, or a view of any array, is copied, so later writes
-    to it never reach the tensor.
+    freely.  It is given in that shape or flat, (channels*cells,); any
+    other shape raises ``ValueError``.  Construction copies the array
+    unless it is owned (``base is None``), read-only, C-contiguous and
+    already of the target dtype and shape; such an array is adopted as
+    is.  Kernels mark their fresh outputs read-only so they are adopted;
+    a caller's writable array, or a view of any array, is copied, so
+    later writes to it never reach the tensor.
     """
 
     side: int
@@ -191,9 +194,10 @@ class HexTensor:
         n = cell_count(self.side)
         arr = np.asarray(self.data)
         dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float64
-        if arr.size != self.channels * n:
+        if arr.shape not in ((self.channels, n), (self.channels * n,)):
             raise ValueError(
-                f"data has {arr.size} elements, expected {self.channels}x{n}"
+                f"data shape {arr.shape} is neither ({self.channels}, {n}) "
+                f"nor ({self.channels * n},)"
             )
         owned = (
             arr.base is None
@@ -222,11 +226,7 @@ class HexTensor:
 @lru_cache(maxsize=None)
 def _pad_scatter(side: int, rings: int) -> np.ndarray:
     """Destination offsets of the original cells inside the padded hexagon."""
-    uv = cells(side)
-    idx = offset_table(side + rings)[uv[:, 0] + rings, uv[:, 1] + rings]
-    idx = np.ascontiguousarray(idx)
-    idx.setflags(write=False)
-    return idx
+    return offsets(side + rings, cells(side) + rings)
 
 
 def pad_rings(t: HexTensor, rings: int) -> HexTensor:

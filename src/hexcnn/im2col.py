@@ -15,18 +15,17 @@ import numpy as np
 
 from .grid import HexTensor, cell_count
 from .matmul import gemm
-from .ops import valid_geometry, window_columns
+from .ops import tap_gather, valid_geometry, window_columns
 
 __all__ = ["patch_count", "im2col", "gemm"]
 
 
 def patch_count(input_side: int, filter_side: int, stride: int) -> int:
     """Number of windows: the cell count of the output hexagon."""
-    geom = valid_geometry(input_side, filter_side, stride)
-    return cell_count(geom.output_side)
+    return cell_count(valid_geometry(input_side, filter_side, stride))
 
 
 def im2col(t: HexTensor, filter_side: int, stride: int) -> np.ndarray:
     """(patches, channels*filter_cells) matrix of flattened windows."""
-    geom = valid_geometry(t.side, filter_side, stride)
-    return window_columns(t, geom).T
+    out_side = valid_geometry(t.side, filter_side, stride)
+    return window_columns(t, tap_gather(t.side, filter_side, stride, out_side)).T

@@ -181,7 +181,7 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
             raise ValueError("needs a hexagonal input")
         _, side, channels = shape
         pool = spec.kind != "hexconv"
-        out_side = valid_geometry(side, spec.window, spec.stride, floor_mode=pool).output_side
+        out_side = valid_geometry(side, spec.window, spec.stride, floor_mode=pool)
         if pool:
             return ("hex", out_side, channels), None
         check_int(spec.filters, "filters")

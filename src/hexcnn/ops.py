@@ -2,18 +2,20 @@
 
 Convolution anchors the top-left cell of a hexagon-shaped window at
 (stride*u, stride*v) for every output cell (u, v); window cells are the
-anchor plus the filter's own cell offsets.  For exact-mode geometry
-every window cell is guaranteed to be a valid input cell (hexagons are
-closed under this index addition), which is asserted when a window
-table is first built.
+anchor plus the filter's own cell offsets.  Every window cell is
+guaranteed to be a valid input cell (hexagons are closed under this
+index addition, floor mode included), which ``grid.offsets`` asserts
+when ``tap_gather`` first builds a window table.
 
-The window table is kept tap major, so one ``np.take`` lays a run of
-windows out as a contiguous (channels*window_cells, patches) matrix;
-convolution is a BLAS product of the (filters, channels*window_cells)
-weights with it, already in output storage order.  The matrix is built
-for at most ``PATCH_BLOCK`` patches at a time, so the memory a
-convolution (or its gradients, in ``grads``) takes grows with the block,
-not with the output size.
+``valid_geometry`` gives the output side; the window table
+(``tap_gather``) is the rest of the geometry, for these kernels and for
+``grads``.  It is tap major, so one ``np.take`` lays a run of windows
+out as a contiguous (channels*window_cells, patches) matrix; convolution
+is a BLAS product of the (filters, channels*window_cells) weights with
+it, already in output storage order.  The matrix is built for at most
+``PATCH_BLOCK`` patches at a time, so the memory a convolution (or its
+gradients, in ``grads``) takes grows with the block, not with the
+output size.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, cells, check_int, offset_table, pad_rings
+from .grid import HexTensor, cell_count, cells, check_int, offsets, pad_rings
 from .matmul import gemm
 
 __all__ = [
     "HexFilterBank",
-    "ConvGeometry",
     "ArgmaxMap",
     "valid_geometry",
     "PATCH_BLOCK",
@@ -99,18 +100,10 @@ class HexFilterBank:
         return cls(filter_side, w, rng.standard_normal(filters))
 
 
-@dataclass(frozen=True)
-class ConvGeometry:
-    input_side: int
-    filter_side: int
-    stride: int
-    output_side: int
-
-
 def valid_geometry(
     input_side: int, filter_side: int, stride: int = 1, floor_mode: bool = False
-) -> ConvGeometry:
-    """Geometry of a valid-mode sliding window; rejects non-tiling strides.
+) -> int:
+    """Output side of a valid-mode sliding window; rejects non-tiling strides.
 
     With ``floor_mode`` the trailing remainder is dropped instead.
     """
@@ -126,8 +119,7 @@ def valid_geometry(
         raise ValueError(
             f"stride {stride} does not tile input {input_side} with window {filter_side}"
         )
-    out = span // stride + 1
-    return ConvGeometry(input_side, filter_side, stride, out)
+    return span // stride + 1
 
 
 @lru_cache(maxsize=None)
@@ -137,32 +129,19 @@ def tap_gather(
     """(window_cells, patches) storage offsets of every window, tap major.
 
     Column p lists the input offsets of output cell p's window in filter
-    storage order; within a window these are strictly increasing.
+    storage order; within a window these are strictly increasing.  Row 0
+    of a side-1 window's table is the anchors' offsets alone.
     """
-    anchors = cells(output_side) * stride
-    offs = cells(filter_side)
-    table = offset_table(input_side)
-    idx = table[
-        offs[:, None, 0] + anchors[None, :, 0],
-        offs[:, None, 1] + anchors[None, :, 1],
-    ]
-    if (idx < 0).any():
-        raise AssertionError(
-            "window escaped the input hexagon; geometry bookkeeping is broken"
-        )
-    idx = np.ascontiguousarray(idx)
-    idx.setflags(write=False)
-    return idx
+    return offsets(input_side, cells(filter_side)[:, None] + cells(output_side)[None, :] * stride)
 
 
-def window_columns(t: HexTensor, geom: ConvGeometry, patches: slice = slice(None)) -> np.ndarray:
-    """Values of the windows ``patches`` as a contiguous
-    (channels*window_cells, len(patches)) matrix; all windows by default.
+def window_columns(t: HexTensor, g: np.ndarray) -> np.ndarray:
+    """Values of the windows of ``g`` (a ``tap_gather`` table, or a column
+    slice of one) as a contiguous (channels*window_cells, patches) matrix.
 
     Rows run channel major, then filter storage order, matching
-    ``weights.reshape(filters, -1)``; column j is window patches[j].
+    ``weights.reshape(filters, -1)``; column j is window j of ``g``.
     """
-    g = tap_gather(geom.input_side, geom.filter_side, geom.stride, geom.output_side)[:, patches]
     return np.take(t.data, g, axis=1).reshape(-1, g.shape[1])
 
 
@@ -178,14 +157,15 @@ def conv_valid(
         raise ValueError(
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
         )
-    geom = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
+    out_side = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
+    g = tap_gather(t.side, bank.filter_side, stride, out_side)
     w = bank.weights.reshape(bank.filters, -1)
-    y = np.empty((bank.filters, cell_count(geom.output_side)), np.result_type(w, t.data))
-    for b in patch_blocks(y.shape[1]):
-        gemm(w, window_columns(t, geom, b), out=y[:, b])
+    y = np.empty((bank.filters, g.shape[1]), np.result_type(w, t.data))
+    for b in patch_blocks(g.shape[1]):
+        gemm(w, window_columns(t, g[:, b]), out=y[:, b])
     y += bank.bias[:, None]
     y.setflags(write=False)
-    return HexTensor(geom.output_side, bank.filters, y)
+    return HexTensor(out_side, bank.filters, y)
 
 
 def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
@@ -202,8 +182,6 @@ class ArgmaxMap:
     """Winning input offset of every max-pool window, per channel."""
 
     input_side: int
-    window_side: int
-    stride: int
     output_side: int
     winners: np.ndarray  # (channels, patches) flat input offsets
 
@@ -226,8 +204,8 @@ def maxpool(
     its first NaN tap (in window storage order) is the winner that
     ``maxpool_backward`` routes the gradient to.
     """
-    geom = valid_geometry(t.side, window_side, stride, floor_mode)
-    g = tap_gather(t.side, window_side, stride, geom.output_side)
+    out_side = valid_geometry(t.side, window_side, stride, floor_mode)
+    g = tap_gather(t.side, window_side, stride, out_side)
     win = np.take(t.data, g, axis=1)  # (C, E, P)
     # argmax returns the first maximum (or first NaN); window offsets
     # ascend, so the smallest flat offset wins ties.
@@ -235,16 +213,15 @@ def maxpool(
     out = win.max(axis=1)
     out.setflags(write=False)
     winners = g[e_star, np.arange(g.shape[1])[None, :]]
-    amap = ArgmaxMap(t.side, window_side, stride, geom.output_side, winners)
-    return HexTensor(geom.output_side, t.channels, out), amap
+    return HexTensor(out_side, t.channels, out), ArgmaxMap(t.side, out_side, winners)
 
 
 def avgpool(
     t: HexTensor, window_side: int, stride: int, floor_mode: bool = False
 ) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
-    geom = valid_geometry(t.side, window_side, stride, floor_mode)
-    g = tap_gather(t.side, window_side, stride, geom.output_side)
+    out_side = valid_geometry(t.side, window_side, stride, floor_mode)
+    g = tap_gather(t.side, window_side, stride, out_side)
     out = np.take(t.data, g, axis=1).mean(axis=1)
     out.setflags(write=False)
-    return HexTensor(geom.output_side, t.channels, out)
+    return HexTensor(out_side, t.channels, out)

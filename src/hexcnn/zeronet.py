@@ -54,6 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grads import _scatter_add
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import (
@@ -93,14 +94,6 @@ def _rect_hexwin_gather(input_side: int, window_side: int, stride: int, output_s
     """Hex-shaped windows addressed on the rectangular embedding."""
     span = 2 * input_side - 1
     return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
-
-
-def _scatter_add(out: np.ndarray, values: np.ndarray, g: np.ndarray) -> None:
-    """Add (channels, *g.shape) values into the flat offsets ``g`` of the
-    (channels, cells) array ``out``, per channel."""
-    idx = g.ravel()
-    for c, row in enumerate(values.reshape(values.shape[0], -1)):
-        out[c] += np.bincount(idx, weights=row, minlength=out.shape[1])
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and

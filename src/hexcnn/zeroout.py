@@ -98,6 +98,8 @@ class ZeroOutFilterBank:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         b = np.asarray(self.bias, dtype=np.float64).copy()
+        if b.shape != (w.shape[0],):
+            raise ValueError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
         b.setflags(write=False)
         object.__setattr__(self, "bias", b)
 

@@ -93,6 +93,14 @@ def test_conv_backward_input_filter_side_one():
     assert np.allclose(out.data, 2.5 * delta.data)
 
 
+@pytest.mark.parametrize("backward", [conv_backward_input, conv_backward_input_reflect])
+def test_conv_backward_input_rejects_error_channels_that_are_not_filters(backward):
+    bank = HexFilterBank(2, np.ones((3, 2, 7)))
+    delta = HexTensor(2, 2, np.zeros(14))  # 2 channels for a 3-filter bank
+    with pytest.raises(ValueError, match="2 channels.*3 filters"):
+        backward(delta, bank, 1, 3)
+
+
 def test_conv_backward_input_zero_delta():
     bank = HexFilterBank(2, np.ones((2, 3, 7)))
     out = conv_backward_input(HexTensor(2, 2, np.zeros(14)), bank, 1, 3)

@@ -11,6 +11,7 @@ from hexcnn.grid import (
     flat_offset,
     is_valid_cell,
     offset_table,
+    offsets,
     pad_rings,
     point_reflect,
     reflect_permutation,
@@ -90,6 +91,26 @@ def test_offset_table_matches_cells(side):
     assert np.array_equal(table[uv[:, 0], uv[:, 1]], np.arange(len(uv)))
 
 
+@given(side=st.integers(1, 16))
+def test_offsets_look_up_the_table(side):
+    uv = cells(side)
+    got = offsets(side, uv[None, ::-1])  # any (..., 2) shape
+    assert got.shape == (1, len(uv)) and got.dtype == np.int64
+    assert np.array_equal(got[0], np.arange(len(uv))[::-1])
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "side,uv",
+    [(2, (0, 2)), (2, (2, 0)), (2, (-1, 0)), (2, (0, -1)), (2, (3, 2)), (2, (2, 3)), (1, (0, 1))],
+)
+def test_offsets_assert_pairs_are_cells(side, uv):
+    # a corner cut off the parallelogram, a negative index that would
+    # wrap around, a pair past the table
+    with pytest.raises(AssertionError):
+        offsets(side, [(0, 0), uv])
+
+
 @pytest.mark.parametrize(
     "side,uv,expected",
     [(2, (0, 0), (2, 2)), (2, (1, 1), (1, 1)), (3, (0, 2), (4, 2))],
@@ -134,6 +155,15 @@ def test_hextensor_validation():
     assert t.data.shape == (2, 7)
     with pytest.raises(ValueError):
         t.data[0, 0] = 1.0  # read-only
+    with pytest.raises(ValueError):
+        HexTensor(1, 1, 5.0)  # a scalar is neither (1, 1) nor (1,)
+
+
+@pytest.mark.parametrize("shape", [(7, 2), (1, 14), (2, 7, 1), (14, 1), (2, 1, 7)])
+def test_hextensor_rejects_other_layouts(shape):
+    # (cells, channels) data used to be read as (channels, cells)
+    with pytest.raises(ValueError, match="neither"):
+        HexTensor(2, 2, np.arange(14.0).reshape(shape))
 
 
 _T3 = HexTensor(3, 1, np.zeros(19))

@@ -187,8 +187,8 @@ def test_avgpool_matches_patch_enumeration():
 
 
 def test_valid_geometry_examples():
-    assert valid_geometry(5, 2, 3).output_side == 2
-    assert valid_geometry(4, 2, 1).output_side == 3
+    assert valid_geometry(5, 2, 3) == 2
+    assert valid_geometry(4, 2, 1) == 3
     with pytest.raises(ValueError):
         valid_geometry(5, 2, 2)
 

@@ -78,6 +78,16 @@ def test_zeroout_rejects_nonzero_corners():
         ZeroOutFilterBank(2, w, np.zeros(1))
 
 
+@pytest.mark.parametrize("bias", [np.zeros(1), np.zeros(3), np.float64(0.0), np.zeros((2, 1))])
+def test_zeroout_bank_rejects_bias_not_one_per_filter(bias):
+    from hexcnn.zeroout import ZeroOutFilterBank
+
+    w = zeroout_filter(HexFilterBank(2, np.ones((2, 1, 7)))).weights
+    assert ZeroOutFilterBank(2, w, np.zeros(2)).bias.shape == (2,)
+    with pytest.raises(ValueError, match=r"bias must have shape \(2,\)"):
+        ZeroOutFilterBank(2, w, bias)
+
+
 def test_rect_conv_scaling_filter():
     rng = np.random.default_rng(2)
     r = rng.standard_normal((1, 4, 5))
