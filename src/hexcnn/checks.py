@@ -23,13 +23,15 @@ from .nn import (
     LayerSpec,
     Network,
     NetworkConfig,
+    _arrays,
+    _with_arrays,
     backward,
     build_network,
     forward,
     make_two_class_dataset,
     xent_loss_grad,
 )
-from .ops import HexFilterBank, conv_valid, maxpool, avgpool
+from .ops import HexFilterBank, avgpool, conv_valid, maxpool, valid_geometry
 from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
 
 __all__ = [
@@ -51,8 +53,8 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def zeroout_conv(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
     """The full ZeroOut pipeline: embed, rectangle conv, extract."""
+    out_side = valid_geometry(t.side, bank.filter_side, stride)
     rect = rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank), stride)
-    out_side = (t.side - bank.filter_side) // stride + 1
     return extract_hex(rect, out_side)
 
 
@@ -277,15 +279,9 @@ def _grad_cases_network(rng, probes, tol, h, results):
 
         def loss_with(offset):
             params = list(net.params)
-            p_i = params[i]
-            if isinstance(p_i, HexFilterBank):
-                w, b = p_i.weights.copy(), p_i.bias.copy()
-                (w if which == 0 else b)[coord] += offset
-                params[i] = HexFilterBank(p_i.filter_side, w, b)
-            else:
-                w, b = p_i[0].copy(), p_i[1].copy()
-                (w if which == 0 else b)[coord] += offset
-                params[i] = (w, b)
+            w, b = (a.copy() for a in _arrays(params[i]))
+            (w if which == 0 else b)[coord] += offset
+            params[i] = _with_arrays(params[i], w, b)
             probed = Network(net.cfg, params, net.shapes, net.floor_pools)
             return _net_loss(probed, batch, labels)
 

@@ -4,14 +4,14 @@ The filter gradient is the error times the transposed window matrix.
 The input gradient is the exact transpose of the window gather (col2im):
 a BLAS product forms the windows' error, and ``np.bincount``
 scatter-adds it per channel through the tap-major window table, so
-cells no window reaches (floor mode) get zero.  Both walk the patches
-in the forward's blocks (``ops.patch_blocks``) and sum the blocks'
-shares, so neither holds a whole window matrix.  Pool errors return
-along the same table.  ``conv_backward_input_reflect`` keeps the paper's
-construction as a reference: upsample the error onto the dense anchor
-grid, then full-convolve with the channel-transposed, point-reflected
-bank.  The anchor grid and the floor-mode embedding are row 0 of a
-side-1 window table: a side-1 window is its anchor alone.
+cells no window reaches get zero.  Both walk the patches in the
+forward's blocks (``ops.patch_blocks``) and sum the blocks' shares, so
+neither holds a whole window matrix.  Pool errors return along the same
+table.  ``conv_backward_input_reflect`` keeps the paper's construction
+as a reference: upsample the error onto the dense anchor grid, then
+full-convolve with the channel-transposed, point-reflected bank.  The
+anchor grid is row 0 of a side-1 window table: a side-1 window is its
+anchor alone.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ def transpose_reflect(bank: HexFilterBank) -> HexFilterBank:
     return HexFilterBank(bank.filter_side, w)
 
 
-def _forward_windows(delta: HexTensor, window_side: int, stride: int, input_side: int) -> np.ndarray:
-    """The window table of the forward that output the error; floor mode allowed."""
-    out_side = valid_geometry(input_side, window_side, stride, floor_mode=True)
+def _forward_windows(
+    delta: HexTensor, window_side: int, stride: int, input_side: int, floor_mode: bool = False
+) -> np.ndarray:
+    """The window table of the forward that output the error; only pools floor."""
+    out_side = valid_geometry(input_side, window_side, stride, floor_mode)
     if out_side != delta.side:
         raise ValueError(f"error side {delta.side} does not match forward output {out_side}")
     return tap_gather(input_side, window_side, stride, out_side)
@@ -114,16 +116,8 @@ def conv_backward_input_reflect(
     channel-transposed, point-reflected bank."""
     _check_error_channels(delta, bank)
     _forward_windows(delta, bank.filter_side, stride, input_side)
-    dense_side = (delta.side - 1) * stride + 1
-    up = upsample_stride(delta, stride, dense_side)
-    d_in = conv_full(up, transpose_reflect(bank))
-    if d_in.side == input_side:
-        return d_in
-    # floor-mode forward: windows never reached past hex(d_in.side); the
-    # rest of the input receives zero gradient.
-    out = np.zeros((d_in.channels, cell_count(input_side)), dtype=d_in.dtype)
-    out[:, tap_gather(input_side, 1, 1, d_in.side)[0]] = d_in.data
-    return HexTensor(input_side, d_in.channels, out)
+    up = upsample_stride(delta, stride, (delta.side - 1) * stride + 1)
+    return conv_full(up, transpose_reflect(bank))
 
 
 def conv_backward_filter(
@@ -161,7 +155,7 @@ def avgpool_backward(
     delta: HexTensor, window_side: int, stride: int, input_side: int
 ) -> HexTensor:
     """Spread each error value uniformly over its window."""
-    g = _forward_windows(delta, window_side, stride, input_side)
+    g = _forward_windows(delta, window_side, stride, input_side, floor_mode=True)
     share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
     out = np.zeros((delta.channels, cell_count(input_side)), delta.dtype)
     _scatter_add(out, share, g)

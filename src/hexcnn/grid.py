@@ -43,6 +43,16 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
+def _real_array(data, what: str, dtype=None) -> np.ndarray:
+    """``np.asarray(data, dtype)`` for real numbers only: complex numbers,
+    strings and other non-numbers raise ``ValueError`` naming the dtype
+    (a numpy cast would keep a complex number's real part and only warn)."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype)
+
+
 def check_int(value, what: str, least: int | None = 1) -> int:
     """``value`` as an int: a Python or numpy integer (not a bool) of at
     least ``least`` (of any size when ``least`` is None); anything else
@@ -102,14 +112,11 @@ def flat_offset(side: int, u: int, v: int) -> int:
 def cells(side: int) -> np.ndarray:
     """All valid (u, v) pairs in storage order, as an (N, 2) int array."""
     check_int(side, "side length")
-    out = np.empty((cell_count(side), 2), dtype=np.int64)
-    i = 0
-    for v in range(2 * side - 1):
-        u_min, u_max = col_bounds(side, v)
-        for u in range(u_min, u_max + 1):
-            out[i, 0] = u
-            out[i, 1] = v
-            i += 1
+    span = 2 * side - 1
+    # the bounding square column major; a pair is a cell iff |u - v| < L
+    v, u = np.divmod(np.arange(span * span, dtype=np.int64), span)
+    keep = abs(u - v) < side
+    out = np.stack([u[keep], v[keep]], axis=1)
     out.setflags(write=False)
     return out
 
@@ -192,7 +199,7 @@ class HexTensor:
         check_int(self.side, "side length")
         check_int(self.channels, "channels")
         n = cell_count(self.side)
-        arr = np.asarray(self.data)
+        arr = _real_array(self.data, "data")
         dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float64
         if arr.shape not in ((self.channels, n), (self.channels * n,)):
             raise ValueError(

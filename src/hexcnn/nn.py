@@ -154,12 +154,14 @@ def build_network(cfg: NetworkConfig) -> Network:
     """
     check_int(cfg.input_side, "input side")
     check_int(cfg.input_channels, "input channels")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(check_int(cfg.seed, "seed", 0))
     shape = ("hex", cfg.input_side, cfg.input_channels)
     shapes = [shape]
     params = []
     floor_pools = set()
     for i, spec in enumerate(cfg.layers):
+        if not isinstance(spec, LayerSpec):
+            raise ValueError(f"layer {i}: not a LayerSpec, got {spec!r}")
         try:
             shape, param = _build_layer(spec, shape, rng, i == len(cfg.layers) - 1)
         except ValueError as e:
@@ -176,6 +178,8 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
     has none), given its input shape."""
     if spec.kind not in KINDS:
         raise ValueError("unknown layer kind")
+    if spec.activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {spec.activation!r}")
     if spec.kind in ("hexconv", "hexmaxpool", "hexavgpool"):
         if shape[0] != "hex":
             raise ValueError("needs a hexagonal input")
@@ -185,8 +189,6 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
         if pool:
             return ("hex", out_side, channels), None
         check_int(spec.filters, "filters")
-        if spec.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {spec.activation!r}")
         e = cell_count(spec.window)
         a = np.sqrt(6.0 / (channels * e + spec.filters * e))
         w = rng.uniform(-a, a, size=(spec.filters, channels, e))
@@ -205,27 +207,21 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
     if shape[0] != "flat":
         raise ValueError("needs a flat input (insert flatten)")
     check_int(spec.units, "units")
-    if spec.activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {spec.activation!r}")
     fan_in = shape[1]
     a = np.sqrt(6.0 / (fan_in + spec.units))
     w = rng.uniform(-a, a, size=(spec.units, fan_in))
     return ("flat", spec.units), (w, np.zeros(spec.units))
 
 
-def _act(x: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str):
+    """The activation of ``z`` and what backward reads of it: the boolean
+    ``z > 0`` for relu (one byte a value, where ``z`` takes eight), None
+    for identity.  ``d * mask`` has the bits of ``d * (z > 0)``."""
     if kind == "identity":
-        return x
+        return z, None
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(z, 0.0), z > 0
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def _relu_mask(z: np.ndarray, kind: str):
-    """What backward reads of an activation: the boolean ``z > 0`` for
-    relu (one byte a value, where ``z`` takes eight), nothing for
-    identity.  ``d * mask`` has the bits of ``d * (z > 0)``."""
-    return z > 0 if kind == "relu" else None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -275,18 +271,18 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
     for i, spec in enumerate(net.cfg.layers[:stop]):
         if spec.kind == "hexconv":
             z = conv_valid(x, net.params[i], spec.stride)
-            cache.append((x, _relu_mask(z.data, spec.activation)))
-            a = _act(z.data, spec.activation)
+            a, mask = _activate(z.data, spec.activation)
+            cache.append((x, mask))
             a.setflags(write=False)
             x = HexTensor(z.side, z.channels, a)
             del z  # not live beside the next conv's output
         elif spec.kind == "hexmaxpool":
-            out, amap = maxpool(x, spec.window, spec.stride, floor_mode=True)
+            out, amap = maxpool(x, spec.window, spec.stride)
             cache.append(amap)
             x = out
         elif spec.kind == "hexavgpool":
             cache.append(x.side)
-            x = avgpool(x, spec.window, spec.stride, floor_mode=True)
+            x = avgpool(x, spec.window, spec.stride)
         else:  # flatten
             cache.append((x.side, x.channels))
             x = x.data.ravel()
@@ -332,9 +328,9 @@ def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Cach
         spec = net.cfg.layers[i]
         if spec.kind == "dense":
             w, b = net.params[i]
-            z = gemm(x, w.T) + b
-            head.append((i, x, _relu_mask(z, spec.activation)))
-            x = _act(z, spec.activation)
+            a, mask = _activate(gemm(x, w.T) + b, spec.activation)
+            head.append((i, x, mask))
+            x = a
         # softmax_xent: loss layer, logits pass through
     return x, _Caches(trunk, head)
 
@@ -452,17 +448,23 @@ def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
     return _backward_with(net, logits, caches, labels, _trunk_backward)
 
 
+def _arrays(p):
+    """(weights, bias) of a parameter: a conv layer's bank or a dense pair."""
+    return (p.weights, p.bias) if isinstance(p, HexFilterBank) else p
+
+
+def _with_arrays(p, w, b):
+    """A parameter of ``p``'s kind holding weights ``w`` and bias ``b``."""
+    return HexFilterBank(p.filter_side, w, b) if isinstance(p, HexFilterBank) else (w, b)
+
+
 def apply_gradients(net: Network, grads, learning_rate: float) -> None:
     for i, g in enumerate(grads):
         if g is None:
             continue
         p = net.params[i]
-        if isinstance(p, HexFilterBank):
-            net.params[i] = HexFilterBank(
-                p.filter_side, p.weights - learning_rate * g[0], p.bias - learning_rate * g[1]
-            )
-        else:
-            net.params[i] = (p[0] - learning_rate * g[0], p[1] - learning_rate * g[1])
+        w, b = _arrays(p)
+        net.params[i] = _with_arrays(p, w - learning_rate * g[0], b - learning_rate * g[1])
 
 
 def train_step(net: Network, batch, labels, tc: TrainConfig) -> float:
@@ -561,12 +563,10 @@ def config_digest(cfg: NetworkConfig) -> bytes:
 
 def _param_arrays(net: Network):
     for p in net.params:
-        if isinstance(p, HexFilterBank):
-            yield p.weights.ravel()
-            yield p.bias
-        elif p is not None:
-            yield p[0].ravel()
-            yield p[1]
+        if p is not None:
+            w, b = _arrays(p)
+            yield w.ravel()
+            yield b
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -610,14 +610,9 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
         raise ValueError(f"{path}: parameter arrays do not match the config")
     it = iter(arrays)
     for i, p in enumerate(net.params):
-        if isinstance(p, HexFilterBank):
-            w = next(it).reshape(p.weights.shape)
-            b = next(it)
-            net.params[i] = HexFilterBank(p.filter_side, w, b)
-        elif p is not None:
-            w = next(it).reshape(p[0].shape)
-            b = next(it)
-            net.params[i] = (w, b)
+        if p is not None:
+            w = next(it).reshape(_arrays(p)[0].shape)
+            net.params[i] = _with_arrays(p, w, next(it))
     return net
 
 

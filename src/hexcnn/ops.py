@@ -4,8 +4,9 @@ Convolution anchors the top-left cell of a hexagon-shaped window at
 (stride*u, stride*v) for every output cell (u, v); window cells are the
 anchor plus the filter's own cell offsets.  Every window cell is
 guaranteed to be a valid input cell (hexagons are closed under this
-index addition, floor mode included), which ``grid.offsets`` asserts
-when ``tap_gather`` first builds a window table.
+index addition), which ``grid.offsets`` asserts when ``tap_gather``
+first builds a window table.  Convolutions must tile the input; pools
+floor, dropping what the last stride does not reach.
 
 ``valid_geometry`` gives the output side; the window table
 (``tap_gather``) is the rest of the geometry, for these kernels and for
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, cells, check_int, offsets, pad_rings
+from .grid import HexTensor, _real_array, cell_count, cells, check_int, offsets, pad_rings
 from .matmul import gemm
 
 __all__ = [
@@ -68,7 +69,7 @@ class HexFilterBank:
 
     def __post_init__(self):
         n = cell_count(self.filter_side)
-        w = np.asarray(self.weights)
+        w = _real_array(self.weights, "weights")
         dtype = w.dtype if w.dtype in (np.float32, np.float64) else np.float64
         w = w.astype(dtype, copy=True)
         if w.ndim != 3 or w.shape[2] != n:
@@ -80,7 +81,7 @@ class HexFilterBank:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         b = self.bias
-        b = np.zeros(w.shape[0], dtype=dtype) if b is None else np.asarray(b, dtype=dtype).copy()
+        b = np.zeros(w.shape[0], dtype=dtype) if b is None else _real_array(b, "bias", dtype).copy()
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
         b.setflags(write=False)
@@ -145,9 +146,7 @@ def window_columns(t: HexTensor, g: np.ndarray) -> np.ndarray:
     return np.take(t.data, g, axis=1).reshape(-1, g.shape[1])
 
 
-def conv_valid(
-    t: HexTensor, bank: HexFilterBank, stride: int = 1, floor_mode: bool = False
-) -> HexTensor:
+def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
     """Valid hexagonal cross-correlation plus per-filter bias.
 
     One product per block of patches, each written into its columns of
@@ -157,7 +156,7 @@ def conv_valid(
         raise ValueError(
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
         )
-    out_side = valid_geometry(t.side, bank.filter_side, stride, floor_mode)
+    out_side = valid_geometry(t.side, bank.filter_side, stride)
     g = tap_gather(t.side, bank.filter_side, stride, out_side)
     w = bank.weights.reshape(bank.filters, -1)
     y = np.empty((bank.filters, g.shape[1]), np.result_type(w, t.data))
@@ -195,16 +194,14 @@ class ArgmaxMap:
         return self.winners.shape[0]
 
 
-def maxpool(
-    t: HexTensor, window_side: int, stride: int, floor_mode: bool = False
-) -> tuple[HexTensor, ArgmaxMap]:
+def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, ArgmaxMap]:
     """Max over each hexagonal window; ties go to the smallest offset.
 
     NaN counts as the maximum: a window holding a NaN outputs NaN, and
     its first NaN tap (in window storage order) is the winner that
     ``maxpool_backward`` routes the gradient to.
     """
-    out_side = valid_geometry(t.side, window_side, stride, floor_mode)
+    out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
     g = tap_gather(t.side, window_side, stride, out_side)
     win = np.take(t.data, g, axis=1)  # (C, E, P)
     # argmax returns the first maximum (or first NaN); window offsets
@@ -216,11 +213,9 @@ def maxpool(
     return HexTensor(out_side, t.channels, out), ArgmaxMap(t.side, out_side, winners)
 
 
-def avgpool(
-    t: HexTensor, window_side: int, stride: int, floor_mode: bool = False
-) -> HexTensor:
+def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
-    out_side = valid_geometry(t.side, window_side, stride, floor_mode)
+    out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
     g = tap_gather(t.side, window_side, stride, out_side)
     out = np.take(t.data, g, axis=1).mean(axis=1)
     out.setflags(write=False)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, cells, check_int
+from .grid import HexTensor, _real_array, cell_count, cells, check_int
 
 __all__ = [
     "SquareImage",
@@ -36,7 +36,7 @@ class SquareImage:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = _real_array(self.data, "image", np.float64)
         if d.ndim == 2:
             d = d[None, :, :]
         if d.ndim != 3 or d.shape[1] < 1 or d.shape[2] < 1:

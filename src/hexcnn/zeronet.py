@@ -38,7 +38,7 @@ pass (``_packed``).
 
 The backward cache holds what the native trunk's does: a conv keeps its
 embedded input and, for relu, the boolean mask of its hex-masked output
-(``_relu_mask``), never the float64 pre-activation; ``nn``'s driver
+(from ``nn._activate``), never the float64 pre-activation; ``nn``'s driver
 hands ``_trunk_backward`` each sample's cache list, which pops every
 entry as it walks it and drops a conv's input once its filter gradient
 is formed.
@@ -58,7 +58,7 @@ from .grads import _scatter_add
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _act, _backward_with, _forward_with, _relu_mask, apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _forward_with, apply_gradients,
 )
 from .ops import HexFilterBank, patch_blocks
 from .zeroout import (
@@ -171,8 +171,9 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         if spec.kind == "hexconv":
             z = _rect_conv_all(x, net.params[i], spec.stride)
             z *= hex_mask(out_side)
-            cache.append((x, _relu_mask(z, spec.activation)))
-            x = _act(z, spec.activation)
+            a, mask = _activate(z, spec.activation)
+            cache.append((x, mask))
+            x = a
             del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, cells, check_int
+from .grid import HexTensor, _real_array, cells, check_int
 from .instrument import add_macs
 from .ops import HexFilterBank
 
@@ -89,7 +89,7 @@ class ZeroOutFilterBank:
 
     def __post_init__(self):
         span = 2 * self.hex_side - 1
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _real_array(self.weights, "weights", np.float64)
         if w.ndim != 4 or w.shape[2:] != (span, span):
             raise ValueError(f"weights must be (F, C, {span}, {span}), got {w.shape}")
         if w[:, :, ~hex_mask(self.hex_side)].any():
@@ -97,7 +97,7 @@ class ZeroOutFilterBank:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        b = np.asarray(self.bias, dtype=np.float64).copy()
+        b = _real_array(self.bias, "bias", np.float64).copy()
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
         b.setflags(write=False)

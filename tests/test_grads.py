@@ -268,18 +268,14 @@ def test_adjoint_identity():
 
 
 def test_conv_backward_input_matches_point_reflection_reference():
-    # the col2im scatter against the paper's construction (upsample, full
-    # convolution with the transposed point-reflected bank, embed), on
-    # exact and floor-mode sides
+    # the col2im scatter against the paper's construction (upsample, then
+    # full convolution with the transposed point-reflected bank)
     rng = np.random.default_rng(13)
-    floor_cases = 0
     for _ in range(60):
         fside = int(rng.integers(1, 5))
         stride = int(rng.integers(1, 4))
         out_side = int(rng.integers(1, 5))
-        rim = int(rng.integers(0, stride))
-        side = stride * (out_side - 1) + fside + rim
-        floor_cases += rim > 0
+        side = stride * (out_side - 1) + fside
         channels, filters = (int(n) for n in rng.integers(1, 4, size=2))
         bank = HexFilterBank(fside, rng.standard_normal((filters, channels, cell_count(fside))))
         delta = HexTensor(out_side, filters, rng.standard_normal((filters, cell_count(out_side))))
@@ -288,7 +284,6 @@ def test_conv_backward_input_matches_point_reflection_reference():
         assert got.side == ref.side == side and got.channels == ref.channels == channels
         scale = np.abs(ref.data).max()
         assert np.abs(got.data - ref.data).max() <= 1e-10 * scale
-    assert floor_cases > 10
 
 
 def test_upsample_mass_and_maxpool_mass_conservation():
@@ -301,26 +296,36 @@ def test_upsample_mass_and_maxpool_mass_conservation():
     assert maxpool_backward(d, amap).data.sum() == pytest.approx(d.data.sum())
 
 
-def test_conv_backward_floor_mode_finite_difference():
-    # stride does not tile the input: windows never reach the far rim, so
-    # those cells get zero gradient and the rest must match finite differences
-    rng = np.random.default_rng(12)
-    side, fside, stride = 6, 2, 3
-    x = rng.standard_normal((1, cell_count(side)))
-    bank = HexFilterBank.random(rng, 2, 1, fside)
+def test_pool_backwards_floor_finite_difference():
+    # side 6, window 2, stride 3: the pools floor, so the far rim gets zero
+    # gradient and every cell must match finite differences
+    rng = np.random.default_rng(22)
+    side, window, stride = 6, 2, 3
+    x = rng.standard_normal((2, cell_count(side)))
+    out, amap = maxpool(HexTensor(side, 2, x), window, stride)
+    avg = avgpool(HexTensor(side, 2, x), window, stride)
+    assert out.side == avg.side == 2
+    grads_and_losses = [
+        (maxpool_backward(out, amap).data, lambda a: sq_loss(maxpool(HexTensor(side, 2, a), window, stride)[0])),
+        (avgpool_backward(avg, window, stride, side).data, lambda a: sq_loss(avgpool(HexTensor(side, 2, a), window, stride))),
+    ]
+    rim = offset_table(side)[2 * side - 2, 2 * side - 2]
+    for grad, loss in grads_and_losses:
+        assert not grad[:, rim].any()
+        for coord in np.ndindex(x.shape):
+            assert_fd_close(grad[coord], fd_grad(loss, x, coord))
 
-    def loss(arr):
-        return sq_loss(conv_valid(HexTensor(side, 1, arr), bank, stride, floor_mode=True))
 
-    out = conv_valid(HexTensor(side, 1, x), bank, stride, floor_mode=True)
-    assert out.side == 2
-    grad = conv_backward_input(out, bank, stride, side).data
-    for coord in [(0, 0), (0, 40), (0, cell_count(side) - 1)]:
-        assert_fd_close(grad[coord], fd_grad(loss, x, coord))
-    dw, db = conv_backward_filter(HexTensor(side, 1, x), out, stride, fside)
-
-    def wloss(w):
-        return sq_loss(conv_valid(HexTensor(side, 1, x), HexFilterBank(fside, w, bank.bias), stride, floor_mode=True))
-
-    for coord in [(0, 0, 0), (1, 0, 6)]:
-        assert_fd_close(dw[coord], fd_grad(wloss, bank.weights.copy(), coord))
+@pytest.mark.parametrize("kernel", [conv_backward_input, conv_backward_input_reflect, conv_backward_filter])
+def test_conv_backwards_reject_geometry_that_does_not_tile(kernel):
+    # a side-2 error fits a side-6 input under window 2, stride 3 only if
+    # the remainder were floored, which convolutions never do
+    rng = np.random.default_rng(23)
+    bank = HexFilterBank.random(rng, 2, 1, 2)
+    delta = HexTensor(2, 2, rng.standard_normal((2, 7)))
+    t = HexTensor(6, 1, rng.standard_normal((1, cell_count(6))))
+    with pytest.raises(ValueError, match="does not tile"):
+        if kernel is conv_backward_filter:
+            kernel(t, delta, 3, 2)
+        else:
+            kernel(delta, bank, 3, 6)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from hexcnn.grid import (
 from hexcnn.nn import LayerSpec, NetworkConfig, build_network
 from hexcnn.ops import HexFilterBank, conv_valid, maxpool
 from hexcnn.resample import SquareImage, min_cover_side, square_to_hex
-from hexcnn.zeroout import hex_mask, rect_conv_reference, zeroout_filter
+from hexcnn.zeroout import ZeroOutFilterBank, hex_mask, rect_conv_reference, zeroout_filter
 
 
 @pytest.mark.parametrize("side,count", [(1, 1), (2, 7), (5, 61)])
@@ -81,6 +83,15 @@ def test_flat_offset_rejects_invalid():
 def test_flat_offset_bijection(side):
     seen = [flat_offset(side, u, v) for u, v in cells(side)]
     assert seen == list(range(cell_count(side)))
+
+
+def test_cells_storage_order():
+    # column major: pairs sorted by (v, u), every pair a cell, 3L(L-1)+1 pairs
+    for side in range(1, 41):
+        uv = cells(side)
+        assert uv.shape == (3 * side * (side - 1) + 1, 2) and uv.dtype == np.int64
+        assert (np.diff(uv[:, 1] * 2 * side + uv[:, 0]) > 0).all()
+        assert all(is_valid_cell(side, int(u), int(v)) for u, v in uv)
 
 
 @given(side=st.integers(1, 16))
@@ -266,3 +277,35 @@ def test_hextensor_adopts_owned_read_only_arrays():
     c = np.arange(14.0)
     c.setflags(write=False)
     assert HexTensor(2, 2, c).data.shape == (2, 7)
+
+
+def assert_rejects_values_that_are_not_real(make):
+    # numpy would keep a complex number's real part and only warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.full(7, 1 + 2j), np.full(7, "1.5")):
+            with pytest.raises(ValueError, match=f"real numbers, got dtype {bad.dtype}"):
+                make(bad)
+
+
+def test_hextensor_rejects_values_that_are_not_real():
+    assert_rejects_values_that_are_not_real(lambda a: HexTensor(2, 1, a))
+    # float32 and float64 are kept, other real numbers become float64
+    assert HexTensor(1, 1, np.float32([1])).dtype == np.float32
+    for a in (np.int8([1]), np.float16([1]), [True], np.longdouble([1])):
+        assert HexTensor(1, 1, a).dtype == np.float64
+
+
+def test_hex_filter_bank_rejects_values_that_are_not_real():
+    assert_rejects_values_that_are_not_real(lambda a: HexFilterBank(2, a.reshape(1, 1, 7)))
+    assert_rejects_values_that_are_not_real(lambda a: HexFilterBank(2, np.ones((7, 1, 7)), a))
+
+
+def test_zeroout_filter_bank_rejects_values_that_are_not_real():
+    w = np.zeros((7, 1, 1, 1))
+    assert_rejects_values_that_are_not_real(lambda a: ZeroOutFilterBank(1, a.reshape(w.shape), np.zeros(7)))
+    assert_rejects_values_that_are_not_real(lambda a: ZeroOutFilterBank(1, w, a))
+
+
+def test_square_image_rejects_values_that_are_not_real():
+    assert_rejects_values_that_are_not_real(lambda a: SquareImage(a.reshape(1, 7)))

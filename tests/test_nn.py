@@ -24,7 +24,7 @@ from hexcnn.nn import (
     train_step,
     xent_loss_grad,
 )
-from hexcnn.ops import PATCH_BLOCK, conv_valid, maxpool
+from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool
 from hexcnn.instrument import MacMeter
 from hexcnn import nn, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
@@ -72,6 +72,49 @@ def test_build_reports_offending_layer():
             build_network(NetworkConfig(*args))
 
 
+def test_build_rejects_seeds_and_layers_of_the_wrong_type():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        build_network(NetworkConfig(3, 1, (LayerSpec.flatten(),), seed=1.5))
+    with pytest.raises(ValueError, match="layer 1: not a LayerSpec"):
+        build_network(NetworkConfig(3, 1, (LayerSpec.flatten(), "conv")))
+
+
+@pytest.mark.parametrize("kind", ["hexconv", "hexmaxpool", "hexavgpool", "flatten", "dense", "softmax_xent"])
+def test_build_checks_the_activation_of_every_layer_kind(kind):
+    spec = LayerSpec(kind, filters=1, window=1, units=1, activation="tanh")
+    with pytest.raises(ValueError, match=rf"layer 0 \({kind}\): unknown activation 'tanh'"):
+        build_network(NetworkConfig(3, 1, (spec,)))
+
+
+def test_built_sides_are_the_kernels_sides():
+    # build_network and the kernels resolve each layer's geometry on their
+    # own: random conv/pool stacks, floored pools included, must agree
+    rng = np.random.default_rng(24)
+    floored = 0
+    for case in range(40):
+        side = int(rng.integers(4, 30))
+        layers, s = [], side
+        while s > 1 and len(layers) < 4:
+            window = int(rng.integers(1, min(s, 3) + 1))
+            kind = ("hexconv", "hexmaxpool", "hexavgpool")[int(rng.integers(0, 3))]
+            strides = [k for k in (1, 2, 3) if kind != "hexconv" or (s - window) % k == 0]
+            stride = strides[int(rng.integers(0, len(strides)))]
+            layers.append(LayerSpec(kind, filters=2, window=window, stride=stride))
+            s = (s - window) // stride + 1
+        net = build_network(NetworkConfig(side, 1, tuple(layers), case))
+        x = HexTensor(side, 1, rng.standard_normal(cell_count(side)))
+        for i, spec in enumerate(layers):
+            if spec.kind == "hexconv":
+                x = conv_valid(x, net.params[i], spec.stride)
+            elif spec.kind == "hexmaxpool":
+                x, _ = maxpool(x, spec.window, spec.stride)
+            else:
+                x = avgpool(x, spec.window, spec.stride)
+            assert net.shapes[i + 1] == ("hex", x.side, x.channels)
+        floored += len(net.floor_pools)
+    assert floored > 10
+
+
 def test_init_bounds_follow_fan_in_out():
     net = build_network(tiny_cfg())
     bank = net.params[0]
@@ -111,10 +154,10 @@ def test_forward_matches_manual_composition():
 
     x = conv_valid(t, net.params[0], 1)
     x = HexTensor(x.side, x.channels, np.maximum(x.data, 0.0))
-    x, _ = maxpool(x, 2, 3, floor_mode=True)
+    x, _ = maxpool(x, 2, 3)
     x = conv_valid(x, net.params[2], 1)
     x = HexTensor(x.side, x.channels, np.maximum(x.data, 0.0))
-    x, _ = maxpool(x, 2, 3, floor_mode=True)
+    x, _ = maxpool(x, 2, 3)
     vec = x.data.ravel()
     w, b = net.params[5]
     vec = np.maximum(w @ vec + b, 0.0)

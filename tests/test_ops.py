@@ -68,8 +68,6 @@ def test_conv_geometry_errors():
         conv_valid(t, ones_bank(side=4))  # filter larger than input
     with pytest.raises(ValueError):
         conv_valid(t, ones_bank(), stride=2)  # (3-2) % 2 != 0
-    # floor mode accepts it and drops the remainder
-    assert conv_valid(t, ones_bank(), stride=2, floor_mode=True).side == 1
 
 
 def test_conv_linearity():
@@ -184,6 +182,22 @@ def test_avgpool_matches_patch_enumeration():
     for c in range(2):
         for p in range(g.shape[0]):
             assert out.data[c, p] == pytest.approx(t.data[c, g[p]].mean(), rel=1e-15)
+
+
+def test_pools_floor_without_a_flag():
+    # side 6, window 2, stride 3 does not tile: the windows never reach the
+    # far rim, and the pools drop it where a convolution raises
+    rng = np.random.default_rng(21)
+    t = HexTensor(6, 2, rng.standard_normal((2, cell_count(6))))
+    with pytest.raises(ValueError, match="does not tile"):
+        conv_valid(t, ones_bank(channels=2), 3)
+    out, _ = maxpool(t, 2, 3)
+    avg = avgpool(t, 2, 3)
+    assert out.side == avg.side == 2
+    for p, (u, v) in enumerate(cells(2)):
+        window = t.data[:, [flat_offset(6, 3 * u + du, 3 * v + dv) for du, dv in cells(2)]]
+        assert np.array_equal(out.data[:, p], window.max(axis=1))
+        assert np.allclose(avg.data[:, p], window.mean(axis=1), rtol=1e-15, atol=0)
 
 
 def test_valid_geometry_examples():

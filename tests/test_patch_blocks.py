@@ -19,7 +19,6 @@ from hexcnn.ops import HexFilterBank
 from test_grads import (  # noqa: F401  (collected again here)
     test_adjoint_identity,
     test_conv_backward_filter_finite_difference,
-    test_conv_backward_floor_mode_finite_difference,
     test_conv_backward_input_finite_difference,
     test_conv_backward_input_matches_point_reflection_reference,
 )
