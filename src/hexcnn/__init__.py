@@ -16,13 +16,11 @@ from .grid import (
     flat_offset,
     is_valid_cell,
     pad_rings,
-    point_reflect,
-    rot180_filter,
+    rotate_permutation,
     row_bounds,
 )
 from .ops import ArgmaxMap, HexFilterBank, avgpool, conv_full, conv_valid, maxpool
 from .grads import (
-    apply_activation_backward,
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,

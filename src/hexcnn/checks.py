@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grads import (
-    apply_activation_backward,
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,
@@ -23,6 +22,7 @@ from .nn import (
     LayerSpec,
     Network,
     NetworkConfig,
+    _activate,
     _arrays,
     _with_arrays,
     backward,
@@ -232,9 +232,8 @@ def _grad_cases_activation(rng, probes, tol, h, results):
         side = int(rng.integers(2, 7))
         channels = int(rng.integers(1, 3))
         x = rng.standard_normal((channels, cell_count(side)))
-        pre = HexTensor(side, channels, x)
-        out = HexTensor(side, channels, np.maximum(x, 0.0))
-        grad = apply_activation_backward(out, pre, "relu").data
+        a, mask = _activate(x, "relu")
+        grad = a * mask  # the error of the loss times relu's derivative, as training forms it
         coords = _probe_coords(rng, x.shape, min(5, probes - done))
         done += _probe(results, f"activation_{inst}", grad, x, loss, coords, tol, h)
         inst += 1
@@ -282,7 +281,7 @@ def _grad_cases_network(rng, probes, tol, h, results):
             w, b = (a.copy() for a in _arrays(params[i]))
             (w if which == 0 else b)[coord] += offset
             params[i] = _with_arrays(params[i], w, b)
-            probed = Network(net.cfg, params, net.shapes, net.floor_pools)
+            probed = Network(net.cfg, params, net.shapes)
             return _net_loss(probed, batch, labels)
 
         numeric = (loss_with(h) - loss_with(-h)) / (2 * h)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, check_int, reflect_permutation
+from .grid import HexTensor, cell_count, check_int, rotate_permutation
 from .matmul import gemm
 from .ops import (
     ArgmaxMap,
@@ -38,7 +38,6 @@ __all__ = [
     "conv_backward_filter",
     "maxpool_backward",
     "avgpool_backward",
-    "apply_activation_backward",
 ]
 
 
@@ -63,9 +62,9 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
 
 
 def transpose_reflect(bank: HexFilterBank) -> HexFilterBank:
-    """Swap filter/channel roles and point-reflect each filter; zero bias."""
-    perm = reflect_permutation(bank.filter_side)
-    w = bank.weights[:, :, perm].transpose(1, 0, 2)
+    """Swap filter/channel roles and point-reflect (rotate by 180 degrees)
+    each filter; zero bias."""
+    w = bank.weights[:, :, rotate_permutation(bank.filter_side, 3)].transpose(1, 0, 2)
     return HexFilterBank(bank.filter_side, w)
 
 
@@ -162,15 +161,3 @@ def avgpool_backward(
     out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)
 
-
-def apply_activation_backward(delta: HexTensor, preact: HexTensor, kind: str) -> HexTensor:
-    """Hadamard product of the error with the activation derivative."""
-    if delta.side != preact.side or delta.channels != preact.channels:
-        raise ValueError("error and pre-activation shapes differ")
-    if kind == "identity":
-        return delta
-    if kind == "relu":
-        out = delta.data * (preact.data > 0)
-        out.setflags(write=False)
-        return HexTensor(delta.side, delta.channels, out)
-    raise ValueError(f"unknown activation {kind!r}")

@@ -33,9 +33,7 @@ __all__ = [
     "cells",
     "offset_table",
     "offsets",
-    "point_reflect",
-    "reflect_permutation",
-    "rot180_filter",
+    "rotate_permutation",
     "HexTensor",
     "pad_rings",
 ]
@@ -146,34 +144,23 @@ def offsets(side: int, uv) -> np.ndarray:
     return idx
 
 
-def point_reflect(side: int, u: int, v: int) -> tuple[int, int]:
-    """Reflect a cell through the hexagon center: (u, v) -> (2L-2-u, 2L-2-v)."""
-    if not is_valid_cell(side, u, v):
-        raise ValueError(f"({u}, {v}) is not a valid cell for side {side}")
-    return 2 * side - 2 - u, 2 * side - 2 - v
+@lru_cache(maxsize=None, typed=True)  # typed: k = 1.0 must not hit k = 1's entry
+def rotate_permutation(side: int, k: int) -> np.ndarray:
+    """Storage permutation rotating a hexagon by ``k`` x 60 degrees about
+    its center: ``data[..., rotate_permutation(side, k)]`` is ``data``
+    rotated.
 
-
-@lru_cache(maxsize=None)
-def reflect_permutation(side: int) -> np.ndarray:
-    """Storage-order permutation realizing the central point reflection.
-
-    The permutation is an involution, so it maps either direction.
+    In centered axial coordinates (a, b) = (u-L+1, v-L+1) one step
+    carries the value at (a, b) to (a - b, a).  ``k`` is taken mod 6;
+    ``k = 3`` is the point reflection (u, v) -> (2L-2-u, 2L-2-v), the
+    hexagonal analogue of rotating a rectangular filter by 180 degrees.
+    The permutation is cached and read-only.
     """
-    return offsets(side, 2 * side - 2 - cells(side))
-
-
-def rot180_filter(side: int, values: np.ndarray) -> np.ndarray:
-    """Point-reflect hex filter weights stored along the last axis.
-
-    The hexagonal analogue of rotating a rectangular filter by 180
-    degrees; applying it twice returns the input.
-    """
-    values = np.asarray(values)
-    if values.shape[-1] != cell_count(side):
-        raise ValueError(
-            f"last axis has {values.shape[-1]} cells, expected {cell_count(side)}"
-        )
-    return values[..., reflect_permutation(side)]
+    center = side - 1
+    a, b = (cells(side) - center).T
+    for _ in range(check_int(k, "rotation count", None) % 6):
+        a, b = b, b - a  # one step back: where each cell's value comes from
+    return offsets(side, np.stack([a, b], axis=1) + center)
 
 
 @dataclass(frozen=True, eq=False)

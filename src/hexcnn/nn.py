@@ -18,7 +18,7 @@ import hashlib
 import json
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,15 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("identity", "relu")
-KINDS = ("hexconv", "hexmaxpool", "hexavgpool", "flatten", "dense", "softmax_xent")
+# every layer kind and the LayerSpec fields it reads; the rest must keep their defaults
+KINDS = {
+    "hexconv": ("filters", "window", "stride", "activation"),
+    "hexmaxpool": ("window", "stride"),
+    "hexavgpool": ("window", "stride"),
+    "flatten": (),
+    "dense": ("units", "activation"),
+    "softmax_xent": (),
+}
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,10 @@ class Network:
     otherwise.
     """
 
-    def __init__(self, cfg, params, shapes, floor_pools):
+    def __init__(self, cfg, params, shapes):
         self.cfg = cfg
         self.params = params
         self.shapes = shapes
-        self.floor_pools = floor_pools  # layer indices where the stride floors
 
     def parameter_count(self) -> int:
         return sum(a.size for a in _param_arrays(self))
@@ -136,7 +143,8 @@ class Network:
         lines = [f"input: hex side {self.cfg.input_side}, {self.cfg.input_channels} channels"]
         for i, spec in enumerate(self.cfg.layers):
             shape = self.shapes[i + 1]
-            note = " (floor stride)" if i in self.floor_pools else ""
+            pool = spec.kind in ("hexmaxpool", "hexavgpool")
+            note = " (floor stride)" if pool and (self.shapes[i][1] - spec.window) % spec.stride else ""
             if shape[0] == "hex":
                 out = f"hex side {shape[1]}, {shape[2]} channels"
             else:
@@ -150,7 +158,8 @@ def build_network(cfg: NetworkConfig) -> Network:
 
     Weights are uniform in [-a, a] with a = sqrt(6 / (fan_in + fan_out));
     biases start at zero.  A bad layer raises ``ValueError`` naming its
-    index and kind; conv geometry must tile exactly, pool geometry floors.
+    index and kind; conv geometry must tile exactly, pool geometry floors,
+    and a field the kind does not read must keep its ``LayerSpec`` default.
     """
     check_int(cfg.input_side, "input side")
     check_int(cfg.input_channels, "input channels")
@@ -158,7 +167,6 @@ def build_network(cfg: NetworkConfig) -> Network:
     shape = ("hex", cfg.input_side, cfg.input_channels)
     shapes = [shape]
     params = []
-    floor_pools = set()
     for i, spec in enumerate(cfg.layers):
         if not isinstance(spec, LayerSpec):
             raise ValueError(f"layer {i}: not a LayerSpec, got {spec!r}")
@@ -166,11 +174,9 @@ def build_network(cfg: NetworkConfig) -> Network:
             shape, param = _build_layer(spec, shape, rng, i == len(cfg.layers) - 1)
         except ValueError as e:
             raise ValueError(f"layer {i} ({spec.kind}): {e}") from None
-        if spec.kind in ("hexmaxpool", "hexavgpool") and (shapes[-1][1] - spec.window) % spec.stride:
-            floor_pools.add(i)
         params.append(param)
         shapes.append(shape)
-    return Network(cfg, params, shapes, floor_pools)
+    return Network(cfg, params, shapes)
 
 
 def _build_layer(spec: LayerSpec, shape, rng, last: bool):
@@ -180,6 +186,10 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
         raise ValueError("unknown layer kind")
     if spec.activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {spec.activation!r}")
+    for f in fields(LayerSpec)[1:]:  # every field but the kind
+        value = getattr(spec, f.name)
+        if f.name not in KINDS[spec.kind] and (type(value) is not type(f.default) or value != f.default):
+            raise ValueError(f"does not use {f.name}, which must stay {f.default!r}, got {value!r}")
     if spec.kind in ("hexconv", "hexmaxpool", "hexavgpool"):
         if shape[0] != "hex":
             raise ValueError("needs a hexagonal input")

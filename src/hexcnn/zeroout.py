@@ -140,7 +140,7 @@ def rect_conv_reference(
     are multiplied like any other tap, which is the point of measuring
     this baseline).
     """
-    data = np.asarray(r, dtype=np.float64)
+    data = _real_array(r, "rect input", np.float64)
     if data.ndim != 3:
         raise ValueError(f"rect input must be (channels, h, w), got {data.shape}")
     c, h, w = data.shape

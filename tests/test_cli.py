@@ -29,7 +29,8 @@ def test_verify_default_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     code = main(["verify", "--cases", "8", "--gradient-probes", "6", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["suite", "case", "status", "max_rel_err"]
     assert all(r[2] == "pass" for r in rows[1:])
     assert {r[0] for r in rows[1:]} == {"oracle", "adjoint", "gradient"}
@@ -49,7 +50,8 @@ def test_verify_fault_injection_fails(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "oracle_000" in err
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert any(r[2] == "fail" for r in rows[1:])
     assert list(tmp_path.glob("hexcnn-replay-*.npz"))
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hexcnn.grads import (
-    apply_activation_backward,
     avgpool_backward,
     conv_backward_filter,
     conv_backward_input,
@@ -12,6 +11,7 @@ from hexcnn.grads import (
     upsample_stride,
 )
 from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
+from hexcnn.nn import _activate
 from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, tap_gather
 
 H = 1e-6
@@ -232,21 +232,23 @@ def test_avgpool_backward_finite_difference():
 
 
 def test_activation_backward_identity_and_dead_relu():
+    # backward multiplies the error by the mask that nn._activate returns
     rng = np.random.default_rng(7)
-    delta = HexTensor(3, 1, rng.standard_normal((1, 19)))
-    pre = HexTensor(3, 1, -np.ones(19))
-    assert apply_activation_backward(delta, pre, "identity") is delta
-    assert not apply_activation_backward(delta, pre, "relu").data.any()
+    z = rng.standard_normal((1, 19))
+    a, mask = _activate(z, "identity")
+    assert a is z and mask is None
+    delta = rng.standard_normal((1, 19))
+    _, mask = _activate(-np.ones(19), "relu")
+    assert not (delta * mask).any()
     with pytest.raises(ValueError):
-        apply_activation_backward(delta, pre, "tanh")
+        _activate(z, "tanh")
 
 
 def test_activation_backward_finite_difference():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 19))
-    pre = HexTensor(3, 1, x)
-    post = HexTensor(3, 1, np.maximum(x, 0.0))
-    grad = apply_activation_backward(post, pre, "relu").data
+    a, mask = _activate(x, "relu")
+    grad = a * mask  # the loss's error a times relu's derivative
 
     def loss(arr):
         return 0.5 * float(np.sum(np.maximum(arr, 0.0) ** 2))

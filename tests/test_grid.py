@@ -15,9 +15,7 @@ from hexcnn.grid import (
     offset_table,
     offsets,
     pad_rings,
-    point_reflect,
-    reflect_permutation,
-    rot180_filter,
+    rotate_permutation,
     row_bounds,
 )
 from hexcnn.nn import LayerSpec, NetworkConfig, build_network
@@ -127,34 +125,37 @@ def test_offsets_assert_pairs_are_cells(side, uv):
     [(2, (0, 0), (2, 2)), (2, (1, 1), (1, 1)), (3, (0, 2), (4, 2))],
 )
 def test_point_reflect_examples(side, uv, expected):
-    assert point_reflect(side, *uv) == expected
+    # a half turn is the point reflection through the center
+    assert rotate_permutation(side, 3)[flat_offset(side, *expected)] == flat_offset(side, *uv)
 
 
 @given(side=st.integers(1, 16))
 def test_point_reflect_closed_and_involutive(side):
-    for u, v in cells(side):
-        ru, rv = point_reflect(side, u, v)
-        assert is_valid_cell(side, ru, rv)
-        assert point_reflect(side, ru, rv) == (u, v)
-
-
-@given(side=st.integers(1, 12))
-def test_reflect_permutation_is_involution(side):
-    perm = reflect_permutation(side)
+    perm = rotate_permutation(side, 3)
+    assert np.array_equal(perm, offsets(side, 2 * side - 2 - cells(side)))
     assert np.array_equal(perm[perm], np.arange(len(perm)))
 
 
-def test_rot180_filter():
-    # 1 at cell (0,0) moves to cell (2,2), the last storage slot
-    k = np.zeros(7)
-    k[0] = 1.0
-    out = rot180_filter(2, k)
-    assert out[flat_offset(2, 2, 2)] == 1.0 and out.sum() == 1.0
-    const = np.full(7, 2.5)
-    assert np.array_equal(rot180_filter(2, const), const)
-    rng = np.random.default_rng(0)
-    k = rng.standard_normal((3, 2, 19))
-    assert np.array_equal(rot180_filter(3, rot180_filter(3, k)), k)
+@given(side=st.integers(1, 14))
+def test_rotate_permutation_composes_six_steps_to_the_identity(side):
+    step = rotate_permutation(side, 1)
+    composed = np.arange(cell_count(side))
+    for k in range(7):
+        assert np.array_equal(rotate_permutation(side, k), composed)
+        assert np.array_equal(rotate_permutation(side, k - 6), composed)  # k is taken mod 6
+        composed = composed[step]
+    assert np.array_equal(composed, step)  # k = 6 was the identity
+
+
+def test_rotate_permutation_steps_sixty_degrees():
+    # one step carries the value at centered (a, b) to (a - b, a): the
+    # corner (0, 0) of side 2, centered (-1, -1), moves to (1, 0), and
+    # the center stays put
+    x = np.arange(7.0)
+    y = x[rotate_permutation(2, 1)]
+    assert y[flat_offset(2, 1, 0)] == x[flat_offset(2, 0, 0)]
+    assert y[flat_offset(2, 1, 1)] == x[flat_offset(2, 1, 1)]
+    assert not rotate_permutation(3, 2).flags.writeable
 
 
 def test_hextensor_validation():
@@ -207,7 +208,7 @@ _T3 = HexTensor(3, 1, np.zeros(19))
         pytest.param(lambda: flat_offset(2, 1, 1.0), id="flat_offset_column"),
         pytest.param(lambda: is_valid_cell(2, 1.5, 1), id="is_valid_cell_row"),
         pytest.param(lambda: is_valid_cell(2, 1, True), id="is_valid_cell_bool_column"),
-        pytest.param(lambda: point_reflect(2, 0.5, 0.5), id="point_reflect"),
+        pytest.param(lambda: rotate_permutation(2, 1.0), id="rotate_permutation"),
         pytest.param(lambda: row_bounds(2, 1.0), id="row_bounds"),
         pytest.param(lambda: col_bounds(2, np.float64(1.0)), id="col_bounds"),
     ],
@@ -305,6 +306,11 @@ def test_zeroout_filter_bank_rejects_values_that_are_not_real():
     w = np.zeros((7, 1, 1, 1))
     assert_rejects_values_that_are_not_real(lambda a: ZeroOutFilterBank(1, a.reshape(w.shape), np.zeros(7)))
     assert_rejects_values_that_are_not_real(lambda a: ZeroOutFilterBank(1, w, a))
+
+
+def test_rect_conv_reference_rejects_values_that_are_not_real():
+    zbank = zeroout_filter(HexFilterBank(1, [[[1.0]]]))
+    assert_rejects_values_that_are_not_real(lambda a: rect_conv_reference(a.reshape(1, 1, 7), zbank))
 
 
 def test_square_image_rejects_values_that_are_not_real():

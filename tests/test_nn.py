@@ -86,6 +86,41 @@ def test_build_checks_the_activation_of_every_layer_kind(kind):
         build_network(NetworkConfig(3, 1, (spec,)))
 
 
+@pytest.mark.parametrize(
+    "layers,field",
+    [
+        ((LayerSpec("hexmaxpool", window=2, stride=1, filters=-5, units="x"),), "filters"),
+        ((LayerSpec("hexavgpool", window=2, units=3),), "units"),
+        ((LayerSpec("hexmaxpool", window=2, activation="relu"),), "activation"),
+        ((LayerSpec("hexconv", filters=1, window=1, units=False),), "units"),  # False is not 0
+        ((LayerSpec("flatten", stride=1.0),), "stride"),
+        ((LayerSpec.flatten(), LayerSpec("dense", units=2, window=np.int64(0))), "window"),
+        ((LayerSpec.flatten(), LayerSpec("softmax_xent", filters=2)), "filters"),
+    ],
+)
+def test_build_rejects_fields_the_layer_kind_does_not_read(layers, field):
+    # config_digest hashes every field, so an unread one would split the
+    # checkpoints of one network
+    with pytest.raises(ValueError, match=f"does not use {field}, which must stay"):
+        build_network(NetworkConfig(5, 1, layers))
+
+
+def test_preset_digests_are_unchanged():
+    # pinned before unread fields were checked: saved checkpoints still load
+    presets = (
+        hex_lenet(17, 10),
+        hex_lenet4(17, 10),
+        hex_vgg13(94, 10, width_scale=0.125),
+        hex_vgg16(130, 10, width_scale=0.125),
+    )
+    assert [nn.config_digest(cfg).hex()[:16] for cfg in presets] == [
+        "9c972398b8ad5ad4",
+        "e0fef8239cfacb91",
+        "48baee7ffc7e932a",
+        "704637dd238d9260",
+    ]
+
+
 def test_built_sides_are_the_kernels_sides():
     # build_network and the kernels resolve each layer's geometry on their
     # own: random conv/pool stacks, floored pools included, must agree
@@ -99,7 +134,8 @@ def test_built_sides_are_the_kernels_sides():
             kind = ("hexconv", "hexmaxpool", "hexavgpool")[int(rng.integers(0, 3))]
             strides = [k for k in (1, 2, 3) if kind != "hexconv" or (s - window) % k == 0]
             stride = strides[int(rng.integers(0, len(strides)))]
-            layers.append(LayerSpec(kind, filters=2, window=window, stride=stride))
+            filters = {"filters": 2} if kind == "hexconv" else {}
+            layers.append(LayerSpec(kind, window=window, stride=stride, **filters))
             s = (s - window) // stride + 1
         net = build_network(NetworkConfig(side, 1, tuple(layers), case))
         x = HexTensor(side, 1, rng.standard_normal(cell_count(side)))
@@ -111,7 +147,7 @@ def test_built_sides_are_the_kernels_sides():
             else:
                 x = avgpool(x, spec.window, spec.stride)
             assert net.shapes[i + 1] == ("hex", x.side, x.channels)
-        floored += len(net.floor_pools)
+        floored += sum(line.endswith(" (floor stride)") for line in net.describe())
     assert floored > 10
 
 
@@ -216,7 +252,7 @@ def check_network_gradients(cfg, n, probes):
             w, b = p[0].copy(), p[1].copy()
             (w if which == 0 else b)[coord] += offset
             params[layer] = (w, b)
-        probe = type(net)(net.cfg, params, net.shapes, net.floor_pools)
+        probe = type(net)(net.cfg, params, net.shapes)
         lg, _ = forward(probe, batch)
         return sum(xent_loss_grad(lg[i], int(labels[i]))[0] for i in range(n)) / n
 
@@ -541,7 +577,7 @@ def test_zeroout_twin_supports_avgpool():
 
 def test_zeroout_gradients_match_on_composed_network():
     net = build_network(composed_cfg(seed=15))
-    assert net.floor_pools == {1}
+    assert [i for i, line in enumerate(net.describe()) if line.endswith(" (floor stride)")] == [2]
     rng = np.random.default_rng(16)
     batch, labels = make_two_class_dataset(rng, 3, 13, 2)
     la, ga = backward(net, *forward(net, batch), labels)
