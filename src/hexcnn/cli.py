@@ -75,14 +75,19 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _side(text: str) -> str | int:
+    """argparse type: ``"auto"`` or a hexagon side, an integer >= 1."""
+    return text if text == "auto" else _positive_int(text)
+
+
 def cmd_verify(args) -> int:
     rows = []
     failures = []
     if args.cases > 0:
         for suite_rows, suite_failures in (
-            run_oracle_suite(args.seed, args.cases, inject_fault=args.inject_fault),
+            run_oracle_suite(args.seed, args.cases),
             run_adjoint_suite(args.seed + 1, args.cases),
-            run_gradient_suite(args.seed + 2, probes=args.gradient_probes),
+            run_gradient_suite(args.seed + 2, args.gradient_probes),
         ):
             rows.extend(suite_rows)
             failures.extend(suite_failures)
@@ -127,17 +132,7 @@ def cmd_resample(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.side == "auto":
-        side = min_cover_side(max(img.height, img.width))
-    else:
-        try:
-            side = int(args.side)
-            if side < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: --side must be a positive integer or 'auto', got {args.side!r}",
-                  file=sys.stderr)
-            return 2
+    side = min_cover_side(max(img.height, img.width)) if args.side == "auto" else args.side
     hex_img = square_to_hex(img, side)
     try:
         write_hxt(args.output, hex_img)
@@ -157,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--cases", type=_non_negative_int, default=50, help="randomized cases per suite")
     p.add_argument("--gradient-probes", type=_non_negative_int, default=20)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="test hook: corrupt one kernel result to exercise the failure path")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -185,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="resample a square image onto a hexagon")
     p.add_argument("input", help="IMG1, PGM (P5), or PPM (P6) file")
     p.add_argument("output", help="output HXT1 path")
-    p.add_argument("--side", default="auto",
+    p.add_argument("--side", type=_side, default="auto",
                    help="hexagon side length, or 'auto' for the minimal covering")
     p.set_defaults(func=cmd_resample)
     return parser

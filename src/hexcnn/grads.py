@@ -56,7 +56,7 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
     if stride == 1:
         return delta
     out = np.zeros((delta.channels, cell_count(target_side)), dtype=delta.dtype)
-    out[:, tap_gather(target_side, 1, stride, delta.side)[0]] = delta.data
+    out[:, tap_gather(target_side, 1, stride)[0]] = delta.data
     out.setflags(write=False)
     return HexTensor(target_side, delta.channels, out)
 
@@ -75,7 +75,7 @@ def _forward_windows(
     out_side = valid_geometry(input_side, window_side, stride, floor_mode)
     if out_side != delta.side:
         raise ValueError(f"error side {delta.side} does not match forward output {out_side}")
-    return tap_gather(input_side, window_side, stride, out_side)
+    return tap_gather(input_side, window_side, stride)
 
 
 def _check_error_channels(delta: HexTensor, bank: HexFilterBank) -> None:

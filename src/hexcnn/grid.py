@@ -51,6 +51,22 @@ def _real_array(data, what: str, dtype=None) -> np.ndarray:
     return np.asarray(arr, dtype)
 
 
+def _adopt(arr: np.ndarray, dtype, shape: tuple) -> np.ndarray:
+    """``arr`` itself when it is owned (``base is None``), read-only,
+    C-contiguous and of ``dtype`` and ``shape``; otherwise a read-only
+    C-contiguous copy, so later writes to the caller's array never reach it."""
+    if not (
+        arr.base is None
+        and not arr.flags.writeable
+        and arr.flags.c_contiguous
+        and arr.dtype == dtype
+        and arr.shape == shape
+    ):
+        arr = np.array(arr, dtype=dtype, order="C").reshape(shape)
+        arr.setflags(write=False)
+    return arr
+
+
 def check_int(value, what: str, least: int | None = 1) -> int:
     """``value`` as an int: a Python or numpy integer (not a bool) of at
     least ``least`` (of any size when ``least`` is None); anything else
@@ -106,7 +122,7 @@ def flat_offset(side: int, u: int, v: int) -> int:
     return int(offsets(side, (u, v)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: side = 2.0 must not hit np.int64(2)'s entry
 def cells(side: int) -> np.ndarray:
     """All valid (u, v) pairs in storage order, as an (N, 2) int array."""
     check_int(side, "side length")
@@ -119,7 +135,7 @@ def cells(side: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def offset_table(side: int) -> np.ndarray:
     """(2L-1, 2L-1) lookup of storage offsets; -1 marks invalid (u, v)."""
     uv = cells(side)
@@ -193,17 +209,7 @@ class HexTensor:
                 f"data shape {arr.shape} is neither ({self.channels}, {n}) "
                 f"nor ({self.channels * n},)"
             )
-        owned = (
-            arr.base is None
-            and not arr.flags.writeable
-            and arr.flags.c_contiguous
-            and arr.dtype == dtype
-            and arr.shape == (self.channels, n)
-        )
-        if not owned:
-            arr = arr.astype(dtype, copy=True).reshape(self.channels, n)
-            arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _adopt(arr, dtype, (self.channels, n)))
 
     @property
     def cell_count(self) -> int:

@@ -27,5 +27,5 @@ def patch_count(input_side: int, filter_side: int, stride: int) -> int:
 
 def im2col(t: HexTensor, filter_side: int, stride: int) -> np.ndarray:
     """(patches, channels*filter_cells) matrix of flattened windows."""
-    out_side = valid_geometry(t.side, filter_side, stride)
-    return window_columns(t, tap_gather(t.side, filter_side, stride, out_side)).T
+    valid_geometry(t.side, filter_side, stride)  # a convolution must tile
+    return window_columns(t, tap_gather(t.side, filter_side, stride)).T

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, _real_array, cell_count, cells, check_int, offsets, pad_rings
+from .grid import HexTensor, _adopt, _real_array, cell_count, cells, check_int, offsets, pad_rings
 from .matmul import gemm
 
 __all__ = [
@@ -123,17 +123,18 @@ def valid_geometry(
     return span // stride + 1
 
 
-@lru_cache(maxsize=None)
-def tap_gather(
-    input_side: int, filter_side: int, stride: int, output_side: int
-) -> np.ndarray:
+@lru_cache(maxsize=None, typed=True)  # typed: stride = 1.0 must not hit stride = 1's entry
+def tap_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
     """(window_cells, patches) storage offsets of every window, tap major.
 
     Column p lists the input offsets of output cell p's window in filter
-    storage order; within a window these are strictly increasing.  Row 0
-    of a side-1 window's table is the anchors' offsets alone.
+    storage order; within a window these are strictly increasing.  The
+    windows are those of the floored output side, which is the whole
+    output of a convolution, since a convolution tiles.  Row 0 of a
+    side-1 window's table is the anchors' offsets alone.
     """
-    return offsets(input_side, cells(filter_side)[:, None] + cells(output_side)[None, :] * stride)
+    output_side = valid_geometry(input_side, window_side, stride, floor_mode=True)
+    return offsets(input_side, cells(window_side)[:, None] + cells(output_side)[None, :] * stride)
 
 
 def window_columns(t: HexTensor, g: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
         )
     out_side = valid_geometry(t.side, bank.filter_side, stride)
-    g = tap_gather(t.side, bank.filter_side, stride, out_side)
+    g = tap_gather(t.side, bank.filter_side, stride)
     w = bank.weights.reshape(bank.filters, -1)
     y = np.empty((bank.filters, g.shape[1]), np.result_type(w, t.data))
     for b in patch_blocks(g.shape[1]):
@@ -178,16 +179,19 @@ def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
 
 @dataclass(frozen=True, eq=False)
 class ArgmaxMap:
-    """Winning input offset of every max-pool window, per channel."""
+    """Winning input offset of every max-pool window, per channel.
+
+    ``winners`` is read-only int64, adopted or copied by ``HexTensor``'s
+    rule: ``maxpool``'s fresh read-only winners are adopted as is.
+    """
 
     input_side: int
     output_side: int
     winners: np.ndarray  # (channels, patches) flat input offsets
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.winners, dtype=np.int64)
-        w.setflags(write=False)
-        object.__setattr__(self, "winners", w)
+        w = np.asarray(self.winners)
+        object.__setattr__(self, "winners", _adopt(w, np.int64, w.shape))
 
     @property
     def channels(self) -> int:
@@ -202,7 +206,7 @@ def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, Arg
     ``maxpool_backward`` routes the gradient to.
     """
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    g = tap_gather(t.side, window_side, stride, out_side)
+    g = tap_gather(t.side, window_side, stride)
     win = np.take(t.data, g, axis=1)  # (C, E, P)
     # argmax returns the first maximum (or first NaN); window offsets
     # ascend, so the smallest flat offset wins ties.
@@ -210,13 +214,14 @@ def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, Arg
     out = win.max(axis=1)
     out.setflags(write=False)
     winners = g[e_star, np.arange(g.shape[1])[None, :]]
+    winners.setflags(write=False)  # fresh, so ArgmaxMap adopts it
     return HexTensor(out_side, t.channels, out), ArgmaxMap(t.side, out_side, winners)
 
 
 def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    g = tap_gather(t.side, window_side, stride, out_side)
+    g = tap_gather(t.side, window_side, stride)
     out = np.take(t.data, g, axis=1).mean(axis=1)
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out)

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hex_mask(side: int) -> np.ndarray:
     """(2L-1, 2L-1) boolean mask of the embedded hexagon's cells."""
     uv = cells(side)
@@ -129,11 +129,9 @@ def zeroout_to_hex(zbank: ZeroOutFilterBank) -> HexFilterBank:
     return HexFilterBank(zbank.hex_side, w, zbank.bias)
 
 
-def rect_conv_reference(
-    r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1, mode: str = "valid"
-) -> np.ndarray:
-    """Nested-loop rectangular cross-correlation of a (C, h, w) array, plus
-    bias; returns the (filters, out_h, out_w) float64 result.
+def rect_conv_reference(r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1) -> np.ndarray:
+    """Nested-loop valid rectangular cross-correlation of a (C, h, w) array,
+    plus bias; returns the (filters, out_h, out_w) float64 result.
 
     Window values are flattened column major so the accumulation visits
     cells in the same order as the hexagonal kernels (the zero corners
@@ -146,12 +144,6 @@ def rect_conv_reference(
     c, h, w = data.shape
     if zbank.in_channels != c:
         raise ValueError(f"filter bank expects {zbank.in_channels} channels, input has {c}")
-    if mode == "full":
-        pad = zbank.span - 1
-        padded = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
-        return rect_conv_reference(padded, zbank, stride, "valid")
-    if mode != "valid":
-        raise ValueError(f"unknown mode {mode!r}")
     k = zbank.span
     if h < k or w < k:
         raise ValueError(f"input {h}x{w} smaller than window {k}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexcnn import bench
+from hexcnn import bench, checks
 from hexcnn.cli import build_parser, main
 from hexcnn.fileio import read_hxt, write_img1
 from hexcnn.grid import HexTensor, cell_count
@@ -42,18 +42,31 @@ def test_verify_zero_cases_empty_report(capsys):
     assert rows == [["suite", "case", "status", "max_rel_err"]]
 
 
-def test_verify_fault_injection_fails(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("fault", [1.0, np.nan], ids=["offset", "nan"])
+def test_verify_failure_saves_replay_inputs(tmp_path, capsys, monkeypatch, fault):
+    # corrupt one output cell of the first native convolution, oracle case 0's;
+    # a NaN error must fail like a large one
+    faults = [fault]
+
+    def faulty_conv_valid(t, bank, stride=1):
+        out = conv_valid(t, bank, stride)
+        if not faults:
+            return out
+        data = out.data.copy()
+        data[0, 0] += faults.pop()
+        return HexTensor(out.side, out.channels, data)
+
+    monkeypatch.setattr(checks, "conv_valid", faulty_conv_valid)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "verify.csv"
-    code = main(["verify", "--cases", "3", "--gradient-probes", "3",
-                 "--inject-fault", "--out", str(out)])
+    code = main(["verify", "--cases", "3", "--gradient-probes", "3", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert "oracle_000" in err
     with out.open() as fh:
         rows = list(csv.reader(fh))
-    assert any(r[2] == "fail" for r in rows[1:])
-    assert list(tmp_path.glob("hexcnn-replay-*.npz"))
+    assert [r[1][:10] for r in rows[1:] if r[2] == "fail"] == ["oracle_000"]
+    assert len(list(tmp_path.glob("hexcnn-replay-oracle_000_*.npz"))) == 1
 
 
 def test_space_report_values(capsys):
@@ -220,7 +233,6 @@ def test_resample_bad_inputs(tmp_path, capsys):
     img_path = tmp_path / "c.img1"
     write_img1(img_path, SquareImage(np.ones((1, 4, 4))))
     assert main(["resample", str(tmp_path / "missing.img1"), str(tmp_path / "o.hxt")]) == 2
-    assert main(["resample", str(img_path), str(tmp_path / "o.hxt"), "--side", "nope"]) == 2
     # a header cut before maxval, sizes past the data, an empty image
     truncated = tmp_path / "t.pgm"
     for header in (b"P5 4 4", b"P5 9999999999 9999999999 255\n", b"P5 0 4 255\n"):
@@ -253,6 +265,8 @@ def test_usage_error_exit_code(capsys):
         ["verify", "--cases", "-1"],
         ["verify", "--seed", "-1"],
         ["verify", "--cases", "two"],
+        ["resample", "missing.img1", "o.hxt", "--side", "nope"],
+        ["resample", "missing.img1", "o.hxt", "--side", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -147,7 +147,7 @@ OUT = st.sampled_from(["o.csv", "missing/o.csv", "."]) | JUNK
 # is bounded by the flags in BOUNDED, which always come last so they win
 CLI_FLAGS = {
     "verify": {"--seed": _ints(-1, 3), "--cases": _ints(-1, 2), "--gradient-probes": _ints(-1, 2),
-               "--inject-fault": None, "--out": OUT},
+               "--out": OUT},
     "space-report": {"--sizes": SIZES, "--channels": _ints(0, 3), "--filter-side": _ints(0, 3),
                      "--stride": _ints(0, 3), "--out": OUT},
     "bench-conv": {"--sizes": SIZES, "--filter-side": _ints(0, 3), "--stride": _ints(0, 3),

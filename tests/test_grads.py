@@ -178,7 +178,7 @@ def test_maxpool_nan_window_outputs_nan_and_routes_to_first_nan():
     x[[3, 8]] = np.nan  # both in windows 0 (taps 2, 5) and 2 (taps 0, 3); 8 in 3 and 5; none in 1, 4, 6
     out, amap = maxpool(HexTensor(3, 1, x), 2, 1)
     back = maxpool_backward(HexTensor(2, 1, np.ones(7)), amap)
-    g = tap_gather(3, 2, 1, 2).T
+    g = tap_gather(3, 2, 1).T
     for p, window in enumerate(g):
         vals = x[window]
         if np.isnan(vals).any():

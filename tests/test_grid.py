@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -19,7 +21,8 @@ from hexcnn.grid import (
     row_bounds,
 )
 from hexcnn.nn import LayerSpec, NetworkConfig, build_network
-from hexcnn.ops import HexFilterBank, conv_valid, maxpool
+import hexcnn
+from hexcnn.ops import HexFilterBank, conv_valid, maxpool, tap_gather
 from hexcnn.resample import SquareImage, min_cover_side, square_to_hex
 from hexcnn.zeroout import ZeroOutFilterBank, hex_mask, rect_conv_reference, zeroout_filter
 
@@ -209,6 +212,10 @@ _T3 = HexTensor(3, 1, np.zeros(19))
         pytest.param(lambda: is_valid_cell(2, 1.5, 1), id="is_valid_cell_row"),
         pytest.param(lambda: is_valid_cell(2, 1, True), id="is_valid_cell_bool_column"),
         pytest.param(lambda: rotate_permutation(2, 1.0), id="rotate_permutation"),
+        # a cached call with an equal integer first: the cache must not answer
+        pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, 1.0)), id="tap_gather_stride"),
+        pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, True)), id="tap_gather_bool_stride"),
+        pytest.param(lambda: (cells(np.int64(2)), cells(2.0)), id="cells_after_numpy_int"),
         pytest.param(lambda: row_bounds(2, 1.0), id="row_bounds"),
         pytest.param(lambda: col_bounds(2, np.float64(1.0)), id="col_bounds"),
     ],
@@ -216,6 +223,30 @@ _T3 = HexTensor(3, 1, np.zeros(19))
 def test_integer_arguments_reject_floats_and_bools(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+def _public_caches():
+    for info in pkgutil.iter_modules(hexcnn.__path__):
+        module = importlib.import_module(f"hexcnn.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if hasattr(fn, "cache_parameters"):
+                yield f"{info.name}.{name}", fn
+
+
+def test_public_caches_are_typed():
+    """Every cached public function keys its cache by argument type too.
+
+    An untyped key compares arguments by value, so a float or bool equal
+    to a cached integer answers from the cache and skips the integer
+    check.  One-argument caches are no exception: a Python int is keyed
+    bare and never equals a float, but a numpy integer is keyed like any
+    other value, so ``cells(2.0)`` would hit ``cells(np.int64(2))``.
+    """
+    caches = dict(_public_caches())
+    assert {"ops.tap_gather", "grid.rotate_permutation", "grid.cells"} <= caches.keys()
+    for name, fn in caches.items():
+        assert fn.cache_parameters()["typed"], name
 
 
 def test_integer_arguments_accept_numpy_integers():

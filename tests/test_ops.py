@@ -4,6 +4,7 @@ import pytest
 from hexcnn.grid import HexTensor, cell_count, cells, flat_offset
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import (
+    ArgmaxMap,
     HexFilterBank,
     avgpool,
     conv_full,
@@ -41,7 +42,7 @@ def test_conv_delta_filter_crops():
     t = HexTensor(4, 2, rng.standard_normal((2, 37)))
     out = conv_valid(t, delta_bank(2, 2))
     # channel-summed translated crop of the input
-    g = tap_gather(4, 2, 1, 3).T
+    g = tap_gather(4, 2, 1).T
     expected = t.data[:, g[:, 0]].sum(axis=0)
     assert np.allclose(out.data[0], expected)
 
@@ -151,10 +152,24 @@ def test_maxpool_winners_inside_window():
     rng = np.random.default_rng(7)
     t = HexTensor(7, 2, rng.standard_normal((2, cell_count(7))))
     _, amap = maxpool(t, 3, 2)
-    g = tap_gather(7, 3, 2, amap.output_side).T
+    g = tap_gather(7, 3, 2).T
     for c in range(2):
         for p in range(g.shape[0]):
             assert amap.winners[c, p] in g[p]
+
+
+def test_argmax_map_copies_a_callers_array_and_adopts_fresh_winners():
+    a = np.arange(14, dtype=np.int64).reshape(2, 7)
+    amap = ArgmaxMap(3, 2, a)
+    assert a.flags.writeable and not amap.winners.flags.writeable
+    a[0, 0] = 5
+    assert amap.winners[0, 0] == 0
+    # maxpool's winners are fresh and read-only, so they are wrapped as is
+    b = a.copy()
+    b.setflags(write=False)
+    assert ArgmaxMap(3, 2, b).winners is b
+    _, amap = maxpool(HexTensor(3, 2, np.arange(38.0)), 2, 1)
+    assert amap.winners.base is None and not amap.winners.flags.writeable
 
 
 def test_maxpool_permutation_invariant_within_window():
@@ -178,7 +193,7 @@ def test_avgpool_matches_patch_enumeration():
     rng = np.random.default_rng(8)
     t = HexTensor(5, 2, rng.standard_normal((2, 61)))
     out = avgpool(t, 2, 3)
-    g = tap_gather(5, 2, 3, 2).T
+    g = tap_gather(5, 2, 3).T
     for c in range(2):
         for p in range(g.shape[0]):
             assert out.data[c, p] == pytest.approx(t.data[c, g[p]].mean(), rel=1e-15)

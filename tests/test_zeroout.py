@@ -112,7 +112,9 @@ def test_rect_conv_full_mode_matches_hex_full():
     t = HexTensor(3, 2, rng.standard_normal((2, 19)))
     bank = HexFilterBank.random(rng, 2, 2, 2)
     full_hex = conv_full(t, bank)
-    rect = rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank), 1, "full")
+    pad = 2 * (bank.filter_side - 1)
+    padded = np.pad(embed_parallelogram(t), ((0, 0), (pad, pad), (pad, pad)))
+    rect = rect_conv_reference(padded, zeroout_filter(bank))
     assert rel_err(extract_hex(rect, full_hex.side).data, full_hex.data) < 1e-12
 
 
