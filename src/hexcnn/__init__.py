@@ -19,7 +19,7 @@ from .grid import (
     rotate_permutation,
     row_bounds,
 )
-from .ops import ArgmaxMap, HexFilterBank, avgpool, conv_full, conv_valid, maxpool
+from .ops import HexFilterBank, avgpool, conv_full, conv_valid, maxpool
 from .grads import (
     avgpool_backward,
     conv_backward_filter,

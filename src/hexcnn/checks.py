@@ -208,8 +208,8 @@ def _grad_cases_pool(rng, probes, results, target):
         x = rng.standard_normal((channels, cell_count(side)))
         t = HexTensor(side, channels, x)
         if target == "maxpool":
-            out, amap = maxpool(t, fside, stride)
-            grad = maxpool_backward(out, amap).data
+            out, taps = maxpool(t, fside, stride)
+            grad = maxpool_backward(out, taps, fside, stride, side).data
             loss = lambda xp: _sq_loss(maxpool(HexTensor(side, channels, xp), fside, stride)[0])
         else:
             out = avgpool(t, fside, stride)

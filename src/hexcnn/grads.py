@@ -7,7 +7,10 @@ scatter-adds it per channel through the tap-major window table, so
 cells no window reaches get zero.  Both walk the patches in the
 forward's blocks (``ops.patch_blocks``) and sum the blocks' shares, so
 neither holds a whole window matrix.  Pool errors return along the same
-table.  ``conv_backward_input_reflect`` keeps the paper's construction
+table; a max pool's winning taps pick each window's row of it.  Every
+backward kernel takes the error and the forward's geometry (window
+side, stride, input side) and rebuilds the forward's window table from
+them.  ``conv_backward_input_reflect`` keeps the paper's construction
 as a reference: upsample the error onto the dense anchor grid, then
 full-convolve with the channel-transposed, point-reflected bank.  The
 anchor grid is row 0 of a side-1 window table: a side-1 window is its
@@ -21,7 +24,6 @@ import numpy as np
 from .grid import HexTensor, cell_count, check_int, rotate_permutation
 from .matmul import gemm
 from .ops import (
-    ArgmaxMap,
     HexFilterBank,
     conv_full,
     patch_blocks,
@@ -137,17 +139,27 @@ def conv_backward_filter(
     return d_weights, d_bias
 
 
-def maxpool_backward(delta: HexTensor, amap: ArgmaxMap) -> HexTensor:
-    """Route each error value back to the cell that won its window."""
-    if delta.side != amap.output_side or delta.channels != amap.channels:
-        raise ValueError("error shape does not match the argmax map")
-    n = cell_count(amap.input_side)
-    idx = amap.winners + n * np.arange(delta.channels)[:, None]
+def maxpool_backward(
+    delta: HexTensor, taps: np.ndarray, window_side: int, stride: int, input_side: int
+) -> HexTensor:
+    """Route each error value back to the input cell that won its window:
+    the row ``taps`` (from ``maxpool``) picks of the window table.  Taps
+    that are not integers, not shaped like the error or not rows of the
+    table raise ``ValueError``."""
+    g = _forward_windows(delta, window_side, stride, input_side, floor_mode=True)
+    taps = np.asarray(taps)
+    if taps.dtype.kind not in "iu" or taps.shape != delta.data.shape:
+        raise ValueError(f"taps must be integers shaped {delta.data.shape}, got {taps.dtype} {taps.shape}")
+    if taps.min() < 0 or taps.max() >= g.shape[0]:
+        raise ValueError(f"taps must lie in [0, {g.shape[0]}), got {taps.min()}..{taps.max()}")
+    n = cell_count(input_side)
+    idx = g[taps, np.arange(g.shape[1])]  # the winners' input offsets
+    idx += n * np.arange(delta.channels)[:, None]
     out = np.bincount(idx.ravel(), weights=delta.data.ravel(), minlength=delta.channels * n)
     out = out.astype(delta.dtype, copy=False)
     out.shape = (delta.channels, n)  # in place: a reshaped view would be copied
     out.setflags(write=False)
-    return HexTensor(amap.input_side, delta.channels, out)
+    return HexTensor(input_side, delta.channels, out)
 
 
 def avgpool_backward(

@@ -51,22 +51,6 @@ def _real_array(data, what: str, dtype=None) -> np.ndarray:
     return np.asarray(arr, dtype)
 
 
-def _adopt(arr: np.ndarray, dtype, shape: tuple) -> np.ndarray:
-    """``arr`` itself when it is owned (``base is None``), read-only,
-    C-contiguous and of ``dtype`` and ``shape``; otherwise a read-only
-    C-contiguous copy, so later writes to the caller's array never reach it."""
-    if not (
-        arr.base is None
-        and not arr.flags.writeable
-        and arr.flags.c_contiguous
-        and arr.dtype == dtype
-        and arr.shape == shape
-    ):
-        arr = np.array(arr, dtype=dtype, order="C").reshape(shape)
-        arr.setflags(write=False)
-    return arr
-
-
 def check_int(value, what: str, least: int | None = 1) -> int:
     """``value`` as an int: a Python or numpy integer (not a bool) of at
     least ``least`` (of any size when ``least`` is None); anything else
@@ -209,7 +193,16 @@ class HexTensor:
                 f"data shape {arr.shape} is neither ({self.channels}, {n}) "
                 f"nor ({self.channels * n},)"
             )
-        object.__setattr__(self, "data", _adopt(arr, dtype, (self.channels, n)))
+        if not (
+            arr.base is None
+            and not arr.flags.writeable
+            and arr.flags.c_contiguous
+            and arr.dtype == dtype
+            and arr.shape == (self.channels, n)
+        ):
+            arr = np.array(arr, dtype=dtype, order="C").reshape(self.channels, n)
+            arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
 
     @property
     def cell_count(self) -> int:
@@ -220,6 +213,10 @@ class HexTensor:
         return self.data.dtype
 
     def value(self, channel: int, u: int, v: int) -> float:
+        """The value at cell (u, v) of ``channel``; anything out of range
+        raises ``ValueError``."""
+        if check_int(channel, "channel", 0) >= self.channels:
+            raise ValueError(f"channel {channel} out of range for {self.channels} channels")
         return float(self.data[channel, flat_offset(self.side, u, v)])
 
 

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import _real_array
 from .instrument import add_macs
 
 
 def gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense product a @ b of two 2-D arrays; raises on dimension mismatch.
+    """Dense product a @ b of two 2-D real arrays; operands that are not
+    real numbers or disagree in shape raise ``ValueError``.
 
     With ``out`` the product is written there (it may be a column block
     of a larger array) and ``out`` is returned.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = _real_array(a, "gemm operands")
+    b = _real_array(b, "gemm operands")
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"gemm expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

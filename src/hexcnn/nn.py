@@ -107,7 +107,11 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        try:
+            layers = tuple(self.layers)
+        except TypeError:
+            raise ValueError(f"layers must be a sequence of LayerSpecs, got {self.layers!r}") from None
+        object.__setattr__(self, "layers", layers)
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,9 @@ def _head_start(net: Network) -> int:
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
     """One sample through layers [0, stop): its flat features and cache,
     one entry per layer holding only what ``_trunk_backward`` reads (a
-    conv keeps its input and its relu mask, never its pre-activation)."""
+    conv keeps its input and its relu mask, never its pre-activation; a
+    max pool its winning taps; an average pool and the flatten None,
+    since their sizes are in ``net.shapes``)."""
     x = t
     cache = []
     for i, spec in enumerate(net.cfg.layers[:stop]):
@@ -287,14 +293,13 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
             x = HexTensor(z.side, z.channels, a)
             del z  # not live beside the next conv's output
         elif spec.kind == "hexmaxpool":
-            out, amap = maxpool(x, spec.window, spec.stride)
-            cache.append(amap)
-            x = out
+            x, taps = maxpool(x, spec.window, spec.stride)
+            cache.append(taps)
         elif spec.kind == "hexavgpool":
-            cache.append(x.side)
+            cache.append(None)
             x = avgpool(x, spec.window, spec.stride)
         else:  # flatten
-            cache.append((x.side, x.channels))
+            cache.append(None)
             x = x.data.ravel()
     return x, cache
 
@@ -362,13 +367,15 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
     while cache:
         i = len(cache) - 1
         spec = net.cfg.layers[i]
+        _, side, channels = net.shapes[i]  # the layer's input
         if spec.kind == "flatten":
-            side, channels = cache.pop()
+            cache.pop()
             d = HexTensor(side, channels, d.reshape(channels, -1))
         elif spec.kind == "hexmaxpool":
-            d = maxpool_backward(d, cache.pop())
+            d = maxpool_backward(d, cache.pop(), spec.window, spec.stride, side)
         elif spec.kind == "hexavgpool":
-            d = avgpool_backward(d, spec.window, spec.stride, cache.pop())
+            cache.pop()
+            d = avgpool_backward(d, spec.window, spec.stride, side)
         else:  # hexconv
             x, mask = cache.pop()
             if mask is not None:
@@ -381,7 +388,7 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
             gb += db
             del x, mask  # released before the input gradient is built
             if i > 0:
-                d = conv_backward_input(d, net.params[i], spec.stride, net.shapes[i][1])
+                d = conv_backward_input(d, net.params[i], spec.stride, side)
 
 
 def _trunk_grads(net: Network) -> list:
@@ -525,6 +532,9 @@ def hex_lenet4(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
 
 
 def _vgg(input_side, classes, convs_per_block, seed, width_scale, channels=3):
+    ws = width_scale
+    if isinstance(ws, bool) or not isinstance(ws, numbers.Real) or not 0 < ws < np.inf:
+        raise ValueError(f"width scale must be a finite real number above 0, got {ws!r}")
     widths = [64, 128, 256, 512, 512]
     layers = []
     for block, reps in enumerate(convs_per_block):

@@ -26,12 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, _adopt, _real_array, cell_count, cells, check_int, offsets, pad_rings
+from .grid import HexTensor, _real_array, cell_count, cells, check_int, offsets, pad_rings
 from .matmul import gemm
 
 __all__ = [
     "HexFilterBank",
-    "ArgmaxMap",
     "valid_geometry",
     "PATCH_BLOCK",
     "patch_blocks",
@@ -177,45 +176,24 @@ def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
     return conv_valid(padded, bank, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class ArgmaxMap:
-    """Winning input offset of every max-pool window, per channel.
+def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.ndarray]:
+    """Max over each hexagonal window, and the tap that won it.
 
-    ``winners`` is read-only int64, adopted or copied by ``HexTensor``'s
-    rule: ``maxpool``'s fresh read-only winners are adopted as is.
-    """
-
-    input_side: int
-    output_side: int
-    winners: np.ndarray  # (channels, patches) flat input offsets
-
-    def __post_init__(self):
-        w = np.asarray(self.winners)
-        object.__setattr__(self, "winners", _adopt(w, np.int64, w.shape))
-
-    @property
-    def channels(self) -> int:
-        return self.winners.shape[0]
-
-
-def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, ArgmaxMap]:
-    """Max over each hexagonal window; ties go to the smallest offset.
-
-    NaN counts as the maximum: a window holding a NaN outputs NaN, and
-    its first NaN tap (in window storage order) is the winner that
-    ``maxpool_backward`` routes the gradient to.
+    The taps are a read-only (channels, patches) integer array of rows
+    of ``tap_gather(t.side, window_side, stride)``: window p of channel
+    c took its maximum from offset ``g[taps[c, p], p]``.  Ties go to the
+    first tap, which is the smallest offset, since offsets rise within a
+    window.  NaN counts as the maximum: a window holding a NaN outputs
+    NaN, and its first NaN tap is the winner that ``maxpool_backward``
+    routes the gradient to.
     """
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    g = tap_gather(t.side, window_side, stride)
-    win = np.take(t.data, g, axis=1)  # (C, E, P)
-    # argmax returns the first maximum (or first NaN); window offsets
-    # ascend, so the smallest flat offset wins ties.
-    e_star = win.argmax(axis=1)
+    win = np.take(t.data, tap_gather(t.side, window_side, stride), axis=1)  # (C, E, P)
+    taps = win.argmax(axis=1)  # the first maximum, or the first NaN
+    taps.setflags(write=False)
     out = win.max(axis=1)
     out.setflags(write=False)
-    winners = g[e_star, np.arange(g.shape[1])[None, :]]
-    winners.setflags(write=False)  # fresh, so ArgmaxMap adopts it
-    return HexTensor(out_side, t.channels, out), ArgmaxMap(t.side, out_side, winners)
+    return HexTensor(out_side, t.channels, out), taps
 
 
 def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:

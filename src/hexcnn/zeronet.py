@@ -30,7 +30,8 @@ columns, the filter gradient sums one product per block, and the col2im
 input gradient (a ``gemm``, then a per-channel ``np.bincount`` scatter
 through the same table) adds each block into the input error before the
 next block is built.  Pool windows are small and are gathered whole;
-their errors return along the hex-window tables by ``np.bincount`` too.
+their errors return along the hex-window tables by ``np.bincount`` too,
+a max pool's to the offsets its winning taps pick from the table.
 Every product is metered like the native path's, and the input gradient
 does exactly the forward product's MACs.  Each hex filter bank is packed
 into its corner-zeroed rectangles once, on first use, not per sample and
@@ -38,10 +39,12 @@ pass (``_packed``).
 
 The backward cache holds what the native trunk's does: a conv keeps its
 embedded input and, for relu, the boolean mask of its hex-masked output
-(from ``nn._activate``), never the float64 pre-activation; ``nn``'s driver
-hands ``_trunk_backward`` each sample's cache list, which pops every
-entry as it walks it and drops a conv's input once its filter gradient
-is formed.
+(from ``nn._activate``), never the float64 pre-activation; a max pool
+keeps its winning taps, rows of its hex-window table; an average pool
+and the flatten keep None, since their sizes are in ``net.shapes``.
+``nn``'s driver hands ``_trunk_backward`` each sample's cache list,
+which pops every entry as it walks it and drops a conv's input once its
+filter gradient is formed.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -90,9 +93,11 @@ def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rect_hexwin_gather(input_side: int, window_side: int, stride: int, output_side: int) -> np.ndarray:
-    """Hex-shaped windows addressed on the rectangular embedding."""
+def _rect_hexwin_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
+    """Hex-shaped pool windows addressed on the rectangular embedding,
+    for the floored output side."""
     span = 2 * input_side - 1
+    output_side = (input_side - window_side) // stride + 1
     return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
 
 
@@ -176,18 +181,16 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
             x = a
             del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
+            g = _rect_hexwin_gather(side, spec.window, spec.stride)
             win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
             if spec.kind == "hexmaxpool":
-                vals = win.max(axis=1)
-                winners = g[win.argmax(axis=1), np.arange(g.shape[1])[None, :]]
-                cache.append((side, out_side, winners))
+                cache.append(win.argmax(axis=1))  # the winning taps, as ops.maxpool's
+                x = _to_rect(win.max(axis=1), out_side)
             else:
-                vals = win.mean(axis=1)
-                cache.append((side, out_side))
-            x = _to_rect(vals, out_side)
+                cache.append(None)
+                x = _to_rect(win.mean(axis=1), out_side)
         else:  # flatten
-            cache.append((side, x.shape[0]))
+            cache.append(None)
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()
     return x, cache
 
@@ -196,25 +199,24 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
     while cache:
         i = len(cache) - 1
         spec = net.cfg.layers[i]
+        _, side, channels = net.shapes[i]  # the layer's input
+        span = 2 * side - 1
         if spec.kind == "flatten":
-            side, channels = cache.pop()
+            cache.pop()
             d = _to_rect(d.reshape(channels, -1), side)
-        elif spec.kind == "hexmaxpool":
-            side, out_side, winners = cache.pop()
-            c, n = d.shape[0], (2 * side - 1) ** 2
-            idx = winners + n * np.arange(c)[:, None]
-            dvals = d.reshape(c, -1)[:, _hex_flat(out_side)]
-            d = np.bincount(idx.ravel(), weights=dvals.ravel(), minlength=c * n)
-            d = d.reshape(c, 2 * side - 1, -1)
-        elif spec.kind == "hexavgpool":
-            side, out_side = cache.pop()
-            c = d.shape[0]
-            g = _rect_hexwin_gather(side, spec.window, spec.stride, out_side)
-            share = d.reshape(c, -1)[:, _hex_flat(out_side)] / g.shape[0]
-            share = np.broadcast_to(share[:, None, :], (c, *g.shape))
-            d = np.zeros((c, (2 * side - 1) ** 2))
-            _scatter_add(d, share, g)
-            d = d.reshape(c, 2 * side - 1, -1)
+        elif spec.kind in ("hexmaxpool", "hexavgpool"):
+            taps = cache.pop()  # None for an average pool
+            g = _rect_hexwin_gather(side, spec.window, spec.stride)
+            dvals = d.reshape(channels, -1)[:, _hex_flat(net.shapes[i + 1][1])]
+            if spec.kind == "hexmaxpool":
+                idx = g[taps, np.arange(g.shape[1])]  # the winners' offsets
+                idx += span * span * np.arange(channels)[:, None]
+                d = np.bincount(idx.ravel(), weights=dvals.ravel(), minlength=channels * span * span)
+            else:
+                share = np.broadcast_to((dvals / g.shape[0])[:, None, :], (channels, *g.shape))
+                d = np.zeros((channels, span * span))
+                _scatter_add(d, share, g)
+            d = d.reshape(channels, span, span)
         else:  # hexconv
             x, mask = cache.pop()
             if mask is not None:
@@ -233,11 +235,10 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=(1, 2))
-            shape = x.shape
             del x, mask  # released before the input gradient is built
             if i > 0:
-                d = _rect_conv_backward_input(d, net.params[i], spec.stride, shape)
-                d *= hex_mask(net.shapes[i][1])
+                d = _rect_conv_backward_input(d, net.params[i], spec.stride, (channels, span, span))
+                d *= hex_mask(side)
 
 
 def backward_zeroout(net: Network, logits, caches, labels):

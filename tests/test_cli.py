@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import struct
 from pathlib import Path
@@ -34,6 +35,26 @@ def test_verify_default_passes(tmp_path, capsys):
     assert rows[0] == ["suite", "case", "status", "max_rel_err"]
     assert all(r[2] == "pass" for r in rows[1:])
     assert {r[0] for r in rows[1:]} == {"oracle", "adjoint", "gradient"}
+
+
+def test_verify_case_list_is_pinned():
+    """The suites, cases and verdicts of the default ``hexcnn verify``
+    (seed 0, 50 cases, 20 gradient probes; 224 rows), hashed without
+    their error values, which depend on the BLAS build.  A change to an
+    RNG draw, a case name or a verdict fails here: re-pin only with a
+    reason in CHANGES.md."""
+    rows = []
+    for suite_rows, _ in (
+        checks.run_oracle_suite(0, 50),
+        checks.run_adjoint_suite(1, 50),
+        checks.run_gradient_suite(2, 20),
+    ):
+        rows.extend(suite_rows)
+    text = "".join(f"{r['suite']},{r['case']},{r['status']}\n" for r in rows)
+    assert len(rows) == 224
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c7ad1b8102336ed74437eebf108deeada522f0c30107f45746687a27f9a61454"
+    )
 
 
 def test_verify_zero_cases_empty_report(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hexcnn.checks import _sample_geometry
 from hexcnn.grads import (
     avgpool_backward,
     conv_backward_filter,
@@ -13,6 +14,8 @@ from hexcnn.grads import (
 from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
 from hexcnn.nn import _activate
 from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, tap_gather
+
+from test_ops import winners
 
 H = 1e-6
 
@@ -162,11 +165,11 @@ def test_conv_backward_filter_finite_difference(side, fside, stride):
 def test_maxpool_backward_disjoint_windows_and_mass():
     rng = np.random.default_rng(4)
     t = HexTensor(5, 1, np.arange(61.0))
-    out, amap = maxpool(t, 2, 3)
+    out, taps = maxpool(t, 2, 3)
     delta = HexTensor(2, 1, rng.standard_normal((1, 7)))
-    back = maxpool_backward(delta, amap)
+    back = maxpool_backward(delta, taps, 2, 3, 5)
     # non-overlapping tiling: each winner receives exactly one value
-    for val, win in zip(delta.data[0], amap.winners[0]):
+    for val, win in zip(delta.data[0], winners(taps, tap_gather(5, 2, 3))[0]):
         assert back.data[0, win] == val
     assert np.count_nonzero(back.data) == 7
     assert back.data.sum() == pytest.approx(delta.data.sum())
@@ -176,24 +179,24 @@ def test_maxpool_nan_window_outputs_nan_and_routes_to_first_nan():
     # side 3, window 2, stride 1: seven overlapping windows
     x = np.arange(19.0)
     x[[3, 8]] = np.nan  # both in windows 0 (taps 2, 5) and 2 (taps 0, 3); 8 in 3 and 5; none in 1, 4, 6
-    out, amap = maxpool(HexTensor(3, 1, x), 2, 1)
-    back = maxpool_backward(HexTensor(2, 1, np.ones(7)), amap)
-    g = tap_gather(3, 2, 1).T
-    for p, window in enumerate(g):
+    out, taps = maxpool(HexTensor(3, 1, x), 2, 1)
+    back = maxpool_backward(HexTensor(2, 1, np.ones(7)), taps, 2, 1, 3)
+    won = winners(taps, tap_gather(3, 2, 1))
+    for p, window in enumerate(tap_gather(3, 2, 1).T):
         vals = x[window]
         if np.isnan(vals).any():
             first_nan = window[np.isnan(vals).argmax()]
-            assert np.isnan(out.data[0, p]) and amap.winners[0, p] == first_nan
+            assert np.isnan(out.data[0, p]) and won[0, p] == first_nan
         else:
-            assert out.data[0, p] == vals.max() and amap.winners[0, p] == window[vals.argmax()]
+            assert out.data[0, p] == vals.max() and won[0, p] == window[vals.argmax()]
     assert np.isnan(out.data).any() and not np.isnan(out.data).all()
     assert back.data.sum() == 7.0 and back.data[0, 3] == back.data[0, 8] == 2.0
 
 
 def test_maxpool_backward_zero_delta():
     t = HexTensor(5, 2, np.arange(122.0))
-    _, amap = maxpool(t, 2, 3)
-    back = maxpool_backward(HexTensor(2, 2, np.zeros(14)), amap)
+    _, taps = maxpool(t, 2, 3)
+    back = maxpool_backward(HexTensor(2, 2, np.zeros(14)), taps, 2, 3, 5)
     assert not back.data.any()
 
 
@@ -201,14 +204,54 @@ def test_maxpool_backward_finite_difference():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 61))
     t = HexTensor(5, 1, x)
-    out, amap = maxpool(t, 2, 3)
-    grad = maxpool_backward(out, amap).data
+    out, taps = maxpool(t, 2, 3)
+    grad = maxpool_backward(out, taps, 2, 3, 5).data
 
     def loss(arr):
         return sq_loss(maxpool(HexTensor(5, 1, arr), 2, 3)[0])
 
-    for coord in [(0, int(w)) for w in amap.winners[0][:4]] + [(0, 1)]:
+    for coord in [(0, int(w)) for w in winners(taps, tap_gather(5, 2, 3))[0][:4]] + [(0, 1)]:
         assert_fd_close(grad[coord], fd_grad(loss, x, coord))
+
+
+def _set_tap(taps, value):
+    bad = taps.copy()
+    bad[0, 2] = value
+    return bad
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(lambda taps: taps.astype(np.float64), id="float"),
+        pytest.param(lambda taps: taps[:, :-1], id="shape"),
+        pytest.param(lambda taps: _set_tap(taps, cell_count(2)), id="window_cells"),
+        pytest.param(lambda taps: _set_tap(taps, -1), id="negative"),
+    ],
+)
+def test_maxpool_backward_rejects_malformed_taps(bad):
+    out, taps = maxpool(HexTensor(5, 2, np.arange(122.0)), 2, 3)
+    with pytest.raises(ValueError, match="taps must"):
+        maxpool_backward(out, bad(taps), 2, 3, 5)
+
+
+def test_maxpool_backward_routes_each_error_to_its_winning_tap():
+    # random geometries, floored ones included: the scatter equals, bit
+    # for bit, np.add.at through the forward's window table
+    rng = np.random.default_rng(24)
+    floored = 0
+    for _ in range(40):
+        side, window, stride = _sample_geometry(rng, max_side=10, max_filter=3)
+        side += int(rng.integers(0, stride))  # a remainder the pool drops
+        floored += (side - window) % stride > 0
+        channels = int(rng.integers(1, 4))
+        out, taps = maxpool(HexTensor(side, channels, rng.standard_normal((channels, cell_count(side)))), window, stride)
+        delta = HexTensor(out.side, channels, rng.standard_normal(out.data.shape))
+        ref = np.zeros((channels, cell_count(side)))
+        for c, won in enumerate(winners(taps, tap_gather(side, window, stride))):
+            np.add.at(ref[c], won, delta.data[c])
+        assert np.array_equal(maxpool_backward(delta, taps, window, stride, side).data, ref)
+    assert floored
 
 
 def test_avgpool_backward_single_window():
@@ -293,9 +336,9 @@ def test_upsample_mass_and_maxpool_mass_conservation():
     delta = HexTensor(3, 2, rng.standard_normal((2, 19)))
     assert upsample_stride(delta, 2, 5).data.sum() == pytest.approx(delta.data.sum())
     t = HexTensor(7, 2, rng.standard_normal((2, cell_count(7))))
-    _, amap = maxpool(t, 3, 2)
+    _, taps = maxpool(t, 3, 2)
     d = HexTensor(3, 2, rng.standard_normal((2, 19)))
-    assert maxpool_backward(d, amap).data.sum() == pytest.approx(d.data.sum())
+    assert maxpool_backward(d, taps, 3, 2, 7).data.sum() == pytest.approx(d.data.sum())
 
 
 def test_pool_backwards_floor_finite_difference():
@@ -304,11 +347,11 @@ def test_pool_backwards_floor_finite_difference():
     rng = np.random.default_rng(22)
     side, window, stride = 6, 2, 3
     x = rng.standard_normal((2, cell_count(side)))
-    out, amap = maxpool(HexTensor(side, 2, x), window, stride)
+    out, taps = maxpool(HexTensor(side, 2, x), window, stride)
     avg = avgpool(HexTensor(side, 2, x), window, stride)
     assert out.side == avg.side == 2
     grads_and_losses = [
-        (maxpool_backward(out, amap).data, lambda a: sq_loss(maxpool(HexTensor(side, 2, a), window, stride)[0])),
+        (maxpool_backward(out, taps, window, stride, side).data, lambda a: sq_loss(maxpool(HexTensor(side, 2, a), window, stride)[0])),
         (avgpool_backward(avg, window, stride, side).data, lambda a: sq_loss(avgpool(HexTensor(side, 2, a), window, stride))),
     ]
     rim = offset_table(side)[2 * side - 2, 2 * side - 2]

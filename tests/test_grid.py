@@ -216,6 +216,7 @@ _T3 = HexTensor(3, 1, np.zeros(19))
         pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, 1.0)), id="tap_gather_stride"),
         pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, True)), id="tap_gather_bool_stride"),
         pytest.param(lambda: (cells(np.int64(2)), cells(2.0)), id="cells_after_numpy_int"),
+        pytest.param(lambda: _T3.value(0.0, 0, 0), id="value_channel"),
         pytest.param(lambda: row_bounds(2, 1.0), id="row_bounds"),
         pytest.param(lambda: col_bounds(2, np.float64(1.0)), id="col_bounds"),
     ],
@@ -259,6 +260,13 @@ def test_integer_arguments_accept_numpy_integers():
 def test_hextensor_value_lookup():
     t = HexTensor(2, 1, np.arange(7.0))
     assert t.value(0, 2, 1) == 4.0
+
+
+@pytest.mark.parametrize("channel", [-1, 2])
+def test_hextensor_value_rejects_channels_out_of_range(channel):
+    t = HexTensor(2, 2, np.arange(14.0))
+    with pytest.raises(ValueError, match="channel"):
+        t.value(channel, 0, 0)
 
 
 def test_pad_rings_identity_and_examples():

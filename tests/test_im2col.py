@@ -62,6 +62,20 @@ def test_gemm_dimension_mismatch():
         gemm(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (np.array([["a"]]), np.array([["b"]])),
+        (np.ones((1, 1)), np.array([[1 + 2j]])),
+        (np.array([[None]]), np.ones((1, 1))),
+    ],
+    ids=["strings", "complex", "objects"],
+)
+def test_gemm_rejects_operands_that_are_not_real(a, b):
+    with pytest.raises(ValueError, match="dtype"):
+        gemm(a, b)
+
+
 @pytest.mark.parametrize("shape", [(7, 5, 3), (64, 64, 64), (130, 70, 9)])
 def test_gemm_matches_naive(shape):
     m, k, n = shape

@@ -77,6 +77,16 @@ def test_build_rejects_seeds_and_layers_of_the_wrong_type():
         build_network(NetworkConfig(3, 1, (LayerSpec.flatten(),), seed=1.5))
     with pytest.raises(ValueError, match="layer 1: not a LayerSpec"):
         build_network(NetworkConfig(3, 1, (LayerSpec.flatten(), "conv")))
+    for layers in (None, 3):
+        with pytest.raises(ValueError, match=f"layers must be a sequence of LayerSpecs, got {layers}"):
+            NetworkConfig(5, 1, layers)
+
+
+@pytest.mark.parametrize("preset", [hex_vgg13, hex_vgg16])
+@pytest.mark.parametrize("scale", [0, -1, 0.0, float("inf"), float("nan"), "0.5", True, None])
+def test_vgg_width_scale_must_be_a_positive_finite_real(preset, scale):
+    with pytest.raises(ValueError, match="width scale must be a finite real number above 0"):
+        preset(94, 10, width_scale=scale)
 
 
 @pytest.mark.parametrize("kind", ["hexconv", "hexmaxpool", "hexavgpool", "flatten", "dense", "softmax_xent"])
@@ -352,6 +362,20 @@ def test_backward_consumes_its_caches():
         with MacMeter() as meter, pytest.raises(ValueError, match="consumed"):
             bwd(net, logits, caches, labels)
         assert meter.macs == 0
+
+
+def test_trunk_caches_carry_no_sizes():
+    # sizes live in net.shapes: a max pool caches its winning taps, an
+    # average pool and the flatten nothing
+    net = build_network(composed_cfg())
+    batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 13, 2)
+    (_, _, channels), (_, side, _) = net.shapes[1], net.shapes[2]
+    for fwd, _ in LAYOUTS:
+        _, caches = fwd(net, batch)
+        for conv0, taps, conv2, avg, flat in caches.trunk:
+            assert len(conv0) == len(conv2) == 2  # (input, relu mask)
+            assert taps.dtype.kind == "i" and taps.shape == (channels, cell_count(side))
+            assert avg is None and flat is None
 
 
 @pytest.mark.parametrize("layout", ["native", "zeroout"])
@@ -662,7 +686,7 @@ def _step_bytes_bound(net, batch, values, taps):
     ``values(side)`` is the values per channel of a side-``side``
     activation on the layout and ``taps(window)`` the taps of a
     side-``window`` filter.  Per sample: the conv inputs and masks, and
-    the max-pool winners (8 bytes an output cell; pool windows are
+    the max-pool winning taps (8 bytes an output cell; pool windows are
     hexagons on both layouts).  Once: one layer's working set, that is
     its window block twice (the block and ``np.take``'s copy of its
     index table) and three output-sized arrays (output, activation,

@@ -4,7 +4,6 @@ import pytest
 from hexcnn.grid import HexTensor, cell_count, cells, flat_offset
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import (
-    ArgmaxMap,
     HexFilterBank,
     avgpool,
     conv_full,
@@ -121,55 +120,52 @@ def test_conv_accumulation_is_mac_counted():
     assert m.macs == cell_count(out.side) * 3 * 2 * 7
 
 
+def winners(taps, g):
+    """The input offsets that the (channels, patches) ``taps`` pick from
+    the window table ``g``."""
+    return g[taps, np.arange(g.shape[1])]
+
+
 def test_maxpool_constant_input_anchors():
     t = HexTensor(5, 1, np.full(61, 3.0))
-    out, amap = maxpool(t, 2, 3)
+    out, taps = maxpool(t, 2, 3)
     assert np.all(out.data == 3.0)
     # ties resolve to the window anchor (smallest offset in the window)
     anchors = [flat_offset(5, 3 * u, 3 * v) for u, v in cells(2)]
-    assert np.array_equal(amap.winners[0], anchors)
+    assert np.array_equal(winners(taps, tap_gather(5, 2, 3))[0], anchors)
 
 
 def test_maxpool_offset_values_frozen():
     # cell value = its own flat offset; enumerate the seven disjoint
     # windows of the side-5 / window-2 / stride-3 tiling by hand
     t = HexTensor(5, 1, np.arange(61.0))
-    out, amap = maxpool(t, 2, 3)
+    out, taps = maxpool(t, 2, 3)
     assert np.array_equal(out.data[0], [13, 16, 36, 39, 42, 57, 60])
-    assert np.array_equal(amap.winners[0], [13, 16, 36, 39, 42, 57, 60])
+    assert np.array_equal(winners(taps, tap_gather(5, 2, 3))[0], [13, 16, 36, 39, 42, 57, 60])
+    # fresh, read-only integer taps, one per output cell
+    assert taps.dtype.kind == "i" and taps.shape == out.data.shape
+    assert taps.base is None and not taps.flags.writeable
 
 
 def test_maxpool_single_window_global_max():
     rng = np.random.default_rng(6)
     t = HexTensor(4, 3, rng.standard_normal((3, 37)))
-    out, amap = maxpool(t, 4, 1)
+    out, taps = maxpool(t, 4, 1)
     assert out.side == 1
     assert np.array_equal(out.data[:, 0], t.data.max(axis=1))
-    assert np.array_equal(amap.winners[:, 0], t.data.argmax(axis=1))
+    assert np.array_equal(winners(taps, tap_gather(4, 4, 1))[:, 0], t.data.argmax(axis=1))
 
 
 def test_maxpool_winners_inside_window():
     rng = np.random.default_rng(7)
     t = HexTensor(7, 2, rng.standard_normal((2, cell_count(7))))
-    _, amap = maxpool(t, 3, 2)
-    g = tap_gather(7, 3, 2).T
+    out, taps = maxpool(t, 3, 2)
+    g = tap_gather(7, 3, 2)
+    won = winners(taps, g)
     for c in range(2):
-        for p in range(g.shape[0]):
-            assert amap.winners[c, p] in g[p]
-
-
-def test_argmax_map_copies_a_callers_array_and_adopts_fresh_winners():
-    a = np.arange(14, dtype=np.int64).reshape(2, 7)
-    amap = ArgmaxMap(3, 2, a)
-    assert a.flags.writeable and not amap.winners.flags.writeable
-    a[0, 0] = 5
-    assert amap.winners[0, 0] == 0
-    # maxpool's winners are fresh and read-only, so they are wrapped as is
-    b = a.copy()
-    b.setflags(write=False)
-    assert ArgmaxMap(3, 2, b).winners is b
-    _, amap = maxpool(HexTensor(3, 2, np.arange(38.0)), 2, 1)
-    assert amap.winners.base is None and not amap.winners.flags.writeable
+        for p in range(g.shape[1]):
+            assert won[c, p] in g[:, p]
+            assert t.data[c, won[c, p]] == out.data[c, p]
 
 
 def test_maxpool_permutation_invariant_within_window():

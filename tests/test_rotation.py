@@ -49,10 +49,10 @@ def test_kernels_commute_with_rotations(side, window, stride):
     delta = random_tensor(rng, y.side, 3)
     dx = conv_backward_input(delta, bank, stride, side)
     dw, db = conv_backward_filter(t, delta, stride, window)
-    pooled, amap = maxpool(t, window, stride)
+    pooled, taps = maxpool(t, window, stride)
     averaged = avgpool(t, window, stride)
     pool_delta = random_tensor(rng, y.side, 2)
-    dmax = maxpool_backward(pool_delta, amap)
+    dmax = maxpool_backward(pool_delta, taps, window, stride, side)
     davg = avgpool_backward(pool_delta, window, stride, side)
     for k in range(6):
         rt, rdelta, rpool_delta = (rotate(a, k) for a in (t, delta, pool_delta))
@@ -63,9 +63,9 @@ def test_kernels_commute_with_rotations(side, window, stride):
         rdw, rdb = conv_backward_filter(rt, rdelta, stride, window)
         assert rel_err(rdw, dw[..., rotate_permutation(window, k)]) <= TOL
         assert rel_err(rdb, db) <= TOL
-        rpooled, ramap = maxpool(rt, window, stride)
+        rpooled, rtaps = maxpool(rt, window, stride)
         assert np.array_equal(rpooled.data, rotate(pooled, k).data)
         # overlapping windows scatter-add in another order: equal within TOL only
-        assert rel_err(maxpool_backward(rpool_delta, ramap).data, rotate(dmax, k).data) <= TOL
+        assert rel_err(maxpool_backward(rpool_delta, rtaps, window, stride, side).data, rotate(dmax, k).data) <= TOL
         assert rel_err(avgpool(rt, window, stride).data, rotate(averaged, k).data) <= TOL
         assert rel_err(avgpool_backward(rpool_delta, window, stride, side).data, rotate(davg, k).data) <= TOL
