@@ -24,6 +24,7 @@ from .nn import (
     NetworkConfig,
     _activate,
     _arrays,
+    _relu_grad,
     _with_arrays,
     backward,
     build_network,
@@ -229,8 +230,8 @@ def _grad_cases_activation(rng, probes, results):
         side = int(rng.integers(2, 7))
         channels = int(rng.integers(1, 3))
         x = rng.standard_normal((channels, cell_count(side)))
-        a, mask = _activate(x, "relu")
-        grad = a * mask  # the error of the loss times relu's derivative, as training forms it
+        a, bits = _activate(x, "relu")
+        grad = _relu_grad(a, bits)  # the error of the loss times relu's derivative, as training forms it
         coords = _probe_coords(rng, x.shape, min(5, probes - done))
         done += _probe(results, f"activation_{inst}", grad, x, loss, coords)
         inst += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import HexTensor, cell_count, check_int, rotate_permutation
+from .grid import HexTensor, cell_count, check_int, check_tensor, rotate_permutation
 from .matmul import gemm
 from .ops import (
     HexFilterBank,
@@ -74,6 +74,7 @@ def _forward_windows(
     delta: HexTensor, window_side: int, stride: int, input_side: int, floor_mode: bool = False
 ) -> np.ndarray:
     """The window table of the forward that output the error; only pools floor."""
+    check_tensor(delta, "error")
     out_side = valid_geometry(input_side, window_side, stride, floor_mode)
     if out_side != delta.side:
         raise ValueError(f"error side {delta.side} does not match forward output {out_side}")
@@ -99,8 +100,8 @@ def conv_backward_input(
     delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
-    _check_error_channels(delta, bank)
     g = _forward_windows(delta, bank.filter_side, stride, input_side)
+    _check_error_channels(delta, bank)
     w_t = bank.weights.reshape(bank.filters, -1).T
     out = np.zeros((bank.in_channels, cell_count(input_side)), np.result_type(w_t, delta.data))
     for b in patch_blocks(g.shape[1]):
@@ -115,8 +116,8 @@ def conv_backward_input_reflect(
 ) -> HexTensor:
     """Reference input gradient: upsample, then full convolution with the
     channel-transposed, point-reflected bank."""
-    _check_error_channels(delta, bank)
     _forward_windows(delta, bank.filter_side, stride, input_side)
+    _check_error_channels(delta, bank)
     up = upsample_stride(delta, stride, (delta.side - 1) * stride + 1)
     return conv_full(up, transpose_reflect(bank))
 
@@ -129,6 +130,7 @@ def conv_backward_filter(
     Returns (d_weights, d_bias) with d_weights shaped like the filter
     bank weights (filters, channels, cells).
     """
+    check_tensor(t, "input")
     g = _forward_windows(delta, filter_side, stride, t.side)
     parts = (gemm(delta.data[:, b], window_columns(t, g[:, b]).T) for b in patch_blocks(g.shape[1]))
     dw = next(parts)  # (F, C*E); a single block is used as is

@@ -35,6 +35,7 @@ __all__ = [
     "offsets",
     "rotate_permutation",
     "HexTensor",
+    "check_tensor",
     "pad_rings",
 ]
 
@@ -218,6 +219,14 @@ class HexTensor:
         if check_int(channel, "channel", 0) >= self.channels:
             raise ValueError(f"channel {channel} out of range for {self.channels} channels")
         return float(self.data[channel, flat_offset(self.side, u, v)])
+
+
+def check_tensor(value, what: str) -> HexTensor:
+    """``value`` if it is a ``HexTensor``; anything else, a bare array
+    included, raises ``ValueError`` naming ``what``."""
+    if not isinstance(value, HexTensor):
+        raise ValueError(f"{what} must be a HexTensor, got {type(value).__name__}")
+    return value
 
 
 @lru_cache(maxsize=None)

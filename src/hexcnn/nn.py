@@ -29,7 +29,7 @@ from .grads import (
     conv_backward_input,
     maxpool_backward,
 )
-from .grid import HexTensor, cell_count, check_int
+from .grid import HexTensor, cell_count, check_int, check_tensor
 from .matmul import gemm
 from .ops import HexFilterBank, avgpool, conv_valid, maxpool, valid_geometry
 
@@ -228,14 +228,21 @@ def _build_layer(spec: LayerSpec, shape, rng, last: bool):
 
 
 def _activate(z: np.ndarray, kind: str):
-    """The activation of ``z`` and what backward reads of it: the boolean
-    ``z > 0`` for relu (one byte a value, where ``z`` takes eight), None
-    for identity.  ``d * mask`` has the bits of ``d * (z > 0)``."""
+    """The activation of ``z`` and what backward reads of it: for relu
+    the bits of ``z > 0``, packed (``np.packbits``, one bit a value,
+    where ``z`` takes 64), so no boolean mask outlives this call; None
+    for identity.  ``_relu_grad`` applies the bits."""
     if kind == "identity":
         return z, None
     if kind == "relu":
-        return np.maximum(z, 0.0), z > 0
+        return np.maximum(z, 0.0), np.packbits(z > 0)
     raise ValueError(f"unknown activation {kind!r}")
+
+
+def _relu_grad(d: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``d`` times relu's derivative, from the bits ``_activate`` packed
+    for an input shaped like ``d``: the bits of ``d * (z > 0)``."""
+    return d * np.unpackbits(bits, count=d.size).view(bool).reshape(d.shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -279,16 +286,16 @@ def _head_start(net: Network) -> int:
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
     """One sample through layers [0, stop): its flat features and cache,
     one entry per layer holding only what ``_trunk_backward`` reads (a
-    conv keeps its input and its relu mask, never its pre-activation; a
-    max pool its winning taps; an average pool and the flatten None,
-    since their sizes are in ``net.shapes``)."""
+    conv keeps its input and its packed relu bits, never its
+    pre-activation; a max pool its one-byte winning taps; an average
+    pool and the flatten None, since their sizes are in ``net.shapes``)."""
     x = t
     cache = []
     for i, spec in enumerate(net.cfg.layers[:stop]):
         if spec.kind == "hexconv":
             z = conv_valid(x, net.params[i], spec.stride)
-            a, mask = _activate(z.data, spec.activation)
-            cache.append((x, mask))
+            a, bits = _activate(z.data, spec.activation)
+            cache.append((x, bits))
             a.setflags(write=False)
             x = HexTensor(z.side, z.channels, a)
             del z  # not live beside the next conv's output
@@ -308,9 +315,10 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
 class _Caches:
     """What ``forward`` keeps for ``backward``: per sample, a list of one
     trunk cache entry per trunk layer; per dense layer of the head, its
-    index, its (B, in) inputs and its (B, units) relu mask (None for
-    identity).  ``backward`` consumes both lists, popping each entry as
-    it walks it, so the caches serve one ``backward`` only."""
+    index, its (B, in) inputs and the packed relu bits of its (B, units)
+    output (None for identity).  ``backward`` consumes both lists,
+    popping each entry as it walks it, so the caches serve one
+    ``backward`` only."""
 
     trunk: list
     head: list
@@ -328,8 +336,7 @@ def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Cach
     features = []
     trunk = []
     for t in batch:
-        if not isinstance(t, HexTensor):
-            raise ValueError(f"batch items must be HexTensors, got {type(t).__name__}")
+        check_tensor(t, "batch items")
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
         x, cache = trunk_forward(net, t, stop)
@@ -343,8 +350,8 @@ def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Cach
         spec = net.cfg.layers[i]
         if spec.kind == "dense":
             w, b = net.params[i]
-            a, mask = _activate(gemm(x, w.T) + b, spec.activation)
-            head.append((i, x, mask))
+            a, bits = _activate(gemm(x, w.T) + b, spec.activation)
+            head.append((i, x, bits))
             x = a
         # softmax_xent: loss layer, logits pass through
     return x, _Caches(trunk, head)
@@ -377,16 +384,16 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
             cache.pop()
             d = avgpool_backward(d, spec.window, spec.stride, side)
         else:  # hexconv
-            x, mask = cache.pop()
-            if mask is not None:
-                out = d.data * mask
+            x, bits = cache.pop()
+            if bits is not None:
+                out = _relu_grad(d.data, bits)
                 out.setflags(write=False)
                 d = HexTensor(d.side, d.channels, out)
             gw, gb = grads[i]
             dw, db = conv_backward_filter(x, d, spec.stride, spec.window)
             gw += dw
             gb += db
-            del x, mask  # released before the input gradient is built
+            del x, bits  # released before the input gradient is built
             if i > 0:
                 d = conv_backward_input(d, net.params[i], spec.stride, side)
 
@@ -417,9 +424,9 @@ def _head_backward(net: Network, head: list, d: np.ndarray, grads) -> np.ndarray
     """The logits' error back through the dense head, popping each
     layer's cache entry as it walks it; returns the (B, features) error."""
     while head:
-        i, x, mask = head.pop()
-        if mask is not None:
-            d = d * mask
+        i, x, bits = head.pop()
+        if bits is not None:
+            d = _relu_grad(d, bits)
         w, _ = net.params[i]
         grads[i] = (gemm(d.T, x), d.sum(axis=0))
         d = gemm(d, w)

@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, _real_array, cell_count, cells, check_int, offsets, pad_rings
+from .grid import (
+    HexTensor, _real_array, cell_count, cells, check_int, check_tensor, offsets, pad_rings,
+)
 from .matmul import gemm
 
 __all__ = [
@@ -152,6 +154,7 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
     One product per block of patches, each written into its columns of
     the output.
     """
+    check_tensor(t, "input")
     if bank.in_channels != t.channels:
         raise ValueError(
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
@@ -176,28 +179,51 @@ def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
     return conv_valid(padded, bank, 1)
 
 
+def _first_max_taps(win: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``win.argmax(axis=1)`` of a (channels, taps, patches) window array
+    whose maxima ``out = win.max(axis=1)`` are known, in the smallest
+    unsigned dtype that holds a tap (``uint8`` up to 256 taps), read-only.
+
+    The first maximum, or the first NaN, scores highest when tap e
+    scores E-1-e, so one max over the tap axis finds it; unlike
+    ``argmax``, which walks one window at a time, every step runs across
+    the patches.  ``-0.0`` and ``0.0`` tie, as under ``argmax``.
+    """
+    e = win.shape[1]
+    dtype = np.min_scalar_type(e - 1)
+    hit = win == out[:, None, :]
+    hit |= win != win  # NaN: a window's maximum is its first NaN
+    score = np.multiply(hit, np.arange(e - 1, -1, -1, dtype=dtype)[:, None], dtype=dtype)
+    taps = score.max(axis=1)
+    np.subtract(dtype.type(e - 1), taps, out=taps)
+    taps.setflags(write=False)
+    return taps
+
+
 def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.ndarray]:
     """Max over each hexagonal window, and the tap that won it.
 
-    The taps are a read-only (channels, patches) integer array of rows
-    of ``tap_gather(t.side, window_side, stride)``: window p of channel
-    c took its maximum from offset ``g[taps[c, p], p]``.  Ties go to the
+    The taps are a read-only (channels, patches) array of rows of
+    ``tap_gather(t.side, window_side, stride)``, one byte each for
+    windows up to side 9 (``_first_max_taps``): window p of channel c
+    took its maximum from offset ``g[taps[c, p], p]``.  Ties go to the
     first tap, which is the smallest offset, since offsets rise within a
     window.  NaN counts as the maximum: a window holding a NaN outputs
     NaN, and its first NaN tap is the winner that ``maxpool_backward``
     routes the gradient to.
     """
+    check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
     win = np.take(t.data, tap_gather(t.side, window_side, stride), axis=1)  # (C, E, P)
-    taps = win.argmax(axis=1)  # the first maximum, or the first NaN
-    taps.setflags(write=False)
     out = win.max(axis=1)
+    taps = _first_max_taps(win, out)
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out), taps
 
 
 def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
+    check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
     g = tap_gather(t.side, window_side, stride)
     out = np.take(t.data, g, axis=1).mean(axis=1)

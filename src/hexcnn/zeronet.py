@@ -38,11 +38,12 @@ into its corner-zeroed rectangles once, on first use, not per sample and
 pass (``_packed``).
 
 The backward cache holds what the native trunk's does: a conv keeps its
-embedded input and, for relu, the boolean mask of its hex-masked output
-(from ``nn._activate``), never the float64 pre-activation; a max pool
-keeps its winning taps, rows of its hex-window table; an average pool
-and the flatten keep None, since their sizes are in ``net.shapes``.
-``nn``'s driver hands ``_trunk_backward`` each sample's cache list,
+embedded input and, for relu, the packed bits of ``z > 0`` for its
+hex-masked output ``z`` (from ``nn._activate``, one bit a value), never
+the float64 pre-activation; a max pool keeps its winning taps, rows of
+its hex-window table, one byte each from the native pool's reduction
+(``ops._first_max_taps``); an average pool and the flatten keep None,
+since their sizes are in ``net.shapes``.  ``nn``'s driver hands ``_trunk_backward`` each sample's cache list,
 which pops every entry as it walks it and drops a conv's input once its
 filter gradient is formed.
 
@@ -61,9 +62,10 @@ from .grads import _scatter_add
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _forward_with, apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad,
+    apply_gradients,
 )
-from .ops import HexFilterBank, patch_blocks
+from .ops import HexFilterBank, _first_max_taps, patch_blocks
 from .zeroout import (
     ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
 )
@@ -176,16 +178,17 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         if spec.kind == "hexconv":
             z = _rect_conv_all(x, net.params[i], spec.stride)
             z *= hex_mask(out_side)
-            a, mask = _activate(z, spec.activation)
-            cache.append((x, mask))
+            a, bits = _activate(z, spec.activation)
+            cache.append((x, bits))
             x = a
             del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _rect_hexwin_gather(side, spec.window, spec.stride)
             win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
             if spec.kind == "hexmaxpool":
-                cache.append(win.argmax(axis=1))  # the winning taps, as ops.maxpool's
-                x = _to_rect(win.max(axis=1), out_side)
+                out = win.max(axis=1)
+                cache.append(_first_max_taps(win, out))  # the winning taps, as ops.maxpool's
+                x = _to_rect(out, out_side)
             else:
                 cache.append(None)
                 x = _to_rect(win.mean(axis=1), out_side)
@@ -218,9 +221,9 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
                 _scatter_add(d, share, g)
             d = d.reshape(channels, span, span)
         else:  # hexconv
-            x, mask = cache.pop()
-            if mask is not None:
-                d = d * mask
+            x, bits = cache.pop()
+            if bits is not None:
+                d = _relu_grad(d, bits)
             k = 2 * spec.window - 1
             f = d.shape[0]
             d2 = d.reshape(f, -1)
@@ -235,7 +238,7 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=(1, 2))
-            del x, mask  # released before the input gradient is built
+            del x, bits  # released before the input gradient is built
             if i > 0:
                 d = _rect_conv_backward_input(d, net.params[i], spec.stride, (channels, span, span))
                 d *= hex_mask(side)

@@ -12,7 +12,7 @@ from hexcnn.grads import (
     upsample_stride,
 )
 from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
-from hexcnn.nn import _activate
+from hexcnn.nn import _activate, _relu_grad
 from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, tap_gather
 
 from test_ops import winners
@@ -226,13 +226,47 @@ def _set_tap(taps, value):
         pytest.param(lambda taps: taps.astype(np.float64), id="float"),
         pytest.param(lambda taps: taps[:, :-1], id="shape"),
         pytest.param(lambda taps: _set_tap(taps, cell_count(2)), id="window_cells"),
-        pytest.param(lambda taps: _set_tap(taps, -1), id="negative"),
+        # the taps are unsigned; a signed copy can hold a negative one
+        pytest.param(lambda taps: _set_tap(taps.astype(np.int64), -1), id="negative"),
     ],
 )
 def test_maxpool_backward_rejects_malformed_taps(bad):
     out, taps = maxpool(HexTensor(5, 2, np.arange(122.0)), 2, 3)
     with pytest.raises(ValueError, match="taps must"):
         maxpool_backward(out, bad(taps), 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "kernel,what",
+    [
+        ("maxpool", "input"),
+        ("avgpool", "input"),
+        ("conv_valid", "input"),
+        ("maxpool_backward", "error"),
+        ("avgpool_backward", "error"),
+        ("conv_backward_input", "error"),
+        ("conv_backward_filter", "input"),
+        ("conv_backward_filter", "error"),
+    ],
+)
+def test_kernels_reject_bare_arrays(kernel, what):
+    # a tensor's bare data array used to raise AttributeError ('side')
+    t = HexTensor(5, 2, np.arange(122.0))
+    bank = HexFilterBank(2, np.ones((2, 2, 7)))
+    pooled, taps = maxpool(t, 2, 3)
+    y = conv_valid(t, bank)
+    bare = lambda tensor, name: tensor.data if name == what else tensor
+    call = {
+        "maxpool": lambda: maxpool(bare(t, "input"), 2, 3),
+        "avgpool": lambda: avgpool(bare(t, "input"), 2, 3),
+        "conv_valid": lambda: conv_valid(bare(t, "input"), bank),
+        "maxpool_backward": lambda: maxpool_backward(bare(pooled, "error"), taps, 2, 3, 5),
+        "avgpool_backward": lambda: avgpool_backward(bare(pooled, "error"), 2, 3, 5),
+        "conv_backward_input": lambda: conv_backward_input(bare(y, "error"), bank, 1, 5),
+        "conv_backward_filter": lambda: conv_backward_filter(bare(t, "input"), bare(y, "error"), 1, 2),
+    }[kernel]
+    with pytest.raises(ValueError, match=f"{what} must be a HexTensor, got ndarray"):
+        call()
 
 
 def test_maxpool_backward_routes_each_error_to_its_winning_tap():
@@ -275,23 +309,39 @@ def test_avgpool_backward_finite_difference():
 
 
 def test_activation_backward_identity_and_dead_relu():
-    # backward multiplies the error by the mask that nn._activate returns
+    # backward applies the bits that nn._activate returns
     rng = np.random.default_rng(7)
     z = rng.standard_normal((1, 19))
-    a, mask = _activate(z, "identity")
-    assert a is z and mask is None
+    a, bits = _activate(z, "identity")
+    assert a is z and bits is None
     delta = rng.standard_normal((1, 19))
-    _, mask = _activate(-np.ones(19), "relu")
-    assert not (delta * mask).any()
+    _, bits = _activate(-np.ones((1, 19)), "relu")
+    assert not _relu_grad(delta, bits).any()
     with pytest.raises(ValueError):
         _activate(z, "tanh")
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (3, 19), (4, 5, 5)])
+def test_relu_bits_give_the_mask_product_bit_for_bit(shape):
+    # one bit a value, padded to whole bytes; ties at +-0 and NaN are
+    # not positive, as under z > 0
+    rng = np.random.default_rng(sum(shape))
+    z = rng.standard_normal(shape)
+    z.flat[::3] = 0.0
+    z.flat[1::5] = -0.0
+    z.flat[2::7] = np.nan
+    d = rng.standard_normal(shape)
+    a, bits = _activate(z, "relu")
+    assert bits.dtype == np.uint8 and bits.shape == (-(-z.size // 8),)
+    assert np.array_equal(a, np.maximum(z, 0.0), equal_nan=True)
+    assert _relu_grad(d, bits).tobytes() == (d * (z > 0)).tobytes()
 
 
 def test_activation_backward_finite_difference():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 19))
-    a, mask = _activate(x, "relu")
-    grad = a * mask  # the loss's error a times relu's derivative
+    a, bits = _activate(x, "relu")
+    grad = _relu_grad(a, bits)  # the loss's error a times relu's derivative
 
     def loss(arr):
         return 0.5 * float(np.sum(np.maximum(arr, 0.0) ** 2))

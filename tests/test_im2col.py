@@ -76,6 +76,30 @@ def test_gemm_rejects_operands_that_are_not_real(a, b):
         gemm(a, b)
 
 
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((2, 2), int),
+        [[0.0, 0.0], [0.0, 0.0]],
+        np.empty((2, 3)),
+        np.empty((2, 2), np.float32),
+        np.empty((2, 2), complex),
+    ],
+    ids=["integer", "list", "shape", "narrower_float", "complex"],
+)
+def test_gemm_rejects_an_out_it_cannot_fill(out):
+    # an integer out used to escape as numpy's UFuncTypeError, a list as TypeError
+    with pytest.raises(ValueError, match="out must"):
+        gemm(np.ones((2, 2)), np.ones((2, 2)), out=out)
+
+
+def test_gemm_widens_into_a_float64_out():
+    out = np.empty((2, 1))
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
+    assert gemm(a, np.array([[5], [6]]), out=out) is out
+    assert np.array_equal(out, [[17.0], [39.0]])
+
+
 @pytest.mark.parametrize("shape", [(7, 5, 3), (64, 64, 64), (130, 70, 9)])
 def test_gemm_matches_naive(shape):
     m, k, n = shape

@@ -365,16 +365,18 @@ def test_backward_consumes_its_caches():
 
 
 def test_trunk_caches_carry_no_sizes():
-    # sizes live in net.shapes: a max pool caches its winning taps, an
-    # average pool and the flatten nothing
+    # sizes live in net.shapes: a relu conv caches its input and one bit
+    # an output value, a max pool one byte a winning tap, an average
+    # pool and the flatten nothing
     net = build_network(composed_cfg())
     batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 13, 2)
     (_, _, channels), (_, side, _) = net.shapes[1], net.shapes[2]
-    for fwd, _ in LAYOUTS:
+    for (fwd, _), values in zip(LAYOUTS, (cell_count, lambda s: (2 * s - 1) ** 2)):
         _, caches = fwd(net, batch)
         for conv0, taps, conv2, avg, flat in caches.trunk:
-            assert len(conv0) == len(conv2) == 2  # (input, relu mask)
-            assert taps.dtype.kind == "i" and taps.shape == (channels, cell_count(side))
+            for (_, bits), (_, out_side, f) in ((conv0, net.shapes[1]), (conv2, net.shapes[3])):
+                assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
+            assert taps.dtype == np.uint8 and taps.shape == (channels, cell_count(side))
             assert avg is None and flat is None
 
 
@@ -681,12 +683,13 @@ def test_vgg13_trajectory_matches_zeroout():
 
 def _step_bytes_bound(net, batch, values, taps):
     """Bytes one SGD step may hold at once if each conv caches only its
-    input (8 bytes a value) and its relu mask (1 byte an output cell).
+    input (8 bytes a value) and its packed relu bits (1 bit an output
+    value, in whole bytes).
 
     ``values(side)`` is the values per channel of a side-``side``
     activation on the layout and ``taps(window)`` the taps of a
-    side-``window`` filter.  Per sample: the conv inputs and masks, and
-    the max-pool winning taps (8 bytes an output cell; pool windows are
+    side-``window`` filter.  Per sample: the conv inputs and bits, and
+    the max-pool winning taps (1 byte an output cell; pool windows are
     hexagons on both layouts).  Once: one layer's working set, that is
     its window block twice (the block and ``np.take``'s copy of its
     index table) and three output-sized arrays (output, activation,
@@ -697,12 +700,12 @@ def _step_bytes_bound(net, batch, values, taps):
         before, after = net.shapes[i], net.shapes[i + 1]
         if spec.kind == "hexconv":
             (_, side, c), (_, out_side, f) = before, after
-            cache += 8 * c * values(side) + f * values(out_side)
+            cache += 8 * c * values(side) + -(-f * values(out_side) // 8)
             block = max(block, 8 * c * taps(spec.window) * min(values(out_side), PATCH_BLOCK))
             out = max(out, 8 * f * values(out_side))
         elif spec.kind == "hexmaxpool":
             (_, _, c), (_, out_side, _) = before, after
-            cache += 8 * c * cell_count(out_side)
+            cache += c * cell_count(out_side)
             block = max(block, 8 * c * cell_count(spec.window) * cell_count(out_side))
         elif spec.kind == "dense":
             fan_in, units = before[1], after[1]
@@ -712,8 +715,9 @@ def _step_bytes_bound(net, batch, values, taps):
 
 @pytest.mark.parametrize("layout", ["native", "zeroout"])
 def test_train_step_peak_holds_only_what_backward_reads(layout):
-    # caching each conv's float64 pre-activation (8 bytes an output cell,
-    # not 1) puts both layouts' peaks well over this bound
+    # caching each conv's float64 pre-activation (64 bits an output
+    # value, not 1) puts both layouts' peaks well over this bound; so
+    # do ZeroOut's boolean masks and int64 taps
     step, values, taps = {
         "native": (train_step, cell_count, cell_count),
         "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2),

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hexcnn.grid import HexTensor, cell_count, cells, flat_offset
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import (
     HexFilterBank,
+    _first_max_taps,
     avgpool,
     conv_full,
     conv_valid,
@@ -142,8 +146,8 @@ def test_maxpool_offset_values_frozen():
     out, taps = maxpool(t, 2, 3)
     assert np.array_equal(out.data[0], [13, 16, 36, 39, 42, 57, 60])
     assert np.array_equal(winners(taps, tap_gather(5, 2, 3))[0], [13, 16, 36, 39, 42, 57, 60])
-    # fresh, read-only integer taps, one per output cell
-    assert taps.dtype.kind == "i" and taps.shape == out.data.shape
+    # fresh, read-only one-byte taps, one per output cell
+    assert taps.dtype == np.uint8 and taps.shape == out.data.shape
     assert taps.base is None and not taps.flags.writeable
 
 
@@ -174,6 +178,39 @@ def test_maxpool_permutation_invariant_within_window():
     a, _ = maxpool(t, 2, 1)
     b, _ = maxpool(shuffled, 2, 1)
     assert a.data == b.data
+
+
+# ties (repeated values and -0.0 against 0.0), infinities and NaN
+WINDOW_VALUES = (-np.inf, -1.5, -0.0, 0.0, 1.5, 2.0, np.inf, np.nan)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 271), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_first_max_taps_is_argmax_bit_for_bit(dtype, shape, data):
+    # windows drawn from a few adversarial values, so most hold ties;
+    # window 0 is all NaN; 257 taps and more take two bytes a tap
+    values = data.draw(st.sets(st.sampled_from(WINDOW_VALUES), min_size=1))
+    win = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(sorted(values, key=repr))))
+    win[0, :, 0] = np.nan
+    taps = _first_max_taps(win, win.max(axis=1))
+    assert taps.dtype == (np.uint8 if shape[1] <= 256 else np.uint16)
+    assert not taps.flags.writeable
+    assert np.array_equal(taps, win.argmax(axis=1))
+
+
+@pytest.mark.parametrize("e", [1, 217, 256, 257, 271])
+def test_first_max_taps_narrow_dtype_holds_the_last_tap(e):
+    # a side-9 window has 217 taps, the most one byte serves
+    win = np.zeros((1, e, 2))
+    win[0, -1, 0] = 1.0
+    win[0, :, 1] = -0.0
+    taps = _first_max_taps(win, win.max(axis=1))
+    assert taps.dtype == (np.uint8 if e <= 256 else np.uint16)
+    assert taps.tolist() == [[e - 1, 0]]
 
 
 def test_avgpool_values():
