@@ -7,10 +7,11 @@ scatter-adds it per channel through the tap-major window table, so
 cells no window reaches get zero.  Both walk the patches in the
 forward's blocks (``ops.patch_blocks``) and sum the blocks' shares, so
 neither holds a whole window matrix.  Pool errors return along the same
-table; a max pool's winning taps pick each window's row of it.  Every
-backward kernel takes the error and the forward's geometry (window
-side, stride, input side) and rebuilds the forward's window table from
-them.  ``conv_backward_input_reflect`` keeps the paper's construction
+table (``_unpool``, which the ZeroOut trunk shares); a max pool's
+winning taps pick each window's row of it.  Every backward kernel takes
+the error and the forward's geometry (window side, stride, input side)
+and rebuilds the forward's window table from them.
+``conv_backward_input_reflect`` keeps the paper's construction
 as a reference: upsample the error onto the dense anchor grid, then
 full-convolve with the channel-transposed, point-reflected bank.  The
 anchor grid is row 0 of a side-1 window table: a side-1 window is its
@@ -25,6 +26,7 @@ from .grid import HexTensor, cell_count, check_int, check_tensor, rotate_permuta
 from .matmul import gemm
 from .ops import (
     HexFilterBank,
+    check_bank,
     conv_full,
     patch_blocks,
     tap_gather,
@@ -48,6 +50,7 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
 
     All other cells are zero, so the total mass is preserved.
     """
+    check_tensor(delta, "error")
     check_int(stride, "stride")
     check_int(target_side, "target side")
     expected = (delta.side - 1) * stride + 1
@@ -66,6 +69,7 @@ def upsample_stride(delta: HexTensor, stride: int, target_side: int) -> HexTenso
 def transpose_reflect(bank: HexFilterBank) -> HexFilterBank:
     """Swap filter/channel roles and point-reflect (rotate by 180 degrees)
     each filter; zero bias."""
+    check_bank(bank, "filter bank")
     w = bank.weights[:, :, rotate_permutation(bank.filter_side, 3)].transpose(1, 0, 2)
     return HexFilterBank(bank.filter_side, w)
 
@@ -100,6 +104,7 @@ def conv_backward_input(
     delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
+    check_bank(bank, "filter bank")
     g = _forward_windows(delta, bank.filter_side, stride, input_side)
     _check_error_channels(delta, bank)
     w_t = bank.weights.reshape(bank.filters, -1).T
@@ -116,6 +121,7 @@ def conv_backward_input_reflect(
 ) -> HexTensor:
     """Reference input gradient: upsample, then full convolution with the
     channel-transposed, point-reflected bank."""
+    check_bank(bank, "filter bank")
     _forward_windows(delta, bank.filter_side, stride, input_side)
     _check_error_channels(delta, bank)
     up = upsample_stride(delta, stride, (delta.side - 1) * stride + 1)
@@ -141,6 +147,24 @@ def conv_backward_filter(
     return d_weights, d_bias
 
 
+def _unpool(d: np.ndarray, taps: np.ndarray | None, g: np.ndarray, cells: int) -> np.ndarray:
+    """Adjoint of ``ops._pool`` over the table ``g``: the (channels, cells)
+    input error from the (channels, patches) error ``d``, all of it to
+    the winning tap's offset for a max pool, spread evenly over the
+    window for an average pool (``taps`` None)."""
+    c = d.shape[0]
+    if taps is None:
+        out = np.zeros((c, cells), d.dtype)
+        _scatter_add(out, np.broadcast_to((d / g.shape[0])[:, None, :], (c, *g.shape)), g)
+        return out
+    idx = g[taps, np.arange(g.shape[1])]  # the winners' input offsets
+    idx += cells * np.arange(c)[:, None]
+    out = np.bincount(idx.ravel(), weights=d.ravel(), minlength=c * cells)
+    out = out.astype(d.dtype, copy=False)
+    out.shape = (c, cells)  # in place: a reshaped view would be copied by HexTensor
+    return out
+
+
 def maxpool_backward(
     delta: HexTensor, taps: np.ndarray, window_side: int, stride: int, input_side: int
 ) -> HexTensor:
@@ -154,12 +178,7 @@ def maxpool_backward(
         raise ValueError(f"taps must be integers shaped {delta.data.shape}, got {taps.dtype} {taps.shape}")
     if taps.min() < 0 or taps.max() >= g.shape[0]:
         raise ValueError(f"taps must lie in [0, {g.shape[0]}), got {taps.min()}..{taps.max()}")
-    n = cell_count(input_side)
-    idx = g[taps, np.arange(g.shape[1])]  # the winners' input offsets
-    idx += n * np.arange(delta.channels)[:, None]
-    out = np.bincount(idx.ravel(), weights=delta.data.ravel(), minlength=delta.channels * n)
-    out = out.astype(delta.dtype, copy=False)
-    out.shape = (delta.channels, n)  # in place: a reshaped view would be copied
+    out = _unpool(delta.data, taps, g, cell_count(input_side))
     out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)
 
@@ -169,9 +188,6 @@ def avgpool_backward(
 ) -> HexTensor:
     """Spread each error value uniformly over its window."""
     g = _forward_windows(delta, window_side, stride, input_side, floor_mode=True)
-    share = np.broadcast_to((delta.data / g.shape[0])[:, None, :], (delta.channels, *g.shape))
-    out = np.zeros((delta.channels, cell_count(input_side)), delta.dtype)
-    _scatter_add(out, share, g)
+    out = _unpool(delta.data, None, g, cell_count(input_side))
     out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)
-

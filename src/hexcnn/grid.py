@@ -241,6 +241,7 @@ def pad_rings(t: HexTensor, rings: int) -> HexTensor:
     Cell (u, v) moves to (u + rings, v + rings); the sum of all values
     is preserved.
     """
+    check_tensor(t, "input")
     check_int(rings, "ring count", 0)
     if rings == 0:
         return t

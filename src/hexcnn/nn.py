@@ -538,7 +538,7 @@ def hex_lenet4(input_side: int, classes: int, seed: int = 0) -> NetworkConfig:
     return _lenet(input_side, classes, seed, 4)
 
 
-def _vgg(input_side, classes, convs_per_block, seed, width_scale, channels=3):
+def _vgg(input_side, classes, convs_per_block, seed, width_scale):
     ws = width_scale
     if isinstance(ws, bool) or not isinstance(ws, numbers.Real) or not 0 < ws < np.inf:
         raise ValueError(f"width scale must be a finite real number above 0, got {ws!r}")
@@ -556,7 +556,7 @@ def _vgg(input_side, classes, convs_per_block, seed, width_scale, channels=3):
         LayerSpec.dense(classes),
         LayerSpec.softmax(),
     ]
-    return NetworkConfig(input_side, channels, tuple(layers), seed)
+    return NetworkConfig(input_side, 3, tuple(layers), seed)  # RGB input
 
 
 def hex_vgg13(input_side: int, classes: int, seed: int = 0, width_scale: float = 1.0):

@@ -16,7 +16,7 @@ is a BLAS product of the (filters, channels*window_cells) weights with
 it, already in output storage order.  The matrix is built for at most
 ``PATCH_BLOCK`` patches at a time, so the memory a convolution (or its
 gradients, in ``grads``) takes grows with the block, not with the
-output size.
+output size.  Pools gather their small windows whole (``_pool``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .matmul import gemm
 
 __all__ = [
     "HexFilterBank",
+    "check_bank",
     "valid_geometry",
     "PATCH_BLOCK",
     "patch_blocks",
@@ -102,6 +103,14 @@ class HexFilterBank:
         return cls(filter_side, w, rng.standard_normal(filters))
 
 
+def check_bank(value, what: str) -> HexFilterBank:
+    """``value`` if it is a ``HexFilterBank``; anything else, a bare array
+    included, raises ``ValueError`` naming ``what``."""
+    if not isinstance(value, HexFilterBank):
+        raise ValueError(f"{what} must be a HexFilterBank, got {type(value).__name__}")
+    return value
+
+
 def valid_geometry(
     input_side: int, filter_side: int, stride: int = 1, floor_mode: bool = False
 ) -> int:
@@ -155,6 +164,7 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
     the output.
     """
     check_tensor(t, "input")
+    check_bank(bank, "filter bank")
     if bank.in_channels != t.channels:
         raise ValueError(
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
@@ -175,6 +185,7 @@ def conv_full(t: HexTensor, bank: HexFilterBank) -> HexTensor:
 
     Realized as valid convolution after 2*(Lk-1) rings of zero padding.
     """
+    check_bank(bank, "filter bank")
     padded = pad_rings(t, 2 * (bank.filter_side - 1))
     return conv_valid(padded, bank, 1)
 
@@ -200,6 +211,19 @@ def _first_max_taps(win: np.ndarray, out: np.ndarray) -> np.ndarray:
     return taps
 
 
+def _pool(x: np.ndarray, g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (channels, patches) max or mean (``kind`` is ``"hexmaxpool"``
+    or ``"hexavgpool"``) of a (channels, cells) array over the windows of
+    a tap-major (taps, patches) table, and the max's winning taps (None
+    for the mean).  The pools of both layouts run through here;
+    ``grads._unpool`` is the adjoint."""
+    win = np.take(x, g, axis=1)
+    if kind == "hexavgpool":
+        return win.mean(axis=1), None
+    out = win.max(axis=1)
+    return out, _first_max_taps(win, out)
+
+
 def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.ndarray]:
     """Max over each hexagonal window, and the tap that won it.
 
@@ -214,9 +238,7 @@ def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.
     """
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    win = np.take(t.data, tap_gather(t.side, window_side, stride), axis=1)  # (C, E, P)
-    out = win.max(axis=1)
-    taps = _first_max_taps(win, out)
+    out, taps = _pool(t.data, tap_gather(t.side, window_side, stride), "hexmaxpool")
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out), taps
 
@@ -225,7 +247,6 @@ def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    g = tap_gather(t.side, window_side, stride)
-    out = np.take(t.data, g, axis=1).mean(axis=1)
+    out, _ = _pool(t.data, tap_gather(t.side, window_side, stride), "hexavgpool")
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out)

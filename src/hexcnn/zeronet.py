@@ -29,23 +29,23 @@ forward writes one ``matmul.gemm`` per block into the block's output
 columns, the filter gradient sums one product per block, and the col2im
 input gradient (a ``gemm``, then a per-channel ``np.bincount`` scatter
 through the same table) adds each block into the input error before the
-next block is built.  Pool windows are small and are gathered whole;
-their errors return along the hex-window tables by ``np.bincount`` too,
-a max pool's to the offsets its winning taps pick from the table.
-Every product is metered like the native path's, and the input gradient
-does exactly the forward product's MACs.  Each hex filter bank is packed
-into its corner-zeroed rectangles once, on first use, not per sample and
-pass (``_packed``).
+next block is built.  Pools run through the native kernels' own
+``ops._pool`` and ``grads._unpool``, on ``tap_gather``'s table addressed
+on the embedding (``_hex_windows``).  Every product is metered like the
+native path's, and the input gradient does exactly the forward
+product's MACs.  Each hex filter bank is packed into its corner-zeroed
+rectangles once, on first use, not per sample and pass (``_packed``).
 
 The backward cache holds what the native trunk's does: a conv keeps its
 embedded input and, for relu, the packed bits of ``z > 0`` for its
 hex-masked output ``z`` (from ``nn._activate``, one bit a value), never
-the float64 pre-activation; a max pool keeps its winning taps, rows of
-its hex-window table, one byte each from the native pool's reduction
-(``ops._first_max_taps``); an average pool and the flatten keep None,
-since their sizes are in ``net.shapes``.  ``nn``'s driver hands ``_trunk_backward`` each sample's cache list,
-which pops every entry as it walks it and drops a conv's input once its
-filter gradient is formed.
+the float64 pre-activation; a max pool keeps the winning taps
+``ops._pool`` returns, rows of its window table, one byte each as the
+native pool's; an average pool and the flatten keep None, since their
+sizes are in ``net.shapes``.  ``nn``'s driver hands
+``_trunk_backward`` each sample's cache list, which pops every entry as
+it walks it and drops a conv's input once its filter gradient is
+formed.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -58,14 +58,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grads import _scatter_add
+from .grads import _scatter_add, _unpool
 from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import (
     Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad,
     apply_gradients,
 )
-from .ops import HexFilterBank, _first_max_taps, patch_blocks
+from .ops import HexFilterBank, _pool, patch_blocks, tap_gather
 from .zeroout import (
     ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
 )
@@ -73,34 +73,25 @@ from .zeroout import (
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
-def _flat(uv: np.ndarray, width: int) -> np.ndarray:
-    """Flat offsets of (row, col) pairs in a row-major array ``width`` wide."""
-    return uv[:, 0] * width + uv[:, 1]
-
-
-def _tap_major(anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(taps, patches) window table: column p holds anchor p plus every tap offset."""
-    g = np.ascontiguousarray(offsets[:, None] + anchors[None, :])
+@lru_cache(maxsize=None)
+def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
+    """Every k-by-k window of an h-by-w array as a tap-major (taps, patches)
+    table, taps column major within the window."""
+    rows = np.arange((h - k) // stride + 1) * stride * w
+    cols = np.arange((w - k) // stride + 1) * stride
+    taps = np.arange(k)
+    g = (taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel()
     g.setflags(write=False)
     return g
 
 
 @lru_cache(maxsize=None)
-def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
-    """Every k-by-k window of an h-by-w array, taps column major within the window."""
-    rows = np.arange((h - k) // stride + 1) * stride * w
-    cols = np.arange((w - k) // stride + 1) * stride
-    taps = np.arange(k)
-    return _tap_major((rows[:, None] + cols).ravel(), (taps[:, None] + taps * w).ravel())
-
-
-@lru_cache(maxsize=None)
-def _rect_hexwin_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
-    """Hex-shaped pool windows addressed on the rectangular embedding,
-    for the floored output side."""
-    span = 2 * input_side - 1
-    output_side = (input_side - window_side) // stride + 1
-    return _tap_major(_flat(cells(output_side) * stride, span), _flat(cells(window_side), span))
+def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
+    """The lattice's pool windows (``tap_gather``, floored) addressed on
+    the (2L-1, 2L-1) embedding of a side-L hexagon; read-only."""
+    g = _hex_flat(side)[tap_gather(side, window, stride)]
+    g.setflags(write=False)
+    return g
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and
@@ -183,15 +174,10 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
             x = a
             del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            g = _rect_hexwin_gather(side, spec.window, spec.stride)
-            win = np.take(x.reshape(x.shape[0], -1), g, axis=1)  # (C, E, P)
-            if spec.kind == "hexmaxpool":
-                out = win.max(axis=1)
-                cache.append(_first_max_taps(win, out))  # the winning taps, as ops.maxpool's
-                x = _to_rect(out, out_side)
-            else:
-                cache.append(None)
-                x = _to_rect(win.mean(axis=1), out_side)
+            g = _hex_windows(side, spec.window, spec.stride)
+            out, taps = _pool(x.reshape(x.shape[0], -1), g, spec.kind)
+            cache.append(taps)  # the winning taps, as ops.maxpool's; None for a mean
+            x = _to_rect(out, out_side)
         else:  # flatten
             cache.append(None)
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()
@@ -208,18 +194,9 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             cache.pop()
             d = _to_rect(d.reshape(channels, -1), side)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            taps = cache.pop()  # None for an average pool
-            g = _rect_hexwin_gather(side, spec.window, spec.stride)
+            g = _hex_windows(side, spec.window, spec.stride)
             dvals = d.reshape(channels, -1)[:, _hex_flat(net.shapes[i + 1][1])]
-            if spec.kind == "hexmaxpool":
-                idx = g[taps, np.arange(g.shape[1])]  # the winners' offsets
-                idx += span * span * np.arange(channels)[:, None]
-                d = np.bincount(idx.ravel(), weights=dvals.ravel(), minlength=channels * span * span)
-            else:
-                share = np.broadcast_to((dvals / g.shape[0])[:, None, :], (channels, *g.shape))
-                d = np.zeros((channels, span * span))
-                _scatter_add(d, share, g)
-            d = d.reshape(channels, span, span)
+            d = _unpool(dvals, cache.pop(), g, span * span).reshape(channels, span, span)
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:

@@ -11,9 +11,9 @@ from hexcnn.grads import (
     transpose_reflect,
     upsample_stride,
 )
-from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table
+from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table, pad_rings
 from hexcnn.nn import _activate, _relu_grad
-from hexcnn.ops import HexFilterBank, avgpool, conv_valid, maxpool, tap_gather
+from hexcnn.ops import HexFilterBank, avgpool, conv_full, conv_valid, maxpool, tap_gather
 
 from test_ops import winners
 
@@ -266,6 +266,37 @@ def test_kernels_reject_bare_arrays(kernel, what):
         "conv_backward_filter": lambda: conv_backward_filter(bare(t, "input"), bare(y, "error"), 1, 2),
     }[kernel]
     with pytest.raises(ValueError, match=f"{what} must be a HexTensor, got ndarray"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kernel,message",
+    [
+        ("conv_valid", "filter bank must be a HexFilterBank"),
+        ("conv_full", "filter bank must be a HexFilterBank"),
+        ("conv_backward_input", "filter bank must be a HexFilterBank"),
+        ("conv_backward_input_reflect", "filter bank must be a HexFilterBank"),
+        ("transpose_reflect", "filter bank must be a HexFilterBank"),
+        ("pad_rings", "input must be a HexTensor"),
+        ("upsample_stride", "error must be a HexTensor"),
+    ],
+)
+def test_kernels_reject_a_bare_bank_and_reference_kernels_a_bare_tensor(kernel, message):
+    # each used to raise AttributeError ('in_channels', 'filter_side',
+    # 'weights' or 'side')
+    t = HexTensor(5, 2, np.arange(122.0))
+    y = conv_valid(t, HexFilterBank(2, np.ones((2, 2, 7))))
+    bare = np.ones((2, 2, 7))
+    call = {
+        "conv_valid": lambda: conv_valid(t, bare),
+        "conv_full": lambda: conv_full(t, bare),
+        "conv_backward_input": lambda: conv_backward_input(y, bare, 1, 5),
+        "conv_backward_input_reflect": lambda: conv_backward_input_reflect(y, bare, 1, 5),
+        "transpose_reflect": lambda: transpose_reflect(bare),
+        "pad_rings": lambda: pad_rings(t.data, 1),
+        "upsample_stride": lambda: upsample_stride(y.data, 1, 4),
+    }[kernel]
+    with pytest.raises(ValueError, match=f"{message}, got ndarray"):
         call()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hexcnn.checks import rel_err, zeroout_conv
-from hexcnn.grid import HexTensor, cell_count
+from hexcnn.grid import HexTensor, cell_count, cells
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import HexFilterBank, conv_full, conv_valid
 from hexcnn.zeroout import (
@@ -13,7 +13,7 @@ from hexcnn.zeroout import (
     zeroout_filter,
     zeroout_to_hex,
 )
-from hexcnn.zeronet import _rect_conv_all, _rect_conv_backward_input
+from hexcnn.zeronet import _hex_windows, _rect_conv_all, _rect_conv_backward_input
 
 
 def test_embed_marks_invalid_corners():
@@ -191,3 +191,17 @@ def test_rect_conv_backward_input_is_adjoint():
         lhs = np.vdot(y, d)
         rhs = np.vdot(x, dx)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (x.shape, bank.weights.shape, s)
+
+
+def test_hex_windows_are_the_pool_windows_on_the_embedding():
+    # built here from cell coordinates alone, not from the lattice's
+    # window table, so a table error both layouts share would show
+    for side in range(1, 20):
+        span = 2 * side - 1
+        for window in range(1, side + 1):
+            for stride in range(1, 5):
+                out_side = (side - window) // stride + 1  # pools floor
+                uv = cells(window)[:, None, :] + cells(out_side)[None, :, :] * stride
+                g = _hex_windows(side, window, stride)
+                assert g.dtype == np.int64 and not g.flags.writeable
+                assert np.array_equal(g, uv[..., 0] * span + uv[..., 1]), (side, window, stride)
