@@ -12,12 +12,8 @@ from .grid import (
     HexTensor,
     cell_count,
     cells,
-    col_bounds,
-    flat_offset,
-    is_valid_cell,
     pad_rings,
     rotate_permutation,
-    row_bounds,
 )
 from .ops import HexFilterBank, avgpool, conv_full, conv_valid, maxpool
 from .grads import (
@@ -27,20 +23,17 @@ from .grads import (
     maxpool_backward,
     upsample_stride,
 )
-from .im2col import gemm, im2col, patch_count
+from .im2col import gemm, im2col
 from .zeroout import (
     ZeroOutFilterBank,
     embed_parallelogram,
     extract_hex,
     rect_conv_reference,
     zeroout_filter,
-    zeroout_to_hex,
 )
 from .resample import (
-    OverheadReport,
     SquareImage,
     min_cover_side,
-    overhead_report,
     square_to_hex,
 )
 from .nn import (

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .grid import HexTensor, cell_count
+from .grid import HexTensor, cell_count, check_int
 from .instrument import MacMeter
 from . import ops
 from .ops import HexFilterBank, conv_valid, valid_geometry
@@ -81,6 +81,10 @@ def bench_conv(
     """Time the hex convolution, the ZeroOut reference (the nested-loop
     oracle) and the fair ZeroOut lowering (``zeronet``'s blocked BLAS
     product), each from a hex tensor to hex outputs."""
+    sizes = [check_int(side, "size") for side in sizes]
+    for value, what in ((filter_side, "filter side"), (stride, "stride"), (channels, "channels"),
+                        (filters, "filters"), (reps, "reps")):
+        check_int(value, what)
     rng = np.random.default_rng(seed)
     results = []
     for side in sizes:
@@ -141,6 +145,9 @@ def space_report(sizes, channels: int = 3, filter_side: int = 2, stride: int = 1
     the convolution rejects (too small, or not tiled by the stride) get
     no row, as in ``bench_conv``.
     """
+    sizes = [check_int(x, "size") for x in sizes]
+    for value, what in ((filter_side, "filter side"), (stride, "stride"), (channels, "channels")):
+        check_int(value, what)
     e_k = cell_count(filter_side)
     span_k = 2 * filter_side - 1
     rows = []

@@ -17,7 +17,7 @@ from .grads import (
     conv_backward_input_reflect,
     maxpool_backward,
 )
-from .grid import HexTensor, cell_count
+from .grid import HexTensor, cell_count, check_int, check_tensor
 from .nn import (
     LayerSpec,
     Network,
@@ -32,7 +32,7 @@ from .nn import (
     make_two_class_dataset,
     xent_loss_grad,
 )
-from .ops import HexFilterBank, avgpool, conv_valid, maxpool, valid_geometry
+from .ops import HexFilterBank, avgpool, check_bank, conv_valid, maxpool, valid_geometry
 from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
 
 __all__ = [
@@ -64,7 +64,8 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def zeroout_conv(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
     """The full ZeroOut pipeline: embed, rectangle conv, extract."""
-    out_side = valid_geometry(t.side, bank.filter_side, stride)
+    check_tensor(t, "input")
+    out_side = valid_geometry(t.side, check_bank(bank, "filter bank").filter_side, stride)
     rect = rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank), stride)
     return extract_hex(rect, out_side)
 
@@ -99,9 +100,9 @@ def run_oracle_suite(seed: int, cases: int):
 
     Returns (rows, failures); each row is a dict suitable for CSV.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     results = []
-    for i in range(cases):
+    for i in range(check_int(cases, "cases", 0)):
         side, fside, stride = _sample_geometry(rng)
         channels = int(rng.integers(1, 5))
         filters = int(rng.integers(1, 5))
@@ -116,9 +117,9 @@ def run_oracle_suite(seed: int, cases: int):
 def run_adjoint_suite(seed: int, cases: int):
     """<conv(I, K), D> == <I, conv_backward_input(D, K)> for bias-free K,
     and conv_backward_input == the point-reflection reference."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     results = []
-    for i in range(cases):
+    for i in range(check_int(cases, "cases", 0)):
         side, fside, stride = _sample_geometry(rng)
         channels = int(rng.integers(1, 4))
         filters = int(rng.integers(1, 4))
@@ -193,9 +194,10 @@ def _grad_cases_conv(rng, probes, results, target):
             coords = _probe_coords(rng, bank.weights.shape, min(5, probes - done))
             loss = lambda wp: _sq_loss(conv_valid(t, HexFilterBank(fside, wp, bank.bias), stride))
             done += _probe(results, name, dw, bank.weights, loss, coords)
-            f = int(rng.integers(0, filters))
-            loss = lambda bp: _sq_loss(conv_valid(t, HexFilterBank(fside, bank.weights, bp), stride))
-            _probe(results, f"{target}_bias_{inst}", db, bank.bias, loss, [f])
+            if coords:  # one bias probe rides with each instance's weight probes
+                f = int(rng.integers(0, filters))
+                loss = lambda bp: _sq_loss(conv_valid(t, HexFilterBank(fside, bank.weights, bp), stride))
+                _probe(results, f"{target}_bias_{inst}", db, bank.bias, loss, [f])
         if done >= probes:
             break
 
@@ -289,7 +291,8 @@ def _grad_cases_network(rng, probes, results):
 def run_gradient_suite(seed: int, probes: int):
     """Central finite differences against every backward op and a small
     composed network; ``probes`` probes per op."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
+    probes = check_int(probes, "probes", 0)
     results = []
     _grad_cases_conv(rng, probes, results, "conv_input")
     _grad_cases_conv(rng, probes, results, "conv_filter")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import HexTensor, cell_count
+from .grid import HexTensor, cell_count, check_tensor
 from .resample import SquareImage
 
 __all__ = [
@@ -27,7 +27,7 @@ _HEADER = struct.Struct("<III")
 def write_hxt(path, t: HexTensor) -> None:
     """HXT1: magic, u32 side, u32 channels, u32 element width (4 or 8),
     then the cells little endian in storage order."""
-    width = t.dtype.itemsize
+    width = check_tensor(t, "tensor").dtype.itemsize
     payload = t.data.astype(f"<f{width}").tobytes()
     with open(path, "wb") as fh:
         fh.write(HXT_MAGIC)
@@ -55,6 +55,8 @@ def read_hxt(path) -> HexTensor:
 
 def write_img1(path, img: SquareImage) -> None:
     """IMG1: magic, u32 height, u32 width, u32 channels, row-major f32."""
+    if not isinstance(img, SquareImage):
+        raise ValueError(f"image must be a SquareImage, got {type(img).__name__}")
     with open(path, "wb") as fh:
         fh.write(IMG_MAGIC)
         fh.write(_HEADER.pack(img.height, img.width, img.channels))

@@ -26,10 +26,6 @@ import numpy as np
 __all__ = [
     "check_int",
     "cell_count",
-    "row_bounds",
-    "col_bounds",
-    "is_valid_cell",
-    "flat_offset",
     "cells",
     "offset_table",
     "offsets",
@@ -70,41 +66,6 @@ def cell_count(side: int) -> int:
     """Number of cells in a hexagon of the given side length."""
     check_int(side, "side length")
     return 3 * side * (side - 1) + 1
-
-
-def row_bounds(side: int, u: int) -> tuple[int, int]:
-    """Inclusive column range (v_min, v_max) of row ``u``."""
-    check_int(side, "side length")
-    check_int(u, "row", None)
-    if not 0 <= u <= 2 * side - 2:
-        raise ValueError(f"row {u} out of range for side {side}")
-    return max(0, u - side + 1), min(2 * side - 2, u + side - 1)
-
-
-def col_bounds(side: int, v: int) -> tuple[int, int]:
-    """Inclusive row range (u_min, u_max) of column ``v``."""
-    check_int(side, "side length")
-    check_int(v, "column", None)
-    if not 0 <= v <= 2 * side - 2:
-        raise ValueError(f"column {v} out of range for side {side}")
-    return max(0, v - side + 1), min(2 * side - 2, v + side - 1)
-
-
-def is_valid_cell(side: int, u: int, v: int) -> bool:
-    """Whether (u, v) is a cell of the hexagon; coordinates must be integers."""
-    check_int(side, "side length")
-    check_int(u, "row", None)
-    check_int(v, "column", None)
-    if not 0 <= u <= 2 * side - 2:
-        return False
-    return max(0, u - side + 1) <= v <= min(2 * side - 2, u + side - 1)
-
-
-def flat_offset(side: int, u: int, v: int) -> int:
-    """Column-major storage offset of cell (u, v) within one channel."""
-    if not is_valid_cell(side, u, v):
-        raise ValueError(f"({u}, {v}) is not a valid cell for side {side}")
-    return int(offsets(side, (u, v)))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: side = 2.0 must not hit np.int64(2)'s entry
@@ -214,11 +175,15 @@ class HexTensor:
         return self.data.dtype
 
     def value(self, channel: int, u: int, v: int) -> float:
-        """The value at cell (u, v) of ``channel``; anything out of range
-        raises ``ValueError``."""
-        if check_int(channel, "channel", 0) >= self.channels:
-            raise ValueError(f"channel {channel} out of range for {self.channels} channels")
-        return float(self.data[channel, flat_offset(self.side, u, v)])
+        """The value at cell (u, v) of ``channel``; a non-integer or
+        out-of-range channel, row or column raises ``ValueError``."""
+        c, u, v = (check_int(x, what, 0) for x, what in ((channel, "channel"), (u, "row"), (v, "column")))
+        table = offset_table(self.side)  # -1 off the hexagon
+        if c >= self.channels or max(u, v) >= len(table) or table[u, v] < 0:
+            raise ValueError(
+                f"channel {c}, cell ({u}, {v}) out of range for {self.channels} channels of side {self.side}"
+            )
+        return float(self.data[c, table[u, v]])
 
 
 def check_tensor(value, what: str) -> HexTensor:

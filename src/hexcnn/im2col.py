@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import HexTensor, cell_count
+from .grid import HexTensor, check_tensor
 from .matmul import gemm
 from .ops import tap_gather, valid_geometry, window_columns
 
-__all__ = ["patch_count", "im2col", "gemm"]
-
-
-def patch_count(input_side: int, filter_side: int, stride: int) -> int:
-    """Number of windows: the cell count of the output hexagon."""
-    return cell_count(valid_geometry(input_side, filter_side, stride))
+__all__ = ["im2col", "gemm"]
 
 
 def im2col(t: HexTensor, filter_side: int, stride: int) -> np.ndarray:
     """(patches, channels*filter_cells) matrix of flattened windows."""
-    valid_geometry(t.side, filter_side, stride)  # a convolution must tile
+    valid_geometry(check_tensor(t, "input").side, filter_side, stride)  # a convolution must tile
     return window_columns(t, tap_gather(t.side, filter_side, stride)).T

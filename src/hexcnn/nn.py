@@ -48,8 +48,6 @@ __all__ = [
     "hex_vgg16",
     "save_checkpoint",
     "load_checkpoint",
-    "save_dataset",
-    "load_dataset",
     "make_two_class_dataset",
 ]
 
@@ -641,27 +639,6 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
             w = next(it).reshape(_arrays(p)[0].shape)
             net.params[i] = _with_arrays(p, w, next(it))
     return net
-
-
-def save_dataset(directory, tensors, labels) -> None:
-    from .fileio import write_hxt
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if len(tensors) != len(labels):
-        raise ValueError("tensor and label counts differ")
-    for i, t in enumerate(tensors):
-        write_hxt(directory / f"{i:06d}.hxt", t)
-    (directory / "labels.txt").write_text("".join(f"{int(y)}\n" for y in labels))
-
-
-def load_dataset(directory):
-    from .fileio import read_hxt
-
-    directory = Path(directory)
-    labels = [int(line) for line in (directory / "labels.txt").read_text().split()]
-    tensors = [read_hxt(directory / f"{i:06d}.hxt") for i in range(len(labels))]
-    return tensors, np.asarray(labels, dtype=np.int64)
 
 
 def make_two_class_dataset(rng, n: int, side: int, channels: int = 1, separation: float = 1.0):

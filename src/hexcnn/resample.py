@@ -1,5 +1,4 @@
-"""Square-lattice inputs on hexagonal grids: resampling, minimal covering,
-and padding-overhead accounting.
+"""Square-lattice inputs on hexagonal grids: resampling and minimal covering.
 
 The hex lattice lives in the image plane (x right, y down) with axial
 basis e_v = (1, 0) and e_u = (-1/2, sqrt(3)/2): the cell pitch is a
@@ -17,15 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, _real_array, cell_count, cells, check_int
+from .grid import HexTensor, _real_array, cells, check_int
 
 __all__ = [
     "SquareImage",
-    "OverheadReport",
     "min_cover_side",
     "cell_centers",
     "square_to_hex",
-    "overhead_report",
 ]
 
 
@@ -109,44 +106,11 @@ def square_to_hex(img: SquareImage, side: int) -> HexTensor:
     only on the side and the image size and is cached, so each call
     does one gather and the weighted sum.
     """
+    if not isinstance(img, SquareImage):
+        raise ValueError(f"image must be a SquareImage, got {type(img).__name__}")
     index, inside, w = _bilinear_plan(check_int(side, "side"), img.height, img.width)
     vals = np.take(img.data.reshape(img.channels, -1), index, axis=1)  # (C, 4, N)
     vals = np.where(inside, vals, 0.0)
     out = vals[:, 0] * w[0] + vals[:, 1] * w[1] + vals[:, 2] * w[2] + vals[:, 3] * w[3]
     out.setflags(write=False)
     return HexTensor(side, img.channels, out)
-
-
-@dataclass(frozen=True)
-class OverheadReport:
-    """Cell counts and padding overheads for covering an x-by-x square."""
-
-    square_side: int
-    hex_side: int
-    hex_cells: int
-    zeroout_cells: int
-    quasih_cells: int
-    hex_pad_fraction: float
-    zeroout_pad_fraction: float
-
-
-def overhead_report(x: int) -> OverheadReport:
-    """Input-footprint comparison for an x-by-x square input.
-
-    Pad fractions are exact cell-count ratios relative to the x*x
-    pixels.
-    """
-    y = min_cover_side(x)
-    hex_cells = cell_count(y)
-    zeroout_cells = (2 * y - 1) ** 2
-    quasih_cells = (2 * x - 1) * math.ceil(math.sqrt(3.0) * x)
-    pixels = x * x
-    return OverheadReport(
-        square_side=x,
-        hex_side=y,
-        hex_cells=hex_cells,
-        zeroout_cells=zeroout_cells,
-        quasih_cells=quasih_cells,
-        hex_pad_fraction=(hex_cells - pixels) / pixels,
-        zeroout_pad_fraction=(zeroout_cells - pixels) / pixels,
-    )

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import HexTensor, _real_array, cells, check_int
+from .grid import HexTensor, _real_array, cells, check_int, check_tensor
 from .instrument import add_macs
-from .ops import HexFilterBank
+from .ops import HexFilterBank, check_bank
 
 __all__ = [
     "ZeroOutFilterBank",
@@ -28,7 +28,6 @@ __all__ = [
     "embed_parallelogram",
     "extract_hex",
     "zeroout_filter",
-    "zeroout_to_hex",
     "rect_conv_reference",
 ]
 
@@ -66,12 +65,14 @@ def _to_rect(values: np.ndarray, side: int) -> np.ndarray:
 def embed_parallelogram(t: HexTensor) -> np.ndarray:
     """Pad a hex tensor into its (C, 2L-1, 2L-1) parallelogram; the corner
     cells outside the hexagon (``~hex_mask(L)``) are zero."""
+    check_tensor(t, "input")
     return _to_rect(t.data, t.side)
 
 
 def extract_hex(r: np.ndarray, side: int) -> HexTensor:
     """Read the hexagon of the given side off rectangular indices (u, v)
     of a (C, h, w) array."""
+    r = _real_array(r, "rect")
     span = 2 * side - 1
     if r.ndim != 3 or r.shape[1] < span or r.shape[2] < span:
         raise ValueError(f"rect {r.shape} cannot contain a hexagon of side {side}")
@@ -118,15 +119,9 @@ class ZeroOutFilterBank:
 
 def zeroout_filter(bank: HexFilterBank) -> ZeroOutFilterBank:
     """Pack hex filters into rectangles, corner weights fixed at zero."""
-    f, c, n = bank.weights.shape
+    f, c, n = check_bank(bank, "filter bank").weights.shape
     w = _to_rect(bank.weights.reshape(f * c, n), bank.filter_side)
     return ZeroOutFilterBank(bank.filter_side, w.reshape(f, c, *w.shape[1:]), bank.bias)
-
-
-def zeroout_to_hex(zbank: ZeroOutFilterBank) -> HexFilterBank:
-    """Recover the hex bank; round-trips losslessly with zeroout_filter."""
-    w = zbank.weights.reshape(zbank.filters, zbank.in_channels, -1)[:, :, _hex_flat(zbank.hex_side)]
-    return HexFilterBank(zbank.hex_side, w, zbank.bias)
 
 
 def rect_conv_reference(r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1) -> np.ndarray:
@@ -142,6 +137,8 @@ def rect_conv_reference(r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1
     if data.ndim != 3:
         raise ValueError(f"rect input must be (channels, h, w), got {data.shape}")
     c, h, w = data.shape
+    if not isinstance(zbank, ZeroOutFilterBank):
+        raise ValueError(f"filter bank must be a ZeroOutFilterBank, got {type(zbank).__name__}")
     if zbank.in_channels != c:
         raise ValueError(f"filter bank expects {zbank.in_channels} channels, input has {c}")
     k = zbank.span

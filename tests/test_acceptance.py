@@ -9,10 +9,10 @@ import numpy as np
 from hexcnn.bench import bench_conv
 from hexcnn.checks import run_adjoint_suite, run_gradient_suite, run_oracle_suite
 from hexcnn.grid import HexTensor, cell_count
-from hexcnn.im2col import im2col, patch_count
+from hexcnn.im2col import im2col
 from hexcnn.instrument import MacMeter
 from hexcnn.nn import TrainConfig, build_network, hex_lenet, make_two_class_dataset, train_step
-from hexcnn.ops import HexFilterBank, conv_valid
+from hexcnn.ops import HexFilterBank, conv_valid, valid_geometry
 from hexcnn.zeronet import train_step_zeroout
 from hexcnn.zeroout import embed_parallelogram, rect_conv_reference, zeroout_filter
 
@@ -59,7 +59,7 @@ def test_criterion_03_quasih_input_space_saving():
 
 
 def test_criterion_04_patch_count_reproduction():
-    patches = patch_count(5, 2, 3)
+    patches = cell_count(valid_geometry(5, 2, 3))
     rng = np.random.default_rng(0)
     mat = im2col(HexTensor(5, 3, rng.standard_normal((3, 61))), 2, 3)
     report(

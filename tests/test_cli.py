@@ -12,9 +12,8 @@ from hexcnn import bench, checks
 from hexcnn.cli import build_parser, main
 from hexcnn.fileio import read_hxt, write_img1
 from hexcnn.grid import HexTensor, cell_count
-from hexcnn.im2col import patch_count
 from hexcnn.instrument import MacMeter
-from hexcnn.ops import PATCH_BLOCK, HexFilterBank, conv_valid
+from hexcnn.ops import PATCH_BLOCK, HexFilterBank, conv_valid, valid_geometry
 from hexcnn.resample import SquareImage
 from hexcnn.zeronet import _rect_conv_all
 from hexcnn.zeroout import embed_parallelogram, rect_conv_reference, zeroout_filter
@@ -61,6 +60,33 @@ def test_verify_zero_cases_empty_report(capsys):
     code, rows = run_cli(["verify", "--cases", "0"], capsys)
     assert code == 0
     assert rows == [["suite", "case", "status", "max_rel_err"]]
+
+
+def test_suites_with_zero_cases_or_probes_emit_no_rows():
+    # the filter-gradient check's bias probe used to run with no probes left
+    for suite in (checks.run_oracle_suite(0, 0), checks.run_adjoint_suite(0, 0), checks.run_gradient_suite(0, 0)):
+        assert suite == ([], [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: checks.run_oracle_suite(0, -1), id="oracle_cases"),
+        pytest.param(lambda: checks.run_adjoint_suite(-1, 1), id="adjoint_seed"),
+        pytest.param(lambda: checks.run_gradient_suite(0, 1.0), id="gradient_probes"),
+        # a zero channel count used to divide by zero
+        pytest.param(lambda: bench.space_report([4], channels=0), id="space_report_channels"),
+        pytest.param(lambda: bench.space_report([0]), id="space_report_size"),
+        # zero repetitions used to time nothing and report a NaN
+        pytest.param(lambda: bench.bench_conv([4], reps=0), id="bench_conv_reps"),
+        pytest.param(lambda: bench.bench_conv([4.0]), id="bench_conv_size"),
+        # a zero stride used to skip every size
+        pytest.param(lambda: bench.bench_conv([4], stride=0), id="bench_conv_stride"),
+    ],
+)
+def test_suites_and_benchmarks_reject_bad_counts(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 @pytest.mark.parametrize("fault", [1.0, np.nan], ids=["offset", "nan"])
@@ -135,7 +161,7 @@ def test_bench_conv_small(capsys):
 
 def test_bench_conv_im2col_bytes_are_the_largest_block(capsys):
     # side 16 has 631 patches, one block; the big side has more than a block
-    big = next(side for side in range(16, 200) if patch_count(side, 2, 1) > PATCH_BLOCK)
+    big = next(side for side in range(16, 200) if cell_count(valid_geometry(side, 2, 1)) > PATCH_BLOCK)
     code, rows = run_cli(["bench-conv", "--sizes", f"16,{big}", "--reps", "1"], capsys)
     assert code == 0
     got = {r[0]: int(dict(zip(rows[0], r))["bytes_im2col"]) for r in rows[1:] if r[1] == "hex_direct"}

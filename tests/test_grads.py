@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from hexcnn.checks import _sample_geometry
+from hexcnn.checks import _sample_geometry, zeroout_conv
+from hexcnn.fileio import write_hxt, write_img1
 from hexcnn.grads import (
     avgpool_backward,
     conv_backward_filter,
@@ -11,9 +14,12 @@ from hexcnn.grads import (
     transpose_reflect,
     upsample_stride,
 )
-from hexcnn.grid import HexTensor, cell_count, cells, is_valid_cell, offset_table, pad_rings
+from hexcnn.grid import HexTensor, cell_count, cells, offset_table, pad_rings
+from hexcnn.im2col import im2col
 from hexcnn.nn import _activate, _relu_grad
 from hexcnn.ops import HexFilterBank, avgpool, conv_full, conv_valid, maxpool, tap_gather
+from hexcnn.resample import square_to_hex
+from hexcnn.zeroout import embed_parallelogram, rect_conv_reference, zeroout_filter
 
 from test_ops import winners
 
@@ -51,7 +57,7 @@ def test_upsample_anchor_placement():
     up = upsample_stride(t, 3, 4)
     assert up.side == 4
     anchors = [(3 * u, 3 * v) for u, v in cells(2)]
-    assert all(is_valid_cell(4, u, v) for u, v in anchors)
+    assert all(offset_table(4)[u, v] >= 0 for u, v in anchors)
     for (u, v), val in zip(anchors, t.data[0]):
         assert up.value(0, u, v) == val
     assert up.data.sum() == t.data.sum()
@@ -247,6 +253,10 @@ def test_maxpool_backward_rejects_malformed_taps(bad):
         ("conv_backward_input", "error"),
         ("conv_backward_filter", "input"),
         ("conv_backward_filter", "error"),
+        ("embed_parallelogram", "input"),
+        ("im2col", "input"),
+        ("zeroout_conv", "input"),
+        ("write_hxt", "tensor"),
     ],
 )
 def test_kernels_reject_bare_arrays(kernel, what):
@@ -264,6 +274,10 @@ def test_kernels_reject_bare_arrays(kernel, what):
         "avgpool_backward": lambda: avgpool_backward(bare(pooled, "error"), 2, 3, 5),
         "conv_backward_input": lambda: conv_backward_input(bare(y, "error"), bank, 1, 5),
         "conv_backward_filter": lambda: conv_backward_filter(bare(t, "input"), bare(y, "error"), 1, 2),
+        "embed_parallelogram": lambda: embed_parallelogram(bare(t, "input")),
+        "im2col": lambda: im2col(bare(t, "input"), 2, 3),
+        "zeroout_conv": lambda: zeroout_conv(bare(t, "input"), bank),
+        "write_hxt": lambda: write_hxt(os.devnull, bare(t, "tensor")),
     }[kernel]
     with pytest.raises(ValueError, match=f"{what} must be a HexTensor, got ndarray"):
         call()
@@ -279,10 +293,15 @@ def test_kernels_reject_bare_arrays(kernel, what):
         ("transpose_reflect", "filter bank must be a HexFilterBank"),
         ("pad_rings", "input must be a HexTensor"),
         ("upsample_stride", "error must be a HexTensor"),
+        ("zeroout_filter", "filter bank must be a HexFilterBank"),
+        ("zeroout_conv", "filter bank must be a HexFilterBank"),
+        ("rect_conv_reference", "filter bank must be a ZeroOutFilterBank"),
+        ("square_to_hex", "image must be a SquareImage"),
+        ("write_img1", "image must be a SquareImage"),
     ],
 )
 def test_kernels_reject_a_bare_bank_and_reference_kernels_a_bare_tensor(kernel, message):
-    # each used to raise AttributeError ('in_channels', 'filter_side',
+    # each used to raise AttributeError ('in_channels', 'filter_side', 'height',
     # 'weights' or 'side')
     t = HexTensor(5, 2, np.arange(122.0))
     y = conv_valid(t, HexFilterBank(2, np.ones((2, 2, 7))))
@@ -295,6 +314,11 @@ def test_kernels_reject_a_bare_bank_and_reference_kernels_a_bare_tensor(kernel, 
         "transpose_reflect": lambda: transpose_reflect(bare),
         "pad_rings": lambda: pad_rings(t.data, 1),
         "upsample_stride": lambda: upsample_stride(y.data, 1, 4),
+        "zeroout_filter": lambda: zeroout_filter(bare),
+        "zeroout_conv": lambda: zeroout_conv(t, bare),
+        "rect_conv_reference": lambda: rect_conv_reference(embed_parallelogram(t), bare),
+        "square_to_hex": lambda: square_to_hex(np.ones((1, 4, 4)), 3),
+        "write_img1": lambda: write_img1(os.devnull, np.ones((1, 4, 4))),
     }[kernel]
     with pytest.raises(ValueError, match=f"{message}, got ndarray"):
         call()

@@ -11,14 +11,10 @@ from hexcnn.grid import (
     HexTensor,
     cell_count,
     cells,
-    col_bounds,
-    flat_offset,
-    is_valid_cell,
     offset_table,
     offsets,
     pad_rings,
     rotate_permutation,
-    row_bounds,
 )
 from hexcnn.nn import LayerSpec, NetworkConfig, build_network
 import hexcnn
@@ -39,30 +35,35 @@ def test_cell_count_rejects_zero():
 
 @pytest.mark.parametrize("u,expected", [(0, (0, 2)), (2, (0, 4)), (4, (2, 4))])
 def test_row_bounds_side3(u, expected):
-    assert row_bounds(3, u) == expected
+    uv = cells(3)
+    row = uv[uv[:, 0] == u, 1]
+    assert (row.min(), row.max()) == expected
 
 
 @pytest.mark.parametrize("v,expected", [(0, (0, 1)), (1, (0, 2)), (2, (1, 2))])
 def test_col_bounds_side2(v, expected):
-    assert col_bounds(2, v) == expected
+    uv = cells(2)
+    col = uv[uv[:, 1] == v, 0]
+    assert (col.min(), col.max()) == expected
 
 
 def test_bounds_reject_out_of_range():
-    with pytest.raises(ValueError):
-        row_bounds(3, 5)
-    with pytest.raises(ValueError):
-        col_bounds(3, -1)
+    t = HexTensor(3, 1, np.zeros(19))
+    with pytest.raises(ValueError, match="out of range"):
+        t.value(0, 5, 0)
+    with pytest.raises(ValueError, match="column"):
+        t.value(0, 0, -1)
 
 
 @given(side=st.integers(1, 16))
 def test_row_lengths_sum_to_cell_count(side):
-    total = sum(row_bounds(side, u)[1] - row_bounds(side, u)[0] + 1 for u in range(2 * side - 1))
-    assert total == cell_count(side)
+    assert np.bincount(cells(side)[:, 0]).sum() == cell_count(side)
 
 
 @given(side=st.integers(1, 16))
 def test_row_length_profile(side):
-    lengths = [row_bounds(side, u)[1] - row_bounds(side, u)[0] + 1 for u in range(2 * side - 1)]
+    lengths = np.bincount(cells(side)[:, 0])
+    assert len(lengths) == 2 * side - 1
     assert lengths[0] == lengths[-1] == side
     assert max(lengths) == 2 * side - 1
     # grows by one per row up to the middle, then shrinks by one
@@ -72,18 +73,19 @@ def test_row_length_profile(side):
 
 @pytest.mark.parametrize("uv,offset", [((0, 0), 0), ((2, 1), 4), ((2, 2), 6)])
 def test_flat_offset_side2(uv, offset):
-    assert flat_offset(2, *uv) == offset
+    assert offsets(2, uv) == offset == offset_table(2)[uv]
 
 
 def test_flat_offset_rejects_invalid():
-    with pytest.raises(ValueError):
-        flat_offset(2, 0, 2)  # corner cut off the parallelogram
+    assert offset_table(2)[0, 2] == -1  # corner cut off the parallelogram
+    with pytest.raises(ValueError, match="out of range"):
+        HexTensor(2, 1, np.zeros(7)).value(0, 0, 2)
 
 
 @given(side=st.integers(1, 16))
 def test_flat_offset_bijection(side):
-    seen = [flat_offset(side, u, v) for u, v in cells(side)]
-    assert seen == list(range(cell_count(side)))
+    t = HexTensor(side, 1, np.arange(cell_count(side)))
+    assert [t.value(0, u, v) for u, v in cells(side)] == list(range(cell_count(side)))
 
 
 def test_cells_storage_order():
@@ -92,7 +94,9 @@ def test_cells_storage_order():
         uv = cells(side)
         assert uv.shape == (3 * side * (side - 1) + 1, 2) and uv.dtype == np.int64
         assert (np.diff(uv[:, 1] * 2 * side + uv[:, 0]) > 0).all()
-        assert all(is_valid_cell(side, int(u), int(v)) for u, v in uv)
+        u, v = uv.T
+        assert ((0 <= u) & (u <= 2 * side - 2)).all()
+        assert ((np.maximum(0, u - side + 1) <= v) & (v <= np.minimum(2 * side - 2, u + side - 1))).all()
 
 
 @given(side=st.integers(1, 16))
@@ -129,7 +133,7 @@ def test_offsets_assert_pairs_are_cells(side, uv):
 )
 def test_point_reflect_examples(side, uv, expected):
     # a half turn is the point reflection through the center
-    assert rotate_permutation(side, 3)[flat_offset(side, *expected)] == flat_offset(side, *uv)
+    assert rotate_permutation(side, 3)[offsets(side, expected)] == offsets(side, uv)
 
 
 @given(side=st.integers(1, 16))
@@ -156,8 +160,8 @@ def test_rotate_permutation_steps_sixty_degrees():
     # the center stays put
     x = np.arange(7.0)
     y = x[rotate_permutation(2, 1)]
-    assert y[flat_offset(2, 1, 0)] == x[flat_offset(2, 0, 0)]
-    assert y[flat_offset(2, 1, 1)] == x[flat_offset(2, 1, 1)]
+    assert y[offsets(2, (1, 0))] == x[offsets(2, (0, 0))]
+    assert y[offsets(2, (1, 1))] == x[offsets(2, (1, 1))]
     assert not rotate_permutation(3, 2).flags.writeable
 
 
@@ -207,18 +211,17 @@ _T3 = HexTensor(3, 1, np.zeros(19))
             lambda: rect_conv_reference(np.zeros((1, 3, 3)), zeroout_filter(HexFilterBank(1, [[[1.0]]])), 1.0),
             id="rect_conv_stride",
         ),
-        pytest.param(lambda: flat_offset(2, 0.5, 0), id="flat_offset_row"),
-        pytest.param(lambda: flat_offset(2, 1, 1.0), id="flat_offset_column"),
-        pytest.param(lambda: is_valid_cell(2, 1.5, 1), id="is_valid_cell_row"),
-        pytest.param(lambda: is_valid_cell(2, 1, True), id="is_valid_cell_bool_column"),
         pytest.param(lambda: rotate_permutation(2, 1.0), id="rotate_permutation"),
         # a cached call with an equal integer first: the cache must not answer
         pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, 1.0)), id="tap_gather_stride"),
         pytest.param(lambda: (tap_gather(3, 2, 1), tap_gather(3, 2, True)), id="tap_gather_bool_stride"),
         pytest.param(lambda: (cells(np.int64(2)), cells(2.0)), id="cells_after_numpy_int"),
         pytest.param(lambda: _T3.value(0.0, 0, 0), id="value_channel"),
-        pytest.param(lambda: row_bounds(2, 1.0), id="row_bounds"),
-        pytest.param(lambda: col_bounds(2, np.float64(1.0)), id="col_bounds"),
+        pytest.param(lambda: _T3.value(0, 0.5, 0), id="value_row"),
+        pytest.param(lambda: _T3.value(0, 1.0, 0), id="value_integral_float_row"),
+        pytest.param(lambda: _T3.value(0, 1, 1.0), id="value_column"),
+        pytest.param(lambda: _T3.value(0, 1, np.float64(1.0)), id="value_numpy_float_column"),
+        pytest.param(lambda: _T3.value(0, 1, True), id="value_bool_column"),
     ],
 )
 def test_integer_arguments_reject_floats_and_bools(call):
@@ -252,8 +255,7 @@ def test_public_caches_are_typed():
 
 def test_integer_arguments_accept_numpy_integers():
     assert cell_count(np.int64(2)) == 7
-    assert flat_offset(2, np.int64(2), np.int32(1)) == 4
-    assert is_valid_cell(2, -1, 0) is False  # an integer off the hexagon is no error here
+    assert HexTensor(2, 1, np.arange(7.0)).value(np.uint8(0), np.int64(2), np.int32(1)) == 4.0
     assert pad_rings(HexTensor(np.int32(1), np.uint8(1), [1.0]), np.int64(1)).side == 2
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hexcnn.grid import HexTensor
-from hexcnn.im2col import gemm, im2col, patch_count
+from hexcnn.grid import HexTensor, cell_count
+from hexcnn.im2col import gemm, im2col
+from hexcnn.ops import valid_geometry
 
 
 def naive_matmul(a, b):
@@ -23,12 +24,12 @@ def naive_matmul(a, b):
     "args,expected", [((5, 2, 3), 7), ((6, 6, 1), 1), ((4, 2, 1), 19)]
 )
 def test_patch_count(args, expected):
-    assert patch_count(*args) == expected
+    assert cell_count(valid_geometry(*args)) == expected
 
 
 def test_patch_count_rejects_nondividing_stride():
     with pytest.raises(ValueError):
-        patch_count(6, 2, 3)
+        valid_geometry(6, 2, 3)
 
 
 def test_im2col_shape_seven_by_twentyone():
@@ -115,7 +116,7 @@ def test_im2col_footprint_ratio_tends_to_7_12():
     # side-2 filter, stride 1: window matrix cells versus the ZeroOut
     # rectangle's 9-tap window matrix on the parallelogram embedding
     def ratio(side):
-        hexcells = patch_count(side, 2, 1) * 7
+        hexcells = cell_count(valid_geometry(side, 2, 1)) * 7
         rect = (2 * side - 3) ** 2 * 9
         return hexcells / rect
 

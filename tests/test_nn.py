@@ -17,10 +17,8 @@ from hexcnn.nn import (
     hex_vgg13,
     hex_vgg16,
     load_checkpoint,
-    load_dataset,
     make_two_class_dataset,
     save_checkpoint,
-    save_dataset,
     train_step,
     xent_loss_grad,
 )
@@ -535,16 +533,6 @@ def test_checkpoint_round_trip(tmp_path):
     truncated.write_bytes(path.read_bytes()[:45])  # cut inside the first array's size
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(truncated, cfg)
-
-
-def test_dataset_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    tensors, labels = make_two_class_dataset(rng, 5, 3)
-    save_dataset(tmp_path / "ds", tensors, labels)
-    back, back_labels = load_dataset(tmp_path / "ds")
-    assert np.array_equal(back_labels, labels)
-    for a, b in zip(back, tensors):
-        assert np.array_equal(a.data, b.data)
 
 
 # -- the embedded twin -------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hexcnn.grid import HexTensor, cell_count, cells, flat_offset
+from hexcnn.grid import HexTensor, cell_count, cells, offsets
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import (
     HexFilterBank,
@@ -24,7 +24,7 @@ def ones_bank(filters=1, channels=1, side=2):
 
 def delta_bank(side=2, channels=1):
     w = np.zeros((1, channels, cell_count(side)))
-    w[0, :, flat_offset(side, 0, 0)] = 1.0
+    w[0, :, offsets(side, (0, 0))] = 1.0
     return HexFilterBank(side, w)
 
 
@@ -135,7 +135,7 @@ def test_maxpool_constant_input_anchors():
     out, taps = maxpool(t, 2, 3)
     assert np.all(out.data == 3.0)
     # ties resolve to the window anchor (smallest offset in the window)
-    anchors = [flat_offset(5, 3 * u, 3 * v) for u, v in cells(2)]
+    anchors = offsets(5, 3 * cells(2))
     assert np.array_equal(winners(taps, tap_gather(5, 2, 3))[0], anchors)
 
 
@@ -243,7 +243,7 @@ def test_pools_floor_without_a_flag():
     avg = avgpool(t, 2, 3)
     assert out.side == avg.side == 2
     for p, (u, v) in enumerate(cells(2)):
-        window = t.data[:, [flat_offset(6, 3 * u + du, 3 * v + dv) for du, dv in cells(2)]]
+        window = t.data[:, offsets(6, (3 * u, 3 * v) + cells(2))]
         assert np.array_equal(out.data[:, p], window.max(axis=1))
         assert np.allclose(avg.data[:, p], window.mean(axis=1), rtol=1e-15, atol=0)
 

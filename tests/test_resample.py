@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from hexcnn.bench import SPACE_REPORT_HEADER, space_report
 from hexcnn.fileio import read_hxt, read_image, read_img1, read_pnm, write_hxt, write_img1
 from hexcnn.grid import HexTensor
 from hexcnn.resample import (
     SquareImage,
     cell_centers,
     min_cover_side,
-    overhead_report,
     square_to_hex,
 )
 
@@ -119,21 +119,27 @@ def test_neighbor_distance_equals_scale():
     assert np.allclose(d, 1.0)  # the cell pitch equals the pixel pitch
 
 
+def _input_cells(sides, filter_side=2):
+    """(hex, ZeroOut, Quasi-H) input cells of each side's space-report row."""
+    rows = [dict(zip(SPACE_REPORT_HEADER, r)) for r in space_report(sides, filter_side=filter_side)]
+    return [(r["hex_input_cells"], r["zeroout_input_cells"], r["quasih_input_cells"]) for r in rows]
+
+
 def test_overhead_report_examples():
-    r = overhead_report(32)
-    assert (r.hex_side, r.hex_cells, r.zeroout_cells) == (25, 1801, 2401)
-    assert overhead_report(1).hex_cells == 1
-    assert overhead_report(120).quasih_cells == 239 * 208
-    assert r.hex_pad_fraction == pytest.approx((1801 - 1024) / 1024)
+    # a 32x32 square input: the covering hexagon, then its space report
+    assert min_cover_side(32) == 25
+    assert _input_cells([25])[0][:2] == (1801, 2401)
+    assert _input_cells([120])[0][2] == 239 * 208
 
 
 def test_overhead_orderings():
     # x = 1 is degenerate: one cell everywhere, so the comparison ties
-    assert overhead_report(1).hex_cells == overhead_report(1).zeroout_cells == 1
-    for x in range(2, 200):
-        r = overhead_report(x)
-        assert r.hex_cells < r.zeroout_cells
-        assert r.hex_cells < r.quasih_cells
+    assert _input_cells([1], filter_side=1)[0][:2] == (1, 1)
+    rows = _input_cells(range(2, 200))
+    assert len(rows) == 198
+    for hex_cells, zeroout_cells, quasih_cells in rows:
+        assert hex_cells < zeroout_cells
+        assert hex_cells < quasih_cells
 
 
 # -- file formats ------------------------------------------------------------

@@ -11,7 +11,6 @@ from hexcnn.zeroout import (
     hex_mask,
     rect_conv_reference,
     zeroout_filter,
-    zeroout_to_hex,
 )
 from hexcnn.zeronet import _hex_windows, _rect_conv_all, _rect_conv_backward_input
 
@@ -41,6 +40,7 @@ def test_extract_round_trip():
     rng = np.random.default_rng(0)
     t = HexTensor(4, 3, rng.standard_normal((3, 37)))
     assert np.array_equal(extract_hex(embed_parallelogram(t), 4).data, t.data)
+    assert np.array_equal(extract_hex(embed_parallelogram(t).tolist(), 4).data, t.data)  # any array-like
     zeros = extract_hex(np.zeros((2, 7, 7)), 4)
     assert not zeros.data.any()
     with pytest.raises(ValueError):
@@ -65,9 +65,10 @@ def test_zeroout_filter_packing():
 def test_zeroout_round_trip():
     rng = np.random.default_rng(1)
     bank = HexFilterBank.random(rng, 3, 2, 3)
-    back = zeroout_to_hex(zeroout_filter(bank))
-    assert np.array_equal(back.weights, bank.weights)
-    assert np.array_equal(back.bias, bank.bias)
+    zbank = zeroout_filter(bank)
+    uv = cells(3)
+    assert np.array_equal(zbank.weights[:, :, uv[:, 0], uv[:, 1]], bank.weights)
+    assert np.array_equal(zbank.bias, bank.bias)
 
 
 def test_zeroout_rejects_nonzero_corners():
