@@ -5,12 +5,16 @@ The input gradient is the exact transpose of the window gather (col2im):
 a BLAS product forms the windows' error, and ``np.bincount``
 scatter-adds it per channel through the tap-major window table, so
 cells no window reaches get zero.  Both walk the patches in the
-forward's blocks (``ops.patch_blocks``) and sum the blocks' shares, so
+forward's blocks (``ops._blocks``) and sum the blocks' shares, so
 neither holds a whole window matrix.  Pool errors return along the same
 table (``_unpool``, which the ZeroOut trunk shares); a max pool's
 winning taps pick each window's row of it.  Every backward kernel takes
 the error and the forward's geometry (window side, stride, input side)
-and rebuilds the forward's window table from them.
+and rebuilds the forward's window table from them.  Each public kernel
+checks its arguments against that geometry, then runs a core on plain
+arrays (``_filter_grad``, ``_input_grad``, ``_unpool``) and wraps the
+result; ``nn``'s trunk backward calls the cores directly, since its own
+forward produced what they read.
 ``conv_backward_input_reflect`` keeps the paper's construction
 as a reference: upsample the error onto the dense anchor grid, then
 full-convolve with the channel-transposed, point-reflected bank.  The
@@ -22,13 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .grid import HexTensor, cell_count, check_int, check_tensor, rotate_permutation
 from .matmul import gemm
 from .ops import (
     HexFilterBank,
+    _blocks,
     check_bank,
     conv_full,
-    patch_blocks,
     tap_gather,
     valid_geometry,
     window_columns,
@@ -100,18 +105,28 @@ def _scatter_add(out: np.ndarray, values: np.ndarray, g: np.ndarray) -> None:
         out[c] += np.bincount(idx, weights=row, minlength=out.shape[1])
 
 
+def _input_grad(d: np.ndarray, w: np.ndarray, blocks, cells: int) -> np.ndarray:
+    """The (channels, cells) input error of a convolution from its
+    (filters, patches) error ``d`` and (filters, channels, taps) weights
+    ``w``, one block of the forward's ``blocks`` at a time."""
+    f, c, _ = w.shape
+    w_t = w.reshape(f, -1).T
+    out = np.zeros((c, cells), np.result_type(w_t, d))
+    for b, g in blocks:
+        # (C*E, patches in b) window errors, dropped before the next block's
+        _scatter_add(out, gemm(w_t, d[:, b]).reshape(c, -1), g)
+    return out
+
+
 def conv_backward_input(
     delta: HexTensor, bank: HexFilterBank, stride: int, input_side: int
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
     check_bank(bank, "filter bank")
-    g = _forward_windows(delta, bank.filter_side, stride, input_side)
+    _forward_windows(delta, bank.filter_side, stride, input_side)
     _check_error_channels(delta, bank)
-    w_t = bank.weights.reshape(bank.filters, -1).T
-    out = np.zeros((bank.in_channels, cell_count(input_side)), np.result_type(w_t, delta.data))
-    for b in patch_blocks(g.shape[1]):
-        # (C*E, patches in b) window errors, dropped before the next block's
-        _scatter_add(out, gemm(w_t, delta.data[:, b]).reshape(bank.in_channels, -1), g[:, b])
+    blocks = _blocks(input_side, bank.filter_side, stride, ops.PATCH_BLOCK)
+    out = _input_grad(delta.data, bank.weights, blocks, cell_count(input_side))
     out.setflags(write=False)
     return HexTensor(input_side, bank.in_channels, out)
 
@@ -128,6 +143,18 @@ def conv_backward_input_reflect(
     return conv_full(up, transpose_reflect(bank))
 
 
+def _filter_grad(x: np.ndarray, d: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(filters, channels, taps) weight and (filters,) bias gradients of
+    a convolution of the (channels, cells) input ``x`` with the
+    (filters, patches) error ``d``, one block of the forward's
+    ``blocks`` at a time."""
+    parts = (gemm(d[:, b], window_columns(x, g).T) for b, g in blocks)
+    dw = next(parts)  # (F, C*E); a single block is used as is
+    for part in parts:
+        dw += part
+    return dw.reshape(d.shape[0], x.shape[0], -1), d.sum(axis=1)
+
+
 def conv_backward_filter(
     t: HexTensor, delta: HexTensor, stride: int, filter_side: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,14 +164,8 @@ def conv_backward_filter(
     bank weights (filters, channels, cells).
     """
     check_tensor(t, "input")
-    g = _forward_windows(delta, filter_side, stride, t.side)
-    parts = (gemm(delta.data[:, b], window_columns(t, g[:, b]).T) for b in patch_blocks(g.shape[1]))
-    dw = next(parts)  # (F, C*E); a single block is used as is
-    for part in parts:
-        dw += part
-    d_weights = dw.reshape(delta.channels, t.channels, cell_count(filter_side))
-    d_bias = delta.data.sum(axis=1)
-    return d_weights, d_bias
+    _forward_windows(delta, filter_side, stride, t.side)
+    return _filter_grad(t.data, delta.data, _blocks(t.side, filter_side, stride, ops.PATCH_BLOCK))
 
 
 def _unpool(d: np.ndarray, taps: np.ndarray | None, g: np.ndarray, cells: int) -> np.ndarray:

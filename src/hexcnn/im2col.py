@@ -23,4 +23,4 @@ __all__ = ["im2col", "gemm"]
 def im2col(t: HexTensor, filter_side: int, stride: int) -> np.ndarray:
     """(patches, channels*filter_cells) matrix of flattened windows."""
     valid_geometry(check_tensor(t, "input").side, filter_side, stride)  # a convolution must tile
-    return window_columns(t, tap_gather(t.side, filter_side, stride)).T
+    return window_columns(t.data, tap_gather(t.side, filter_side, stride)).T

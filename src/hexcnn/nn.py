@@ -23,15 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .grads import (
-    avgpool_backward,
-    conv_backward_filter,
-    conv_backward_input,
-    maxpool_backward,
-)
+from . import ops
+from .grads import _filter_grad, _input_grad, _unpool
 from .grid import HexTensor, cell_count, check_int, check_tensor
 from .matmul import gemm
-from .ops import HexFilterBank, avgpool, conv_valid, maxpool, valid_geometry
+from .ops import HexFilterBank, _blocks, avgpool, conv_valid, maxpool, tap_gather, valid_geometry
 
 __all__ = [
     "LayerSpec",
@@ -368,32 +364,34 @@ def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
 
 def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
     """One sample's feature error back through its trunk, popping each
-    layer's cache entry as it walks it (the list ends empty)."""
+    layer's cache entry as it walks it (the list ends empty).
+
+    The error stays a (channels, cells) array and runs through the
+    backward kernels' cores (``grads._filter_grad``, ``_input_grad``,
+    ``_unpool``): the geometry, the taps and the cached inputs are what
+    this network's own forward produced, so nothing is checked again
+    and no ``HexTensor`` is built."""
     while cache:
         i = len(cache) - 1
         spec = net.cfg.layers[i]
         _, side, channels = net.shapes[i]  # the layer's input
         if spec.kind == "flatten":
             cache.pop()
-            d = HexTensor(side, channels, d.reshape(channels, -1))
-        elif spec.kind == "hexmaxpool":
-            d = maxpool_backward(d, cache.pop(), spec.window, spec.stride, side)
-        elif spec.kind == "hexavgpool":
-            cache.pop()
-            d = avgpool_backward(d, spec.window, spec.stride, side)
+            d = d.reshape(channels, -1)
+        elif spec.kind in ("hexmaxpool", "hexavgpool"):
+            d = _unpool(d, cache.pop(), tap_gather(side, spec.window, spec.stride), cell_count(side))
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
-                out = _relu_grad(d.data, bits)
-                out.setflags(write=False)
-                d = HexTensor(d.side, d.channels, out)
+                d = _relu_grad(d, bits)
+            blocks = _blocks(side, spec.window, spec.stride, ops.PATCH_BLOCK)
             gw, gb = grads[i]
-            dw, db = conv_backward_filter(x, d, spec.stride, spec.window)
+            dw, db = _filter_grad(x.data, d, blocks)
             gw += dw
             gb += db
             del x, bits  # released before the input gradient is built
             if i > 0:
-                d = conv_backward_input(d, net.params[i], spec.stride, side)
+                d = _input_grad(d, net.params[i].weights, blocks, cell_count(side))
 
 
 def _trunk_grads(net: Network) -> list:

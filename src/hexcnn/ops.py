@@ -16,7 +16,14 @@ is a BLAS product of the (filters, channels*window_cells) weights with
 it, already in output storage order.  The matrix is built for at most
 ``PATCH_BLOCK`` patches at a time, so the memory a convolution (or its
 gradients, in ``grads``) takes grows with the block, not with the
-output size.  Pools gather their small windows whole (``_pool``).
+output size.  Each block gathers through its own cached, writable copy
+of its columns of the table (``_blocks``), which ``np.take`` reads in
+place.  Pools gather their small windows whole (``_pool``).
+
+The public kernels check their arguments, then work on plain
+(channels, cells) arrays (``window_columns``, ``_pool``).  ``nn``'s
+trunk backward calls the array cores of ``grads`` directly, on geometry
+its own forward produced.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ __all__ = [
     "check_bank",
     "valid_geometry",
     "PATCH_BLOCK",
-    "patch_blocks",
     "tap_gather",
     "conv_valid",
     "conv_full",
@@ -52,10 +58,21 @@ __all__ = [
 PATCH_BLOCK = 2048
 
 
-def patch_blocks(patches: int):
-    """Consecutive slices of at most ``PATCH_BLOCK`` patches covering ``patches``."""
-    for lo in range(0, patches, PATCH_BLOCK):
-        yield slice(lo, lo + PATCH_BLOCK)
+def _split(g: np.ndarray, block: int) -> tuple[tuple[slice, np.ndarray], ...]:
+    """The columns of the (taps, patches) table ``g`` in consecutive
+    blocks of at most ``block`` patches: (slice, table) pairs, each table
+    an owned, C-contiguous, writable int64 copy of its columns.
+
+    Writable because numpy 2.4's ``np.take`` copies a read-only index
+    array before it gathers: under ``tracemalloc`` a (1, 3997) gather
+    through a (7, 2048) table peaked at 229,800 B with a read-only table
+    and at 115,016 B with a writable one.  Only private callers hold
+    these tables, and none writes to them.
+    """
+    return tuple(
+        (b, np.array(g[:, b], np.int64, order="C"))
+        for b in (slice(lo, lo + block) for lo in range(0, g.shape[1], block))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +164,24 @@ def tap_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
     return offsets(input_side, cells(window_side)[:, None] + cells(output_side)[None, :] * stride)
 
 
-def window_columns(t: HexTensor, g: np.ndarray) -> np.ndarray:
-    """Values of the windows of ``g`` (a ``tap_gather`` table, or a column
-    slice of one) as a contiguous (channels*window_cells, patches) matrix.
+# typed, as tap_gather; the block size is part of the key, since it is
+# read from PATCH_BLOCK at each call
+@lru_cache(maxsize=None, typed=True)
+def _blocks(input_side: int, window_side: int, stride: int, block: int):
+    """``tap_gather``'s table split into ``block``-patch (slice, table)
+    pairs (``_split``); callers pass ``PATCH_BLOCK`` at call time."""
+    return _split(tap_gather(input_side, window_side, stride), block)
+
+
+def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Values of the windows of ``g`` (a ``tap_gather`` table, or a block
+    of its columns) in the (channels, cells) array ``x``, as a contiguous
+    (channels*window_cells, patches) matrix.
 
     Rows run channel major, then filter storage order, matching
     ``weights.reshape(filters, -1)``; column j is window j of ``g``.
     """
-    return np.take(t.data, g, axis=1).reshape(-1, g.shape[1])
+    return np.take(x, g, axis=1).reshape(-1, g.shape[1])
 
 
 def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
@@ -170,11 +197,10 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
             f"filter bank expects {bank.in_channels} channels, input has {t.channels}"
         )
     out_side = valid_geometry(t.side, bank.filter_side, stride)
-    g = tap_gather(t.side, bank.filter_side, stride)
     w = bank.weights.reshape(bank.filters, -1)
-    y = np.empty((bank.filters, g.shape[1]), np.result_type(w, t.data))
-    for b in patch_blocks(g.shape[1]):
-        gemm(w, window_columns(t, g[:, b]), out=y[:, b])
+    y = np.empty((bank.filters, cell_count(out_side)), np.result_type(w, t.data))
+    for b, g in _blocks(t.side, bank.filter_side, stride, PATCH_BLOCK):
+        gemm(w, window_columns(t.data, g), out=y[:, b])
     y += bank.bias[:, None]
     y.setflags(write=False)
     return HexTensor(out_side, bank.filters, y)

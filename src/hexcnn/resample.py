@@ -74,12 +74,15 @@ def cell_centers(side: int, center: tuple[float, float]) -> np.ndarray:
 
 # Image sizes come from outside, so the plan cache is bounded.
 @lru_cache(maxsize=16)
-def _bilinear_plan(side: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bilinear_plan(side: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """What bilinear sampling at every cell center reads, per image size.
 
     Returns (4, N) arrays for the taps (y0, x0), (y0, x0+1), (y0+1, x0),
-    (y0+1, x0+1): flat pixel indices (clipped into the image), whether
-    the unclipped tap lies inside the image, and the bilinear weights.
+    (y0+1, x0+1): flat pixel indices into the image with one zero pixel
+    appended (index ``height*width``), which every tap outside the image
+    reads, and the bilinear weights.  The indices stay writable, since
+    ``np.take`` copies a read-only index array before it gathers (see
+    ``ops._split``); nothing writes to them.
     """
     center = ((width - 1) / 2.0, (height - 1) / 2.0)
     pos = cell_centers(side, center)
@@ -89,28 +92,33 @@ def _bilinear_plan(side: int, height: int, width: int) -> tuple[np.ndarray, np.n
     fx = x - x0
     fy = y - y0
     taps = ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1))
-    index = np.stack([yy.clip(0, height - 1) * width + xx.clip(0, width - 1) for yy, xx in taps])
-    inside = np.stack([(yy >= 0) & (yy < height) & (xx >= 0) & (xx < width) for yy, xx in taps])
+    index = np.stack([
+        np.where((yy >= 0) & (yy < height) & (xx >= 0) & (xx < width), yy * width + xx, height * width)
+        for yy, xx in taps
+    ])
     weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    for a in (index, inside, weights):
-        a.setflags(write=False)
-    return index, inside, weights
+    weights.setflags(write=False)
+    return index, weights
 
 
 def square_to_hex(img: SquareImage, side: int) -> HexTensor:
     """Bilinearly sample the image at each cell center.
 
     The hexagon is centered on the image center; positions outside the
-    image read as zero, even where the pixel their index is clipped to
-    is NaN.  The sampling plan (indices, inside masks, weights) depends
-    only on the side and the image size and is cached, so each call
-    does one gather and the weighted sum.
+    image read as zero, even where the nearest pixel is NaN.  The
+    sampling plan (indices, weights) depends only on the side and the
+    image size and is cached, so each call does one gather and the
+    weighted sum, accumulated tap by tap.
     """
     if not isinstance(img, SquareImage):
         raise ValueError(f"image must be a SquareImage, got {type(img).__name__}")
-    index, inside, w = _bilinear_plan(check_int(side, "side"), img.height, img.width)
-    vals = np.take(img.data.reshape(img.channels, -1), index, axis=1)  # (C, 4, N)
-    vals = np.where(inside, vals, 0.0)
-    out = vals[:, 0] * w[0] + vals[:, 1] * w[1] + vals[:, 2] * w[2] + vals[:, 3] * w[3]
+    index, w = _bilinear_plan(check_int(side, "side"), img.height, img.width)
+    c = img.channels
+    padded = np.zeros((c, img.height * img.width + 1))  # the last pixel is the outside's zero
+    padded[:, :-1] = img.data.reshape(c, -1)
+    vals = np.take(padded, index, axis=1)  # (C, 4, N)
+    out = vals[:, 0] * w[0]
+    for k in (1, 2, 3):
+        out += vals[:, k] * w[k]
     out.setflags(write=False)
-    return HexTensor(side, img.channels, out)
+    return HexTensor(side, c, out)

@@ -24,12 +24,14 @@ The trunk lowers convolution the way the native kernels do, in its own
 code: a cached tap-major (taps, patches) window table, so one
 ``np.take`` yields a contiguous (channels*k*k, patches) window matrix.
 Like the native kernels it builds that matrix for at most
-``ops.PATCH_BLOCK`` patches at a time (``ops.patch_blocks``): the
-forward writes one ``matmul.gemm`` per block into the block's output
-columns, the filter gradient sums one product per block, and the col2im
-input gradient (a ``gemm``, then a per-channel ``np.bincount`` scatter
-through the same table) adds each block into the input error before the
-next block is built.  Pools run through the native kernels' own
+``ops.PATCH_BLOCK`` patches at a time, each block through its own
+cached, writable copy of its columns of the table (``_rect_blocks``,
+split by the native kernels' ``ops._split``, so ``np.take`` copies no
+table on either layout): the forward writes one ``matmul.gemm`` per
+block into the block's output columns, the filter gradient sums one
+product per block, and the col2im input gradient (a ``gemm``, then a
+per-channel ``np.bincount`` scatter through the same table) adds each
+block into the input error before the next block is built.  Pools run through the native kernels' own
 ``ops._pool`` and ``grads._unpool``, on ``tap_gather``'s table addressed
 on the embedding (``_hex_windows``).  Every product is metered like the
 native path's, and the input gradient does exactly the forward
@@ -65,7 +67,8 @@ from .nn import (
     Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad,
     apply_gradients,
 )
-from .ops import HexFilterBank, _pool, patch_blocks, tap_gather
+from . import ops
+from .ops import HexFilterBank, _pool, _split, tap_gather
 from .zeroout import (
     ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
 )
@@ -74,15 +77,15 @@ __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
 @lru_cache(maxsize=None)
-def _rect_windows(h: int, w: int, k: int, stride: int) -> np.ndarray:
-    """Every k-by-k window of an h-by-w array as a tap-major (taps, patches)
-    table, taps column major within the window."""
+def _rect_blocks(h: int, w: int, k: int, stride: int, block: int):
+    """Every k-by-k window of an h-by-w array as a tap-major (taps,
+    patches) table, taps column major within the window, split into
+    ``block``-patch (slice, table) pairs (``ops._split``); callers pass
+    ``ops.PATCH_BLOCK`` at call time."""
     rows = np.arange((h - k) // stride + 1) * stride * w
     cols = np.arange((w - k) // stride + 1) * stride
     taps = np.arange(k)
-    g = (taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel()
-    g.setflags(write=False)
-    return g
+    return _split((taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel(), block)
 
 
 @lru_cache(maxsize=None)
@@ -113,12 +116,11 @@ def _packed(bank: HexFilterBank) -> tuple[ZeroOutFilterBank, np.ndarray]:
     return hit
 
 
-def _window_matrix(x: np.ndarray, k: int, stride: int, patches: slice) -> np.ndarray:
-    """The (C*k*k, len(patches)) window matrix of the windows ``patches``
-    of a (C, h, w) array."""
-    c, h, w = x.shape
-    g = _rect_windows(h, w, k, stride)[:, patches]
-    return np.take(x.reshape(c, -1), g, axis=1).reshape(c * k * k, -1)
+def _window_matrix(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (C*k*k, patches) window matrix of a (C, h, w) array over a
+    block table ``g`` of ``_rect_blocks``."""
+    c = x.shape[0]
+    return np.take(x.reshape(c, -1), g, axis=1).reshape(-1, g.shape[1])
 
 
 def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarray:
@@ -126,18 +128,12 @@ def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarra
     rectangular anchor, plus bias; one product per block of patches,
     each written into its columns of the output."""
     zbank, rows = _packed(bank)
+    _, h, w = x.shape
     k = zbank.span
-    out_h = (x.shape[1] - k) // stride + 1
-    p = out_h * ((x.shape[2] - k) // stride + 1)
-    y = None
-    for b in patch_blocks(p):
-        cols = _window_matrix(x, k, stride, b)
-        if y is None:
-            # made after the first take: np.take copies the read-only
-            # window table, and that copy is gone by now
-            y = np.empty((zbank.filters, p))
-        gemm(rows, cols, out=y[:, b])
-        del cols  # before the next block's is built
+    out_h = (h - k) // stride + 1
+    y = np.empty((zbank.filters, out_h * ((w - k) // stride + 1)))
+    for b, g in _rect_blocks(h, w, k, stride, ops.PATCH_BLOCK):
+        gemm(rows, _window_matrix(x, g), out=y[:, b])
     y += zbank.bias[:, None]
     return y.reshape(zbank.filters, out_h, -1)
 
@@ -147,12 +143,11 @@ def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, s
     on a (C, h, w) input; cells no window reaches get zero."""
     c, h, w = shape
     zbank, rows = _packed(bank)
-    g = _rect_windows(h, w, zbank.span, stride)
     d = d.reshape(d.shape[0], -1)
     out = np.zeros((c, h * w))
-    for b in patch_blocks(g.shape[1]):
+    for b, g in _rect_blocks(h, w, zbank.span, stride, ops.PATCH_BLOCK):
         # (C*k*k, patches in b) window errors, dropped before the next block's
-        _scatter_add(out, gemm(rows.T, d[:, b]).reshape(c, -1), g[:, b])
+        _scatter_add(out, gemm(rows.T, d[:, b]).reshape(c, -1), g)
     return out.reshape(shape)
 
 
@@ -206,9 +201,10 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             d2 = d.reshape(f, -1)
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
+            _, h, w = x.shape
             dw = sum(
-                gemm(d2[:, b], _window_matrix(x, k, spec.stride, b).T)
-                for b in patch_blocks(d2.shape[1])
+                gemm(d2[:, b], _window_matrix(x, g).T)
+                for b, g in _rect_blocks(h, w, k, spec.stride, ops.PATCH_BLOCK)
             )
             dw = dw.reshape(f, x.shape[0], k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen

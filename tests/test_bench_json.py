@@ -1,0 +1,47 @@
+"""``tools/bench_json.py``'s summary of paired benchmark runs.
+
+The script's children run the benchmark for minutes; this checks only
+the arithmetic of the JSON it writes, on made-up run records.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_json.py"
+
+
+@pytest.fixture(scope="module")
+def bench_json():
+    spec = importlib.util.spec_from_file_location("_bench_json", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _run(seed, op_ms, digest):
+    return {"seed": seed, "metrics": {"op_ms.p50": op_ms, "ok_frac": 1.0}, "setup_samples_s": [0.3, 0.4],
+            "digest": digest, "provenance": {"git_sha": None}}
+
+
+def test_summary_gives_medians_quartiles_and_ratios(bench_json):
+    runs = {
+        "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
+        "change": [_run(1, 8.0, "a"), _run(2, 9.0, "b"), _run(3, 7.0, "c")],
+    }
+    out = bench_json.summarize(runs)
+    assert out["parent"]["quartiles"]["op_ms.p50"] == [11.0, 12.0, 13.0]
+    assert out["change"]["median"]["op_ms.p50"] == 8.0
+    assert out["ratio"] == {"op_ms.p50": 8.0 / 12.0, "ok_frac": 1.0}
+    assert out["pair_ratios"]["op_ms.p50"] == [0.8, 0.75, 0.5]
+    assert out["digests_equal"]
+    assert out["change"]["runs"][0]["setup_samples_s"] == [0.3, 0.4]
+    assert "provenance" not in out["change"]["runs"][0] and out["change"]["provenance"] == {"git_sha": None}
+
+
+def test_summary_flags_a_pair_whose_digests_differ(bench_json):
+    runs = {"parent": [_run(1, 10.0, "a")], "change": [_run(1, 10.0, "x")]}
+    out = bench_json.summarize(runs)
+    assert not out["digests_equal"]
+    assert out["parent"]["quartiles"]["op_ms.p50"] == [10.0, 10.0, 10.0]

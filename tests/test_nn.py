@@ -22,9 +22,10 @@ from hexcnn.nn import (
     train_step,
     xent_loss_grad,
 )
+from hexcnn.grads import avgpool_backward, conv_backward_filter, conv_backward_input, maxpool_backward
 from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool
 from hexcnn.instrument import MacMeter
-from hexcnn import nn, zeronet
+from hexcnn import nn, ops, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
 
 
@@ -386,7 +387,7 @@ def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch
     net = build_network(composed_cfg())
     batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
     (fwd, bwd), module, name = {
-        "native": (LAYOUTS[0], nn, "conv_backward_input"),
+        "native": (LAYOUTS[0], nn, "_input_grad"),
         "zeroout": (LAYOUTS[1], zeronet, "_rect_conv_backward_input"),
     }[layout]
     logits, caches = fwd(net, batch)
@@ -403,6 +404,52 @@ def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch
     # one call per sample, in batch order: the sample's own input and
     # every earlier one are gone, the later ones still cached
     assert live == [2, 1, 0]
+
+
+def _identity_second_conv(cfg):
+    layers = list(cfg.layers)
+    layers[2] = LayerSpec.conv(layers[2].filters, layers[2].window, layers[2].stride, "identity")
+    return NetworkConfig(cfg.input_side, cfg.input_channels, tuple(layers), cfg.seed)
+
+
+@pytest.mark.parametrize("block", [PATCH_BLOCK, 5])
+@pytest.mark.parametrize("make_cfg", [composed_cfg, lambda: _identity_second_conv(composed_cfg())],
+                         ids=["relu", "identity"])
+def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch, block, make_cfg):
+    # the trunk runs the backward kernels' cores on arrays and skips their
+    # checks; the public kernels, composed by hand, must give the same bits
+    monkeypatch.setattr(ops, "PATCH_BLOCK", block)
+    net = build_network(make_cfg())
+    rng = np.random.default_rng(31)
+    (t,), _ = make_two_class_dataset(rng, 1, 13, 2)
+    features, cache = nn._trunk_forward(net, t, 5)  # layers 0-3, then the flatten
+    d = rng.standard_normal(features.shape)
+    got = nn._trunk_grads(net)
+    nn._trunk_backward(net, cache, d, got)
+    assert not cache
+
+    conv0, pool1, conv2, pool3 = net.cfg.layers[:4]
+    z0 = conv_valid(t, net.params[0], conv0.stride)
+    a0 = HexTensor(z0.side, z0.channels, np.maximum(z0.data, 0.0))
+    p1, taps = maxpool(a0, pool1.window, pool1.stride)
+    z2 = conv_valid(p1, net.params[2], conv2.stride)
+    relu2 = conv2.activation == "relu"
+    a2 = HexTensor(z2.side, z2.channels, np.maximum(z2.data, 0.0)) if relu2 else z2
+    p3 = avgpool(a2, pool3.window, pool3.stride)
+    e = avgpool_backward(HexTensor(p3.side, p3.channels, d), pool3.window, pool3.stride, a2.side)
+    if relu2:
+        e = HexTensor(e.side, e.channels, e.data * (z2.data > 0))
+    want = nn._trunk_grads(net)  # accumulated as the trunk does, from zero
+    for a, b in zip(want[2], conv_backward_filter(p1, e, conv2.stride, conv2.window)):
+        a += b
+    e = conv_backward_input(e, net.params[2], conv2.stride, p1.side)
+    e = maxpool_backward(e, taps, pool1.window, pool1.stride, a0.side)
+    e = HexTensor(e.side, e.channels, e.data * (z0.data > 0))
+    for a, b in zip(want[0], conv_backward_filter(t, e, conv0.stride, conv0.window)):
+        a += b
+    for i in (0, 2):
+        for a, b in zip(got[i], want[i]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_forward_rejects_empty_batches_and_items_that_are_not_tensors():

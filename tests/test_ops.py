@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,24 @@ def winners(taps, g):
     """The input offsets that the (channels, patches) ``taps`` pick from
     the window table ``g``."""
     return g[taps, np.arange(g.shape[1])]
+
+
+def test_single_block_conv_copies_no_index_table():
+    # np.take copies a read-only index array before it gathers; the
+    # block tables are writable, so a conv's peak is its window matrix
+    # and its output, and no copy of its (taps, patches) table
+    rng = np.random.default_rng(26)
+    t = HexTensor(20, 1, rng.standard_normal((1, cell_count(20))))
+    bank = HexFilterBank.random(rng, 1, 1, 2)  # 1027 patches: one block
+    conv_valid(t, bank)  # builds the cached tables
+    table = window = 7 * 1027 * 8  # int64 offsets; float64 windows of one channel
+    tracemalloc.start()
+    try:
+        conv_valid(t, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert window < peak < window + 1027 * 8 + table // 2
 
 
 def test_maxpool_constant_input_anchors():

@@ -100,6 +100,29 @@ def test_every_zeroout_conv_product_runs_block_by_block(monkeypatch):
     assert products == want
 
 
+def test_block_tables_are_owned_writable_copies_of_the_window_table():
+    g = ops.tap_gather(7, 2, 1)  # 91 patches
+    for block in (BLOCK, ops.PATCH_BLOCK, 2048):
+        pairs = ops._blocks(7, 2, 1, block)
+        assert [b for b, _ in pairs] == [slice(lo, lo + block) for lo in range(0, 91, block)]
+        for b, table in pairs:
+            assert np.array_equal(table, g[:, b]) and table.dtype == np.int64
+            assert table.base is None and table.flags.c_contiguous and table.flags.writeable
+    assert not g.flags.writeable  # the public table stays read-only
+
+
+def test_block_tables_follow_patch_block_at_call_time(monkeypatch):
+    rng = np.random.default_rng(25)
+    t = HexTensor(6, 1, rng.standard_normal((1, 91)))
+    bank = HexFilterBank.random(rng, 2, 1, 2)  # 61 patches
+    cols = _counting(monkeypatch, ops, "window_columns")
+    for block, want in ((2048, [61]), (BLOCK, [5] * 12 + [1]), (7, [7] * 8 + [5])):
+        monkeypatch.setattr(ops, "PATCH_BLOCK", block)
+        cols.clear()
+        ops.conv_valid(t, bank)
+        assert cols == want
+
+
 def test_gemm_writes_into_a_column_block():
     rng = np.random.default_rng(22)
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 9))
