@@ -79,15 +79,15 @@ def transpose_reflect(bank: HexFilterBank) -> HexFilterBank:
     return HexFilterBank(bank.filter_side, w)
 
 
-def _forward_windows(
+def _check_error(
     delta: HexTensor, window_side: int, stride: int, input_side: int, floor_mode: bool = False
-) -> np.ndarray:
-    """The window table of the forward that output the error; only pools floor."""
+) -> None:
+    """Rejects an error that is not shaped like the output of the
+    forward's geometry; only pools floor."""
     check_tensor(delta, "error")
     out_side = valid_geometry(input_side, window_side, stride, floor_mode)
     if out_side != delta.side:
         raise ValueError(f"error side {delta.side} does not match forward output {out_side}")
-    return tap_gather(input_side, window_side, stride)
 
 
 def _check_error_channels(delta: HexTensor, bank: HexFilterBank) -> None:
@@ -123,7 +123,7 @@ def conv_backward_input(
 ) -> HexTensor:
     """Error propagated to the convolution input (the adjoint map)."""
     check_bank(bank, "filter bank")
-    _forward_windows(delta, bank.filter_side, stride, input_side)
+    _check_error(delta, bank.filter_side, stride, input_side)
     _check_error_channels(delta, bank)
     blocks = _blocks(input_side, bank.filter_side, stride, ops.PATCH_BLOCK)
     out = _input_grad(delta.data, bank.weights, blocks, cell_count(input_side))
@@ -137,7 +137,7 @@ def conv_backward_input_reflect(
     """Reference input gradient: upsample, then full convolution with the
     channel-transposed, point-reflected bank."""
     check_bank(bank, "filter bank")
-    _forward_windows(delta, bank.filter_side, stride, input_side)
+    _check_error(delta, bank.filter_side, stride, input_side)
     _check_error_channels(delta, bank)
     up = upsample_stride(delta, stride, (delta.side - 1) * stride + 1)
     return conv_full(up, transpose_reflect(bank))
@@ -164,7 +164,7 @@ def conv_backward_filter(
     bank weights (filters, channels, cells).
     """
     check_tensor(t, "input")
-    _forward_windows(delta, filter_side, stride, t.side)
+    _check_error(delta, filter_side, stride, t.side)
     return _filter_grad(t.data, delta.data, _blocks(t.side, filter_side, stride, ops.PATCH_BLOCK))
 
 
@@ -193,7 +193,8 @@ def maxpool_backward(
     the row ``taps`` (from ``maxpool``) picks of the window table.  Taps
     that are not integers, not shaped like the error or not rows of the
     table raise ``ValueError``."""
-    g = _forward_windows(delta, window_side, stride, input_side, floor_mode=True)
+    _check_error(delta, window_side, stride, input_side, floor_mode=True)
+    g = tap_gather(input_side, window_side, stride)
     taps = np.asarray(taps)
     if taps.dtype.kind not in "iu" or taps.shape != delta.data.shape:
         raise ValueError(f"taps must be integers shaped {delta.data.shape}, got {taps.dtype} {taps.shape}")
@@ -208,7 +209,8 @@ def avgpool_backward(
     delta: HexTensor, window_side: int, stride: int, input_side: int
 ) -> HexTensor:
     """Spread each error value uniformly over its window."""
-    g = _forward_windows(delta, window_side, stride, input_side, floor_mode=True)
+    _check_error(delta, window_side, stride, input_side, floor_mode=True)
+    g = tap_gather(input_side, window_side, stride)
     out = _unpool(delta.data, None, g, cell_count(input_side))
     out.setflags(write=False)
     return HexTensor(input_side, delta.channels, out)

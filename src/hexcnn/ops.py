@@ -169,8 +169,9 @@ def tap_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
 @lru_cache(maxsize=None, typed=True)
 def _blocks(input_side: int, window_side: int, stride: int, block: int):
     """``tap_gather``'s table split into ``block``-patch (slice, table)
-    pairs (``_split``); callers pass ``PATCH_BLOCK`` at call time."""
-    return _split(tap_gather(input_side, window_side, stride), block)
+    pairs (``_split``); callers pass ``PATCH_BLOCK`` at call time.  Built
+    from an uncached table, so a convolution's geometry is held once."""
+    return _split(tap_gather.__wrapped__(input_side, window_side, stride), block)
 
 
 def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,21 +1,25 @@
-"""Run the unchanged benchmark on a parent commit and on this tree; write BENCH_<n>.json.
+"""Run the unchanged benchmark on two commits; write BENCH_<n>.json.
 
-Run from the root of a source checkout:
+Run from the root of a source checkout whose tracked files are committed:
 
-    python3 tools/bench_json.py 22                  # parent = HEAD, change = the working tree
-    python3 tools/bench_json.py 22 --parent HEAD~1  # once the change is committed
+    python3 tools/bench_json.py 22                  # parent = HEAD~1, change = HEAD
+    python3 tools/bench_json.py 22 --parent 99e942e  # a change of several commits
 
-The parent's files are exported with ``git archive`` into a temporary
-directory, which is removed at the end.  For each workload the script
-runs ``--pairs`` pairs of ``hexbench/run.py --trace 0`` children, one in
-each tree, with the same seed within a pair and the side that runs
-first alternating from pair to pair.  It reads each child's result file
-back from its own tree and writes ``BENCH_<n>.json`` at the root of
-this tree: per workload and tree the runs (every end-to-end metric,
+Both sides run from files exported with ``git archive`` into temporary
+directories, which are removed at the end: the parent from ``--parent``,
+the change from ``HEAD``.  The script refuses to run when tracked files
+differ from ``HEAD``, since those edits would not be measured.  For each
+workload it runs ten pairs of ``hexbench/run.py --trace 0`` children,
+one in each tree, for BENCHMARK.json's ``run_seconds`` each, with seed
+k in pair k (1..10) and the side that runs first alternating from pair
+to pair.  It reads each child's result file back from its own tree and
+writes ``BENCH_<n>.json`` at the root of this checkout: each tree's
+commit, and per workload and tree the runs (every end-to-end metric,
 ``setup_samples_s``, the same-seed digest) with their medians and
-quartiles and the provenance the first run recorded, the change/parent
-ratio of each median, and the per-pair ratios.  Nothing under ``hexbench/``
-is changed; the children run it as it is in each tree.
+quartiles and the provenance the first run recorded (its ``git_sha``
+is null: an export has no repository), the change/parent ratio of each
+median, and the per-pair ratios.  Nothing under ``hexbench/`` is
+changed; the children run it as it is in each tree.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a gain claim is judged on
 
 
 def _git(*args: str) -> str:
@@ -99,35 +104,30 @@ def _ratio(a: float, b: float) -> float | None:
 def parse(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("n", type=int, help="the number in BENCH_<n>.json")
-    p.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
-    p.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="timed seconds per child run (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair k uses seed + k")
+    p.add_argument("--parent", default="HEAD~1", help="commit to compare HEAD against (default HEAD~1)")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse(argv)
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        sys.exit("tracked files differ from HEAD; commit them first, since the change side runs HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    parent_sha = _git("rev-parse", args.parent)
+    seconds = spec["run_seconds"]
+    revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     doc = {
         "n": args.n,
         "command": spec["command"] + ["--trace", "0"],
         "seconds": seconds,
-        "pairs": args.pairs,
-        "seeds": [args.seed + k for k in range(args.pairs)],
-        "trees": {
-            "parent": {"git_sha": parent_sha},
-            "change": {"git_sha": _git("rev-parse", "HEAD"),
-                       "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
-        },
+        "pairs": PAIRS,
+        "seeds": list(range(1, PAIRS + 1)),
+        "trees": {tree: {"git_sha": sha} for tree, sha in revs.items()},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
-        export(parent_sha, trees["parent"])
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {tree: Path(tmp) / tree for tree in TREES}
+        for tree, path in trees.items():
+            export(revs[tree], path)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {tree: [] for tree in TREES}
             for k, seed in enumerate(doc["seeds"]):
