@@ -111,6 +111,19 @@ def test_block_tables_are_owned_writable_copies_of_the_window_table():
     assert not g.flags.writeable  # the public table stays read-only
 
 
+def test_a_convolution_holds_its_window_table_once():
+    """The conv kernels, forward and backward, read only the block
+    tables, so ``tap_gather``'s cache keeps no second copy of them."""
+    rng = np.random.default_rng(26)
+    t = HexTensor(11, 2, rng.standard_normal((2, 331)))
+    bank = HexFilterBank.random(rng, 3, 2, 3)
+    ops.tap_gather.cache_clear()
+    y = ops.conv_valid(t, bank, 2)
+    grads.conv_backward_filter(t, y, 2, 3)
+    grads.conv_backward_input(y, bank, 2, 11)
+    assert ops.tap_gather.cache_info().currsize == 0
+
+
 def test_block_tables_follow_patch_block_at_call_time(monkeypatch):
     rng = np.random.default_rng(25)
     t = HexTensor(6, 1, rng.standard_normal((1, 91)))
