@@ -7,9 +7,12 @@ dense head works exactly like any rectangle-based network.  The trunk
 at a time, which keeps each sample's activations small enough to stay
 in cache; the flattened features are stacked into a (batch, features)
 matrix, so every dense layer, the softmax cross-entropy and their
-gradients are one batched product each.  Training is plain SGD with a
-fixed update order, so a fixed seed reproduces the same trajectory bit
-for bit.
+gradients are one batched product each.  A max pool right after a
+relu conv applies that conv's relu to its pooled output, so the relu
+and its derivative run on the pooled cells only; the result has the
+same bits (``_trunk_activation``).  Training is plain SGD with a fixed
+update order, so a fixed seed reproduces the same trajectory bit for
+bit.
 """
 
 from __future__ import annotations
@@ -233,6 +236,24 @@ def _activate(z: np.ndarray, kind: str):
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _trunk_activation(layers, i: int) -> str:
+    """The activation trunk layer ``i`` of ``layers`` applies to its
+    output.  Max commutes with relu, so a relu conv whose next layer is a
+    max pool applies identity and that pool applies the relu, to its
+    pooled cells only: ``relu(maxpool(z))`` in place of
+    ``maxpool(relu(z))``.  Both give the same bits, NaN included, since
+    ``np.maximum(z, 0.0)`` maps -0.0 to +0.0 and passes NaN through.
+    Every other conv applies its own activation, and every other layer
+    identity."""
+    spec = layers[i]
+    if spec.kind == "hexconv":
+        deferred = spec.activation == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "hexmaxpool"
+        return "identity" if deferred else spec.activation
+    if spec.kind == "hexmaxpool" and i > 0 and layers[i - 1].kind == "hexconv":
+        return layers[i - 1].activation
+    return "identity"
+
+
 def _relu_grad(d: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """``d`` times relu's derivative, from the bits ``_activate`` packed
     for an input shaped like ``d``: the bits of ``d * (z > 0)``."""
@@ -277,25 +298,39 @@ def _head_start(net: Network) -> int:
     raise ValueError("network has no flatten layer")
 
 
+def _activate_tensor(t: HexTensor, kind: str) -> tuple[HexTensor, np.ndarray | None]:
+    """``_activate`` on a tensor: the activated tensor (``t`` itself for
+    identity) and the packed relu bits."""
+    a, bits = _activate(t.data, kind)
+    if bits is None:
+        return t, None
+    a.setflags(write=False)
+    return HexTensor(t.side, t.channels, a), bits
+
+
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
     """One sample through layers [0, stop): its flat features and cache,
-    one entry per layer holding only what ``_trunk_backward`` reads (a
-    conv keeps its input and its packed relu bits, never its
-    pre-activation; a max pool its one-byte winning taps; an average
-    pool and the flatten None, since their sizes are in ``net.shapes``)."""
+    one entry per layer holding only what ``_trunk_backward`` reads.
+
+    Each layer applies ``_trunk_activation``'s activation.  A conv keeps
+    its input and its packed relu bits (None when it applies identity),
+    never its pre-activation; a max pool its one-byte winning taps,
+    taken on its input as it comes (a pre-activation when it applies
+    the relu of the conv before it), and its packed relu bits or None;
+    an average pool and the flatten None, since their sizes are in
+    ``net.shapes``."""
+    layers = net.cfg.layers
     x = t
     cache = []
-    for i, spec in enumerate(net.cfg.layers[:stop]):
+    for i, spec in enumerate(layers[:stop]):
         if spec.kind == "hexconv":
-            z = conv_valid(x, net.params[i], spec.stride)
-            a, bits = _activate(z.data, spec.activation)
+            y, bits = _activate_tensor(conv_valid(x, net.params[i], spec.stride), _trunk_activation(layers, i))
             cache.append((x, bits))
-            a.setflags(write=False)
-            x = HexTensor(z.side, z.channels, a)
-            del z  # not live beside the next conv's output
+            x = y
         elif spec.kind == "hexmaxpool":
-            x, taps = maxpool(x, spec.window, spec.stride)
-            cache.append(taps)
+            y, taps = maxpool(x, spec.window, spec.stride)
+            x, bits = _activate_tensor(y, _trunk_activation(layers, i))
+            cache.append((taps, bits))
         elif spec.kind == "hexavgpool":
             cache.append(None)
             x = avgpool(x, spec.window, spec.stride)
@@ -370,7 +405,16 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
     backward kernels' cores (``grads._filter_grad``, ``_input_grad``,
     ``_unpool``): the geometry, the taps and the cached inputs are what
     this network's own forward produced, so nothing is checked again
-    and no ``HexTensor`` is built."""
+    and no ``HexTensor`` is built.  A max pool that applied a relu
+    applies its derivative before the unpool.
+
+    Its taps were taken on the pre-activation, so in a window whose
+    maximum is <= 0 the tap can differ from the one the unfused order,
+    ``maxpool(relu(z))``, takes; the error there is zero either way.
+    The one difference that can show is the sign of a gradient entry
+    that is exactly zero.  Unfused, the winner gets a negative error
+    ``d`` and then ``d * False``, which is -0.0; here the error is
+    zeroed first, and ``np.bincount`` adds the -0.0 to 0.0, giving +0.0."""
     while cache:
         i = len(cache) - 1
         spec = net.cfg.layers[i]
@@ -379,7 +423,10 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
             cache.pop()
             d = d.reshape(channels, -1)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            d = _unpool(d, cache.pop(), tap_gather(side, spec.window, spec.stride), cell_count(side))
+            taps, bits = cache.pop() or (None, None)  # an average pool caches None
+            if bits is not None:
+                d = _relu_grad(d, bits)
+            d = _unpool(d, taps, tap_gather(side, spec.window, spec.stride), cell_count(side))
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:

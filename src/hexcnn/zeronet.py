@@ -38,12 +38,16 @@ native path's, and the input gradient does exactly the forward
 product's MACs.  Each hex filter bank is packed into its corner-zeroed
 rectangles once, on first use, not per sample and pass (``_packed``).
 
-The backward cache holds what the native trunk's does: a conv keeps its
-embedded input and, for relu, the packed bits of ``z > 0`` for its
-hex-masked output ``z`` (from ``nn._activate``, one bit a value), never
-the float64 pre-activation; a max pool keeps the winning taps
-``ops._pool`` returns, rows of its window table, one byte each as the
-native pool's; an average pool and the flatten keep None, since their
+Each layer applies the activation ``nn._trunk_activation`` gives it, as
+the native trunk does: a relu conv right before a max pool leaves its
+relu to the pool, which applies it to its pooled output only.  The
+backward cache holds what the native trunk's does: a conv keeps its
+embedded input and, when it applies relu, the packed bits of ``z > 0``
+for its hex-masked output ``z`` (from ``nn._activate``, one bit a
+value), never the float64 pre-activation; a max pool keeps the winning
+taps ``ops._pool`` returns, rows of its window table, one byte each as
+the native pool's, and the packed bits of its pooled output when it
+applies relu; an average pool and the flatten keep None, since their
 sizes are in ``net.shapes``.  ``nn``'s driver hands
 ``_trunk_backward`` each sample's cache list, which pops every entry as
 it walks it and drops a conv's input once its filter gradient is
@@ -65,7 +69,7 @@ from .grid import HexTensor, cells
 from .matmul import gemm
 from .nn import (
     Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad,
-    apply_gradients,
+    _trunk_activation, apply_gradients,
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
@@ -157,21 +161,26 @@ def forward_zeroout(net: Network, batch):
 
 
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
+    layers = net.cfg.layers
     x = embed_parallelogram(t)
     cache = []
-    for i, spec in enumerate(net.cfg.layers[:stop]):
+    for i, spec in enumerate(layers[:stop]):
         side, out_side = net.shapes[i][1], net.shapes[i + 1][1]
         if spec.kind == "hexconv":
             z = _rect_conv_all(x, net.params[i], spec.stride)
             z *= hex_mask(out_side)
-            a, bits = _activate(z, spec.activation)
+            a, bits = _activate(z, _trunk_activation(layers, i))
             cache.append((x, bits))
             x = a
             del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _hex_windows(side, spec.window, spec.stride)
             out, taps = _pool(x.reshape(x.shape[0], -1), g, spec.kind)
-            cache.append(taps)  # the winning taps, as ops.maxpool's; None for a mean
+            if taps is None:  # a mean
+                cache.append(None)
+            else:  # the winning taps, as ops.maxpool's, and the relu bits
+                out, bits = _activate(out, _trunk_activation(layers, i))
+                cache.append((taps, bits))
             x = _to_rect(out, out_side)
         else:  # flatten
             cache.append(None)
@@ -191,7 +200,10 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _hex_windows(side, spec.window, spec.stride)
             dvals = d.reshape(channels, -1)[:, _hex_flat(net.shapes[i + 1][1])]
-            d = _unpool(dvals, cache.pop(), g, span * span).reshape(channels, span, span)
+            taps, bits = cache.pop() or (None, None)  # an average pool caches None
+            if bits is not None:
+                dvals = _relu_grad(dvals, bits)
+            d = _unpool(dvals, taps, g, span * span).reshape(channels, span, span)
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:

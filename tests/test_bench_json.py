@@ -45,3 +45,11 @@ def test_summary_flags_a_pair_whose_digests_differ(bench_json):
     out = bench_json.summarize(runs)
     assert not out["digests_equal"]
     assert out["parent"]["quartiles"]["op_ms.p50"] == [10.0, 10.0, 10.0]
+
+
+def test_mac_section_gives_each_trees_ratio_beside_seven_twelfths(bench_json):
+    counts = {"parent": {"native": 63, "zeroout": 100}, "change": {"native": 7, "zeroout": 12}}
+    out = bench_json.mac_ratios(counts)
+    assert out["parent"] == {"native": 63, "zeroout": 100, "ratio": 0.63}
+    assert out["change"]["ratio"] == out["side2_ratio"] == 7 / 12
+    assert counts["parent"] == {"native": 63, "zeroout": 100}  # not written into

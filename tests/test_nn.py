@@ -23,10 +23,11 @@ from hexcnn.nn import (
     xent_loss_grad,
 )
 from hexcnn.grads import avgpool_backward, conv_backward_filter, conv_backward_input, maxpool_backward
-from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool
+from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool, tap_gather
 from hexcnn.instrument import MacMeter
 from hexcnn import nn, ops, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
+from hexcnn.zeroout import _hex_flat
 
 
 def tiny_cfg(seed=0):
@@ -365,17 +366,20 @@ def test_backward_consumes_its_caches():
 
 def test_trunk_caches_carry_no_sizes():
     # sizes live in net.shapes: a relu conv caches its input and one bit
-    # an output value, a max pool one byte a winning tap, an average
-    # pool and the flatten nothing
+    # an output value, but leaves its relu, and so its bits, to a max
+    # pool right after it; that pool caches one byte a winning tap and
+    # one bit a pooled value; an average pool and the flatten nothing
     net = build_network(composed_cfg())
     batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 13, 2)
     (_, _, channels), (_, side, _) = net.shapes[1], net.shapes[2]
     for (fwd, _), values in zip(LAYOUTS, (cell_count, lambda s: (2 * s - 1) ** 2)):
         _, caches = fwd(net, batch)
-        for conv0, taps, conv2, avg, flat in caches.trunk:
-            for (_, bits), (_, out_side, f) in ((conv0, net.shapes[1]), (conv2, net.shapes[3])):
-                assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
+        for conv0, (taps, pool_bits), (_, bits), avg, flat in caches.trunk:
+            assert conv0[1] is None
+            (_, out_side, f) = net.shapes[3]
+            assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
             assert taps.dtype == np.uint8 and taps.shape == (channels, cell_count(side))
+            assert pool_bits.dtype == np.uint8 and pool_bits.shape == (-(-channels * cell_count(side) // 8),)
             assert avg is None and flat is None
 
 
@@ -450,6 +454,167 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     for i in (0, 2):
         for a, b in zip(got[i], want[i]):
             assert a.tobytes() == b.tobytes()
+
+
+def _vgg_block_cfg(seed=5):
+    """relu conv, relu conv, overlapping max pool, flatten, dense into
+    softmax: the first conv keeps its relu, the second leaves it to the
+    pool."""
+    return NetworkConfig(
+        9,
+        2,
+        (
+            LayerSpec.conv(3, 2, 1, "relu"),
+            LayerSpec.conv(4, 2, 1, "relu"),
+            LayerSpec.maxpool(2, 2),
+            LayerSpec.flatten(),
+            LayerSpec.dense(3),
+            LayerSpec.softmax(),
+        ),
+        seed,
+    )
+
+
+# pre-activations planted in disjoint windows of the pool that applies a
+# conv's relu, in tap order; the maximum is never at tap 0, so in the
+# windows whose maximum is <= 0 the pool's tap differs from the one it
+# takes after the relu, which is tap 0
+PLANTED = (
+    [-3.0, -1.0, -2.0, -1.0, -5.0, -2.0, -4.0],  # all negative, the maximum tied
+    [-1.0, 0.0, -2.0, 0.0, -3.0, 0.0, -1.0],  # exact 0.0 ties
+    [-2.0, -0.0, -1.0, -0.0, -3.0, -4.0, -1.0],  # -0.0 ties
+    [-1.0, -0.0, 0.0, -2.0, -0.0, 0.0, -3.0],  # ties of both zeros
+    [1.0, 2.0, 2.0, -1.0, 0.0, 2.0, -3.0],  # positive ties
+)
+NAN_WINDOW = [1.0, np.nan, 3.0, np.nan, -1.0, 0.0, 2.0]
+
+
+def _unfused_trunk(net, t, d, conv):
+    """A trunk's features and conv gradients through the public kernels,
+    composed by hand, with every layer applying its own activation; the
+    convs run through ``conv``."""
+    layers = net.cfg.layers[: nn._head_start(net)]
+    x, saved = t, []
+    for i, spec in enumerate(layers):
+        if spec.kind == "hexconv":
+            z = conv(x, net.params[i], spec.stride)
+            mask = z.data > 0 if spec.activation == "relu" else None
+            saved.append((x, mask))
+            x = z if mask is None else HexTensor(z.side, z.channels, np.maximum(z.data, 0.0))
+        elif spec.kind == "hexmaxpool":
+            y, taps = maxpool(x, spec.window, spec.stride)
+            saved.append((x.side, taps))
+            x = y
+        elif spec.kind == "hexavgpool":
+            saved.append((x.side, None))
+            x = avgpool(x, spec.window, spec.stride)
+        else:  # flatten
+            saved.append((x.side, x.channels))
+            x = x.data.ravel()
+    grads = nn._trunk_grads(net)
+    e = d
+    for i in reversed(range(len(layers))):
+        spec = layers[i]
+        if spec.kind == "flatten":
+            side, channels = saved[i]
+            e = HexTensor(side, channels, e.reshape(channels, -1))
+        elif spec.kind == "hexmaxpool":
+            side, taps = saved[i]
+            e = maxpool_backward(e, taps, spec.window, spec.stride, side)
+        elif spec.kind == "hexavgpool":
+            e = avgpool_backward(e, spec.window, spec.stride, saved[i][0])
+        else:  # hexconv
+            x_in, mask = saved[i]
+            if mask is not None:
+                e = HexTensor(e.side, e.channels, e.data * mask)
+            for a, b in zip(grads[i], conv_backward_filter(x_in, e, spec.stride, spec.window)):
+                a += b
+            if i > 0:
+                e = conv_backward_input(e, net.params[i], spec.stride, x_in.side)
+    return x, grads
+
+
+@pytest.mark.parametrize("block", [PATCH_BLOCK, 5])
+@pytest.mark.parametrize("make_cfg", [composed_cfg, _vgg_block_cfg], ids=["composed", "vgg-block"])
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, block, make_cfg, layout):
+    # relu(maxpool(z)) in the trunks against maxpool(relu(z)) by hand, on
+    # windows planted with the cases where the two orders could part
+    monkeypatch.setattr(ops, "PATCH_BLOCK", block)
+    net = build_network(make_cfg())
+    layers = net.cfg.layers
+    rng = np.random.default_rng(23)
+    # integer weights, inputs and errors keep every sum exact in any
+    # order, so both layouts must give the same bits
+    for i, p in enumerate(net.params):
+        if isinstance(p, ops.HexFilterBank):
+            net.params[i] = ops.HexFilterBank(
+                p.filter_side, rng.integers(-2, 3, p.weights.shape), rng.integers(-2, 3, p.filters)
+            )
+    t = HexTensor(net.cfg.input_side, 2, 1.0 * rng.integers(-3, 4, (2, cell_count(net.cfg.input_side))))
+    pool = next(i for i, spec in enumerate(layers) if spec.kind == "hexmaxpool")
+    conv_layer = pool - 1
+    assert nn._trunk_activation(layers, conv_layer) == "identity"
+    assert nn._trunk_activation(layers, pool) == "relu"
+
+    side = net.shapes[pool][1]
+    g = tap_gather(side, layers[pool].window, layers[pool].stride)
+    windows, used = [], set()
+    for w in range(g.shape[1]):
+        if used.isdisjoint(g[:, w]):
+            windows.append(w)
+            used.update(g[:, w])
+    planted = list(PLANTED)
+    # a NaN pooled before another conv would reach ZeroOut's zero corner
+    # taps, which spread it into more cells than the native windows hold
+    if layers[pool + 1].kind == "flatten":
+        planted.append(NAN_WINDOW)
+    assert len(windows) >= len(planted)
+
+    def plant(z):  # (filters, cells) pre-activations of the pool's conv
+        for w, values in zip(windows, planted):
+            z[:, g[:, w]] = values
+
+    def conv(x, bank, stride):
+        z = conv_valid(x, bank, stride)
+        if bank is not net.params[conv_layer]:
+            return z
+        data = z.data.copy()
+        plant(data)
+        return HexTensor(z.side, z.channels, data)
+
+    if layout == "native":
+        module = nn
+        monkeypatch.setattr(nn, "conv_valid", conv)
+    else:
+        module = zeronet
+        rect_conv = zeronet._rect_conv_all
+
+        def planted_rect_conv(x, bank, stride):
+            z = rect_conv(x, bank, stride)
+            if bank is net.params[conv_layer]:
+                flat, idx = z.reshape(z.shape[0], -1), _hex_flat(side)
+                values = flat[:, idx]
+                plant(values)
+                flat[:, idx] = values
+            return z
+
+        monkeypatch.setattr(zeronet, "_rect_conv_all", planted_rect_conv)
+
+    stop = nn._head_start(net)
+    d = 7.0 * rng.integers(-3, 4, net.shapes[stop][1])  # exact after the average pool's 1/7
+    features, cache = module._trunk_forward(net, t, stop)
+    got = nn._trunk_grads(net)
+    module._trunk_backward(net, cache, d, got)
+    assert not cache
+    want_features, want = _unfused_trunk(net, t, d, conv)
+    assert features.tobytes() == want_features.tobytes()
+    assert np.isnan(features).any() == (len(planted) > len(PLANTED))
+    for i, spec in enumerate(layers):
+        if spec.kind == "hexconv":
+            for a, b in zip(got[i], want[i]):
+                # only the sign of an exact zero may differ
+                assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_forward_rejects_empty_batches_and_items_that_are_not_tensors():

@@ -18,8 +18,12 @@ commit, and per workload and tree the runs (every end-to-end metric,
 ``setup_samples_s``, the same-seed digest) with their medians and
 quartiles and the provenance the first run recorded (its ``git_sha``
 is null: an export has no repository), the change/parent ratio of each
-median, and the per-pair ratios.  Nothing under ``hexbench/`` is
-changed; the children run it as it is in each tree.
+median, and the per-pair ratios.  One more child per tree imports that
+tree's ``hexbench/workloads.py`` and meters one native and one ZeroOut
+op of each workload (seed 1) with ``instrument.MacMeter``; each
+workload's ``macs`` section holds both counts per tree and their ratio,
+beside the 7/12 a side-2 convolution does.  Nothing under ``hexbench/``
+is changed; the children run it as it is in each tree.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a gain claim is judged on
+SIDE2_MAC_RATIO = 7 / 12  # native over ZeroOut MACs of a side-2 conv: 7 taps to 9, 3/4 of the anchors
+
+# Run in a tree's root with the workload names as arguments; prints
+# {workload: {"native": MACs, "zeroout": MACs}} for one op of each layout.
+METER = """
+import json, sys
+sys.path[:0] = ["src", "hexbench"]
+from hexcnn import instrument
+import workloads
+counts = {}
+for name in sys.argv[1:]:
+    case = workloads.make_case(name, 1)
+    counts[name] = {}
+    for path in ("native", "zeroout"):
+        with instrument.MacMeter() as meter:
+            getattr(case, path)(0)
+        counts[name][path] = meter.macs
+print(json.dumps(counts))
+"""
 
 
 def _git(*args: str) -> str:
@@ -65,6 +89,25 @@ def run_child(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "digest": record["digest"],
         "provenance": record["provenance"],
     }
+
+
+def meter_macs(tree: Path, workloads: list) -> dict:
+    """{workload: {"native": MACs, "zeroout": MACs}}: one op of each
+    layout, metered by ``tree``'s own code in a child process."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", METER, *workloads], cwd=tree, capture_output=True, text=True, env=env)
+    if out.returncode != 0:
+        raise RuntimeError(f"MAC meter in {tree} exited {out.returncode}:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def mac_ratios(counts: dict) -> dict:
+    """One workload's ``macs`` section from ``counts`` = {tree: {"native":
+    MACs, "zeroout": MACs}}: per tree both counts and native/ZeroOut,
+    beside a side-2 convolution's 7/12."""
+    out = {tree: {**c, "ratio": _ratio(c["native"], c["zeroout"])} for tree, c in counts.items()}
+    out["side2_ratio"] = SIDE2_MAC_RATIO
+    return out
 
 
 def _quartiles(values: list) -> list:
@@ -128,7 +171,9 @@ def main(argv=None) -> int:
         trees = {tree: Path(tmp) / tree for tree in TREES}
         for tree, path in trees.items():
             export(revs[tree], path)
-        for workload in (w["name"] for w in spec["workloads"]):
+        names = [w["name"] for w in spec["workloads"]]
+        macs = {tree: meter_macs(path, names) for tree, path in trees.items()}
+        for workload in names:
             runs = {tree: [] for tree in TREES}
             for k, seed in enumerate(doc["seeds"]):
                 for tree in (TREES if k % 2 == 0 else TREES[::-1]):
@@ -136,11 +181,12 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {tree}: op_ms.p50 "
                           f"{runs[tree][-1]['metrics']['op_ms.p50']:.3f}", file=sys.stderr, flush=True)
             doc["workloads"][workload] = summarize(runs)
+            doc["workloads"][workload]["macs"] = mac_ratios({tree: macs[tree][workload] for tree in TREES})
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, w in doc["workloads"].items():
         print(f"{workload}: op_ms.p50 change/parent {w['ratio']['op_ms.p50']:.3f}, "
-              f"digests equal {w['digests_equal']}")
+              f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}")
     print(path)
     return 0
 
