@@ -371,12 +371,11 @@ def test_trunk_caches_carry_no_sizes():
     # one bit a pooled value; an average pool and the flatten nothing
     net = build_network(composed_cfg())
     batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 13, 2)
-    (_, _, channels), (_, side, _) = net.shapes[1], net.shapes[2]
+    (_, _, channels), (_, side, _), (_, out_side, f) = net.shapes[1:4]
     for (fwd, _), values in zip(LAYOUTS, (cell_count, lambda s: (2 * s - 1) ** 2)):
         _, caches = fwd(net, batch)
         for conv0, (taps, pool_bits), (_, bits), avg, flat in caches.trunk:
             assert conv0[1] is None
-            (_, out_side, f) = net.shapes[3]
             assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
             assert taps.dtype == np.uint8 and taps.shape == (channels, cell_count(side))
             assert pool_bits.dtype == np.uint8 and pool_bits.shape == (-(-channels * cell_count(side) // 8),)
