@@ -176,11 +176,9 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             g = _hex_windows(side, spec.window, spec.stride)
             out, taps = _pool(x.reshape(x.shape[0], -1), g, spec.kind)
-            if taps is None:  # a mean
-                cache.append(None)
-            else:  # the winning taps, as ops.maxpool's, and the relu bits
-                out, bits = _activate(out, _trunk_activation(layers, i))
-                cache.append((taps, bits))
+            out, bits = _activate(out, _trunk_activation(layers, i))
+            # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
+            cache.append(None if taps is None else (taps, bits))
             x = _to_rect(out, out_side)
         else:  # flatten
             cache.append(None)

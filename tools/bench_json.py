@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -94,8 +93,7 @@ def run_child(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def meter_macs(tree: Path, workloads: list) -> dict:
     """{workload: {"native": MACs, "zeroout": MACs}}: one op of each
     layout, metered by ``tree``'s own code in a child process."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", METER, *workloads], cwd=tree, capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", METER, *workloads], cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"MAC meter in {tree} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
