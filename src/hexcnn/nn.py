@@ -10,9 +10,14 @@ matrix, so every dense layer, the softmax cross-entropy and their
 gradients are one batched product each.  A max pool right after a
 relu conv applies that conv's relu to its pooled output, so the relu
 and its derivative run on the pooled cells only; the result has the
-same bits (``_trunk_activation``).  Training is plain SGD with a fixed
-update order, so a fixed seed reproduces the same trajectory bit for
-bit.
+same bits (``_trunk_activation``).  When that pool's windows share no
+cell (hexlenet5's stride-3 side-2 pools), the conv computes only the
+cells the pool reads, in the pool's window order (``_pooled_conv``);
+the pooled values can differ from ``maxpool(conv_valid(...))`` in the
+last bits, since BLAS may round a column differently in a product of
+fewer columns.  The backward is the same either way.  Training is
+plain SGD with a fixed update order, so a fixed seed reproduces the
+same trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import numbers
 import struct
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -308,27 +314,67 @@ def _activate_tensor(t: HexTensor, kind: str) -> tuple[HexTensor, np.ndarray | N
     return HexTensor(t.side, t.channels, a), bits
 
 
+@lru_cache(maxsize=None, typed=True)
+def _window_blocks(side: int, window: int, stride: int, pool_window: int, pool_stride: int, block: int):
+    """``ops._at_windows`` for a conv on a side-``side`` input and the
+    max pool after it: the conv's window table at the pool's window
+    cells, in ``block``-patch pairs, or None when the pool's windows
+    overlap."""
+    pool = tap_gather(valid_geometry(side, window, stride), pool_window, pool_stride)
+    return ops._at_windows(tap_gather.__wrapped__(side, window, stride), pool, block)
+
+
+def _pooled_conv(net: Network, i: int, stop: int, window_blocks):
+    """The blocks a conv at layer ``i`` computes when a max pool with
+    disjoint windows comes right after it, within layers [0, stop):
+    ``window_blocks``, a layout's cached ``_window_blocks``, for that
+    pair at ``ops.PATCH_BLOCK``.  None when the next layer is anything
+    else, or a max pool whose windows overlap; the conv then computes
+    every output cell."""
+    layers = net.cfg.layers
+    if i + 1 >= stop or layers[i + 1].kind != "hexmaxpool":
+        return None
+    conv, pool = layers[i], layers[i + 1]
+    return window_blocks(net.shapes[i][1], conv.window, conv.stride, pool.window, pool.stride, ops.PATCH_BLOCK)
+
+
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
     """One sample through layers [0, stop): its flat features and cache,
     one entry per layer holding only what ``_trunk_backward`` reads.
 
-    Each layer applies ``_trunk_activation``'s activation.  A conv keeps
-    its input and its packed relu bits (None when it applies identity),
-    never its pre-activation; a max pool its one-byte winning taps,
-    taken on its input as it comes (a pre-activation when it applies
-    the relu of the conv before it), and its packed relu bits or None;
-    an average pool and the flatten None, since their sizes are in
-    ``net.shapes``."""
+    Each layer applies ``_trunk_activation``'s activation.  A conv that
+    feeds a max pool with disjoint windows computes only the cells the
+    pool reads, laid out as the pool's window array (``_pooled_conv``,
+    ``ops._conv_windows``); the pool then takes its max with no gather.
+    A conv keeps its input and its packed relu bits (None when it
+    applies identity, as every conv before a max pool does), never its
+    output; a max pool its one-byte winning taps, taken on its input as
+    it comes (a pre-activation when it applies the relu of the conv
+    before it), and its packed relu bits or None; an average pool and
+    the flatten None, since their sizes are in ``net.shapes``."""
     layers = net.cfg.layers
     x = t
+    win = None  # a conv's output at the windows of the max pool after it
     cache = []
     for i, spec in enumerate(layers[:stop]):
         if spec.kind == "hexconv":
-            y, bits = _activate_tensor(conv_valid(x, net.params[i], spec.stride), _trunk_activation(layers, i))
+            bank = net.params[i]
+            blocks = _pooled_conv(net, i, stop, _window_blocks)
+            if blocks is None:
+                y, bits = _activate_tensor(conv_valid(x, bank, spec.stride), _trunk_activation(layers, i))
+            else:  # its activation is identity: the pool applies the relu
+                w, taps = bank.weights.reshape(bank.filters, -1), cell_count(layers[i + 1].window)
+                win = ops._conv_windows(x.data, w, bank.bias, blocks, taps, ops.window_columns)
+                y, bits = None, None
             cache.append((x, bits))
             x = y
         elif spec.kind == "hexmaxpool":
-            y, taps = maxpool(x, spec.window, spec.stride)
+            if win is None:
+                y, taps = maxpool(x, spec.window, spec.stride)
+            else:
+                out, taps = ops._pool(win, spec.kind)
+                out.setflags(write=False)
+                y, win = HexTensor(net.shapes[i + 1][1], out.shape[0], out), None
             x, bits = _activate_tensor(y, _trunk_activation(layers, i))
             cache.append((taps, bits))
         elif spec.kind == "hexavgpool":

@@ -18,7 +18,13 @@ it, already in output storage order.  The matrix is built for at most
 gradients, in ``grads``) takes grows with the block, not with the
 output size.  Each block gathers through its own cached, writable copy
 of its columns of the table (``_blocks``), which ``np.take`` reads in
-place.  Pools gather their small windows whole (``_pool``).
+place; ``_product`` is the block loop, for both layouts.  Pools gather
+their small windows whole and reduce the (channels, taps, patches)
+window array (``_pool``).  A convolution that feeds a max pool whose
+windows share no cell can compute just that window array: its table at
+the pool's window cells (``_at_windows``), tap major over the windows,
+makes its product the pool's window array (``_conv_windows``), so the
+cells no window reads are never computed and the pool gathers nothing.
 
 The public kernels check their arguments, then work on plain
 (channels, cells) arrays (``window_columns``, ``_pool``).  ``nn``'s
@@ -185,12 +191,47 @@ def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.take(x, g, axis=1).reshape(-1, g.shape[1])
 
 
-def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
-    """Valid hexagonal cross-correlation plus per-filter bias.
+def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, gather) -> np.ndarray:
+    """The (filters, patches) product of the weight matrix ``w`` with the
+    window matrix ``gather(x, g)`` of each (slice, table) block, written
+    into the block's columns, plus ``bias``: the product loop of every
+    convolution forward, native (``gather`` is ``window_columns``) and
+    ZeroOut (``zeronet._window_matrix``)."""
+    last, tail = blocks[-1]
+    y = np.empty((w.shape[0], last.start + tail.shape[1]), np.result_type(w, x))
+    for b, g in blocks:
+        gemm(w, gather(x, g), out=y[:, b])
+    y += bias[:, None]
+    return y
 
-    One product per block of patches, each written into its columns of
-    the output.
+
+def _at_windows(conv: np.ndarray, pool: np.ndarray, block: int):
+    """The columns of a convolution's (taps, cells) table at the cells of
+    a max pool's (pool taps, windows) table ``pool``, tap major over the
+    windows, split into ``block``-patch pairs (``_split``); None when two
+    windows share a cell, since the product would compute that cell once
+    per window.
+
+    ``_product`` over these blocks, reshaped (filters, pool taps,
+    windows) (``_conv_windows``), is the window array ``_pool`` reads:
+    the convolution computes only the cells the pool reads, and the pool
+    gathers nothing.
     """
+    if np.unique(pool).size != pool.size:
+        return None
+    return _split(conv[:, pool.ravel()], block)
+
+
+def _conv_windows(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, taps: int, gather) -> np.ndarray:
+    """``_product`` over blocks from ``_at_windows``: a convolution's
+    output at a max pool's ``taps``-cell windows, as the pool's
+    (filters, taps, windows) window array.  Both trunks call it here, so
+    a test can replace it for both."""
+    return _product(x, w, bias, blocks, gather).reshape(w.shape[0], taps, -1)
+
+
+def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
+    """Valid hexagonal cross-correlation plus per-filter bias (``_product``)."""
     check_tensor(t, "input")
     check_bank(bank, "filter bank")
     if bank.in_channels != t.channels:
@@ -199,10 +240,7 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
         )
     out_side = valid_geometry(t.side, bank.filter_side, stride)
     w = bank.weights.reshape(bank.filters, -1)
-    y = np.empty((bank.filters, cell_count(out_side)), np.result_type(w, t.data))
-    for b, g in _blocks(t.side, bank.filter_side, stride, PATCH_BLOCK):
-        gemm(w, window_columns(t.data, g), out=y[:, b])
-    y += bank.bias[:, None]
+    y = _product(t.data, w, bank.bias, _blocks(t.side, bank.filter_side, stride, PATCH_BLOCK), window_columns)
     y.setflags(write=False)
     return HexTensor(out_side, bank.filters, y)
 
@@ -238,13 +276,13 @@ def _first_max_taps(win: np.ndarray, out: np.ndarray) -> np.ndarray:
     return taps
 
 
-def _pool(x: np.ndarray, g: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+def _pool(win: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The (channels, patches) max or mean (``kind`` is ``"hexmaxpool"``
-    or ``"hexavgpool"``) of a (channels, cells) array over the windows of
-    a tap-major (taps, patches) table, and the max's winning taps (None
-    for the mean).  The pools of both layouts run through here;
-    ``grads._unpool`` is the adjoint."""
-    win = np.take(x, g, axis=1)
+    or ``"hexavgpool"``) of a (channels, taps, patches) window array, as
+    ``np.take`` of a (channels, cells) array through a tap-major table
+    lays it out, and the max's winning taps (None for the mean).  The
+    pools of both layouts run through here; ``grads._unpool`` is the
+    adjoint."""
     if kind == "hexavgpool":
         return win.mean(axis=1), None
     out = win.max(axis=1)
@@ -265,7 +303,7 @@ def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.
     """
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    out, taps = _pool(t.data, tap_gather(t.side, window_side, stride), "hexmaxpool")
+    out, taps = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexmaxpool")
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out), taps
 
@@ -274,6 +312,6 @@ def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    out, _ = _pool(t.data, tap_gather(t.side, window_side, stride), "hexavgpool")
+    out, _ = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexavgpool")
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out)

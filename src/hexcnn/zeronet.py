@@ -6,12 +6,17 @@ float64 arrays on ``zeroout``'s one embedding: the input enters through
 through the same zero-fill scatter (``_to_rect``), and the flatten reads
 the hexagon back through its flat offsets (``_hex_flat``); this module
 keeps no embedding of its own.  Convolution multiplies the zeroed corner
-taps like a genuine hexagon-imitation framework (computing all
-rectangular output cells, not only the hexagonal ones), and corner
-weight gradients are masked so the frozen zeros never move.  Cells
-outside the embedded hexagon are re-zeroed after each layer, so the
+taps like a genuine hexagon-imitation framework (computing every
+rectangular output cell, not only the hexagonal ones, except before a
+max pool with disjoint windows; see below), and corner weight
+gradients are masked so the frozen zeros never move.  Cells outside
+the embedded hexagon are re-zeroed after each layer, so the
 hexagonal cells carry exactly the same values as the native path, up to
-floating-point summation order.
+floating-point summation order, as long as every value is finite.  A NaN
+spreads further here: the zero corner taps multiply it too, and
+0 * NaN is NaN, so a NaN input cell reaches output cells whose hexagonal
+window does not hold it (a NaN at cell 10 of a side-5 input, under an
+all-ones side-2 bank, gives NaN in 2 native output cells and 3 here).
 Only the trunk (conv and pool layers up to and including the flatten)
 lives here: it is the part that depends on the layout, and it is the
 oracle.  After the flatten both layouts run the same dense algebra, so
@@ -20,22 +25,28 @@ per-sample trunk to ``nn``'s batch driver, which runs the head once
 per batch; the finite-difference tests and the manual-composition test
 check that head on their own.
 
-The trunk lowers convolution the way the native kernels do, in its own
-code: a cached tap-major (taps, patches) window table, so one
+The trunk lowers convolution the way the native kernels do, on its own
+tables: a cached tap-major (taps, patches) window table, so one
 ``np.take`` yields a contiguous (channels*k*k, patches) window matrix.
 Like the native kernels it builds that matrix for at most
 ``ops.PATCH_BLOCK`` patches at a time, each block through its own
 cached, writable copy of its columns of the table (``_rect_blocks``,
 split by the native kernels' ``ops._split``, so ``np.take`` copies no
 table on either layout): the forward writes one ``matmul.gemm`` per
-block into the block's output columns, the filter gradient sums one
-product per block, and the col2im input gradient (a ``gemm``, then a
-per-channel ``np.bincount`` scatter through the same table) adds each
-block into the input error before the next block is built.  Pools run through the native kernels' own
-``ops._pool`` and ``grads._unpool``, on ``tap_gather``'s table addressed
-on the embedding (``_hex_windows``).  Every product is metered like the
-native path's, and the input gradient does exactly the forward
-product's MACs.  Each hex filter bank is packed into its corner-zeroed
+block into the block's output columns (``ops._product``, the native
+kernels' loop), the filter gradient sums one product per block, and
+the col2im input gradient (a ``gemm``, then a per-channel
+``np.bincount`` scatter through the same table) adds each block into
+the input error before the next block is built.  Pools run through the
+native kernels' own ``ops._pool`` and ``grads._unpool``, on
+``tap_gather``'s table addressed on the embedding (``_hex_windows``).
+A conv that feeds a max pool with disjoint windows computes only those
+windows' cells, as the native trunk does (``_rect_window_blocks``,
+``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is 1,
+so the rectangular anchors off the pool's windows, the corner anchors
+among them, are never computed.  Every product is metered like the
+native path's; the input gradient does the MACs of a forward over every
+rectangular anchor.  Each hex filter bank is packed into its corner-zeroed
 rectangles once, on first use, not per sample and pass (``_packed``).
 
 Each layer applies the activation ``nn._trunk_activation`` gives it, as
@@ -65,10 +76,10 @@ from functools import lru_cache
 import numpy as np
 
 from .grads import _scatter_add, _unpool
-from .grid import HexTensor, cells
+from .grid import HexTensor, cell_count, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad,
+    Network, TrainConfig, _activate, _backward_with, _forward_with, _pooled_conv, _relu_grad,
     _trunk_activation, apply_gradients,
 )
 from . import ops
@@ -80,16 +91,21 @@ from .zeroout import (
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
-@lru_cache(maxsize=None)
-def _rect_blocks(h: int, w: int, k: int, stride: int, block: int):
+def _rect_table(h: int, w: int, k: int, stride: int) -> np.ndarray:
     """Every k-by-k window of an h-by-w array as a tap-major (taps,
-    patches) table, taps column major within the window, split into
-    ``block``-patch (slice, table) pairs (``ops._split``); callers pass
-    ``ops.PATCH_BLOCK`` at call time."""
+    patches) table, taps column major within the window, anchors row
+    major."""
     rows = np.arange((h - k) // stride + 1) * stride * w
     cols = np.arange((w - k) // stride + 1) * stride
     taps = np.arange(k)
-    return _split((taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel(), block)
+    return (taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel()
+
+
+@lru_cache(maxsize=None)
+def _rect_blocks(h: int, w: int, k: int, stride: int, block: int):
+    """``_rect_table`` split into ``block``-patch (slice, table) pairs
+    (``ops._split``); callers pass ``ops.PATCH_BLOCK`` at call time."""
+    return _split(_rect_table(h, w, k, stride), block)
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +115,18 @@ def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
     g = _hex_flat(side)[tap_gather(side, window, stride)]
     g.setflags(write=False)
     return g
+
+
+@lru_cache(maxsize=None)
+def _rect_window_blocks(side: int, window: int, stride: int, pool_window: int, pool_stride: int, block: int):
+    """``nn._window_blocks`` on the embedding: the rectangular conv's
+    window table (``_rect_table``) at the cells of the max pool's windows
+    (``_hex_windows``), in ``block``-patch pairs, or None when the pool's
+    windows overlap.  Those cells are hexagon cells, where ``hex_mask``
+    is 1, so the conv's product there needs no mask."""
+    span, k = 2 * side - 1, 2 * window - 1
+    pool = _hex_windows(ops.valid_geometry(side, window, stride), pool_window, pool_stride)
+    return ops._at_windows(_rect_table(span, span, k, stride), pool, block)
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and
@@ -129,17 +157,12 @@ def _window_matrix(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarray:
     """Strided cross-correlation with the packed bank over every
-    rectangular anchor, plus bias; one product per block of patches,
-    each written into its columns of the output."""
+    rectangular anchor, plus bias (``ops._product``)."""
     zbank, rows = _packed(bank)
     _, h, w = x.shape
     k = zbank.span
-    out_h = (h - k) // stride + 1
-    y = np.empty((zbank.filters, out_h * ((w - k) // stride + 1)))
-    for b, g in _rect_blocks(h, w, k, stride, ops.PATCH_BLOCK):
-        gemm(rows, _window_matrix(x, g), out=y[:, b])
-    y += zbank.bias[:, None]
-    return y.reshape(zbank.filters, out_h, -1)
+    y = ops._product(x, rows, zbank.bias, _rect_blocks(h, w, k, stride, ops.PATCH_BLOCK), _window_matrix)
+    return y.reshape(zbank.filters, (h - k) // stride + 1, -1)
 
 
 def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, shape) -> np.ndarray:
@@ -163,23 +186,31 @@ def forward_zeroout(net: Network, batch):
 def _trunk_forward(net: Network, t: HexTensor, stop: int):
     layers = net.cfg.layers
     x = embed_parallelogram(t)
+    win = None  # a conv's output at the windows of the max pool after it
     cache = []
     for i, spec in enumerate(layers[:stop]):
         side, out_side = net.shapes[i][1], net.shapes[i + 1][1]
         if spec.kind == "hexconv":
-            z = _rect_conv_all(x, net.params[i], spec.stride)
-            z *= hex_mask(out_side)
-            a, bits = _activate(z, _trunk_activation(layers, i))
+            blocks = _pooled_conv(net, i, stop, _rect_window_blocks)
+            if blocks is None:
+                z = _rect_conv_all(x, net.params[i], spec.stride)
+                z *= hex_mask(out_side)
+                a, bits = _activate(z, _trunk_activation(layers, i))
+                del z  # not live beside the next conv's output
+            else:  # its activation is identity: the pool applies the relu
+                (zbank, rows), taps = _packed(net.params[i]), cell_count(layers[i + 1].window)
+                win = ops._conv_windows(x, rows, zbank.bias, blocks, taps, _window_matrix)
+                a, bits = None, None
             cache.append((x, bits))
             x = a
-            del z  # not live beside the next conv's output
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            g = _hex_windows(side, spec.window, spec.stride)
-            out, taps = _pool(x.reshape(x.shape[0], -1), g, spec.kind)
+            if win is None:
+                win = np.take(x.reshape(x.shape[0], -1), _hex_windows(side, spec.window, spec.stride), axis=1)
+            out, taps = _pool(win, spec.kind)
             out, bits = _activate(out, _trunk_activation(layers, i))
             # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
             cache.append(None if taps is None else (taps, bits))
-            x = _to_rect(out, out_side)
+            x, win = _to_rect(out, out_side), None
         else:  # flatten
             cache.append(None)
             x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()

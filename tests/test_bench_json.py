@@ -20,6 +20,9 @@ def bench_json():
     return mod
 
 
+BETTER = {"op_ms.p50": "lower", "ok_frac": "higher"}
+
+
 def _run(seed, op_ms, digest):
     return {"seed": seed, "metrics": {"op_ms.p50": op_ms, "ok_frac": 1.0}, "setup_samples_s": [0.3, 0.4],
             "digest": digest, "provenance": {"git_sha": None}}
@@ -30,7 +33,7 @@ def test_summary_gives_medians_quartiles_and_ratios(bench_json):
         "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
         "change": [_run(1, 8.0, "a"), _run(2, 9.0, "b"), _run(3, 7.0, "c")],
     }
-    out = bench_json.summarize(runs)
+    out = bench_json.summarize(runs, BETTER)
     assert out["parent"]["quartiles"]["op_ms.p50"] == [11.0, 12.0, 13.0]
     assert out["change"]["median"]["op_ms.p50"] == 8.0
     assert out["ratio"] == {"op_ms.p50": 8.0 / 12.0, "ok_frac": 1.0}
@@ -42,7 +45,7 @@ def test_summary_gives_medians_quartiles_and_ratios(bench_json):
 
 def test_summary_flags_a_pair_whose_digests_differ(bench_json):
     runs = {"parent": [_run(1, 10.0, "a")], "change": [_run(1, 10.0, "x")]}
-    out = bench_json.summarize(runs)
+    out = bench_json.summarize(runs, BETTER)
     assert not out["digests_equal"]
     assert out["parent"]["quartiles"]["op_ms.p50"] == [10.0, 10.0, 10.0]
 
@@ -53,3 +56,28 @@ def test_mac_section_gives_each_trees_ratio_beside_seven_twelfths(bench_json):
     assert out["parent"] == {"native": 63, "zeroout": 100, "ratio": 0.63}
     assert out["change"]["ratio"] == out["side2_ratio"] == 7 / 12
     assert counts["parent"] == {"native": 63, "zeroout": 100}  # not written into
+
+
+def test_verdict_counts_won_pairs_in_the_metrics_direction(bench_json):
+    parent, change = [10.0, 12.0, 14.0, 11.0, 13.0], [9.0, 12.0, 15.0, 8.0, 10.0]
+    lower = bench_json.verdict(parent, change, "lower")
+    assert lower["pairs_won"] == 3 and lower["pairs"] == 5  # the tie at 12.0 goes to neither side
+    # medians 12 -> 10; the parent's quartiles are 11 and 13
+    assert lower["median_gain"] == 2.0 and lower["parent_iqr"] == 2.0
+    assert not lower["gain_exceeds_parent_iqr"]  # a gain must exceed the spread, not match it
+    higher = bench_json.verdict(parent, change, "higher")
+    assert higher["pairs_won"] == 1 and higher["median_gain"] == -2.0 and not higher["gain_exceeds_parent_iqr"]
+    assert bench_json.verdict(parent, [c - 0.5 for c in change], "lower")["gain_exceeds_parent_iqr"]
+
+
+def test_summary_gives_a_verdict_per_directed_metric(bench_json):
+    runs = {
+        "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
+        "change": [_run(1, 8.0, "a"), _run(2, 12.0, "b"), _run(3, 7.0, "c")],
+    }
+    out = bench_json.summarize(runs, {"op_ms.p50": "lower"})
+    assert list(out["verdict"]) == ["op_ms.p50"]  # ok_frac has no direction here
+    assert out["verdict"]["op_ms.p50"] == {
+        "pairs_won": 2, "pairs": 3, "median_gain": 4.0, "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True,
+    }
+    assert bench_json.summarize(runs, BETTER)["verdict"]["ok_frac"]["pairs_won"] == 0  # all ties

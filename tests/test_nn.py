@@ -574,6 +574,21 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
         for w, values in zip(windows, planted):
             z[:, g[:, w]] = values
 
+    # a conv that feeds a pool with disjoint windows computes only the
+    # pool's window array (ops._conv_windows), on either layout; in these
+    # configs that is the planted conv alone, and only before a
+    # non-overlapping pool
+    fused, conv_windows = [], ops._conv_windows
+
+    def planted_windows(*args):  # (filters, taps, windows)
+        win = conv_windows(*args)
+        for w, values in zip(windows, planted):
+            win[:, :, w] = values
+        fused.append(win.shape)
+        return win
+
+    monkeypatch.setattr(ops, "_conv_windows", planted_windows)
+
     def conv(x, bank, stride):
         z = conv_valid(x, bank, stride)
         if bank is not net.params[conv_layer]:
@@ -603,6 +618,8 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
     stop = nn._head_start(net)
     d = 7.0 * rng.integers(-3, 4, net.shapes[stop][1])  # exact after the average pool's 1/7
     features, cache = module._trunk_forward(net, t, stop)
+    disjoint = np.unique(g).size == g.size
+    assert fused == ([(layers[conv_layer].filters, g.shape[0], g.shape[1])] if disjoint else [])
     got = nn._trunk_grads(net)
     module._trunk_backward(net, cache, d, got)
     assert not cache
@@ -614,6 +631,61 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
             for a, b in zip(got[i], want[i]):
                 # only the sign of an exact zero may differ
                 assert np.array_equal(a, b, equal_nan=True)
+
+
+def _conv_pool_cfg(side, channels, filters, pool_stride):
+    """An identity side-2 conv, a side-2 max pool, a flatten and a dense
+    layer into softmax: the trunk's features are the pooled conv output."""
+    return NetworkConfig(
+        side,
+        channels,
+        (
+            LayerSpec.conv(filters, 2, 1, "identity"),
+            LayerSpec.maxpool(2, pool_stride),
+            LayerSpec.flatten(),
+            LayerSpec.dense(2),
+            LayerSpec.softmax(),
+        ),
+        3,
+    )
+
+
+@pytest.mark.parametrize("block", [PATCH_BLOCK, 5])
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch, block, layout):
+    monkeypatch.setattr(ops, "PATCH_BLOCK", block)
+    # each layout's taps per conv output cell, and the cells a conv over
+    # a whole side-s output computes: the hexagon, or its embedding
+    module, taps, cells = {
+        "native": (nn, 7, cell_count),
+        "zeroout": (zeronet, 9, lambda s: (2 * s - 1) ** 2),
+    }[layout]
+    rng = np.random.default_rng(41)
+    # lenet-train's two conv-pool pairs at full size (hexlenet5 on side
+    # 37): stride-3 side-2 pools, whose windows share no cell
+    for side, channels, filters in ((37, 1, 6), (12, 6, 16)):
+        net = build_network(_conv_pool_cfg(side, channels, filters, 3))
+        t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
+        with MacMeter() as meter:
+            features, cache = module._trunk_forward(net, t, 3)
+        want, want_taps = maxpool(conv_valid(t, net.params[0]), 2, 3)
+        # the product has fewer columns than conv_valid's, which can move
+        # BLAS's last bits
+        assert np.abs(features - want.data.ravel()).max() <= 1e-13
+        assert cache[1][0].tobytes() == want_taps.tobytes() and cache[1][1] is None
+        # the product covered the pool's 7 cells a window and no other cell
+        assert meter.macs == filters * channels * taps * 7 * cell_count(net.shapes[2][1])
+
+    # an overlapping pool (a VGG block's stride-2 pool) keeps the conv over
+    # every output cell
+    net = build_network(_vgg_block_cfg())
+    t = HexTensor(9, 2, rng.standard_normal((2, cell_count(9))))
+    with MacMeter() as meter:
+        module._trunk_forward(net, t, nn._head_start(net))
+    convs = [(i, spec) for i, spec in enumerate(net.cfg.layers) if spec.kind == "hexconv"]
+    assert meter.macs == sum(
+        spec.filters * net.shapes[i][2] * taps * cells(net.shapes[i + 1][1]) for i, spec in convs
+    )
 
 
 def test_forward_rejects_empty_batches_and_items_that_are_not_tensors():
@@ -772,6 +844,25 @@ def test_zeroout_training_trajectory_matches():
         la = train_step(net_a, batch, y, tc)
         lb = train_step_zeroout(net_b, batch, y, tc)
         assert abs(la - lb) <= 1e-8 * max(abs(la), abs(lb))
+
+
+@pytest.mark.parametrize("pool", [(), (LayerSpec.maxpool(1, 1),)], ids=["conv", "conv-pool"])
+def test_zeroout_spreads_a_nan_into_more_cells_than_the_native_conv(pool):
+    # ZeroOut multiplies the zero corner taps too, and 0 * NaN is NaN, so
+    # a NaN input reaches output cells whose hexagonal window misses it;
+    # a side-1 max pool has disjoint windows, so its conv is the fused one
+    x = np.zeros((1, cell_count(5)))
+    x[0, 10] = np.nan
+    t = HexTensor(5, 1, x)
+    cfg = NetworkConfig(
+        5, 1, (LayerSpec.conv(1, 2, 1, "identity"), *pool, LayerSpec.flatten(), LayerSpec.dense(2), LayerSpec.softmax())
+    )
+    net = build_network(cfg)
+    net.params[0] = ops.HexFilterBank(2, np.ones((1, 1, 7)))
+    stop = nn._head_start(net)
+    (native, _), (embedded, _) = (module._trunk_forward(net, t, stop) for module in (nn, zeronet))
+    native, embedded = set(np.flatnonzero(np.isnan(native))), set(np.flatnonzero(np.isnan(embedded)))
+    assert native < embedded and (len(native), len(embedded)) == (2, 3)
 
 
 def test_zeroout_twin_supports_avgpool():

@@ -18,11 +18,14 @@ commit, and per workload and tree the runs (every end-to-end metric,
 ``setup_samples_s``, the same-seed digest) with their medians and
 quartiles and the provenance the first run recorded (its ``git_sha``
 is null: an export has no repository), the change/parent ratio of each
-median, and the per-pair ratios.  One more child per tree imports that
-tree's ``hexbench/workloads.py`` and meters one native and one ZeroOut
-op of each workload (seed 1) with ``instrument.MacMeter``; each
-workload's ``macs`` section holds both counts per tree and their ratio,
-beside the 7/12 a side-2 convolution does.  Nothing under ``hexbench/``
+median, the per-pair ratios, and per end-to-end metric a verdict: the
+pairs the change won in BENCHMARK.json's ``better`` direction, and
+whether its median gain exceeds the parent's interquartile spread.
+One more child per tree imports that tree's ``hexbench/workloads.py``
+and meters one native and one ZeroOut op of each workload (seed 1) with
+``instrument.MacMeter``; each workload's ``macs`` section holds both
+counts per tree and their ratio, beside the 7/12 a side-2 convolution
+does.  Nothing under ``hexbench/``
 is changed; the children run it as it is in each tree.
 """
 
@@ -113,13 +116,36 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def summarize(runs: dict) -> dict:
-    """One workload's section from ``runs`` = {tree: [run records, in pair order]}.
+def verdict(parent: list, change: list, better: str) -> dict:
+    """Whether the change beat the parent on one metric, from its values
+    in pair order and the metric's ``better`` direction ("lower" or
+    "higher"): ``pairs_won`` counts the pairs the change won (a tie goes
+    to neither side); ``median_gain`` is the change's median minus the
+    parent's, signed so that a gain is positive; ``gain_exceeds_parent_iqr``
+    is true when that gain is larger than the spread between the
+    parent's quartiles."""
+    sign = {"lower": -1, "higher": 1}[better]
+    (q1, pmed, q3), cmed = _quartiles(parent), _quartiles(change)[1]
+    gain = sign * (cmed - pmed)
+    return {
+        "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "median_gain": gain,
+        "parent_iqr": q3 - q1,
+        "gain_exceeds_parent_iqr": gain > q3 - q1,
+    }
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    """One workload's section from ``runs`` = {tree: [run records, in pair
+    order]} and ``better`` = {metric: "lower" or "higher"}, BENCHMARK.json's
+    end-to-end directions.
 
     Each tree gets the median and quartiles of every metric over its
     runs; ``ratio`` divides the change's median by the parent's, and
-    ``pair_ratios`` does so pair by pair.  ``digests_equal`` is true when
-    every pair's two runs gave the same digest (same seed, same bits).
+    ``pair_ratios`` does so pair by pair.  ``verdict`` holds each
+    directed metric's ``verdict``.  ``digests_equal`` is true when every
+    pair's two runs gave the same digest (same seed, same bits).
     """
     names = list(runs["parent"][0]["metrics"])
     out = {}
@@ -134,6 +160,10 @@ def summarize(runs: dict) -> dict:
     pairs = list(zip(runs["parent"], runs["change"]))
     out["ratio"] = {k: _ratio(out["change"]["median"][k], out["parent"]["median"][k]) for k in names}
     out["pair_ratios"] = {k: [_ratio(c["metrics"][k], p["metrics"][k]) for p, c in pairs] for k in names}
+    out["verdict"] = {
+        k: verdict([p["metrics"][k] for p, _ in pairs], [c["metrics"][k] for _, c in pairs], better[k])
+        for k in names if k in better
+    }
     out["digests_equal"] = all(p["digest"] == c["digest"] for p, c in pairs)
     return out
 
@@ -155,6 +185,7 @@ def main(argv=None) -> int:
         sys.exit("tracked files differ from HEAD; commit them first, since the change side runs HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     doc = {
         "n": args.n,
@@ -178,12 +209,15 @@ def main(argv=None) -> int:
                     runs[tree].append(run_child(trees[tree], workload, seed, seconds))
                     print(f"{workload} seed {seed} {tree}: op_ms.p50 "
                           f"{runs[tree][-1]['metrics']['op_ms.p50']:.3f}", file=sys.stderr, flush=True)
-            doc["workloads"][workload] = summarize(runs)
+            doc["workloads"][workload] = summarize(runs, better)
             doc["workloads"][workload]["macs"] = mac_ratios({tree: macs[tree][workload] for tree in TREES})
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, w in doc["workloads"].items():
+        v = w["verdict"]["op_ms.p50"]
         print(f"{workload}: op_ms.p50 change/parent {w['ratio']['op_ms.p50']:.3f}, "
+              f"won {v['pairs_won']} of {v['pairs']} pairs, median gain {v['median_gain']:.3f} ms "
+              f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
               f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}")
     print(path)
     return 0
