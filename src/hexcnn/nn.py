@@ -371,11 +371,12 @@ def _trunk_forward(net: Network, t: HexTensor, stop: int):
         elif spec.kind == "hexmaxpool":
             if win is None:
                 y, taps = maxpool(x, spec.window, spec.stride)
+                x, bits = _activate_tensor(y, _trunk_activation(layers, i))
             else:
                 out, taps = ops._pool(win, spec.kind)
-                out.setflags(write=False)
-                y, win = HexTensor(net.shapes[i + 1][1], out.shape[0], out), None
-            x, bits = _activate_tensor(y, _trunk_activation(layers, i))
+                a, bits = _activate(out, _trunk_activation(layers, i))
+                a.setflags(write=False)
+                x, win = HexTensor(net.shapes[i + 1][1], a.shape[0], a), None
             cache.append((taps, bits))
         elif spec.kind == "hexavgpool":
             cache.append(None)
