@@ -633,15 +633,16 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
                 assert np.array_equal(a, b, equal_nan=True)
 
 
-def _conv_pool_cfg(side, channels, filters, pool_stride):
-    """An identity side-2 conv, a side-2 max pool, a flatten and a dense
-    layer into softmax: the trunk's features are the pooled conv output."""
+def _conv_pool_cfg(side, channels, filters):
+    """An identity side-2 conv, a stride-3 side-2 max pool, a flatten and a
+    dense layer into softmax: the trunk's features are the pooled conv
+    output."""
     return NetworkConfig(
         side,
         channels,
         (
             LayerSpec.conv(filters, 2, 1, "identity"),
-            LayerSpec.maxpool(2, pool_stride),
+            LayerSpec.maxpool(2, 3),
             LayerSpec.flatten(),
             LayerSpec.dense(2),
             LayerSpec.softmax(),
@@ -664,7 +665,7 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
     # lenet-train's two conv-pool pairs at full size (hexlenet5 on side
     # 37): stride-3 side-2 pools, whose windows share no cell
     for side, channels, filters in ((37, 1, 6), (12, 6, 16)):
-        net = build_network(_conv_pool_cfg(side, channels, filters, 3))
+        net = build_network(_conv_pool_cfg(side, channels, filters))
         t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
         with MacMeter() as meter:
             features, cache = module._trunk_forward(net, t, 3)

@@ -25,8 +25,8 @@ One more child per tree imports that tree's ``hexbench/workloads.py``
 and meters one native and one ZeroOut op of each workload (seed 1) with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
 counts per tree and their ratio, beside the 7/12 a side-2 convolution
-does.  Nothing under ``hexbench/``
-is changed; the children run it as it is in each tree.
+does.  Nothing under ``hexbench/`` is changed; the children run it as
+it is in each tree.
 """
 
 from __future__ import annotations
