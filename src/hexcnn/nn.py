@@ -7,17 +7,18 @@ dense head works exactly like any rectangle-based network.  The trunk
 at a time, which keeps each sample's activations small enough to stay
 in cache; the flattened features are stacked into a (batch, features)
 matrix, so every dense layer, the softmax cross-entropy and their
-gradients are one batched product each.  A max pool right after a
-relu conv applies that conv's relu to its pooled output, so the relu
-and its derivative run on the pooled cells only; the result has the
-same bits (``_trunk_activation``).  When that pool's windows share no
-cell (hexlenet5's stride-3 side-2 pools), the conv computes only the
-cells the pool reads, in the pool's window order (``_pooled_conv``);
-the pooled values can differ from ``maxpool(conv_valid(...))`` in the
-last bits, since BLAS may round a column differently in a product of
-fewer columns.  The backward is the same either way.  Training is
-plain SGD with a fixed update order, so a fixed seed reproduces the
-same trajectory bit for bit.
+gradients are one batched product each.  Each layout walks a trunk plan
+decided once per network and block size (``_trunk_steps``, cached by
+``_trunk_plan``): a max pool right after a relu conv applies that
+conv's relu to its pooled output, so the relu and its derivative run on
+the pooled cells only, with the same bits; and when that pool's windows
+share no cell (hexlenet5's stride-3 side-2 pools), the conv computes
+only the cells the pool reads, in the pool's window order.  Those
+pooled values can differ from ``maxpool(conv_valid(...))`` in the last
+bits, since BLAS may round a column differently in a product of fewer
+columns.  The backward is the same either way.  Training is plain SGD
+with a fixed update order, so a fixed seed reproduces the same
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import ops
 from .grads import _filter_grad, _input_grad, _unpool
 from .grid import HexTensor, cell_count, check_int, check_tensor
 from .matmul import gemm
-from .ops import HexFilterBank, _blocks, avgpool, conv_valid, maxpool, tap_gather, valid_geometry
+from .ops import HexFilterBank, _blocks, conv_valid, tap_gather, valid_geometry
 
 __all__ = [
     "LayerSpec",
@@ -242,24 +243,6 @@ def _activate(z: np.ndarray, kind: str):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _trunk_activation(layers, i: int) -> str:
-    """The activation trunk layer ``i`` of ``layers`` applies to its
-    output.  Max commutes with relu, so a relu conv whose next layer is a
-    max pool applies identity and that pool applies the relu, to its
-    pooled cells only: ``relu(maxpool(z))`` in place of
-    ``maxpool(relu(z))``.  Both give the same bits, NaN included, since
-    ``np.maximum(z, 0.0)`` maps -0.0 to +0.0 and passes NaN through.
-    Every other conv applies its own activation, and every other layer
-    identity."""
-    spec = layers[i]
-    if spec.kind == "hexconv":
-        deferred = spec.activation == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "hexmaxpool"
-        return "identity" if deferred else spec.activation
-    if spec.kind == "hexmaxpool" and i > 0 and layers[i - 1].kind == "hexconv":
-        return layers[i - 1].activation
-    return "identity"
-
-
 def _relu_grad(d: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """``d`` times relu's derivative, from the bits ``_activate`` packed
     for an input shaped like ``d``: the bits of ``d * (z > 0)``."""
@@ -296,95 +279,98 @@ def _xent_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     return float(loss), d
 
 
-def _head_start(net: Network) -> int:
+def _head_start(layers) -> int:
     """Index of the first layer after the flatten: where the head begins."""
-    for i, spec in enumerate(net.cfg.layers):
+    for i, spec in enumerate(layers):
         if spec.kind == "flatten":
             return i + 1
     raise ValueError("network has no flatten layer")
 
 
-def _activate_tensor(t: HexTensor, kind: str) -> tuple[HexTensor, np.ndarray | None]:
-    """``_activate`` on a tensor: the activated tensor (``t`` itself for
-    identity) and the packed relu bits."""
-    a, bits = _activate(t.data, kind)
-    if bits is None:
-        return t, None
-    a.setflags(write=False)
-    return HexTensor(t.side, t.channels, a), bits
+def _trunk_steps(layers, shapes, conv_table, pool_table, block: int) -> tuple:
+    """The trunk of ``layers`` (conv and pool layers up to and including
+    the flatten) as one ``(spec, input side, activation, windows)`` step
+    per layer; ``shapes`` are the network's.
+
+    Max commutes with relu, so a relu conv whose next layer is a max pool
+    applies identity and that pool applies the relu, to its pooled cells
+    only: ``relu(maxpool(z))`` in place of ``maxpool(relu(z))``.  Both
+    give the same bits, NaN included, since ``np.maximum(z, 0.0)`` maps
+    -0.0 to +0.0 and passes NaN through.  Every other conv applies its
+    own activation, and every other layer identity.
+
+    ``windows`` is set on a conv whose next layer is a max pool with
+    disjoint windows: ``ops._at_windows`` of the layout's conv table,
+    ``conv_table(side, window, stride)``, at the pool's windows,
+    ``pool_table(side, window, stride)``, in ``block``-patch pairs.  The
+    conv then computes only the cells the pool reads, as the pool's
+    window array (``ops._conv_windows``).  It is None on every other
+    step, and on a conv whose pool's windows overlap."""
+    trunk = layers[: _head_start(layers)]
+    steps = []
+    for i, spec in enumerate(trunk):
+        side, act, windows = shapes[i][1], "identity", None
+        if spec.kind == "hexconv" and trunk[i + 1].kind == "hexmaxpool":  # the flatten ends the trunk
+            pool = trunk[i + 1]
+            conv = conv_table(side, spec.window, spec.stride)
+            windows = ops._at_windows(conv, pool_table(shapes[i + 1][1], pool.window, pool.stride), block)
+        elif spec.kind == "hexconv":
+            act = spec.activation
+        elif spec.kind == "hexmaxpool" and i > 0 and trunk[i - 1].kind == "hexconv":
+            act = trunk[i - 1].activation
+        steps.append((spec, side, act, windows))
+    return tuple(steps)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _window_blocks(side: int, window: int, stride: int, pool_window: int, pool_stride: int, block: int):
-    """``ops._at_windows`` for a conv on a side-``side`` input and the
-    max pool after it: the conv's window table at the pool's window
-    cells, in ``block``-patch pairs, or None when the pool's windows
-    overlap."""
-    pool = tap_gather(valid_geometry(side, window, stride), pool_window, pool_stride)
-    return ops._at_windows(tap_gather.__wrapped__(side, window, stride), pool, block)
+@lru_cache(maxsize=None)
+def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
+    """``_trunk_steps`` on the hexagon: the conv's window table
+    (uncached, as in ``ops._blocks``) at the cells of the pool's
+    ``tap_gather`` table.  ``_forward_with`` looks it up once per batch,
+    at the ``ops.PATCH_BLOCK`` of the call."""
+    return _trunk_steps(layers, shapes, tap_gather.__wrapped__, tap_gather, block)
 
 
-def _pooled_conv(net: Network, i: int, stop: int, window_blocks):
-    """The blocks a conv at layer ``i`` computes when a max pool with
-    disjoint windows comes right after it, within layers [0, stop):
-    ``window_blocks``, a layout's cached ``_window_blocks``, for that
-    pair at ``ops.PATCH_BLOCK``.  None when the next layer is anything
-    else, or a max pool whose windows overlap; the conv then computes
-    every output cell."""
-    layers = net.cfg.layers
-    if i + 1 >= stop or layers[i + 1].kind != "hexmaxpool":
-        return None
-    conv, pool = layers[i], layers[i + 1]
-    return window_blocks(net.shapes[i][1], conv.window, conv.stride, pool.window, pool.stride, ops.PATCH_BLOCK)
+def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
+    """One sample through the trunk ``plan`` (``_trunk_plan``): its flat
+    features and cache, one entry per layer holding only what
+    ``_trunk_backward`` reads.
 
-
-def _trunk_forward(net: Network, t: HexTensor, stop: int):
-    """One sample through layers [0, stop): its flat features and cache,
-    one entry per layer holding only what ``_trunk_backward`` reads.
-
-    Each layer applies ``_trunk_activation``'s activation.  A conv that
-    feeds a max pool with disjoint windows computes only the cells the
-    pool reads, laid out as the pool's window array (``_pooled_conv``,
-    ``ops._conv_windows``); the pool then takes its max with no gather.
-    A conv keeps its input and its packed relu bits (None when it
-    applies identity, as every conv before a max pool does), never its
-    output; a max pool its one-byte winning taps, taken on its input as
-    it comes (a pre-activation when it applies the relu of the conv
-    before it), and its packed relu bits or None; an average pool and
-    the flatten None, since their sizes are in ``net.shapes``."""
-    layers = net.cfg.layers
-    x = t
-    win = None  # a conv's output at the windows of the max pool after it
-    cache = []
-    for i, spec in enumerate(layers[:stop]):
+    Each layer applies its step's activation.  A conv with window blocks
+    computes only the cells the max pool after it reads, as the pool's
+    window array (``ops._conv_windows``); the pool then takes its max
+    with no gather.  Every other conv runs ``conv_valid``, and every
+    other pool gathers its windows through ``tap_gather``; both pool
+    kinds reduce them in ``ops._pool``.  A conv keeps its input and its
+    packed relu bits (None when it applies identity, as every conv
+    before a max pool does), never its output; a max pool its one-byte
+    winning taps, taken on its input as it comes (a pre-activation when
+    it applies the relu of the conv before it), and its packed relu bits
+    or None; an average pool and the flatten None, since their sizes are
+    in ``net.shapes``."""
+    x, win, cache = t, None, []  # win: a conv's output at the windows of the max pool after it
+    for i, (spec, side, act, windows) in enumerate(plan[:-1]):
         if spec.kind == "hexconv":
             bank = net.params[i]
-            blocks = _pooled_conv(net, i, stop, _window_blocks)
-            if blocks is None:
-                y, bits = _activate_tensor(conv_valid(x, bank, spec.stride), _trunk_activation(layers, i))
+            if windows is None:
+                out, bits = _activate(conv_valid(x, bank, spec.stride).data, act)
             else:  # its activation is identity: the pool applies the relu
-                w, taps = bank.weights.reshape(bank.filters, -1), cell_count(layers[i + 1].window)
-                win = ops._conv_windows(x.data, w, bank.bias, blocks, taps, ops.window_columns)
-                y, bits = None, None
+                w, taps = bank.weights.reshape(bank.filters, -1), cell_count(plan[i + 1][0].window)
+                win = ops._conv_windows(x.data, w, bank.bias, windows, taps, ops.window_columns)
+                out = bits = None
             cache.append((x, bits))
-            x = y
-        elif spec.kind == "hexmaxpool":
+        else:  # a pool
             if win is None:
-                y, taps = maxpool(x, spec.window, spec.stride)
-                x, bits = _activate_tensor(y, _trunk_activation(layers, i))
-            else:
-                out, taps = ops._pool(win, spec.kind)
-                a, bits = _activate(out, _trunk_activation(layers, i))
-                a.setflags(write=False)
-                x, win = HexTensor(net.shapes[i + 1][1], a.shape[0], a), None
-            cache.append((taps, bits))
-        elif spec.kind == "hexavgpool":
-            cache.append(None)
-            x = avgpool(x, spec.window, spec.stride)
-        else:  # flatten
-            cache.append(None)
-            x = x.data.ravel()
-    return x, cache
+                win = np.take(x.data, tap_gather(side, spec.window, spec.stride), axis=1)
+            out, taps = ops._pool(win, spec.kind)
+            out, bits = _activate(out, act)
+            cache.append(None if taps is None else (taps, bits))
+            win = None
+        if out is not None:
+            out.setflags(write=False)
+            x = HexTensor(plan[i + 1][1], out.shape[0], out)
+    cache.append(None)  # the flatten
+    return x.data.ravel(), cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,26 +389,32 @@ class _Caches:
         return len(self.trunk)
 
 
-def _forward_with(net: Network, batch, trunk_forward) -> tuple[np.ndarray, _Caches]:
-    """``forward`` with the per-sample trunk passed in: ``trunk_forward(net,
-    t, stop)`` returns one sample's flat features and its trunk cache.
-    The dense head is the same algebra on every layout.  An empty batch
-    or an item that is not a ``HexTensor`` raises ``ValueError``."""
-    stop = _head_start(net)
+def _forward_with(net: Network, batch, trunk_plan, trunk_forward) -> tuple[np.ndarray, _Caches]:
+    """``forward`` with a layout's trunk passed in: ``trunk_plan(layers,
+    shapes, block)``, looked up once per batch at the current
+    ``ops.PATCH_BLOCK``, and ``trunk_forward(net, plan, t)``, which
+    returns one sample's flat features and its trunk cache.  The dense
+    head is the same algebra on every layout.  An empty batch, or an
+    item that is not a float64 ``HexTensor`` of the input's shape, raises
+    ``ValueError``: the network's parameters are float64, and a float32
+    item would be promoted silently."""
+    plan = trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
     features = []
     trunk = []
     for t in batch:
         check_tensor(t, "batch items")
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
-        x, cache = trunk_forward(net, t, stop)
+        if t.dtype != np.float64:
+            raise ValueError(f"batch items must be float64, the network's dtype, got {t.dtype}")
+        x, cache = trunk_forward(net, plan, t)
         features.append(x)
         trunk.append(cache)
     if not trunk:
         raise ValueError("batch is empty")
     x = np.stack(features)
     head = []
-    for i in range(stop, len(net.cfg.layers)):
+    for i in range(len(plan), len(net.cfg.layers)):
         spec = net.cfg.layers[i]
         if spec.kind == "dense":
             w, b = net.params[i]
@@ -441,7 +433,7 @@ def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
     cache; the flattened features are stacked into (B, features) and
     every dense layer of the head runs once for the whole batch.
     """
-    return _forward_with(net, batch, _trunk_forward)
+    return _forward_with(net, batch, _trunk_plan, _trunk_forward)
 
 
 def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:

@@ -40,29 +40,31 @@ the col2im input gradient (a ``gemm``, then a per-channel
 the input error before the next block is built.  Pools run through the
 native kernels' own ``ops._pool`` and ``grads._unpool``, on
 ``tap_gather``'s table addressed on the embedding (``_hex_windows``).
-A conv that feeds a max pool with disjoint windows computes only those
-windows' cells, as the native trunk does (``_rect_window_blocks``,
-``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is 1,
-so the rectangular anchors off the pool's windows, the corner anchors
-among them, are never computed.  Every product is metered like the
-native path's; the input gradient does the MACs of a forward over every
-rectangular anchor.  Each hex filter bank is packed into its corner-zeroed
-rectangles once, on first use, not per sample and pass (``_packed``).
+The trunk walks its own plan (``_trunk_plan``), built by the native
+trunk's ``nn._trunk_steps`` on this layout's tables, so both layouts
+make the same decisions.  A conv that feeds a max pool with disjoint
+windows computes only those windows' cells, as the native trunk does
+(``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is
+1, so the rectangular anchors off the pool's windows, the corner
+anchors among them, are never computed.  Every product is metered like
+the native path's; the input gradient does the MACs of a forward over
+every rectangular anchor.  Each hex filter bank is packed into its
+corner-zeroed rectangles once, on first use, not per sample and pass
+(``_packed``).
 
-Each layer applies the activation ``nn._trunk_activation`` gives it, as
-the native trunk does: a relu conv right before a max pool leaves its
-relu to the pool, which applies it to its pooled output only.  The
-backward cache holds what the native trunk's does: a conv keeps its
-embedded input and, when it applies relu, the packed bits of ``z > 0``
-for its hex-masked output ``z`` (from ``nn._activate``, one bit a
-value), never the float64 pre-activation; a max pool keeps the winning
-taps ``ops._pool`` returns, rows of its window table, one byte each as
-the native pool's, and the packed bits of its pooled output when it
-applies relu; an average pool and the flatten keep None, since their
-sizes are in ``net.shapes``.  ``nn``'s driver hands
-``_trunk_backward`` each sample's cache list, which pops every entry as
-it walks it and drops a conv's input once its filter gradient is
-formed.
+Each layer applies its plan step's activation, as the native trunk
+does: a relu conv right before a max pool leaves its relu to the pool,
+which applies it to its pooled output only.  The backward cache holds
+what the native trunk's does: a conv keeps its embedded input and, when
+it applies relu, the packed bits of ``z > 0`` for its hex-masked output
+``z`` (from ``nn._activate``, one bit a value), never the float64
+pre-activation; a max pool keeps the winning taps ``ops._pool``
+returns, rows of its window table, one byte each as the native pool's,
+and the packed bits of its pooled output when it applies relu; an
+average pool and the flatten keep None, since their sizes are in
+``net.shapes``.  ``nn``'s driver hands ``_trunk_backward`` each
+sample's cache list, which pops every entry as it walks it and drops a
+conv's input once its filter gradient is formed.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -79,8 +81,7 @@ from .grads import _scatter_add, _unpool
 from .grid import HexTensor, cell_count, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _forward_with, _pooled_conv, _relu_grad,
-    _trunk_activation, apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad, _trunk_steps, apply_gradients,
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
@@ -118,15 +119,17 @@ def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rect_window_blocks(side: int, window: int, stride: int, pool_window: int, pool_stride: int, block: int):
-    """``nn._window_blocks`` on the embedding: the rectangular conv's
+def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
+    """``nn._trunk_steps`` on the embedding: the rectangular conv's
     window table (``_rect_table``) at the cells of the max pool's windows
-    (``_hex_windows``), in ``block``-patch pairs, or None when the pool's
-    windows overlap.  Those cells are hexagon cells, where ``hex_mask``
+    (``_hex_windows``).  Those cells are hexagon cells, where ``hex_mask``
     is 1, so the conv's product there needs no mask."""
-    span, k = 2 * side - 1, 2 * window - 1
-    pool = _hex_windows(ops.valid_geometry(side, window, stride), pool_window, pool_stride)
-    return ops._at_windows(_rect_table(span, span, k, stride), pool, block)
+
+    def conv_table(side, window, stride):
+        span = 2 * side - 1
+        return _rect_table(span, span, 2 * window - 1, stride)
+
+    return _trunk_steps(layers, shapes, conv_table, _hex_windows, block)
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and
@@ -180,41 +183,35 @@ def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, s
 
 def forward_zeroout(net: Network, batch):
     """``nn.forward`` with the trunk run on the parallelogram embedding."""
-    return _forward_with(net, batch, _trunk_forward)
+    return _forward_with(net, batch, _trunk_plan, _trunk_forward)
 
 
-def _trunk_forward(net: Network, t: HexTensor, stop: int):
-    layers = net.cfg.layers
-    x = embed_parallelogram(t)
-    win = None  # a conv's output at the windows of the max pool after it
-    cache = []
-    for i, spec in enumerate(layers[:stop]):
-        side, out_side = net.shapes[i][1], net.shapes[i + 1][1]
+def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
+    x, win, cache = embed_parallelogram(t), None, []  # win: a conv's output at its max pool's windows
+    for i, (spec, side, act, windows) in enumerate(plan[:-1]):
+        out_side = plan[i + 1][1]
         if spec.kind == "hexconv":
-            blocks = _pooled_conv(net, i, stop, _rect_window_blocks)
-            if blocks is None:
+            if windows is None:
                 z = _rect_conv_all(x, net.params[i], spec.stride)
                 z *= hex_mask(out_side)
-                a, bits = _activate(z, _trunk_activation(layers, i))
+                a, bits = _activate(z, act)
                 del z  # not live beside the next conv's output
             else:  # its activation is identity: the pool applies the relu
-                (zbank, rows), taps = _packed(net.params[i]), cell_count(layers[i + 1].window)
-                win = ops._conv_windows(x, rows, zbank.bias, blocks, taps, _window_matrix)
-                a, bits = None, None
+                (zbank, rows), taps = _packed(net.params[i]), cell_count(plan[i + 1][0].window)
+                win = ops._conv_windows(x, rows, zbank.bias, windows, taps, _window_matrix)
+                a = bits = None
             cache.append((x, bits))
             x = a
-        elif spec.kind in ("hexmaxpool", "hexavgpool"):
+        else:  # a pool
             if win is None:
                 win = np.take(x.reshape(x.shape[0], -1), _hex_windows(side, spec.window, spec.stride), axis=1)
             out, taps = _pool(win, spec.kind)
-            out, bits = _activate(out, _trunk_activation(layers, i))
+            out, bits = _activate(out, act)
             # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
             cache.append(None if taps is None else (taps, bits))
             x, win = _to_rect(out, out_side), None
-        else:  # flatten
-            cache.append(None)
-            x = np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(side)]).ravel()
-    return x, cache
+    cache.append(None)  # the flatten
+    return np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(plan[-1][1])]).ravel(), cache
 
 
 def _trunk_backward(net: Network, cache, d, grads) -> None:

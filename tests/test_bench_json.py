@@ -1,9 +1,11 @@
 """``tools/bench_json.py``'s summary of paired benchmark runs.
 
 The script's children run the benchmark for minutes; this checks only
-the arithmetic of the JSON it writes, on made-up run records.
+the arithmetic of the JSON it writes, on made-up run records, and its
+one short child, ``hexcnn verify --cases 50``, on this checkout.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -81,3 +83,27 @@ def test_summary_gives_a_verdict_per_directed_metric(bench_json):
         "pairs_won": 2, "pairs": 3, "median_gain": 4.0, "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True,
     }
     assert bench_json.summarize(runs, BETTER)["verdict"]["ok_frac"]["pairs_won"] == 0  # all ties
+
+
+def test_verify_runs_in_the_trees_own_source_and_digests_its_csv(bench_json, tmp_path):
+    from hexcnn.cli import main
+
+    assert main(["verify", "--cases", "50", "--out", str(tmp_path / "want.csv")]) == 0
+    got = bench_json.run_verify(SCRIPT.parents[1])
+    assert got["exit"] == 0 and got["wall_s"] > 0
+    assert got["csv_sha256"] == hashlib.sha256((tmp_path / "want.csv").read_bytes()).hexdigest()
+    # a tree whose own package cannot be imported writes no CSV
+    broken = tmp_path / "broken" / "src" / "hexcnn"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    got = bench_json.run_verify(tmp_path / "broken")
+    assert got["exit"] != 0 and got["csv_sha256"] is None
+
+
+def test_verify_section_matches_csvs_only_when_every_tree_wrote_the_same(bench_json, monkeypatch):
+    digests = {"a": "x", "b": "x", "c": "y", "none": None}
+    monkeypatch.setattr(bench_json, "run_verify", lambda path: {"exit": 0, "wall_s": 1.0, "csv_sha256": digests[path]})
+    out = bench_json.verify_section({"parent": "a", "change": "b"})
+    assert out["csv_equal"] and out["parent"] == {"exit": 0, "wall_s": 1.0, "csv_sha256": "x"}
+    assert not bench_json.verify_section({"parent": "a", "change": "c"})["csv_equal"]
+    assert not bench_json.verify_section({"parent": "none", "change": "none"})["csv_equal"]

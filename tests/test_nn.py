@@ -300,6 +300,12 @@ def test_composed_network_gradient_finite_difference():
 LAYOUTS = ((forward, backward), (forward_zeroout, backward_zeroout))
 
 
+def _plan(module, net):
+    """The trunk plan of layout ``module`` (``nn`` or ``zeronet``) for
+    ``net`` at the current ``ops.PATCH_BLOCK``, as ``forward`` looks it up."""
+    return module._trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
+
+
 def test_backward_rejects_label_count_mismatch():
     net = build_network(tiny_cfg())
     batch, labels = make_two_class_dataset(np.random.default_rng(8), 4, 5)
@@ -425,7 +431,7 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     net = build_network(make_cfg())
     rng = np.random.default_rng(31)
     (t,), _ = make_two_class_dataset(rng, 1, 13, 2)
-    features, cache = nn._trunk_forward(net, t, 5)  # layers 0-3, then the flatten
+    features, cache = nn._trunk_forward(net, _plan(nn, net), t)  # layers 0-3, then the flatten
     d = rng.standard_normal(features.shape)
     got = nn._trunk_grads(net)
     nn._trunk_backward(net, cache, d, got)
@@ -492,7 +498,7 @@ def _unfused_trunk(net, t, d, conv):
     """A trunk's features and conv gradients through the public kernels,
     composed by hand, with every layer applying its own activation; the
     convs run through ``conv``."""
-    layers = net.cfg.layers[: nn._head_start(net)]
+    layers = net.cfg.layers[: nn._head_start(net.cfg.layers)]
     x, saved = t, []
     for i, spec in enumerate(layers):
         if spec.kind == "hexconv":
@@ -553,8 +559,10 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
     t = HexTensor(net.cfg.input_side, 2, 1.0 * rng.integers(-3, 4, (2, cell_count(net.cfg.input_side))))
     pool = next(i for i, spec in enumerate(layers) if spec.kind == "hexmaxpool")
     conv_layer = pool - 1
-    assert nn._trunk_activation(layers, conv_layer) == "identity"
-    assert nn._trunk_activation(layers, pool) == "relu"
+    module = {"native": nn, "zeroout": zeronet}[layout]
+    plan = _plan(module, net)
+    assert plan[conv_layer][2] == "identity"
+    assert plan[pool][2] == "relu"
 
     side = net.shapes[pool][1]
     g = tap_gather(side, layers[pool].window, layers[pool].stride)
@@ -598,10 +606,8 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
         return HexTensor(z.side, z.channels, data)
 
     if layout == "native":
-        module = nn
         monkeypatch.setattr(nn, "conv_valid", conv)
     else:
-        module = zeronet
         rect_conv = zeronet._rect_conv_all
 
         def planted_rect_conv(x, bank, stride):
@@ -615,9 +621,8 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
 
         monkeypatch.setattr(zeronet, "_rect_conv_all", planted_rect_conv)
 
-    stop = nn._head_start(net)
-    d = 7.0 * rng.integers(-3, 4, net.shapes[stop][1])  # exact after the average pool's 1/7
-    features, cache = module._trunk_forward(net, t, stop)
+    d = 7.0 * rng.integers(-3, 4, net.shapes[len(plan)][1])  # exact after the average pool's 1/7
+    features, cache = module._trunk_forward(net, plan, t)
     disjoint = np.unique(g).size == g.size
     assert fused == ([(layers[conv_layer].filters, g.shape[0], g.shape[1])] if disjoint else [])
     got = nn._trunk_grads(net)
@@ -668,7 +673,7 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
         net = build_network(_conv_pool_cfg(side, channels, filters))
         t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
         with MacMeter() as meter:
-            features, cache = module._trunk_forward(net, t, 3)
+            features, cache = module._trunk_forward(net, _plan(module, net), t)
         want, want_taps = maxpool(conv_valid(t, net.params[0]), 2, 3)
         # the product has fewer columns than conv_valid's, which can move
         # BLAS's last bits
@@ -682,11 +687,62 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
     net = build_network(_vgg_block_cfg())
     t = HexTensor(9, 2, rng.standard_normal((2, cell_count(9))))
     with MacMeter() as meter:
-        module._trunk_forward(net, t, nn._head_start(net))
+        module._trunk_forward(net, _plan(module, net), t)
     convs = [(i, spec) for i, spec in enumerate(net.cfg.layers) if spec.kind == "hexconv"]
     assert meter.macs == sum(
         spec.filters * net.shapes[i][2] * taps * cells(net.shapes[i + 1][1]) for i, spec in convs
     )
+
+
+# per trunk layer of each config: the activation it applies, and whether
+# it is a conv that computes only its max pool's windows
+TRUNK_PLANS = [
+    (lambda: hex_lenet(17, 10, seed=5), ["identity", "relu", "identity", "relu", "identity"], [0, 2]),
+    (composed_cfg, ["identity", "relu", "relu", "identity", "identity"], [0]),  # then an average pool
+    (_vgg_block_cfg, ["relu", "identity", "relu", "identity"], []),  # an overlapping pool
+]
+
+
+@pytest.mark.parametrize("make_cfg,activations,fused", TRUNK_PLANS, ids=["lenet", "composed", "vgg-block"])
+def test_both_layouts_plan_the_same_trunk_up_to_the_flatten(make_cfg, activations, fused):
+    # a relu conv right before a max pool applies identity and the pool the
+    # relu; each plan ends at the flatten, so no cut can leave a conv's
+    # relu to a pool it does not run
+    net = build_network(make_cfg())
+    layers = net.cfg.layers
+    native, embedded = _plan(nn, net), _plan(zeronet, net)
+    assert len(native) == len(embedded) == nn._head_start(layers) and native[-1][0].kind == "flatten"
+    for i, ((spec, side, act, windows), (zspec, zside, zact, zwindows)) in enumerate(zip(native, embedded)):
+        assert spec == zspec == layers[i] and side == zside == net.shapes[i][1]
+        assert act == zact == activations[i]
+        assert (windows is not None) == (zwindows is not None) == (i in fused)
+        if i in fused:  # both products cover the same cells: the pool's
+            assert [b for b, _ in windows] == [b for b, _ in zwindows]
+    assert _plan(nn, net) is native  # cached per network layout and block
+
+
+def test_a_network_whose_last_layer_is_the_flatten_returns_its_features():
+    # the plan reads no layer past the flatten
+    cfg = NetworkConfig(5, 1, (LayerSpec.conv(2, 2, 1, "relu"), LayerSpec.maxpool(1, 1), LayerSpec.flatten()))
+    net = build_network(cfg)
+    batch, _ = make_two_class_dataset(np.random.default_rng(9), 2, 5)
+    want = [np.maximum(conv_valid(t, net.params[0]).data.ravel(), 0.0) for t in batch]
+    for fwd, _ in LAYOUTS:
+        features, caches = fwd(net, batch)
+        assert features.shape == (2, 74) and not caches.head
+        assert np.abs(features - want).max() <= 1e-13
+
+
+def test_forward_rejects_a_batch_item_that_is_not_float64():
+    # a float32 item used to be promoted silently: float64 logits, and a
+    # float32 conv input in the cache
+    net = build_network(hex_lenet(17, 2))
+    (t,), _ = make_two_class_dataset(np.random.default_rng(10), 1, 17)
+    item = HexTensor(17, 1, t.data.astype(np.float32))
+    for fwd, _ in LAYOUTS:
+        with pytest.raises(ValueError, match="must be float64.* got float32"):
+            fwd(net, [t, item])
+        assert fwd(net, [t])[0].dtype == np.float64
 
 
 def test_forward_rejects_empty_batches_and_items_that_are_not_tensors():
@@ -860,8 +916,7 @@ def test_zeroout_spreads_a_nan_into_more_cells_than_the_native_conv(pool):
     )
     net = build_network(cfg)
     net.params[0] = ops.HexFilterBank(2, np.ones((1, 1, 7)))
-    stop = nn._head_start(net)
-    (native, _), (embedded, _) = (module._trunk_forward(net, t, stop) for module in (nn, zeronet))
+    (native, _), (embedded, _) = (module._trunk_forward(net, _plan(module, net), t) for module in (nn, zeronet))
     native, embedded = set(np.flatnonzero(np.isnan(native))), set(np.flatnonzero(np.isnan(embedded)))
     assert native < embedded and (len(native), len(embedded)) == (2, 3)
 

@@ -10,7 +10,7 @@ each with its own tolerance unchanged.
 import numpy as np
 import pytest
 
-from hexcnn import grads, matmul, ops, zeronet
+from hexcnn import grads, matmul, nn, ops, zeronet
 from hexcnn.grid import HexTensor
 from hexcnn.im2col import im2col
 from hexcnn.nn import LayerSpec, NetworkConfig, build_network, make_two_class_dataset
@@ -133,6 +133,27 @@ def test_block_tables_follow_patch_block_at_call_time(monkeypatch):
         monkeypatch.setattr(ops, "PATCH_BLOCK", block)
         cols.clear()
         ops.conv_valid(t, bank)
+        assert cols == want
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_the_trunk_plan_follows_patch_block_at_call_time(monkeypatch, layout):
+    # a network that has already run at one block size takes up another at
+    # its next forward: the fused conv's 7 pool windows of 7 cells each
+    net = build_network(
+        NetworkConfig(8, 1, (LayerSpec.conv(2, 2, 1), LayerSpec.maxpool(2, 3), LayerSpec.flatten(),
+                             LayerSpec.dense(2), LayerSpec.softmax()))
+    )
+    batch, _ = make_two_class_dataset(np.random.default_rng(27), 1, 8)
+    fwd, module, name = {
+        "native": (nn.forward, ops, "window_columns"),
+        "zeroout": (zeronet.forward_zeroout, zeronet, "_window_matrix"),
+    }[layout]
+    cols = _counting(monkeypatch, module, name)
+    for block, want in ((2048, [49]), (BLOCK, [5] * 9 + [4])):
+        monkeypatch.setattr(ops, "PATCH_BLOCK", block)
+        cols.clear()
+        fwd(net, batch)
         assert cols == want
 
 

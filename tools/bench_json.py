@@ -25,13 +25,17 @@ One more child per tree imports that tree's ``hexbench/workloads.py``
 and meters one native and one ZeroOut op of each workload (seed 1) with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
 counts per tree and their ratio, beside the 7/12 a side-2 convolution
-does.  Nothing under ``hexbench/`` is changed; the children run it as
-it is in each tree.
+does.  Each tree also runs ``hexcnn verify --cases 50`` once, from its
+own ``src``; the ``verify`` section holds each tree's exit code, wall
+time and the sha256 of the CSV it wrote, and ``csv_equal``: whether the
+two CSVs are byte-identical.  Nothing under ``hexbench/`` is changed; the
+children run it as it is in each tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +68,12 @@ for name in sys.argv[1:]:
         counts[name][path] = meter.macs
 print(json.dumps(counts))
 """
+
+
+# Run in a tree's root with the CSV path as its argument: ``hexcnn verify
+# --cases 50`` from that tree's source.
+VERIFY = "import sys; sys.path[:0] = ['src']; from hexcnn.cli import main; " \
+    "sys.exit(main(['verify', '--cases', '50', '--out', sys.argv[1]]))"
 
 
 def _git(*args: str) -> str:
@@ -100,6 +111,30 @@ def meter_macs(tree: Path, workloads: list) -> dict:
     if out.returncode != 0:
         raise RuntimeError(f"MAC meter in {tree} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def run_verify(tree: Path) -> dict:
+    """One ``hexcnn verify --cases 50`` in a child process run by
+    ``tree``'s own code: its exit code, its wall time from start to exit
+    (the interpreter's start-up included) and the sha256 of the CSV it
+    wrote (None if it wrote none)."""
+    with tempfile.TemporaryDirectory(prefix="verify-") as tmp:
+        csv = Path(tmp) / "verify.csv"
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", VERIFY, str(csv)], cwd=tree, capture_output=True)
+        wall = time.perf_counter() - start
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None
+    return {"exit": out.returncode, "wall_s": wall, "csv_sha256": digest}
+
+
+def verify_section(paths: dict) -> dict:
+    """``run_verify`` in each tree of ``paths`` = {tree: root}, and
+    ``csv_equal``: true when every tree wrote a CSV and all are
+    byte-identical."""
+    out = {tree: run_verify(path) for tree, path in paths.items()}
+    digests = {v["csv_sha256"] for v in out.values()}
+    out["csv_equal"] = len(digests) == 1 and None not in digests
+    return out
 
 
 def mac_ratios(counts: dict) -> dict:
@@ -200,6 +235,7 @@ def main(argv=None) -> int:
         trees = {tree: Path(tmp) / tree for tree in TREES}
         for tree, path in trees.items():
             export(revs[tree], path)
+        doc["verify"] = verify_section(trees)
         names = [w["name"] for w in spec["workloads"]]
         macs = {tree: meter_macs(path, names) for tree, path in trees.items()}
         for workload in names:
@@ -219,6 +255,9 @@ def main(argv=None) -> int:
               f"won {v['pairs_won']} of {v['pairs']} pairs, median gain {v['median_gain']:.3f} ms "
               f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
               f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}")
+    v = doc["verify"]
+    print("verify --cases 50: " + ", ".join(f"{tree} exit {v[tree]['exit']} in {v[tree]['wall_s']:.2f} s"
+                                            for tree in TREES) + f", CSVs byte-identical {v['csv_equal']}")
     print(path)
     return 0
 
