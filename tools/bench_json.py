@@ -72,8 +72,12 @@ print(json.dumps(counts))
 
 # Run in a tree's root with the CSV path as its argument: ``hexcnn verify
 # --cases 50`` from that tree's source.
-VERIFY = "import sys; sys.path[:0] = ['src']; from hexcnn.cli import main; " \
-    "sys.exit(main(['verify', '--cases', '50', '--out', sys.argv[1]]))"
+VERIFY = """
+import sys
+sys.path[:0] = ["src"]
+from hexcnn.cli import main
+sys.exit(main(["verify", "--cases", "50", "--out", sys.argv[1]]))
+"""
 
 
 def _git(*args: str) -> str:
