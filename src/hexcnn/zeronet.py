@@ -62,7 +62,7 @@ pre-activation; a max pool keeps the winning taps ``ops._pool``
 returns, rows of its window table, one byte each as the native pool's,
 and the packed bits of its pooled output when it applies relu; an
 average pool and the flatten keep None, since their sizes are in
-``net.shapes``.  ``nn``'s driver hands ``_trunk_backward`` each
+``net.shapes``.  ``nn._backward_with`` hands ``_trunk_backward`` each
 sample's cache list, which pops every entry as it walks it and drops a
 conv's input once its filter gradient is formed.
 
