@@ -21,7 +21,7 @@ from .instrument import MacMeter
 from . import ops
 from .ops import HexFilterBank, conv_valid, valid_geometry
 from .zeronet import _rect_conv_all
-from .zeroout import embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
+from .zeroout import _hex_flat, _to_rect, embed_parallelogram, extract_hex, rect_conv_reference, zeroout_filter
 
 __all__ = [
     "BenchResult",
@@ -85,7 +85,7 @@ def bench_conv(
     for value, what in ((filter_side, "filter side"), (stride, "stride"), (channels, "channels"),
                         (filters, "filters"), (reps, "reps")):
         check_int(value, what)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     results = []
     for side in sizes:
         try:
@@ -96,8 +96,9 @@ def bench_conv(
         bank = HexFilterBank.random(rng, filters, channels, filter_side)
         zbank = zeroout_filter(bank)
         rect = embed_parallelogram(t)
+        span, hexagon = rect.shape[1], _hex_flat(out_side)  # the flat ZeroOut output's hexagon
         hex_out = cell_count(out_side)
-        rect_out = ((rect.shape[1] - zbank.span) // stride + 1) ** 2
+        rect_out = ((span - zbank.span) // stride + 1) ** 2
         # (method, timed call, output cells, input, window-matrix block and filter bytes)
         methods = (
             ("hex_direct", lambda: conv_valid(t, bank, stride), hex_out, t.data.nbytes,
@@ -107,7 +108,8 @@ def bench_conv(
              lambda: extract_hex(rect_conv_reference(embed_parallelogram(t), zbank, stride), out_side),
              rect_out, rect.nbytes, 0, zbank.weights.nbytes),
             ("zeroout_fair",
-             lambda: extract_hex(_rect_conv_all(embed_parallelogram(t), bank, stride), out_side),
+             lambda: HexTensor(out_side, filters,
+                               _rect_conv_all(_to_rect(t.data, side), span, bank, stride)[:, hexagon]),
              rect_out, rect.nbytes,
              min(rect_out, ops.PATCH_BLOCK) * channels * zbank.span**2 * rect.itemsize,
              zbank.weights.nbytes),

@@ -169,6 +169,8 @@ def build_network(cfg: NetworkConfig) -> Network:
     index and kind; conv geometry must tile exactly, pool geometry floors,
     and a field the kind does not read must keep its ``LayerSpec`` default.
     """
+    if not isinstance(cfg, NetworkConfig):
+        raise ValueError(f"config must be a NetworkConfig, got {type(cfg).__name__}")
     check_int(cfg.input_side, "input side")
     check_int(cfg.input_channels, "input channels")
     rng = np.random.default_rng(check_int(cfg.seed, "seed", 0))
@@ -356,7 +358,7 @@ def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
                 out, bits = _activate(conv_valid(x, bank, spec.stride).data, act)
             else:  # its activation is identity: the pool applies the relu
                 w, taps = bank.weights.reshape(bank.filters, -1), cell_count(plan[i + 1][0].window)
-                win = ops._conv_windows(x.data, w, bank.bias, windows, taps, ops.window_columns)
+                win = ops._conv_windows(x.data, w, bank.bias, windows, taps)
                 out = bits = None
             cache.append((x, bits))
         else:  # a pool
@@ -692,6 +694,10 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path, cfg: NetworkConfig) -> Network:
+    """The network of ``cfg`` with the parameters saved at ``path``; a
+    file that is not a whole HXM1 checkpoint of that config, or bytes
+    after its last array, raise ``ValueError`` naming the path."""
+    net = build_network(cfg)  # checks the config first
     raw = Path(path).read_bytes()
     if raw[:4] != HXM_MAGIC:
         raise ValueError(f"{path}: not an HXM1 checkpoint")
@@ -709,11 +715,14 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
         for _ in range(count):
             (size,) = struct.unpack_from("<I", raw, off)
             off += 4
+            if len(raw) - off < size * 8:
+                raise ValueError(f"{path}: truncated checkpoint")
             arrays.append(np.frombuffer(raw, dtype="<f8", count=size, offset=off).astype("=f8"))
             off += size * 8
     except struct.error:
         raise ValueError(f"{path}: truncated checkpoint") from None
-    net = build_network(cfg)
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} bytes after the last parameter array")
     expected = list(_param_arrays(net))
     if len(arrays) != len(expected) or any(a.size != e.size for a, e in zip(arrays, expected)):
         raise ValueError(f"{path}: parameter arrays do not match the config")
@@ -727,9 +736,10 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
 
 def make_two_class_dataset(rng, n: int, side: int, channels: int = 1, separation: float = 1.0):
     """Gaussian clutter; class 1 adds a constant shift to every cell."""
-    labels = rng.integers(0, 2, size=n)
-    tensors = []
+    check_int(channels, "channels")
     cellcount = cell_count(side)
+    labels = rng.integers(0, 2, size=check_int(n, "sample count"))
+    tensors = []
     for y in labels:
         data = rng.normal(0.0, 0.5, size=(channels, cellcount)) + separation * float(y)
         tensors.append(HexTensor(side, channels, data))

@@ -122,7 +122,8 @@ class HexFilterBank:
 
     @classmethod
     def random(cls, rng, filters, in_channels, filter_side) -> "HexFilterBank":
-        w = rng.standard_normal((filters, in_channels, cell_count(filter_side)))
+        shape = (check_int(filters, "filters"), check_int(in_channels, "channels"), cell_count(filter_side))
+        w = rng.standard_normal(shape)
         return cls(filter_side, w, rng.standard_normal(filters))
 
 
@@ -181,8 +182,9 @@ def _blocks(input_side: int, window_side: int, stride: int, block: int):
 
 
 def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Values of the windows of ``g`` (a ``tap_gather`` table, or a block
-    of its columns) in the (channels, cells) array ``x``, as a contiguous
+    """Values of the windows of ``g`` (a tap-major table, ``tap_gather``'s
+    or ``zeronet``'s rectangular one, or a block of its columns) in the
+    (channels, cells) array ``x``, as a contiguous
     (channels*window_cells, patches) matrix.
 
     Rows run channel major, then filter storage order, matching
@@ -191,16 +193,18 @@ def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.take(x, g, axis=1).reshape(-1, g.shape[1])
 
 
-def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, gather) -> np.ndarray:
+def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks) -> np.ndarray:
     """The (filters, patches) product of the weight matrix ``w`` with the
-    window matrix ``gather(x, g)`` of each (slice, table) block, written
-    into the block's columns, plus ``bias``: the product loop of every
-    convolution forward, native (``gather`` is ``window_columns``) and
-    ZeroOut (``zeronet._window_matrix``)."""
+    window matrix ``window_columns(x, g)`` of each (slice, table) block,
+    written into the block's columns, plus ``bias``: the product loop of
+    every convolution forward, native and ZeroOut (``zeronet``, whose
+    flat embedding is a (channels, cells) array too).  It calls the
+    module's ``window_columns``, so one patch of it reaches both
+    layouts."""
     last, tail = blocks[-1]
     y = np.empty((w.shape[0], last.start + tail.shape[1]), np.result_type(w, x))
     for b, g in blocks:
-        gemm(w, gather(x, g), out=y[:, b])
+        gemm(w, window_columns(x, g), out=y[:, b])
     y += bias[:, None]
     return y
 
@@ -222,12 +226,12 @@ def _at_windows(conv: np.ndarray, pool: np.ndarray, block: int):
     return _split(conv[:, pool.ravel()], block)
 
 
-def _conv_windows(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, taps: int, gather) -> np.ndarray:
+def _conv_windows(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, taps: int) -> np.ndarray:
     """``_product`` over blocks from ``_at_windows``: a convolution's
     output at a max pool's ``taps``-cell windows, as the pool's
     (filters, taps, windows) window array.  Both trunks call it here, so
     a test can replace it for both."""
-    return _product(x, w, bias, blocks, gather).reshape(w.shape[0], taps, -1)
+    return _product(x, w, bias, blocks).reshape(w.shape[0], taps, -1)
 
 
 def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
@@ -240,7 +244,7 @@ def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
         )
     out_side = valid_geometry(t.side, bank.filter_side, stride)
     w = bank.weights.reshape(bank.filters, -1)
-    y = _product(t.data, w, bank.bias, _blocks(t.side, bank.filter_side, stride, PATCH_BLOCK), window_columns)
+    y = _product(t.data, w, bank.bias, _blocks(t.side, bank.filter_side, stride, PATCH_BLOCK))
     y.setflags(write=False)
     return HexTensor(out_side, bank.filters, y)
 

@@ -1,16 +1,17 @@
 """The same networks realized on the ZeroOut parallelogram embedding.
 
-Every layer keeps its activations in plain (channels, 2L-1, 2L-1)
-float64 arrays on ``zeroout``'s one embedding: the input enters through
-``embed_parallelogram``, pool outputs and the flatten's error re-enter
-through the same zero-fill scatter (``_to_rect``), and the flatten reads
-the hexagon back through its flat offsets (``_hex_flat``); this module
-keeps no embedding of its own.  Convolution multiplies the zeroed corner
-taps like a genuine hexagon-imitation framework (computing every
-rectangular output cell, not only the hexagonal ones, except before a
-max pool with disjoint windows; see below), and corner weight
-gradients are masked so the frozen zeros never move.  Cells outside
-the embedded hexagon are re-zeroed after each layer, so the
+Every layer keeps its activations, cached conv inputs and errors in
+flat (channels, (2L-1)**2) float64 arrays: ``zeroout``'s one embedding
+(``_to_rect``), row major, so they are the native trunk's (channels,
+cells) arrays with more cells.  The input, pool outputs and the
+flatten's error enter through that zero-fill scatter, and the flatten
+reads the hexagon back through its flat offsets (``_hex_flat``); this
+module keeps no embedding of its own.  Convolution multiplies the
+zeroed corner taps like a genuine hexagon-imitation framework
+(computing every rectangular output cell, not only the hexagonal ones,
+except before a max pool with disjoint windows; see below), and corner
+weight gradients are masked so the frozen zeros never move.  Cells
+outside the embedded hexagon are re-zeroed after each layer, so the
 hexagonal cells carry exactly the same values as the native path, up to
 floating-point summation order, as long as every value is finite.  A NaN
 spreads further here: the zero corner taps multiply it too, and
@@ -25,32 +26,27 @@ per-sample trunk to ``nn``'s batch driver, which runs the head once
 per batch; the finite-difference tests and the manual-composition test
 check that head on their own.
 
-The trunk lowers convolution the way the native kernels do, on its own
-tables: a cached tap-major (taps, patches) window table, so one
-``np.take`` yields a contiguous (channels*k*k, patches) window matrix.
-Like the native kernels it builds that matrix for at most
-``ops.PATCH_BLOCK`` patches at a time, each block through its own
-cached, writable copy of its columns of the table (``_rect_blocks``,
-split by the native kernels' ``ops._split``, so ``np.take`` copies no
-table on either layout): the forward writes one ``matmul.gemm`` per
-block into the block's output columns (``ops._product``, the native
-kernels' loop), the filter gradient sums one product per block, and
-the col2im input gradient (a ``gemm``, then a per-channel
-``np.bincount`` scatter through the same table) adds each block into
-the input error before the next block is built.  Pools run through the
-native kernels' own ``ops._pool`` and ``grads._unpool``, on
-``tap_gather``'s table addressed on the embedding (``_hex_windows``).
-The trunk walks its own plan (``_trunk_plan``), built by the native
-trunk's ``nn._trunk_steps`` on this layout's tables, so both layouts
-make the same decisions.  A conv that feeds a max pool with disjoint
-windows computes only those windows' cells, as the native trunk does
+The layouts differ in their tables, filters and masks, not in their
+code.  A conv's tables are the k-by-k windows of the embedding
+(``_rect_table``), tap major and split into ``ops.PATCH_BLOCK``-patch
+blocks by the native kernels' ``ops._split`` (``_rect_blocks``); its
+filter is the bank packed into corner-zeroed rectangles, once, on the
+bank's first use (``_packed``).  On those, the native kernels' cores
+run unchanged: the forward is ``ops._product`` (one ``ops.window_columns``
+gather and one ``matmul.gemm`` per block), and the input gradient is
+``grads._input_grad``'s col2im, then ``hex_mask``.  The filter gradient
+sums one product per block, as ``grads._filter_grad`` does, and keeps
+only the hexagon taps.  Pools run through ``ops._pool`` and
+``grads._unpool`` on ``tap_gather``'s table addressed on the embedding
+(``_hex_windows``).  The trunk walks its own plan (``_trunk_plan``),
+built by the native trunk's ``nn._trunk_steps`` on this layout's
+tables, so both layouts make the same decisions.  A conv that feeds a
+max pool with disjoint windows computes only those windows' cells
 (``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is
 1, so the rectangular anchors off the pool's windows, the corner
 anchors among them, are never computed.  Every product is metered like
 the native path's; the input gradient does the MACs of a forward over
-every rectangular anchor.  Each hex filter bank is packed into its
-corner-zeroed rectangles once, on first use, not per sample and pass
-(``_packed``).
+every rectangular anchor.
 
 Each layer applies its plan step's activation, as the native trunk
 does: a relu conv right before a max pool leaves its relu to the pool,
@@ -77,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grads import _scatter_add, _unpool
+from .grads import _input_grad, _unpool
 from .grid import HexTensor, cell_count, cells
 from .matmul import gemm
 from .nn import (
@@ -85,34 +81,31 @@ from .nn import (
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
-from .zeroout import (
-    ZeroOutFilterBank, _hex_flat, _to_rect, embed_parallelogram, hex_mask, zeroout_filter,
-)
+from .zeroout import ZeroOutFilterBank, _hex_flat, _to_rect, hex_mask, zeroout_filter
 
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
 
-def _rect_table(h: int, w: int, k: int, stride: int) -> np.ndarray:
-    """Every k-by-k window of an h-by-w array as a tap-major (taps,
-    patches) table, taps column major within the window, anchors row
-    major."""
-    rows = np.arange((h - k) // stride + 1) * stride * w
-    cols = np.arange((w - k) // stride + 1) * stride
+def _rect_table(span: int, k: int, stride: int) -> np.ndarray:
+    """Every k-by-k window of a flat span-by-span array as a tap-major
+    (taps, patches) table, taps column major within the window, anchors
+    row major."""
+    anchors = np.arange((span - k) // stride + 1) * stride
     taps = np.arange(k)
-    return (taps[:, None] + taps * w).reshape(-1, 1) + (rows[:, None] + cols).ravel()
+    return (taps[:, None] + taps * span).reshape(-1, 1) + (anchors[:, None] * span + anchors).ravel()
 
 
 @lru_cache(maxsize=None)
-def _rect_blocks(h: int, w: int, k: int, stride: int, block: int):
+def _rect_blocks(span: int, k: int, stride: int, block: int):
     """``_rect_table`` split into ``block``-patch (slice, table) pairs
     (``ops._split``); callers pass ``ops.PATCH_BLOCK`` at call time."""
-    return _split(_rect_table(h, w, k, stride), block)
+    return _split(_rect_table(span, k, stride), block)
 
 
 @lru_cache(maxsize=None)
 def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
     """The lattice's pool windows (``tap_gather``, floored) addressed on
-    the (2L-1, 2L-1) embedding of a side-L hexagon; read-only."""
+    the flat embedding of a side-L hexagon; read-only."""
     g = _hex_flat(side)[tap_gather(side, window, stride)]
     g.setflags(write=False)
     return g
@@ -126,59 +119,38 @@ def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
     is 1, so the conv's product there needs no mask."""
 
     def conv_table(side, window, stride):
-        span = 2 * side - 1
-        return _rect_table(span, span, 2 * window - 1, stride)
+        return _rect_table(2 * side - 1, 2 * window - 1, stride)
 
     return _trunk_steps(layers, shapes, conv_table, _hex_windows, block)
 
 
-# hex bank -> (packed bank, its filter matrix).  Banks are frozen and
-# their arrays read-only, so an entry cannot go stale; it is dropped with
-# its bank.
+# hex bank -> (packed bank, its weights).  Banks are frozen and their
+# arrays read-only, so an entry cannot go stale; it is dropped with its
+# bank.
 _PACKED = weakref.WeakKeyDictionary()
 
 
 def _packed(bank: HexFilterBank) -> tuple[ZeroOutFilterBank, np.ndarray]:
-    """The bank packed into corner-zeroed rectangles, and its (F, C*k*k)
-    filter matrix with taps in the windows' column-major order; built on
-    the bank's first use."""
+    """The bank packed into corner-zeroed rectangles, and its
+    (F, C, k*k) weights with taps in the windows' column-major order,
+    shaped like ``HexFilterBank.weights``; built on the bank's first
+    use."""
     hit = _PACKED.get(bank)
     if hit is None:
         zbank = zeroout_filter(bank)
-        rows = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
-        rows.setflags(write=False)
-        hit = _PACKED[bank] = (zbank, rows)
+        w = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, zbank.in_channels, -1)
+        w.setflags(write=False)
+        hit = _PACKED[bank] = (zbank, w)
     return hit
 
 
-def _window_matrix(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The (C*k*k, patches) window matrix of a (C, h, w) array over a
-    block table ``g`` of ``_rect_blocks``."""
-    c = x.shape[0]
-    return np.take(x.reshape(c, -1), g, axis=1).reshape(-1, g.shape[1])
-
-
-def _rect_conv_all(x: np.ndarray, bank: HexFilterBank, stride: int) -> np.ndarray:
-    """Strided cross-correlation with the packed bank over every
-    rectangular anchor, plus bias (``ops._product``)."""
-    zbank, rows = _packed(bank)
-    _, h, w = x.shape
-    k = zbank.span
-    y = ops._product(x, rows, zbank.bias, _rect_blocks(h, w, k, stride, ops.PATCH_BLOCK), _window_matrix)
-    return y.reshape(zbank.filters, (h - k) // stride + 1, -1)
-
-
-def _rect_conv_backward_input(d: np.ndarray, bank: HexFilterBank, stride: int, shape) -> np.ndarray:
-    """Adjoint of ``_rect_conv_all``'s window product (col2im): the error
-    on a (C, h, w) input; cells no window reaches get zero."""
-    c, h, w = shape
-    zbank, rows = _packed(bank)
-    d = d.reshape(d.shape[0], -1)
-    out = np.zeros((c, h * w))
-    for b, g in _rect_blocks(h, w, zbank.span, stride, ops.PATCH_BLOCK):
-        # (C*k*k, patches in b) window errors, dropped before the next block's
-        _scatter_add(out, gemm(rows.T, d[:, b]).reshape(c, -1), g)
-    return out.reshape(shape)
+def _rect_conv_all(x: np.ndarray, span: int, bank: HexFilterBank, stride: int) -> np.ndarray:
+    """Strided cross-correlation of the flat (C, span*span) array ``x``
+    with the packed bank over every rectangular anchor, plus bias: the
+    (F, anchors) output (``ops._product``)."""
+    zbank, w = _packed(bank)
+    blocks = _rect_blocks(span, zbank.span, stride, ops.PATCH_BLOCK)
+    return ops._product(x, w.reshape(zbank.filters, -1), zbank.bias, blocks)
 
 
 def forward_zeroout(net: Network, batch):
@@ -187,31 +159,31 @@ def forward_zeroout(net: Network, batch):
 
 
 def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
-    x, win, cache = embed_parallelogram(t), None, []  # win: a conv's output at its max pool's windows
+    x, win, cache = _to_rect(t.data, t.side), None, []  # win: a conv's output at its max pool's windows
     for i, (spec, side, act, windows) in enumerate(plan[:-1]):
         out_side = plan[i + 1][1]
         if spec.kind == "hexconv":
             if windows is None:
-                z = _rect_conv_all(x, net.params[i], spec.stride)
-                z *= hex_mask(out_side)
+                z = _rect_conv_all(x, 2 * side - 1, net.params[i], spec.stride)
+                z *= hex_mask(out_side).ravel()
                 a, bits = _activate(z, act)
                 del z  # not live beside the next conv's output
             else:  # its activation is identity: the pool applies the relu
-                (zbank, rows), taps = _packed(net.params[i]), cell_count(plan[i + 1][0].window)
-                win = ops._conv_windows(x, rows, zbank.bias, windows, taps, _window_matrix)
+                (zbank, w), taps = _packed(net.params[i]), cell_count(plan[i + 1][0].window)
+                win = ops._conv_windows(x, w.reshape(zbank.filters, -1), zbank.bias, windows, taps)
                 a = bits = None
             cache.append((x, bits))
             x = a
         else:  # a pool
             if win is None:
-                win = np.take(x.reshape(x.shape[0], -1), _hex_windows(side, spec.window, spec.stride), axis=1)
+                win = np.take(x, _hex_windows(side, spec.window, spec.stride), axis=1)
             out, taps = _pool(win, spec.kind)
             out, bits = _activate(out, act)
             # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
             cache.append(None if taps is None else (taps, bits))
             x, win = _to_rect(out, out_side), None
     cache.append(None)  # the flatten
-    return np.ascontiguousarray(x.reshape(x.shape[0], -1)[:, _hex_flat(plan[-1][1])]).ravel(), cache
+    return x[:, _hex_flat(plan[-1][1])].ravel(), cache
 
 
 def _trunk_backward(net: Network, cache, d, grads) -> None:
@@ -224,35 +196,29 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             cache.pop()
             d = _to_rect(d.reshape(channels, -1), side)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            g = _hex_windows(side, spec.window, spec.stride)
-            dvals = d.reshape(channels, -1)[:, _hex_flat(net.shapes[i + 1][1])]
+            d = d[:, _hex_flat(net.shapes[i + 1][1])]
             taps, bits = cache.pop() or (None, None)  # an average pool caches None
             if bits is not None:
-                dvals = _relu_grad(dvals, bits)
-            d = _unpool(dvals, taps, g, span * span).reshape(channels, span, span)
+                d = _relu_grad(d, bits)
+            d = _unpool(d, taps, _hex_windows(side, spec.window, spec.stride), span * span)
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
                 d = _relu_grad(d, bits)
             k = 2 * spec.window - 1
-            f = d.shape[0]
-            d2 = d.reshape(f, -1)
+            blocks = _rect_blocks(span, k, spec.stride, ops.PATCH_BLOCK)
             # filter gradient over every rectangular anchor (the error is
             # zero off the hexagon, so extra anchors contribute nothing)
-            _, h, w = x.shape
-            dw = sum(
-                gemm(d2[:, b], _window_matrix(x, g).T)
-                for b, g in _rect_blocks(h, w, k, spec.stride, ops.PATCH_BLOCK)
-            )
-            dw = dw.reshape(f, x.shape[0], k, k).transpose(0, 1, 3, 2)
+            dw = sum(gemm(d[:, b], ops.window_columns(x, g).T) for b, g in blocks)
+            dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
-            gb += d.sum(axis=(1, 2))
+            gb += d.sum(axis=1)
             del x, bits  # released before the input gradient is built
             if i > 0:
-                d = _rect_conv_backward_input(d, net.params[i], spec.stride, (channels, span, span))
-                d *= hex_mask(side)
+                d = _input_grad(d, _packed(net.params[i])[1], blocks, span * span)
+                d *= hex_mask(side).ravel()
 
 
 def backward_zeroout(net: Network, logits, caches, labels):

@@ -5,10 +5,11 @@ This module is the trusted reference for every hexagonal kernel and the
 baseline measured by the benchmark CLI.  Embedded tensors are plain
 (channels, 2L-1, 2L-1) float64 arrays whose cells outside the hexagon
 (``~hex_mask(L)``) are zero.  One embedding, a flat-offset scatter
-(``_to_rect``), serves this oracle, the filter packing and the ZeroOut
-network trunk (``zeronet``).  The convolution is a plain nested-loop
-cross-correlation on purpose; keeping it simple is what makes it an
-oracle.
+(``_to_rect``) into flat (channels, (2L-1)**2) arrays, serves this
+oracle and the filter packing, which reshape it to 3-D and 4-D, and the
+ZeroOut network trunk (``zeronet``), which keeps it flat.  The
+convolution is a plain nested-loop cross-correlation on purpose; keeping
+it simple is what makes it an oracle.
 """
 
 from __future__ import annotations
@@ -54,19 +55,21 @@ def _hex_flat(side: int) -> np.ndarray:
 
 
 def _to_rect(values: np.ndarray, side: int) -> np.ndarray:
-    """(channels, cells) hexagon values on the zeroed (channels, 2L-1, 2L-1)
-    float64 embedding: cell (u, v) lands at rectangular index (u, v)."""
+    """(channels, cells) hexagon values on the zeroed, flat
+    (channels, (2L-1)**2) float64 embedding: cell (u, v) lands at flat
+    index u*(2L-1) + v, rectangular index (u, v) row major."""
     span = 2 * side - 1
     out = np.zeros((values.shape[0], span * span))
     out[:, _hex_flat(side)] = values
-    return out.reshape(-1, span, span)
+    return out
 
 
 def embed_parallelogram(t: HexTensor) -> np.ndarray:
     """Pad a hex tensor into its (C, 2L-1, 2L-1) parallelogram; the corner
     cells outside the hexagon (``~hex_mask(L)``) are zero."""
     check_tensor(t, "input")
-    return _to_rect(t.data, t.side)
+    span = 2 * t.side - 1
+    return _to_rect(t.data, t.side).reshape(-1, span, span)
 
 
 def extract_hex(r: np.ndarray, side: int) -> HexTensor:
@@ -120,8 +123,9 @@ class ZeroOutFilterBank:
 def zeroout_filter(bank: HexFilterBank) -> ZeroOutFilterBank:
     """Pack hex filters into rectangles, corner weights fixed at zero."""
     f, c, n = check_bank(bank, "filter bank").weights.shape
+    k = 2 * bank.filter_side - 1
     w = _to_rect(bank.weights.reshape(f * c, n), bank.filter_side)
-    return ZeroOutFilterBank(bank.filter_side, w.reshape(f, c, *w.shape[1:]), bank.bias)
+    return ZeroOutFilterBank(bank.filter_side, w.reshape(f, c, k, k), bank.bias)
 
 
 def rect_conv_reference(r: np.ndarray, zbank: ZeroOutFilterBank, stride: int = 1) -> np.ndarray:

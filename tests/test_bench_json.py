@@ -2,14 +2,20 @@
 
 The script's children run the benchmark for minutes; this checks only
 the arithmetic of the JSON it writes, on made-up run records, and its
-one short child, ``hexcnn verify --cases 50``, on this checkout.
+short children, ``hexcnn verify --cases 50`` and the op meter, on this
+checkout.
 """
 
 import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hexcnn.instrument import MacMeter
+from hexcnn.ops import HexFilterBank
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_json.py"
 
@@ -107,3 +113,45 @@ def test_verify_section_matches_csvs_only_when_every_tree_wrote_the_same(bench_j
     assert out["csv_equal"] and out["parent"] == {"exit": 0, "wall_s": 1.0, "csv_sha256": "x"}
     assert not bench_json.verify_section({"parent": "a", "change": "c"})["csv_equal"]
     assert not bench_json.verify_section({"parent": "none", "change": "none"})["csv_equal"]
+
+
+def test_op_meter_counts_and_hashes_op_zero_of_each_layout(bench_json, monkeypatch):
+    # the child's digests, rebuilt here from the op's outputs: a train
+    # op's loss, then each parameter array; a forward op's logits
+    spec = importlib.util.spec_from_file_location("_workloads", SCRIPT.parents[1] / "hexbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    names = ["lenet-train", "wide-infer"]
+    got = bench_json.meter_ops(SCRIPT.parents[1], names)
+    assert list(got) == names
+    for name in names:
+        case = workloads.make_case(name, 1)
+        for layout in ("native", "zeroout"):
+            with MacMeter() as meter:
+                out = getattr(case, layout)(0)
+            arrays = [out]
+            if case.train:
+                loss, params = out
+                arrays = [np.float64(loss)]
+                for p in filter(None, params):
+                    arrays += [p.weights, p.bias] if isinstance(p, HexFilterBank) else p
+            digest = hashlib.sha256(b"".join(np.ascontiguousarray(a, np.float64).tobytes() for a in arrays))
+            assert got[name]["macs"][layout] == meter.macs > 0
+            assert got[name]["outputs"][layout] == digest.hexdigest()
+
+
+def test_outputs_are_equal_only_when_every_tree_agrees_on_both_layouts(bench_json):
+    same = {"native": "a", "zeroout": "b"}
+    assert bench_json.outputs_equal({"parent": same, "change": dict(same)})
+    assert not bench_json.outputs_equal({"parent": same, "change": {"native": "a", "zeroout": "c"}})
+    assert not bench_json.outputs_equal({"parent": same, "change": {"native": "c", "zeroout": "b"}})
+
+
+def test_line_counts_give_each_module_and_the_total(bench_json, tmp_path):
+    src = tmp_path / "src" / "hexcnn"
+    src.mkdir(parents=True)
+    (src / "b.py").write_text("x = 1\n\ny = 2\n")
+    (src / "a.py").write_text("z = 3")  # no final newline
+    (src / "notes.txt").write_text("not a module\n")
+    assert bench_json.line_counts(tmp_path) == {"modules": {"a.py": 1, "b.py": 3}, "total": 4}

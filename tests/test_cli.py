@@ -213,7 +213,7 @@ def test_bench_conv_runs_each_kernel_reps_plus_one_times(monkeypatch):
         for method, fn in (
             ("hex_direct", lambda: conv_valid(t, bank, 1)),
             ("zeroout_ref", lambda: rect_conv_reference(embed_parallelogram(t), zeroout_filter(bank))),
-            ("zeroout_fair", lambda: _rect_conv_all(embed_parallelogram(t), bank, 1)),
+            ("zeroout_fair", lambda: _rect_conv_all(embed_parallelogram(t).reshape(3, -1), 2 * side - 1, bank, 1)),
         ):
             with MacMeter() as meter:
                 fn()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 
@@ -25,7 +26,7 @@ from hexcnn.nn import (
 from hexcnn.grads import avgpool_backward, conv_backward_filter, conv_backward_input, maxpool_backward
 from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool, tap_gather
 from hexcnn.instrument import MacMeter
-from hexcnn import nn, ops, zeronet
+from hexcnn import bench, nn, ops, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
 from hexcnn.zeroout import _hex_flat
 
@@ -380,7 +381,10 @@ def test_trunk_caches_carry_no_sizes():
     (_, _, channels), (_, side, _), (_, out_side, f) = net.shapes[1:4]
     for (fwd, _), values in zip(LAYOUTS, (cell_count, lambda s: (2 * s - 1) ** 2)):
         _, caches = fwd(net, batch)
-        for conv0, (taps, pool_bits), (_, bits), avg, flat in caches.trunk:
+        for conv0, (taps, pool_bits), (x2, bits), avg, flat in caches.trunk:
+            # both layouts cache each conv's input as a flat (channels, cells) array
+            inputs = [x.data if isinstance(x, HexTensor) else x for x in (conv0[0], x2)]
+            assert [x.shape for x in inputs] == [(2, values(13)), (channels, values(side))]
             assert conv0[1] is None
             assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
             assert taps.dtype == np.uint8 and taps.shape == (channels, cell_count(side))
@@ -397,7 +401,7 @@ def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch
     batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
     (fwd, bwd), module, name = {
         "native": (LAYOUTS[0], nn, "_input_grad"),
-        "zeroout": (LAYOUTS[1], zeronet, "_rect_conv_backward_input"),
+        "zeroout": (LAYOUTS[1], zeronet, "_input_grad"),
     }[layout]
     logits, caches = fwd(net, batch)
     inputs = [weakref.ref(sample[2][0]) for sample in caches.trunk]
@@ -610,13 +614,12 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
     else:
         rect_conv = zeronet._rect_conv_all
 
-        def planted_rect_conv(x, bank, stride):
-            z = rect_conv(x, bank, stride)
+        def planted_rect_conv(x, span, bank, stride):
+            z = rect_conv(x, span, bank, stride)  # (filters, anchors) on the flat embedding
             if bank is net.params[conv_layer]:
-                flat, idx = z.reshape(z.shape[0], -1), _hex_flat(side)
-                values = flat[:, idx]
+                values = z[:, _hex_flat(side)]
                 plant(values)
-                flat[:, idx] = values
+                z[:, _hex_flat(side)] = values
             return z
 
         monkeypatch.setattr(zeronet, "_rect_conv_all", planted_rect_conv)
@@ -870,9 +873,35 @@ def test_checkpoint_round_trip(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(path, tiny_cfg(seed=4))
     truncated = tmp_path / "truncated.hxm"
-    truncated.write_bytes(path.read_bytes()[:45])  # cut inside the first array's size
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(truncated, cfg)
+    raw = path.read_bytes()
+    # cut inside the first array's size, inside its values, before the last array
+    for cut in (45, 60, len(raw) - 8):
+        truncated.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{truncated}: truncated checkpoint")):
+            load_checkpoint(truncated, cfg)
+    padded = tmp_path / "padded.hxm"
+    padded.write_bytes(raw + bytes(8))
+    with pytest.raises(ValueError, match=re.escape(f"{padded}: 8 bytes after the last parameter array")):
+        load_checkpoint(padded, cfg)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p: build_network(None), id="build_network_none"),
+        pytest.param(lambda p: load_checkpoint(p, "x"), id="load_checkpoint_str_config"),
+        pytest.param(lambda p: bench.bench_conv([4], seed=1.5), id="bench_conv_seed"),
+        pytest.param(lambda p: make_two_class_dataset(np.random.default_rng(0), 1.5, 5), id="dataset_count"),
+        pytest.param(lambda p: make_two_class_dataset(np.random.default_rng(0), 2, 5, 1.5), id="dataset_channels"),
+        pytest.param(lambda p: ops.HexFilterBank.random(np.random.default_rng(0), 1.5, 1, 2), id="bank_filters"),
+        pytest.param(lambda p: ops.HexFilterBank.random(np.random.default_rng(0), 1, 1.5, 2), id="bank_channels"),
+    ],
+)
+def test_malformed_configs_counts_and_seeds_raise_value_error(tmp_path, call):
+    path = tmp_path / "model.hxm"
+    save_checkpoint(build_network(tiny_cfg()), path)
+    with pytest.raises(ValueError):
+        call(path)
 
 
 # -- the embedded twin -------------------------------------------------------

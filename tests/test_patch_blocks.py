@@ -88,15 +88,16 @@ def test_every_zeroout_conv_product_runs_block_by_block(monkeypatch):
     batch, labels = make_two_class_dataset(np.random.default_rng(23), 1, 5, 2)
     want = [5] * 9 + [4]
 
-    cols = _counting(monkeypatch, zeronet, "_window_matrix")
+    # the native kernels' gather and col2im serve the rectangle too
+    cols = _counting(monkeypatch, ops, "window_columns")
     logits, caches = zeronet.forward_zeroout(net, batch)
     assert cols == want
     zeronet.backward_zeroout(net, logits, caches, labels)
     assert cols == want * 2  # then the filter gradient's
 
-    products = _counting(monkeypatch, zeronet, "gemm")
-    d = np.random.default_rng(24).standard_normal((3, 7, 7))
-    zeronet._rect_conv_backward_input(d, net.params[0], 1, (2, 9, 9))
+    products = _counting(monkeypatch, grads, "gemm")
+    d = np.random.default_rng(24).standard_normal((3, 49))
+    grads._input_grad(d, zeronet._packed(net.params[0])[1], zeronet._rect_blocks(9, 3, 1, BLOCK), 81)
     assert products == want
 
 
@@ -145,11 +146,8 @@ def test_the_trunk_plan_follows_patch_block_at_call_time(monkeypatch, layout):
                              LayerSpec.dense(2), LayerSpec.softmax()))
     )
     batch, _ = make_two_class_dataset(np.random.default_rng(27), 1, 8)
-    fwd, module, name = {
-        "native": (nn.forward, ops, "window_columns"),
-        "zeroout": (zeronet.forward_zeroout, zeronet, "_window_matrix"),
-    }[layout]
-    cols = _counting(monkeypatch, module, name)
+    fwd = {"native": nn.forward, "zeroout": zeronet.forward_zeroout}[layout]
+    cols = _counting(monkeypatch, ops, "window_columns")
     for block, want in ((2048, [49]), (BLOCK, [5] * 9 + [4])):
         monkeypatch.setattr(ops, "PATCH_BLOCK", block)
         cols.clear()

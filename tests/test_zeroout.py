@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hexcnn import ops
 from hexcnn.checks import rel_err, zeroout_conv
+from hexcnn.grads import _input_grad
 from hexcnn.grid import HexTensor, cell_count, cells
 from hexcnn.instrument import MacMeter
 from hexcnn.ops import HexFilterBank, conv_full, conv_valid
@@ -12,7 +14,7 @@ from hexcnn.zeroout import (
     rect_conv_reference,
     zeroout_filter,
 )
-from hexcnn.zeronet import _hex_windows, _rect_conv_all, _rect_conv_backward_input
+from hexcnn.zeronet import _hex_windows, _packed, _rect_blocks, _rect_conv_all
 
 
 def test_embed_marks_invalid_corners():
@@ -163,31 +165,34 @@ def test_footprint_identity():
 
 
 def _rect_geometries(seed, count):
-    """Random (x, zero-bias hex bank, stride) triples: strides 1-3,
-    filter sides 1-3, 1-4 channels and filters, any remainder at the edge."""
+    """Random (flat x, span, zero-bias hex bank, stride) tuples: x is
+    (C, span*span), strides 1-3, filter sides 1-3, 1-4 channels and
+    filters, any remainder at the edge."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         side = int(rng.integers(1, 4))
         stride = int(rng.integers(1, 4))
         c, f = (int(n) for n in rng.integers(1, 5, size=2))
         k = 2 * side - 1
-        h, w = (int(n) for n in rng.integers(k, k + 3 * stride + 2, size=2))
+        span = int(rng.integers(k, k + 3 * stride + 2))
         bank = HexFilterBank(side, rng.standard_normal((f, c, cell_count(side))))
-        yield rng.standard_normal((c, h, w)), bank, stride
+        yield rng.standard_normal((c, span * span)), span, bank, stride
 
 
 def test_rect_conv_all_matches_reference():
-    for x, bank, s in _rect_geometries(11, 60):
-        want = rect_conv_reference(x, zeroout_filter(bank), s)
-        assert rel_err(_rect_conv_all(x, bank, s), want) <= 1e-10
+    for x, span, bank, s in _rect_geometries(11, 60):
+        want = rect_conv_reference(x.reshape(-1, span, span), zeroout_filter(bank), s)
+        assert rel_err(_rect_conv_all(x, span, bank, s), want.reshape(want.shape[0], -1)) <= 1e-10
 
 
 def test_rect_conv_backward_input_is_adjoint():
+    # ZeroOut's input gradient is the native col2im over the rectangle's tables
     rng = np.random.default_rng(12)
-    for x, bank, s in _rect_geometries(13, 60):
-        y = _rect_conv_all(x, bank, s)
+    for x, span, bank, s in _rect_geometries(13, 60):
+        y = _rect_conv_all(x, span, bank, s)
         d = rng.standard_normal(y.shape)
-        dx = _rect_conv_backward_input(d, bank, s, x.shape)
+        blocks = _rect_blocks(span, 2 * bank.filter_side - 1, s, ops.PATCH_BLOCK)
+        dx = _input_grad(d, _packed(bank)[1], blocks, span * span)
         assert dx.shape == x.shape
         lhs = np.vdot(y, d)
         rhs = np.vdot(x, dx)

@@ -22,10 +22,16 @@ median, the per-pair ratios, and per end-to-end metric a verdict: the
 pairs the change won in BENCHMARK.json's ``better`` direction, and
 whether its median gain exceeds the parent's interquartile spread.
 One more child per tree imports that tree's ``hexbench/workloads.py``
-and meters one native and one ZeroOut op of each workload (seed 1) with
+and runs op 0 of each workload (seed 1) on each layout, metered with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
 counts per tree and their ratio, beside the 7/12 a side-2 convolution
-does.  Each tree also runs ``hexcnn verify --cases 50`` once, from its
+does.  The child also hashes each op's outputs (a train op's loss and
+updated parameters, a forward op's logits): the ``outputs`` section
+holds each tree's two sha256 digests, and ``outputs_equal`` is true when
+the trees agree on both layouts, so a change to either layout's bits
+shows (the run digest covers native outputs only).  Each tree's
+``src_lines`` counts the lines of every ``src/hexcnn`` module and their
+total.  Each tree also runs ``hexcnn verify --cases 50`` once, from its
 own ``src``; the ``verify`` section holds each tree's exit code, wall
 time and the sha256 of the CSV it wrote, and ``csv_equal``: whether the
 two CSVs are byte-identical.  Nothing under ``hexbench/`` is changed; the
@@ -52,20 +58,25 @@ PAIRS = 10  # the fewest pairs a gain claim is judged on
 SIDE2_MAC_RATIO = 7 / 12  # native over ZeroOut MACs of a side-2 conv: 7 taps to 9, 3/4 of the anchors
 
 # Run in a tree's root with the workload names as arguments; prints
-# {workload: {"native": MACs, "zeroout": MACs}} for one op of each layout.
+# {workload: {"macs": {layout: MACs}, "outputs": {layout: sha256}}} for
+# op 0 of each layout.
 METER = """
-import json, sys
+import hashlib, json, sys
 sys.path[:0] = ["src", "hexbench"]
+import numpy as np
 from hexcnn import instrument
 import workloads
 counts = {}
 for name in sys.argv[1:]:
     case = workloads.make_case(name, 1)
-    counts[name] = {}
+    counts[name] = {"macs": {}, "outputs": {}}
     for path in ("native", "zeroout"):
         with instrument.MacMeter() as meter:
-            getattr(case, path)(0)
-        counts[name][path] = meter.macs
+            out = getattr(case, path)(0)
+        counts[name]["macs"][path] = meter.macs
+        arrays = [out[0], *workloads._param_arrays(out[1])] if case.train else [out]
+        bits = b"".join(np.asarray(a, dtype=np.float64).tobytes() for a in arrays)
+        counts[name]["outputs"][path] = hashlib.sha256(bits).hexdigest()
 print(json.dumps(counts))
 """
 
@@ -108,13 +119,28 @@ def run_child(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def meter_macs(tree: Path, workloads: list) -> dict:
-    """{workload: {"native": MACs, "zeroout": MACs}}: one op of each
-    layout, metered by ``tree``'s own code in a child process."""
+def meter_ops(tree: Path, workloads: list) -> dict:
+    """{workload: {"macs": {layout: MACs}, "outputs": {layout: sha256}}}:
+    op 0 of each layout, metered and hashed by ``tree``'s own code in a
+    child process."""
     out = subprocess.run([sys.executable, "-c", METER, *workloads], cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
-        raise RuntimeError(f"MAC meter in {tree} exited {out.returncode}:\n{out.stderr}")
+        raise RuntimeError(f"op meter in {tree} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def outputs_equal(outputs: dict) -> bool:
+    """True when every tree of ``outputs`` = {tree: {layout: sha256}}
+    gave the same digest on every layout."""
+    first, *rest = outputs.values()
+    return all(o == first for o in rest)
+
+
+def line_counts(tree: Path) -> dict:
+    """The lines of each module of ``tree``'s ``src/hexcnn``, by file
+    name, and their total."""
+    modules = {p.name: len(p.read_text().splitlines()) for p in sorted((tree / "src" / "hexcnn").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
 
 
 def run_verify(tree: Path) -> dict:
@@ -239,9 +265,10 @@ def main(argv=None) -> int:
         trees = {tree: Path(tmp) / tree for tree in TREES}
         for tree, path in trees.items():
             export(revs[tree], path)
+            doc["trees"][tree]["src_lines"] = line_counts(path)
         doc["verify"] = verify_section(trees)
         names = [w["name"] for w in spec["workloads"]]
-        macs = {tree: meter_macs(path, names) for tree, path in trees.items()}
+        metered = {tree: meter_ops(path, names) for tree, path in trees.items()}
         for workload in names:
             runs = {tree: [] for tree in TREES}
             for k, seed in enumerate(doc["seeds"]):
@@ -250,7 +277,10 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {tree}: op_ms.p50 "
                           f"{runs[tree][-1]['metrics']['op_ms.p50']:.3f}", file=sys.stderr, flush=True)
             doc["workloads"][workload] = summarize(runs, better)
-            doc["workloads"][workload]["macs"] = mac_ratios({tree: macs[tree][workload] for tree in TREES})
+            w = doc["workloads"][workload]
+            w["macs"] = mac_ratios({tree: metered[tree][workload]["macs"] for tree in TREES})
+            w["outputs"] = {tree: metered[tree][workload]["outputs"] for tree in TREES}
+            w["outputs_equal"] = outputs_equal(w["outputs"])
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, w in doc["workloads"].items():
@@ -258,10 +288,12 @@ def main(argv=None) -> int:
         print(f"{workload}: op_ms.p50 change/parent {w['ratio']['op_ms.p50']:.3f}, "
               f"won {v['pairs_won']} of {v['pairs']} pairs, median gain {v['median_gain']:.3f} ms "
               f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
-              f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}")
+              f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}, "
+              f"outputs equal {w['outputs_equal']}")
     v = doc["verify"]
     print("verify --cases 50: " + ", ".join(f"{tree} exit {v[tree]['exit']} in {v[tree]['wall_s']:.2f} s"
                                             for tree in TREES) + f", CSVs byte-identical {v['csv_equal']}")
+    print("src/hexcnn lines: " + ", ".join(f"{tree} {doc['trees'][tree]['src_lines']['total']}" for tree in TREES))
     print(path)
     return 0
 
