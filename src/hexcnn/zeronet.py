@@ -124,21 +124,22 @@ def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
     return _trunk_steps(layers, shapes, conv_table, _hex_windows, block)
 
 
-# hex bank -> (packed bank, its weights).  Banks are frozen and their
-# arrays read-only, so an entry cannot go stale; it is dropped with its
-# bank.
+# hex bank -> (packed bank, its filter matrix).  Banks are frozen and
+# their arrays read-only, so an entry cannot go stale; it is dropped with
+# its bank.
 _PACKED = weakref.WeakKeyDictionary()
 
 
 def _packed(bank: HexFilterBank) -> tuple[ZeroOutFilterBank, np.ndarray]:
     """The bank packed into corner-zeroed rectangles, and its
-    (F, C, k*k) weights with taps in the windows' column-major order,
-    shaped like ``HexFilterBank.weights``; built on the bank's first
-    use."""
+    (F, C*k*k) filter matrix with taps in the windows' column-major
+    order; built on the bank's first use.  The forward multiplies it as
+    it is: a reshaped view made per product would be live at the
+    product's peak."""
     hit = _PACKED.get(bank)
     if hit is None:
         zbank = zeroout_filter(bank)
-        w = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, zbank.in_channels, -1)
+        w = zbank.weights.transpose(0, 1, 3, 2).reshape(zbank.filters, -1)
         w.setflags(write=False)
         hit = _PACKED[bank] = (zbank, w)
     return hit
@@ -150,7 +151,7 @@ def _rect_conv_all(x: np.ndarray, span: int, bank: HexFilterBank, stride: int) -
     (F, anchors) output (``ops._product``)."""
     zbank, w = _packed(bank)
     blocks = _rect_blocks(span, zbank.span, stride, ops.PATCH_BLOCK)
-    return ops._product(x, w.reshape(zbank.filters, -1), zbank.bias, blocks)
+    return ops._product(x, w, zbank.bias, blocks)
 
 
 def forward_zeroout(net: Network, batch):
@@ -170,7 +171,7 @@ def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
                 del z  # not live beside the next conv's output
             else:  # its activation is identity: the pool applies the relu
                 (zbank, w), taps = _packed(net.params[i]), cell_count(plan[i + 1][0].window)
-                win = ops._conv_windows(x, w.reshape(zbank.filters, -1), zbank.bias, windows, taps)
+                win = ops._conv_windows(x, w, zbank.bias, windows, taps)
                 a = bits = None
             cache.append((x, bits))
             x = a
@@ -217,7 +218,8 @@ def _trunk_backward(net: Network, cache, d, grads) -> None:
             gb += d.sum(axis=1)
             del x, bits  # released before the input gradient is built
             if i > 0:
-                d = _input_grad(d, _packed(net.params[i])[1], blocks, span * span)
+                w = _packed(net.params[i])[1].reshape(d.shape[0], channels, -1)  # as HexFilterBank.weights
+                d = _input_grad(d, w, blocks, span * span)
                 d *= hex_mask(side).ravel()
 
 

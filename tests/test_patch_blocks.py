@@ -97,7 +97,8 @@ def test_every_zeroout_conv_product_runs_block_by_block(monkeypatch):
 
     products = _counting(monkeypatch, grads, "gemm")
     d = np.random.default_rng(24).standard_normal((3, 49))
-    grads._input_grad(d, zeronet._packed(net.params[0])[1], zeronet._rect_blocks(9, 3, 1, BLOCK), 81)
+    w = zeronet._packed(net.params[0])[1].reshape(3, 2, 9)
+    grads._input_grad(d, w, zeronet._rect_blocks(9, 3, 1, BLOCK), 81)
     assert products == want
 
 

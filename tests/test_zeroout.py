@@ -192,7 +192,7 @@ def test_rect_conv_backward_input_is_adjoint():
         y = _rect_conv_all(x, span, bank, s)
         d = rng.standard_normal(y.shape)
         blocks = _rect_blocks(span, 2 * bank.filter_side - 1, s, ops.PATCH_BLOCK)
-        dx = _input_grad(d, _packed(bank)[1], blocks, span * span)
+        dx = _input_grad(d, _packed(bank)[1].reshape(bank.filters, bank.in_channels, -1), blocks, span * span)
         assert dx.shape == x.shape
         lhs = np.vdot(y, d)
         rhs = np.vdot(x, dx)
