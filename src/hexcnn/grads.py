@@ -8,9 +8,15 @@ cells no window reaches get zero.  Both walk the patches in the
 forward's blocks (``ops._blocks``) and sum the blocks' shares, so
 neither holds a whole window matrix.  Pool errors return along the same
 table (``_unpool``, which the ZeroOut trunk shares); a max pool's
-winning taps pick each window's row of it.  Every backward kernel takes
-the error and the forward's geometry (window side, stride, input side)
-and rebuilds the forward's window table from them.  Each public kernel
+winning taps pick each window's row of it.  Behind a conv that computed
+only a disjoint max pool's window array, the pool's error goes to its
+winning taps in that array instead (``_unpool_windows``), and the
+conv's filter and input gradients run over the same window blocks
+(``ops._at_windows``) that its forward did: both trunks do this, so the
+cells no window reads, whose error is zero, are never multiplied.
+Every backward kernel takes the error and the forward's geometry
+(window side, stride, input side) and rebuilds the forward's window
+table from them.  Each public kernel
 checks its arguments against that geometry, then runs a core on plain
 arrays (``_filter_grad``, ``_input_grad``, ``_unpool``) and wraps the
 result; ``nn``'s trunk backward calls the cores directly, since its own
@@ -184,6 +190,19 @@ def _unpool(d: np.ndarray, taps: np.ndarray | None, g: np.ndarray, cells: int) -
     out = out.astype(d.dtype, copy=False)
     out.shape = (c, cells)  # in place: a reshaped view would be copied by HexTensor
     return out
+
+
+def _unpool_windows(d: np.ndarray, taps: np.ndarray, window_cells: int) -> np.ndarray:
+    """Adjoint of a max pool over a conv's window array
+    (``ops._conv_windows``): the (channels, window_cells*windows) error
+    of that array, tap major, from the pool's (channels, windows) error
+    ``d``, each value at its window's winning tap and zero elsewhere.
+    One write along the tap axis; the window cells are the conv's output
+    cells, so no table is read."""
+    c, n = d.shape
+    out = np.zeros((c, window_cells, n), d.dtype)
+    out[np.arange(c)[:, None], taps, np.arange(n)] = d
+    return out.reshape(c, -1)
 
 
 def maxpool_backward(

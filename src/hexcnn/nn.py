@@ -13,12 +13,16 @@ decided once per network and block size (``_trunk_steps``, cached by
 conv's relu to its pooled output, so the relu and its derivative run on
 the pooled cells only, with the same bits; and when that pool's windows
 share no cell (hexlenet5's stride-3 side-2 pools), the conv computes
-only the cells the pool reads, in the pool's window order.  Those
-pooled values can differ from ``maxpool(conv_valid(...))`` in the last
-bits, since BLAS may round a column differently in a product of fewer
-columns.  The backward is the same either way.  Training is plain SGD
-with a fixed update order, so a fixed seed reproduces the same
-trajectory bit for bit.
+only the cells the pool reads, in the pool's window order, and its
+backward runs on the same cells: the forward's plan rides in the caches
+(``_Caches.plan``).  The pooled values and the conv's gradients can
+differ from the public kernels composed over every output cell in the
+last bits, since BLAS may round a column differently in a product of
+fewer columns.  The conv outputs no pool window reads are never
+computed, so an input cell that only they read reaches nothing: a NaN
+there leaves the loss and every gradient finite, on both layouts.
+Training is plain SGD with a fixed update order, so a fixed seed
+reproduces the same trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .grads import _filter_grad, _input_grad, _unpool
+from .grads import _filter_grad, _input_grad, _unpool, _unpool_windows
 from .grid import HexTensor, cell_count, check_int, check_tensor
 from .matmul import gemm
 from .ops import HexFilterBank, _blocks, conv_valid, tap_gather, valid_geometry
@@ -124,10 +128,25 @@ class TrainConfig:
     batch_size: int = 1
 
     def __post_init__(self):
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr < np.inf:
-            raise ValueError(f"learning rate must be a finite, non-negative real number, got {lr!r}")
+        if _finite_real(self.learning_rate, "learning rate") < 0:
+            raise ValueError(f"learning rate must be non-negative, got {self.learning_rate!r}")
         check_int(self.batch_size, "batch size")
+
+
+def _finite_real(value, what: str):
+    """``value`` if it is a finite real number; a bool, a non-number,
+    an infinity or NaN raises ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return value
+
+
+def _learning_rate(tc) -> float:
+    """The learning rate of the ``TrainConfig`` ``tc``; anything else
+    raises ``ValueError``, which a train step checks before it runs."""
+    if not isinstance(tc, TrainConfig):
+        raise ValueError(f"train config must be a TrainConfig, got {type(tc).__name__}")
+    return tc.learning_rate
 
 
 class Network:
@@ -377,13 +396,16 @@ def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
 
 @dataclass(frozen=True, eq=False)
 class _Caches:
-    """What ``forward`` keeps for ``backward``: per sample, a list of one
-    trunk cache entry per trunk layer; per dense layer of the head, its
-    index, its (B, in) inputs and the packed relu bits of its (B, units)
-    output (None for identity).  ``backward`` consumes both lists,
-    popping each entry as it walks it, so the caches serve one
-    ``backward`` only."""
+    """What ``forward`` keeps for ``backward``: the trunk plan the
+    forward walked, so the backward runs on the same window blocks
+    without a second lookup at a ``PATCH_BLOCK`` that may have changed;
+    per sample, a list of one trunk cache entry per trunk layer; per
+    dense layer of the head, its index, its (B, in) inputs and the
+    packed relu bits of its (B, units) output (None for identity).
+    ``backward`` consumes both lists, popping each entry as it walks it,
+    so the caches serve one ``backward`` only."""
 
+    plan: tuple
     trunk: list
     head: list
 
@@ -396,10 +418,15 @@ def _forward_with(net: Network, batch, trunk_plan, trunk_forward) -> tuple[np.nd
     shapes, block)``, looked up once per batch at the current
     ``ops.PATCH_BLOCK``, and ``trunk_forward(net, plan, t)``, which
     returns one sample's flat features and its trunk cache.  The dense
-    head is the same algebra on every layout.  An empty batch, or an
-    item that is not a float64 ``HexTensor`` of the input's shape, raises
+    head is the same algebra on every layout.  A batch that is not a
+    sequence (one ``HexTensor``, say), an empty batch, or an item that
+    is not a float64 ``HexTensor`` of the input's shape, raises
     ``ValueError``: the network's parameters are float64, and a float32
     item would be promoted silently."""
+    try:
+        batch = list(batch)
+    except TypeError:  # one HexTensor, say, which is not a batch of one
+        raise ValueError(f"batch must be a sequence of HexTensors, got {type(batch).__name__}") from None
     plan = trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
     features = []
     trunk = []
@@ -424,7 +451,7 @@ def _forward_with(net: Network, batch, trunk_plan, trunk_forward) -> tuple[np.nd
             head.append((i, x, bits))
             x = a
         # softmax_xent: loss layer, logits pass through
-    return x, _Caches(trunk, head)
+    return x, _Caches(plan, trunk, head)
 
 
 def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
@@ -438,9 +465,10 @@ def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
     return _forward_with(net, batch, _trunk_plan, _trunk_forward)
 
 
-def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
-    """One sample's feature error back through its trunk, popping each
-    layer's cache entry as it walks it (the list ends empty).
+def _trunk_backward(net: Network, plan: tuple, cache: list, d: np.ndarray, grads) -> None:
+    """One sample's feature error back through its trunk, on the plan
+    its forward walked (``_Caches.plan``), popping each layer's cache
+    entry as it walks it (the list ends empty).
 
     The error stays a (channels, cells) array and runs through the
     backward kernels' cores (``grads._filter_grad``, ``_input_grad``,
@@ -449,17 +477,26 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
     and no ``HexTensor`` is built.  A max pool that applied a relu
     applies its derivative before the unpool.
 
-    Its taps were taken on the pre-activation, so in a window whose
-    maximum is <= 0 the tap can differ from the one the unfused order,
-    ``maxpool(relu(z))``, takes; the error there is zero either way.
-    The one difference that can show is the sign of a gradient entry
-    that is exactly zero.  Unfused, the winner gets a negative error
-    ``d`` and then ``d * False``, which is -0.0; here the error is
-    zeroed first, and ``np.bincount`` adds the -0.0 to 0.0, giving +0.0."""
+    A conv whose step has window blocks computed only its max pool's
+    window array, and its backward runs on that array too: the pool puts
+    each window's error at its winning tap of a zeroed
+    (filters, taps*windows) error (``grads._unpool_windows``), and the
+    conv's filter and input gradients run over the forward's own blocks.
+    The cells no window reads, whose error is zero, are never
+    multiplied, so an input cell that only they read reaches no gradient:
+    a NaN there leaves the loss and every gradient finite.  The filter
+    gradient's product then has fewer columns than over every cell, which
+    can move its last bits.
+
+    A max pool's taps were taken on the pre-activation, so in a window
+    whose maximum is <= 0 the tap can differ from the one the unfused
+    order, ``maxpool(relu(z))``, takes; the error there is zero either
+    way.  The one difference that can show is the sign of a gradient
+    entry that is exactly zero."""
     while cache:
         i = len(cache) - 1
-        spec = net.cfg.layers[i]
-        _, side, channels = net.shapes[i]  # the layer's input
+        spec, side, _, windows = plan[i]
+        channels = net.shapes[i][2]  # the layer's input
         if spec.kind == "flatten":
             cache.pop()
             d = d.reshape(channels, -1)
@@ -467,12 +504,15 @@ def _trunk_backward(net: Network, cache: list, d: np.ndarray, grads) -> None:
             taps, bits = cache.pop() or (None, None)  # an average pool caches None
             if bits is not None:
                 d = _relu_grad(d, bits)
-            d = _unpool(d, taps, tap_gather(side, spec.window, spec.stride), cell_count(side))
+            if i and plan[i - 1][3] is not None:  # its conv computed only its windows
+                d = _unpool_windows(d, taps, cell_count(spec.window))
+            else:
+                d = _unpool(d, taps, tap_gather(side, spec.window, spec.stride), cell_count(side))
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
                 d = _relu_grad(d, bits)
-            blocks = _blocks(side, spec.window, spec.stride, ops.PATCH_BLOCK)
+            blocks = _blocks(side, spec.window, spec.stride, ops.PATCH_BLOCK) if windows is None else windows
             gw, gb = grads[i]
             dw, db = _filter_grad(x.data, d, blocks)
             gw += dw
@@ -519,9 +559,10 @@ def _head_backward(net: Network, head: list, d: np.ndarray, grads) -> np.ndarray
 
 def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
     """``backward`` with the per-sample trunk passed in:
-    ``trunk_backward(net, cache, d, grads)`` walks one sample's feature
-    error back through its trunk cache, emptying it, and adds to the
-    conv gradients.  Consumes ``caches``; every check runs first."""
+    ``trunk_backward(net, plan, cache, d, grads)`` walks one sample's
+    feature error back through its trunk cache on the forward's plan,
+    emptying the cache, and adds to the conv gradients.  Consumes
+    ``caches``; every check runs first."""
     if net.cfg.layers[-1].kind != "softmax_xent":
         raise ValueError("backward requires a softmax_xent head")
     n = len(caches)
@@ -539,7 +580,7 @@ def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward
     trunk = caches.trunk
     trunk.reverse()  # popped from the end: samples in batch order
     for row in d:
-        trunk_backward(net, trunk.pop(), row, grads)
+        trunk_backward(net, caches.plan, trunk.pop(), row, grads)
     return loss, grads
 
 
@@ -577,9 +618,11 @@ def apply_gradients(net: Network, grads, learning_rate: float) -> None:
 
 def train_step(net: Network, batch, labels, tc: TrainConfig) -> float:
     """One SGD step; returns the batch loss before the update.  No cache
-    is alive during the update."""
+    is alive during the update.  A ``tc`` that is not a ``TrainConfig``
+    raises ``ValueError`` before any product runs."""
+    lr = _learning_rate(tc)
     loss, grads = backward(net, *forward(net, batch), labels)
-    apply_gradients(net, grads, tc.learning_rate)
+    apply_gradients(net, grads, lr)
     return loss
 
 
@@ -735,8 +778,10 @@ def load_checkpoint(path, cfg: NetworkConfig) -> Network:
 
 
 def make_two_class_dataset(rng, n: int, side: int, channels: int = 1, separation: float = 1.0):
-    """Gaussian clutter; class 1 adds a constant shift to every cell."""
+    """Gaussian clutter; class 1 adds a constant shift, ``separation``, a
+    finite real number, to every cell."""
     check_int(channels, "channels")
+    _finite_real(separation, "separation")
     cellcount = cell_count(side)
     labels = rng.integers(0, 2, size=check_int(n, "sample count"))
     tensors = []

@@ -44,9 +44,15 @@ tables, so both layouts make the same decisions.  A conv that feeds a
 max pool with disjoint windows computes only those windows' cells
 (``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is
 1, so the rectangular anchors off the pool's windows, the corner
-anchors among them, are never computed.  Every product is metered like
-the native path's; the input gradient does the MACs of a forward over
-every rectangular anchor.
+anchors among them, are never computed.  Its backward runs on the same
+blocks, which the forward's plan carries to it: the pool puts its error
+at its winning taps of the window array (``grads._unpool_windows``),
+then the filter gradient's block loop and ``grads._input_grad`` run over
+the window cells alone.  So an input cell that only the dropped anchors
+read, through any of their k-by-k taps, reaches neither the loss nor a
+gradient, NaN included.  Every product is metered like the native
+path's; an unfused conv's input gradient does the MACs of a forward
+over every rectangular anchor.
 
 Each layer applies its plan step's activation, as the native trunk
 does: a relu conv right before a max pool leaves its relu to the pool,
@@ -59,8 +65,9 @@ returns, rows of its window table, one byte each as the native pool's,
 and the packed bits of its pooled output when it applies relu; an
 average pool and the flatten keep None, since their sizes are in
 ``net.shapes``.  ``nn._backward_with`` hands ``_trunk_backward`` each
-sample's cache list, which pops every entry as it walks it and drops a
-conv's input once its filter gradient is formed.
+sample's cache list and the plan its forward walked; it pops every
+entry as it walks it and drops a conv's input once its filter gradient
+is formed.
 
 Used as the cross-layout oracle for training trajectories and as the
 baseline side of the training benchmark.
@@ -73,11 +80,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grads import _input_grad, _unpool
+from .grads import _input_grad, _unpool, _unpool_windows
 from .grid import HexTensor, cell_count, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _forward_with, _relu_grad, _trunk_steps, apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _forward_with, _learning_rate, _relu_grad, _trunk_steps,
+    apply_gradients,
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
@@ -187,29 +195,33 @@ def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
     return x[:, _hex_flat(plan[-1][1])].ravel(), cache
 
 
-def _trunk_backward(net: Network, cache, d, grads) -> None:
+def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
     while cache:
         i = len(cache) - 1
-        spec = net.cfg.layers[i]
-        _, side, channels = net.shapes[i]  # the layer's input
+        spec, side, _, windows = plan[i]
+        channels = net.shapes[i][2]  # the layer's input
         span = 2 * side - 1
         if spec.kind == "flatten":
             cache.pop()
             d = _to_rect(d.reshape(channels, -1), side)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            d = d[:, _hex_flat(net.shapes[i + 1][1])]
+            d = d[:, _hex_flat(plan[i + 1][1])]
             taps, bits = cache.pop() or (None, None)  # an average pool caches None
             if bits is not None:
                 d = _relu_grad(d, bits)
-            d = _unpool(d, taps, _hex_windows(side, spec.window, spec.stride), span * span)
+            if i and plan[i - 1][3] is not None:  # its conv computed only its windows
+                d = _unpool_windows(d, taps, cell_count(spec.window))
+            else:
+                d = _unpool(d, taps, _hex_windows(side, spec.window, spec.stride), span * span)
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
                 d = _relu_grad(d, bits)
             k = 2 * spec.window - 1
-            blocks = _rect_blocks(span, k, spec.stride, ops.PATCH_BLOCK)
-            # filter gradient over every rectangular anchor (the error is
-            # zero off the hexagon, so extra anchors contribute nothing)
+            # every rectangular anchor (the error is zero off the hexagon,
+            # so extra anchors contribute nothing), or the forward's blocks
+            # at the pool's windows
+            blocks = _rect_blocks(span, k, spec.stride, ops.PATCH_BLOCK) if windows is None else windows
             dw = sum(gemm(d[:, b], ops.window_columns(x, g).T) for b, g in blocks)
             dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
@@ -230,7 +242,9 @@ def backward_zeroout(net: Network, logits, caches, labels):
 
 
 def train_step_zeroout(net: Network, batch, labels, tc: TrainConfig) -> float:
-    """SGD step driven entirely by the embedded kernels."""
+    """SGD step driven entirely by the embedded kernels; ``tc`` is
+    checked first, as in ``nn.train_step``."""
+    lr = _learning_rate(tc)
     loss, grads = backward_zeroout(net, *forward_zeroout(net, batch), labels)
-    apply_gradients(net, grads, tc.learning_rate)
+    apply_gradients(net, grads, lr)
     return loss

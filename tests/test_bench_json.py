@@ -78,6 +78,29 @@ def test_verdict_counts_won_pairs_in_the_metrics_direction(bench_json):
     assert bench_json.verdict(parent, [c - 0.5 for c in change], "lower")["gain_exceeds_parent_iqr"]
 
 
+def test_verdict_flags_a_loss_beyond_the_parents_iqr_and_main_names_it(bench_json):
+    parent, change = [10.0, 12.0, 14.0, 11.0, 13.0], [13.0, 15.0, 16.0, 14.0, 12.0]
+    # medians 12 -> 14 against quartiles 11 and 13: worse by 2, not beyond
+    assert not bench_json.verdict(parent, change, "lower")["loss_exceeds_parent_iqr"]
+    worse = bench_json.verdict(parent, [c + 0.5 for c in change], "lower")
+    assert worse["loss_exceeds_parent_iqr"] and not worse["gain_exceeds_parent_iqr"]
+    assert worse["median_gain"] == -2.5
+    # the mirror in the other direction: a higher-is-better metric that fell
+    assert bench_json.verdict([c + 0.5 for c in change], parent, "higher")["loss_exceeds_parent_iqr"]
+
+    runs = {
+        "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
+        "change": [_run(1, 16.0, "a"), _run(2, 15.0, "b"), _run(3, 17.0, "c")],
+    }
+    for run in runs["change"]:
+        run["metrics"]["ok_frac"] = 0.5
+    lines = bench_json.regressions(bench_json.summarize(runs, BETTER))
+    assert [line.split()[1] for line in lines] == ["op_ms.p50", "ok_frac"]
+    assert "change/parent 1.333" in lines[0] and "won 0 of 3 pairs" in lines[0]
+    runs["change"] = runs["parent"]
+    assert bench_json.regressions(bench_json.summarize(runs, BETTER)) == []
+
+
 def test_summary_gives_a_verdict_per_directed_metric(bench_json):
     runs = {
         "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
@@ -87,6 +110,7 @@ def test_summary_gives_a_verdict_per_directed_metric(bench_json):
     assert list(out["verdict"]) == ["op_ms.p50"]  # ok_frac has no direction here
     assert out["verdict"]["op_ms.p50"] == {
         "pairs_won": 2, "pairs": 3, "median_gain": 4.0, "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True,
+        "loss_exceeds_parent_iqr": False,
     }
     assert bench_json.summarize(runs, BETTER)["verdict"]["ok_frac"]["pairs_won"] == 0  # all ties
 

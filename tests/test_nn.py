@@ -24,7 +24,8 @@ from hexcnn.nn import (
     xent_loss_grad,
 )
 from hexcnn.grads import avgpool_backward, conv_backward_filter, conv_backward_input, maxpool_backward
-from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool, tap_gather
+from hexcnn.matmul import gemm
+from hexcnn.ops import PATCH_BLOCK, avgpool, conv_valid, maxpool, tap_gather, window_columns
 from hexcnn.instrument import MacMeter
 from hexcnn import bench, nn, ops, zeronet
 from hexcnn.zeronet import backward_zeroout, forward_zeroout, train_step_zeroout
@@ -435,10 +436,11 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     net = build_network(make_cfg())
     rng = np.random.default_rng(31)
     (t,), _ = make_two_class_dataset(rng, 1, 13, 2)
-    features, cache = nn._trunk_forward(net, _plan(nn, net), t)  # layers 0-3, then the flatten
+    plan = _plan(nn, net)
+    features, cache = nn._trunk_forward(net, plan, t)  # layers 0-3, then the flatten
     d = rng.standard_normal(features.shape)
     got = nn._trunk_grads(net)
-    nn._trunk_backward(net, cache, d, got)
+    nn._trunk_backward(net, plan, cache, d, got)
     assert not cache
 
     conv0, pool1, conv2, pool3 = net.cfg.layers[:4]
@@ -455,14 +457,31 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     want = nn._trunk_grads(net)  # accumulated as the trunk does, from zero
     for a, b in zip(want[2], conv_backward_filter(p1, e, conv2.stride, conv2.window)):
         a += b
+    for a, b in zip(got[2], want[2]):  # conv2 feeds an average pool: every output cell
+        assert a.tobytes() == b.tobytes()
+
     e = conv_backward_input(e, net.params[2], conv2.stride, p1.side)
     e = maxpool_backward(e, taps, pool1.window, pool1.stride, a0.side)
     e = HexTensor(e.side, e.channels, e.data * (z0.data > 0))
-    for a, b in zip(want[0], conv_backward_filter(t, e, conv0.stride, conv0.window)):
-        a += b
-    for i in (0, 2):
-        for a, b in zip(got[i], want[i]):
-            assert a.tobytes() == b.tobytes()
+    # conv0 feeds a max pool whose windows share no cell, so its backward
+    # runs on the pool's window cells only, tap major over the windows, in
+    # blocks of the test's size: the conv table's columns at those cells
+    cells = tap_gather(a0.side, pool1.window, pool1.stride).ravel()
+    g = tap_gather(t.side, conv0.window, conv0.stride)[:, cells]
+    e_win = np.take(e.data, cells, axis=1)  # C order, as the trunk's error: BLAS rounds by layout
+    parts = [
+        gemm(e_win[:, lo : lo + block], window_columns(t.data, g[:, lo : lo + block]).T)
+        for lo in range(0, cells.size, block)
+    ]
+    dw = parts[0]
+    for part in parts[1:]:
+        dw += part
+    by_hand = (dw.reshape(net.params[0].weights.shape), e_win.sum(axis=1))
+    full = conv_backward_filter(t, e, conv0.stride, conv0.window)  # every output cell
+    for a, b, c in zip(got[0], by_hand, full):
+        assert a.tobytes() == (np.zeros_like(b) + b).tobytes()  # accumulated from zero
+        # the window cells hold all of the error, so only the last bits move
+        assert np.abs(a - c).max() <= 1e-13 * np.abs(c).max()
 
 
 def _vgg_block_cfg(seed=5):
@@ -629,7 +648,7 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
     disjoint = np.unique(g).size == g.size
     assert fused == ([(layers[conv_layer].filters, g.shape[0], g.shape[1])] if disjoint else [])
     got = nn._trunk_grads(net)
-    module._trunk_backward(net, cache, d, got)
+    module._trunk_backward(net, plan, cache, d, got)
     assert not cache
     want_features, want = _unfused_trunk(net, t, d, conv)
     assert features.tobytes() == want_features.tobytes()
@@ -695,6 +714,61 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
     assert meter.macs == sum(
         spec.filters * net.shapes[i][2] * taps * cells(net.shapes[i + 1][1]) for i, spec in convs
     )
+
+
+def _fused_step_macs(net, conv_taps):
+    """Per-sample MACs of a train step's trunk whose every conv feeds a
+    max pool with disjoint windows, from the shapes: windows x pool taps
+    x C x conv taps x F for the forward, the filter gradient and, past
+    layer 0, the input gradient of each conv."""
+    total = 0
+    for i, spec in enumerate(net.cfg.layers):
+        if spec.kind == "hexconv":
+            pool, (_, windows, _) = net.cfg.layers[i + 1], net.shapes[i + 2]
+            product = cell_count(windows) * cell_count(pool.window) * net.shapes[i][2] * conv_taps(spec.window)
+            total += (3 if i else 2) * product * spec.filters
+    return total
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_a_fused_conv_pools_backward_runs_on_its_windows_alone(layout):
+    # lenet-train's step: hexlenet5 on the side-37 hexagon that covers a
+    # 48 x 48 image, 32 samples; both convs feed stride-3 side-2 max
+    # pools, and their gradients, like their forwards, multiply only the
+    # pools' window cells
+    (fwd, bwd), conv_taps = {
+        "native": (LAYOUTS[0], cell_count),
+        "zeroout": (LAYOUTS[1], lambda k: (2 * k - 1) ** 2),
+    }[layout]
+    net = build_network(hex_lenet(37, 2, seed=1))
+    plan = _plan({"native": nn, "zeroout": zeronet}[layout], net)
+    assert [i for i, step in enumerate(plan) if step[3] is not None] == [0, 2]
+    batch, labels = make_two_class_dataset(np.random.default_rng(2), 32, 37)
+    with MacMeter() as meter:
+        bwd(net, *fwd(net, batch), labels)
+    dense = sum(3 * np.prod(p[0].shape) for p in net.params if isinstance(p, tuple))
+    assert meter.macs == 32 * (_fused_step_macs(net, conv_taps) + dense)
+    assert meter.macs == {"native": 31_021_440, "zeroout": 37_929_600}[layout]
+
+
+def test_a_nan_read_only_by_cells_no_pool_window_reads_reaches_no_gradient():
+    # hexlenet5's first conv feeds a disjoint max pool: of the 817 input
+    # cells, 186 are read only by conv outputs that no window of the pool
+    # reads.  Neither layout multiplies those outputs, forward or backward,
+    # so NaNs there leave the loss and every gradient finite (a backward
+    # over every conv output cell made the filter gradient NaN: 0 * NaN)
+    net = build_network(hex_lenet(17, 2))
+    windows = tap_gather(net.shapes[1][1], 2, 3).ravel()
+    unread = np.setdiff1d(np.arange(cell_count(17)), tap_gather(17, 2, 1)[:, windows])
+    assert unread.size == 186
+    batch, labels = make_two_class_dataset(np.random.default_rng(19), 3, 17)
+    x = batch[1].data.copy()
+    x[:, unread] = np.nan
+    batch[1] = HexTensor(17, 1, x)
+    for fwd, bwd in LAYOUTS:
+        loss, grads = bwd(net, *fwd(net, batch), labels)
+        assert np.isfinite(loss)
+        assert all(np.isfinite(a).all() for g in grads if g is not None for a in g)
 
 
 # per trunk layer of each config: the activation it applies, and whether
@@ -778,6 +852,35 @@ def test_train_config_rejects_malformed_arguments():
             TrainConfig(*args)
     for args in ((0.05, 32), (0,), (1, 1), (np.float64(0.1), np.int64(2))):
         TrainConfig(*args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda net, batch, y: train_step(net, batch, y, None), id="train_step_no_config"),
+        pytest.param(lambda net, batch, y: train_step_zeroout(net, batch, y, None), id="zeroout_step_no_config"),
+        pytest.param(lambda net, batch, y: train_step(net, batch, y, 0.1), id="train_step_bare_rate"),
+        pytest.param(lambda net, batch, y: forward(net, batch[0]), id="forward_one_tensor"),
+        pytest.param(lambda net, batch, y: forward_zeroout(net, batch[0]), id="zeroout_forward_one_tensor"),
+        pytest.param(lambda *_: make_two_class_dataset(np.random.default_rng(0), 2, 5, separation="x"),
+                     id="separation_str"),
+        pytest.param(lambda *_: make_two_class_dataset(np.random.default_rng(0), 2, 5, separation=np.nan),
+                     id="separation_nan"),
+        pytest.param(lambda *_: make_two_class_dataset(np.random.default_rng(0), 2, 5, separation=-np.inf),
+                     id="separation_inf"),
+        pytest.param(lambda *_: make_two_class_dataset(np.random.default_rng(0), 2, 5, separation=True),
+                     id="separation_bool"),
+    ],
+)
+def test_malformed_arguments_raise_value_error_before_any_product(call):
+    # a step without a TrainConfig used to raise AttributeError after its
+    # whole forward and backward, one HexTensor for a batch TypeError, a
+    # string separation TypeError, and a NaN separation gave NaN data
+    net = build_network(tiny_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(8), 2, 5)
+    with MacMeter() as meter, pytest.raises(ValueError):
+        call(net, batch, labels)
+    assert meter.macs == 0
 
 
 def test_train_step_zero_lr_keeps_parameters():

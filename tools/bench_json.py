@@ -20,7 +20,9 @@ quartiles and the provenance the first run recorded (its ``git_sha``
 is null: an export has no repository), the change/parent ratio of each
 median, the per-pair ratios, and per end-to-end metric a verdict: the
 pairs the change won in BENCHMARK.json's ``better`` direction, and
-whether its median gain exceeds the parent's interquartile spread.
+whether its median gain exceeds the parent's interquartile spread, or
+its median loss does; the summary printed at the end names every
+metric that got worse beyond that spread.
 One more child per tree imports that tree's ``hexbench/workloads.py``
 and runs op 0 of each workload (seed 1) on each layout, metered with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
@@ -188,7 +190,8 @@ def verdict(parent: list, change: list, better: str) -> dict:
     to neither side); ``median_gain`` is the change's median minus the
     parent's, signed so that a gain is positive; ``gain_exceeds_parent_iqr``
     is true when that gain is larger than the spread between the
-    parent's quartiles."""
+    parent's quartiles, and ``loss_exceeds_parent_iqr`` when the change
+    is worse by more than that spread."""
     sign = {"lower": -1, "higher": 1}[better]
     (q1, pmed, q3), cmed = _quartiles(parent), _quartiles(change)[1]
     gain = sign * (cmed - pmed)
@@ -198,6 +201,7 @@ def verdict(parent: list, change: list, better: str) -> dict:
         "median_gain": gain,
         "parent_iqr": q3 - q1,
         "gain_exceeds_parent_iqr": gain > q3 - q1,
+        "loss_exceeds_parent_iqr": -gain > q3 - q1,
     }
 
 
@@ -231,6 +235,17 @@ def summarize(runs: dict, better: dict) -> dict:
     }
     out["digests_equal"] = all(p["digest"] == c["digest"] for p, c in pairs)
     return out
+
+
+def regressions(workload: dict) -> list:
+    """Lines naming each end-to-end metric of one workload's section
+    whose change is worse than the parent by more than the parent's
+    interquartile range."""
+    return [
+        f"  worse: {k} change/parent {workload['ratio'][k]:.3f}, median loss {-v['median_gain']:.4g} "
+        f"> parent IQR {v['parent_iqr']:.4g}, won {v['pairs_won']} of {v['pairs']} pairs"
+        for k, v in workload["verdict"].items() if v["loss_exceeds_parent_iqr"]
+    ]
 
 
 def _ratio(a: float, b: float) -> float | None:
@@ -290,6 +305,8 @@ def main(argv=None) -> int:
               f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
               f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}, "
               f"outputs equal {w['outputs_equal']}")
+        for line in regressions(w):
+            print(line)
     v = doc["verify"]
     print("verify --cases 50: " + ", ".join(f"{tree} exit {v[tree]['exit']} in {v[tree]['wall_s']:.2f} s"
                                             for tree in TREES) + f", CSVs byte-identical {v['csv_equal']}")
