@@ -424,13 +424,13 @@ def _forward_with(net: Network, batch, trunk_plan, trunk_forward) -> tuple[np.nd
     ``ValueError``: the network's parameters are float64, and a float32
     item would be promoted silently."""
     try:
-        batch = list(batch)
+        items = iter(batch)
     except TypeError:  # one HexTensor, say, which is not a batch of one
         raise ValueError(f"batch must be a sequence of HexTensors, got {type(batch).__name__}") from None
     plan = trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
     features = []
     trunk = []
-    for t in batch:
+    for t in items:
         check_tensor(t, "batch items")
         if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
             raise ValueError("batch input does not match the network config")
