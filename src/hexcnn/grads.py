@@ -12,8 +12,11 @@ winning taps pick each window's row of it.  Behind a conv that computed
 only a disjoint max pool's window array, the pool's error goes to its
 winning taps in that array instead (``_unpool_windows``), and the
 conv's filter and input gradients run over the same window blocks
-(``ops._at_windows``) that its forward did: both trunks do this, so the
-cells no window reads, whose error is zero, are never multiplied.
+(``nn._trunk_steps``) that its forward did: both trunks do this, so the
+cells no window reads, whose error is zero, are never multiplied.  The
+cores read any tap-major table, so the trunks run them over a group of
+samples laid side by side (``ops._stack``), and the filter gradient
+sums the group's share in one product a block.
 Every backward kernel takes the error and the forward's geometry
 (window side, stride, input side) and rebuilds the forward's window
 table from them.  Each public kernel

@@ -3,26 +3,37 @@ forward/backward, SGD training, presets, and checkpoints.
 
 Conv and pool layers run on the hexagonal kernels; after a flatten the
 dense head works exactly like any rectangle-based network.  The trunk
-(conv and pool layers up to and including the flatten) runs one sample
-at a time, which keeps each sample's activations small enough to stay
-in cache; the flattened features are stacked into a (batch, features)
-matrix, so every dense layer, the softmax cross-entropy and their
-gradients are one batched product each.  Each layout walks a trunk plan
-decided once per network and block size (``_trunk_steps``, cached by
-``_trunk_plan``): a max pool right after a relu conv applies that
-conv's relu to its pooled output, so the relu and its derivative run on
-the pooled cells only, with the same bits; and when that pool's windows
-share no cell (hexlenet5's stride-3 side-2 pools), the conv computes
-only the cells the pool reads, in the pool's window order, and its
-backward runs on the same cells: the forward's plan rides in the caches
-(``_Caches.plan``).  The pooled values and the conv's gradients can
-differ from the public kernels composed over every output cell in the
-last bits, since BLAS may round a column differently in a product of
-fewer columns.  The conv outputs no pool window reads are never
-computed, so an input cell that only they read reaches nothing: a NaN
-there leaves the loss and every gradient finite, on both layouts.
-Training is plain SGD with a fixed update order, so a fixed seed
-reproduces the same trajectory bit for bit.
+(conv and pool layers up to and including the flatten) runs a few
+samples at a time, laid side by side along the cell axis as one
+(channels, group*cells) array, so each layer of a group is one gather,
+one product per block and one pool.  The group holds as many samples
+as keep the largest array one sample builds in a layer (a conv's output
+or window array, or a pool's window array) within ``ops.GROUP_BYTES``,
+and at least one (``_group_size``), so a group's activations stay small
+enough for the cache; a group of one runs one sample's own arrays.  The
+flattened features are stacked into a (batch, features) matrix, so
+every dense layer, the softmax cross-entropy and their gradients are
+one batched product each; the dense layers' weight gradients are formed
+after the trunk's backward, so none is live at its peak, and SGD writes
+each update into the gradient array it consumes.  A group's products
+sum over more columns than one sample's, so a group's results can
+differ from a sample's in the last bits.  Each layout walks a trunk
+plan decided once per network, block size and group size
+(``_trunk_steps``, cached by ``_trunk_plan``): a max pool right after a
+relu conv applies that conv's relu to its pooled output, so the relu
+and its derivative run on the pooled cells only, with the same bits;
+and when that pool's windows share no cell (hexlenet5's stride-3
+side-2 pools), the conv computes only the cells the pool reads, in the
+pool's window order, and its backward runs on the same cells: the
+forward's plans ride in the caches (``_Caches.groups``).  The pooled
+values and the conv's gradients can differ from the public kernels
+composed over every output cell in the last bits, since BLAS may round
+a column differently in a product of fewer columns.  The conv outputs
+no pool window reads are never computed, so an input cell that only
+they read reaches nothing: a NaN there leaves the loss and every
+gradient finite, on both layouts.  Training is plain SGD with a fixed
+update order, so a fixed seed reproduces the same trajectory bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import numbers
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +53,9 @@ from . import ops
 from .grads import _filter_grad, _input_grad, _unpool, _unpool_windows
 from .grid import HexTensor, cell_count, check_int, check_tensor
 from .matmul import gemm
-from .ops import HexFilterBank, _blocks, conv_valid, tap_gather, valid_geometry
+# conv_valid is bound here, unused, for the benchmark tracer, which
+# patches each binding of a public kernel
+from .ops import HexFilterBank, conv_valid, tap_gather, valid_geometry  # noqa: F401
 
 __all__ = [
     "LayerSpec",
@@ -308,10 +322,11 @@ def _head_start(layers) -> int:
     raise ValueError("network has no flatten layer")
 
 
-def _trunk_steps(layers, shapes, conv_table, pool_table, block: int) -> tuple:
+def _trunk_steps(layers, shapes, conv_table, pool_table, cells, block: int, group: int) -> tuple:
     """The trunk of ``layers`` (conv and pool layers up to and including
-    the flatten) as one ``(spec, input side, activation, windows)`` step
-    per layer; ``shapes`` are the network's.
+    the flatten) as one ``(spec, input side, activation, fused, table)``
+    step per layer, for ``group`` samples laid side by side; ``shapes``
+    are the network's.
 
     Max commutes with relu, so a relu conv whose next layer is a max pool
     applies identity and that pool applies the relu, to its pooled cells
@@ -320,206 +335,270 @@ def _trunk_steps(layers, shapes, conv_table, pool_table, block: int) -> tuple:
     -0.0 to +0.0 and passes NaN through.  Every other conv applies its
     own activation, and every other layer identity.
 
-    ``windows`` is set on a conv whose next layer is a max pool with
-    disjoint windows: ``ops._at_windows`` of the layout's conv table,
-    ``conv_table(side, window, stride)``, at the pool's windows,
-    ``pool_table(side, window, stride)``, in ``block``-patch pairs.  The
-    conv then computes only the cells the pool reads, as the pool's
-    window array (``ops._conv_windows``).  It is None on every other
-    step, and on a conv whose pool's windows overlap."""
+    ``fused`` is set on a conv whose next layer is a max pool with
+    disjoint windows, and on that pool: the conv computes only the cells
+    the pool reads, as the pool's window array (``ops._conv_windows``),
+    and the pool gathers nothing.  A conv's ``table`` is its window table,
+    ``conv_table(side, window, stride)``, or when fused that table's
+    columns at the pool's windows, ``pool_table(side, window, stride)``,
+    tap major over the windows; a pool's is its window table, or None
+    when fused; the flatten's None.  Each table is laid out for the group
+    (``ops._stack``, one sample's array ``cells(side)`` wide), and a
+    conv's is split into ``block``-patch (slice, table) pairs
+    (``ops._split``)."""
     trunk = layers[: _head_start(layers)]
     steps = []
     for i, spec in enumerate(trunk):
-        side, act, windows = shapes[i][1], "identity", None
-        if spec.kind == "hexconv" and trunk[i + 1].kind == "hexmaxpool":  # the flatten ends the trunk
-            pool = trunk[i + 1]
-            conv = conv_table(side, spec.window, spec.stride)
-            windows = ops._at_windows(conv, pool_table(shapes[i + 1][1], pool.window, pool.stride), block)
-        elif spec.kind == "hexconv":
-            act = spec.activation
-        elif spec.kind == "hexmaxpool" and i > 0 and trunk[i - 1].kind == "hexconv":
-            act = trunk[i - 1].activation
-        steps.append((spec, side, act, windows))
+        side, act, fused, table = shapes[i][1], "identity", False, None
+        if spec.kind == "hexconv":
+            g = conv_table(side, spec.window, spec.stride)
+            pool = trunk[i + 1]  # the flatten ends the trunk
+            if pool.kind == "hexmaxpool":
+                windows = pool_table(shapes[i + 1][1], pool.window, pool.stride)
+                fused = np.unique(windows).size == windows.size  # else the conv would compute shared cells twice
+                g = g[:, windows] if fused else g
+            else:
+                act = spec.activation
+            table = ops._split(ops._stack(g, cells(side), group).reshape(g.shape[0], -1), block)
+        elif spec.kind != "flatten":  # a pool
+            if spec.kind == "hexmaxpool" and i > 0 and trunk[i - 1].kind == "hexconv":
+                act, fused = trunk[i - 1].activation, steps[-1][3]
+            if not fused:
+                table = ops._stack(pool_table(side, spec.window, spec.stride), cells(side), group)
+        steps.append((spec, side, act, fused, table))
     return tuple(steps)
 
 
 @lru_cache(maxsize=None)
-def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
+def _trunk_plan(layers: tuple, shapes: tuple, block: int, group: int) -> tuple:
     """``_trunk_steps`` on the hexagon: the conv's window table
-    (uncached, as in ``ops._blocks``) at the cells of the pool's
-    ``tap_gather`` table.  ``_forward_with`` looks it up once per batch,
+    (uncached, as in ``ops._blocks``) and the pool's ``tap_gather``
+    table.  ``_forward_with`` looks it up once per group size and batch,
     at the ``ops.PATCH_BLOCK`` of the call."""
-    return _trunk_steps(layers, shapes, tap_gather.__wrapped__, tap_gather, block)
+    return _trunk_steps(layers, shapes, tap_gather.__wrapped__, tap_gather, cell_count, block, group)
 
 
-def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
-    """One sample through the trunk ``plan`` (``_trunk_plan``): its flat
-    features and cache, one entry per layer holding only what
-    ``_trunk_backward`` reads.
+def _sample_bytes(plan: tuple, shapes) -> int:
+    """The bytes of the largest array one sample builds in a layer of the
+    one-sample ``plan``: a conv's output (its window array when fused) or
+    an unfused pool's window array, all float64."""
+    values = [0]
+    for i, (spec, _, _, _, table) in enumerate(plan):
+        if spec.kind == "hexconv":
+            last, tail = table[-1]
+            values.append(shapes[i + 1][2] * (last.start + tail.shape[1]))
+        elif table is not None:
+            values.append(shapes[i][2] * table.size)
+    return 8 * max(values)
 
-    Each layer applies its step's activation.  A conv with window blocks
+
+def _group_size(plan: tuple, shapes) -> int:
+    """How many samples the trunk runs side by side: as many as keep
+    ``_sample_bytes`` of the one-sample ``plan`` within
+    ``ops.GROUP_BYTES``, and at least one."""
+    return max(1, ops.GROUP_BYTES // max(1, _sample_bytes(plan, shapes)))
+
+
+def _group_input(tensors) -> np.ndarray:
+    """The group's inputs side by side, a (channels, group*cells) array;
+    a group of one's own array."""
+    if len(tensors) == 1:
+        return tensors[0].data
+    return np.concatenate([t.data for t in tensors], axis=1)
+
+
+def _rows(x: np.ndarray, group: int) -> np.ndarray:
+    """The (channels, group*cells) array ``x`` as one flat feature row a
+    sample, (group, channels*cells): a view for a group of one."""
+    return x.reshape(x.shape[0], group, -1).transpose(1, 0, 2).reshape(group, -1)
+
+
+def _columns(d: np.ndarray, channels: int) -> np.ndarray:
+    """``_rows``' inverse: (group, channels*cells) rows as a
+    (channels, group*cells) array."""
+    return d.reshape(len(d), channels, -1).transpose(1, 0, 2).reshape(channels, -1)
+
+
+def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
+    """A group of samples through the trunk ``plan`` (``_trunk_plan`` at
+    the group's size): their (group, features) rows and the group's
+    cache, one entry per layer holding only what ``_trunk_backward``
+    reads.
+
+    The group runs as one (channels, group*cells) array, its samples
+    side by side along the cell axis, through tables laid out for it
+    (``ops._stack``): one gather, one product per block and one pool a
+    layer.  Each layer applies its step's activation.  A fused conv
     computes only the cells the max pool after it reads, as the pool's
     window array (``ops._conv_windows``); the pool then takes its max
-    with no gather.  Every other conv runs ``conv_valid``, and every
-    other pool gathers its windows through ``tap_gather``; both pool
-    kinds reduce them in ``ops._pool``.  A conv keeps its input and its
-    packed relu bits (None when it applies identity, as every conv
-    before a max pool does), never its output; a max pool its one-byte
-    winning taps, taken on its input as it comes (a pre-activation when
-    it applies the relu of the conv before it), and its packed relu bits
-    or None; an average pool and the flatten None, since their sizes are
-    in ``net.shapes``."""
-    x, win, cache = t, None, []  # win: a conv's output at the windows of the max pool after it
-    for i, (spec, side, act, windows) in enumerate(plan[:-1]):
+    with no gather.  Every other conv runs ``ops._product`` over its
+    blocks, and every other pool gathers its windows; both pool kinds
+    reduce them in ``ops._pool``.  A conv keeps its input (the group's
+    own tensors at layer 0, joined again by the backward, so no joined
+    copy is cached) and its packed relu bits (None when it applies
+    identity, as every conv before a max pool does), never its output; a
+    max pool its one-byte winning taps, taken on its input as it comes
+    (a pre-activation when it applies the relu of the conv before it),
+    and its packed relu bits or None; an average pool and the flatten
+    None, since their sizes are in ``net.shapes``."""
+    x, win, cache = _group_input(tensors), None, []  # win: a fused conv's window array
+    for i, (spec, _, act, fused, table) in enumerate(plan[:-1]):
         if spec.kind == "hexconv":
             bank = net.params[i]
-            if windows is None:
-                out, bits = _activate(conv_valid(x, bank, spec.stride).data, act)
-            else:  # its activation is identity: the pool applies the relu
-                w, taps = bank.weights.reshape(bank.filters, -1), cell_count(plan[i + 1][0].window)
-                win = ops._conv_windows(x.data, w, bank.bias, windows, taps)
-                out = bits = None
-            cache.append((x, bits))
+            w = bank.weights.reshape(bank.filters, -1)
+            if fused:  # its activation is identity: the pool applies the relu
+                win, bits = ops._conv_windows(x, w, bank.bias, table, cell_count(plan[i + 1][0].window)), None
+            else:
+                out, bits = _activate(ops._product(x, w, bank.bias, table), act)
+            cache.append((tensors if i == 0 else x, bits))
+            if not fused:
+                x = out
         else:  # a pool
             if win is None:
-                win = np.take(x.data, tap_gather(side, spec.window, spec.stride), axis=1)
+                win = np.take(x, table, axis=1)
             out, taps = ops._pool(win, spec.kind)
             out, bits = _activate(out, act)
             cache.append(None if taps is None else (taps, bits))
-            win = None
-        if out is not None:
-            out.setflags(write=False)
-            x = HexTensor(plan[i + 1][1], out.shape[0], out)
+            x, win = out, None
     cache.append(None)  # the flatten
-    return x.data.ravel(), cache
+    return _rows(x, len(tensors)), cache
 
 
 @dataclass(frozen=True, eq=False)
 class _Caches:
-    """What ``forward`` keeps for ``backward``: the trunk plan the
-    forward walked, so the backward runs on the same window blocks
-    without a second lookup at a ``PATCH_BLOCK`` that may have changed;
-    per sample, a list of one trunk cache entry per trunk layer; per
-    dense layer of the head, its index, its (B, in) inputs and the
-    packed relu bits of its (B, units) output (None for identity).
-    ``backward`` consumes both lists, popping each entry as it walks it,
+    """What ``forward`` keeps for ``backward``: the layout that made
+    them (``"native"`` or ``"ZeroOut"``); per group of samples, the trunk
+    plan its forward walked and its size, so the backward runs on the
+    same tables without a second lookup at a ``PATCH_BLOCK`` that may
+    have changed; per group, a list of one trunk cache entry per trunk
+    layer; per dense layer of the head, its index, its (B, in) inputs and
+    the packed relu bits of its (B, units) output (None for identity).
+    ``backward`` consumes the lists, popping each entry as it walks it,
     so the caches serve one ``backward`` only."""
 
-    plan: tuple
+    layout: str
+    groups: list
     trunk: list
     head: list
 
     def __len__(self) -> int:
-        return len(self.trunk)
+        return sum(n for _, n in self.groups)
 
 
-def _forward_with(net: Network, batch, trunk_plan, trunk_forward) -> tuple[np.ndarray, _Caches]:
+def _forward_with(net: Network, batch, layout: str, trunk_plan, trunk_forward) -> tuple[np.ndarray, _Caches]:
     """``forward`` with a layout's trunk passed in: ``trunk_plan(layers,
-    shapes, block)``, looked up once per batch at the current
-    ``ops.PATCH_BLOCK``, and ``trunk_forward(net, plan, t)``, which
-    returns one sample's flat features and its trunk cache.  The dense
-    head is the same algebra on every layout.  A batch that is not a
-    sequence (one ``HexTensor``, say), an empty batch, or an item that
-    is not a float64 ``HexTensor`` of the input's shape, raises
-    ``ValueError``: the network's parameters are float64, and a float32
-    item would be promoted silently."""
+    shapes, block, group)``, looked up once per group size and batch at
+    the current ``ops.PATCH_BLOCK``, and ``trunk_forward(net, plan,
+    tensors)``, which returns a group's (group, features) rows and its
+    trunk cache.  The batch runs in groups of ``_group_size`` samples,
+    the last one shorter when they do not divide it; ``layout`` names the
+    layout in the caches.  The dense head is the same algebra on every
+    layout.  A batch that is not a sequence (one ``HexTensor``, say), an
+    empty batch, or an item that is not a float64 ``HexTensor`` of the
+    input's shape, raises ``ValueError``: the network's parameters are
+    float64, and a float32 item would be promoted silently."""
     try:
         items = iter(batch)
     except TypeError:  # one HexTensor, say, which is not a batch of one
         raise ValueError(f"batch must be a sequence of HexTensors, got {type(batch).__name__}") from None
-    plan = trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
-    features = []
-    trunk = []
-    for t in items:
-        check_tensor(t, "batch items")
-        if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
-            raise ValueError("batch input does not match the network config")
-        if t.dtype != np.float64:
-            raise ValueError(f"batch items must be float64, the network's dtype, got {t.dtype}")
-        x, cache = trunk_forward(net, plan, t)
+    layers, shapes, block = net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK
+    size = _group_size(trunk_plan(layers, shapes, block, 1), shapes)
+    features, groups, trunk = [], [], []
+    while tensors := tuple(islice(items, size)):
+        for t in tensors:
+            check_tensor(t, "batch items")
+            if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
+                raise ValueError("batch input does not match the network config")
+            if t.dtype != np.float64:
+                raise ValueError(f"batch items must be float64, the network's dtype, got {t.dtype}")
+        plan = trunk_plan(layers, shapes, block, len(tensors))
+        x, cache = trunk_forward(net, plan, tensors)
         features.append(x)
+        groups.append((plan, len(tensors)))
         trunk.append(cache)
     if not trunk:
         raise ValueError("batch is empty")
-    x = np.stack(features)
+    x = np.concatenate(features)
     head = []
-    for i in range(len(plan), len(net.cfg.layers)):
-        spec = net.cfg.layers[i]
+    for i in range(len(plan), len(layers)):
+        spec = layers[i]
         if spec.kind == "dense":
             w, b = net.params[i]
             a, bits = _activate(gemm(x, w.T) + b, spec.activation)
             head.append((i, x, bits))
             x = a
         # softmax_xent: loss layer, logits pass through
-    return x, _Caches(plan, trunk, head)
+    return x, _Caches(layout, groups, trunk, head)
 
 
 def forward(net: Network, batch) -> tuple[np.ndarray, _Caches]:
     """Run the batch; returns (logits (B, classes), caches for ``backward``).
 
-    The trunk (conv and pool layers up to the flatten) runs one sample
-    at a time, so each sample's activations stay small enough for the
-    cache; the flattened features are stacked into (B, features) and
-    every dense layer of the head runs once for the whole batch.
+    The trunk (conv and pool layers up to the flatten) runs a few
+    samples at a time, side by side: as many as keep the largest array
+    one sample builds in a layer within ``ops.GROUP_BYTES``, so each
+    group's activations stay small enough for the cache.  The flattened
+    features are stacked into (B, features) and every dense layer of the
+    head runs once for the whole batch.
     """
-    return _forward_with(net, batch, _trunk_plan, _trunk_forward)
+    return _forward_with(net, batch, "native", _trunk_plan, _trunk_forward)
 
 
 def _trunk_backward(net: Network, plan: tuple, cache: list, d: np.ndarray, grads) -> None:
-    """One sample's feature error back through its trunk, on the plan
-    its forward walked (``_Caches.plan``), popping each layer's cache
-    entry as it walks it (the list ends empty).
+    """A group's (group, features) error back through its trunk, on the
+    plan its forward walked (``_Caches.groups``), popping each layer's
+    cache entry as it walks it (the list ends empty).
 
-    The error stays a (channels, cells) array and runs through the
+    The error stays a (channels, group*cells) array and runs through the
     backward kernels' cores (``grads._filter_grad``, ``_input_grad``,
-    ``_unpool``): the geometry, the taps and the cached inputs are what
-    this network's own forward produced, so nothing is checked again
-    and no ``HexTensor`` is built.  A max pool that applied a relu
-    applies its derivative before the unpool.
+    ``_unpool``) over the plan's tables: the geometry, the taps and the
+    cached inputs are what this network's own forward produced, so
+    nothing is checked again and no ``HexTensor`` is built.  A conv's
+    filter gradient is one product a block over the whole group.  A max
+    pool that applied a relu applies its derivative before the unpool.
 
-    A conv whose step has window blocks computed only its max pool's
-    window array, and its backward runs on that array too: the pool puts
-    each window's error at its winning tap of a zeroed
-    (filters, taps*windows) error (``grads._unpool_windows``), and the
-    conv's filter and input gradients run over the forward's own blocks.
-    The cells no window reads, whose error is zero, are never
-    multiplied, so an input cell that only they read reaches no gradient:
-    a NaN there leaves the loss and every gradient finite.  The filter
-    gradient's product then has fewer columns than over every cell, which
-    can move its last bits.
+    A fused conv computed only its max pool's window array, and its
+    backward runs on that array too: the pool puts each window's error
+    at its winning tap of a zeroed (filters, taps*windows) error
+    (``grads._unpool_windows``), and the conv's filter and input
+    gradients run over the forward's own blocks.  The cells no window
+    reads, whose error is zero, are never multiplied, so an input cell
+    that only they read reaches no gradient: a NaN there leaves the loss
+    and every gradient finite.  The filter gradient's product then has
+    fewer columns than over every cell, which can move its last bits.
 
     A max pool's taps were taken on the pre-activation, so in a window
     whose maximum is <= 0 the tap can differ from the one the unfused
     order, ``maxpool(relu(z))``, takes; the error there is zero either
     way.  The one difference that can show is the sign of a gradient
     entry that is exactly zero."""
+    group = len(d)
     while cache:
         i = len(cache) - 1
-        spec, side, _, windows = plan[i]
+        spec, side, _, fused, table = plan[i]
         channels = net.shapes[i][2]  # the layer's input
         if spec.kind == "flatten":
             cache.pop()
-            d = d.reshape(channels, -1)
+            d = _columns(d, channels)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
             taps, bits = cache.pop() or (None, None)  # an average pool caches None
             if bits is not None:
                 d = _relu_grad(d, bits)
-            if i and plan[i - 1][3] is not None:  # its conv computed only its windows
+            if fused:
                 d = _unpool_windows(d, taps, cell_count(spec.window))
             else:
-                d = _unpool(d, taps, tap_gather(side, spec.window, spec.stride), cell_count(side))
+                d = _unpool(d, taps, table, group * cell_count(side))
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
                 d = _relu_grad(d, bits)
-            blocks = _blocks(side, spec.window, spec.stride, ops.PATCH_BLOCK) if windows is None else windows
             gw, gb = grads[i]
-            dw, db = _filter_grad(x.data, d, blocks)
+            dw, db = _filter_grad(x if i else _group_input(x), d, table)
             gw += dw
             gb += db
             del x, bits  # released before the input gradient is built
             if i > 0:
-                d = _input_grad(d, net.params[i].weights, blocks, cell_count(side))
+                d = _input_grad(d, net.params[i].weights, table, group * cell_count(side))
 
 
 def _trunk_grads(net: Network) -> list:
@@ -544,27 +623,44 @@ def _class_indices(labels, batch: int, classes: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def _head_backward(net: Network, head: list, d: np.ndarray, grads) -> np.ndarray:
+def _head_backward(net: Network, head: list, d: np.ndarray) -> tuple[np.ndarray, list]:
     """The logits' error back through the dense head, popping each
-    layer's cache entry as it walks it; returns the (B, features) error."""
+    layer's cache entry as it walks it; returns the (B, features) error
+    and, per dense layer, its index, its (B, units) error and its
+    (B, in) inputs, from which ``_dense_grads`` forms its gradients once
+    the trunk is done, so that no weight gradient is live at the trunk's
+    peak."""
+    dense = []
     while head:
         i, x, bits = head.pop()
         if bits is not None:
             d = _relu_grad(d, bits)
-        w, _ = net.params[i]
+        dense.append((i, d, x))
+        d = gemm(d, net.params[i][0])
+    return d, dense
+
+
+def _dense_grads(dense: list, grads) -> None:
+    """Each dense layer's (weights, bias) gradients from what
+    ``_head_backward`` returned, emptying ``dense``."""
+    while dense:
+        i, d, x = dense.pop()
         grads[i] = (gemm(d.T, x), d.sum(axis=0))
-        d = gemm(d, w)
-    return d
 
 
-def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward):
-    """``backward`` with the per-sample trunk passed in:
-    ``trunk_backward(net, plan, cache, d, grads)`` walks one sample's
-    feature error back through its trunk cache on the forward's plan,
-    emptying the cache, and adds to the conv gradients.  Consumes
+def _backward_with(net: Network, logits, caches: _Caches, labels, layout: str, trunk_backward):
+    """``backward`` with a layout's trunk passed in:
+    ``trunk_backward(net, plan, cache, d, grads)`` walks one group's
+    (group, features) error back through its trunk cache on the plan its
+    forward walked, emptying the cache, and adds to the conv gradients.
+    Caches from another layout's forward raise ``ValueError``.  Consumes
     ``caches``; every check runs first."""
     if net.cfg.layers[-1].kind != "softmax_xent":
         raise ValueError("backward requires a softmax_xent head")
+    if not isinstance(caches, _Caches):
+        raise ValueError(f"caches must come from a forward, got {type(caches).__name__}")
+    if caches.layout != layout:
+        raise ValueError(f"caches come from the {caches.layout} layout's forward, not the {layout} layout's")
     n = len(caches)
     if not n:
         raise ValueError("caches were already consumed by a backward")
@@ -576,11 +672,16 @@ def _backward_with(net: Network, logits, caches: _Caches, labels, trunk_backward
     labels = _class_indices(labels, n, classes)
     loss, d = _xent_batch(logits, labels)
     grads = _trunk_grads(net)
-    d = _head_backward(net, caches.head, d, grads)
-    trunk = caches.trunk
-    trunk.reverse()  # popped from the end: samples in batch order
-    for row in d:
-        trunk_backward(net, caches.plan, trunk.pop(), row, grads)
+    d, dense = _head_backward(net, caches.head, d)
+    groups, trunk = caches.groups, caches.trunk
+    groups.reverse()  # popped from the end: groups in batch order
+    trunk.reverse()
+    start = 0
+    while trunk:
+        plan, size = groups.pop()
+        trunk_backward(net, plan, trunk.pop(), d[start : start + size], grads)
+        start += size
+    _dense_grads(dense, grads)
     return loss, grads
 
 
@@ -588,13 +689,15 @@ def backward(net: Network, logits: np.ndarray, caches: _Caches, labels):
     """Mean cross-entropy loss and gradients for every parameter.
 
     Softmax cross-entropy and the dense head run once over the batch;
-    then each sample's row of the feature error walks back through its
-    own trunk.  ``backward`` consumes ``caches``, dropping each layer's
-    entry once walked (a conv's input as soon as its filter gradient is
-    formed), so a second call on the same caches raises ``ValueError``;
-    so do logits that are not (samples, classes) of the caches.
+    then each group's rows of the feature error walk back through its
+    own trunk, and last the dense layers' weight gradients are formed.
+    ``backward`` consumes ``caches``, dropping each layer's entry once
+    walked (a conv's input as soon as its filter gradient is formed), so
+    a second call on the same caches raises ``ValueError``; so do logits
+    that are not (samples, classes) of the caches, and caches from
+    ``zeronet.forward_zeroout``.
     """
-    return _backward_with(net, logits, caches, labels, _trunk_backward)
+    return _backward_with(net, logits, caches, labels, "native", _trunk_backward)
 
 
 def _arrays(p):
@@ -608,12 +711,37 @@ def _with_arrays(p, w, b):
 
 
 def apply_gradients(net: Network, grads, learning_rate: float) -> None:
-    for i, g in enumerate(grads):
-        if g is None:
+    """One SGD update: every parameter array ``w`` becomes ``w -
+    learning_rate * g``, written into its gradient array ``g``, with the
+    same bits.  It consumes ``grads``, as ``backward`` consumes its
+    caches: their arrays become the network's parameters (a conv layer's
+    bank copies them).  ``grads`` must hold one entry per layer, None
+    exactly where the layer has no parameters, else a (weights, bias)
+    pair of writable arrays of the parameters' shapes and dtypes, as
+    ``backward`` returns; anything else, or a learning rate that is not
+    a finite real number, raises ``ValueError`` before any parameter
+    changes."""
+    _finite_real(learning_rate, "learning rate")
+    if not isinstance(grads, (list, tuple)) or len(grads) != len(net.params):
+        raise ValueError(f"grads must be a list of one entry per layer ({len(net.params)})")
+    for i, (p, g) in enumerate(zip(net.params, grads)):
+        if p is None or g is None:
+            if (p is None) != (g is None):
+                raise ValueError(f"layer {i}: the gradient must be None exactly where the layer has no parameters")
             continue
-        p = net.params[i]
-        w, b = _arrays(p)
-        net.params[i] = _with_arrays(p, w - learning_rate * g[0], b - learning_rate * g[1])
+        if not (
+            isinstance(g, (list, tuple)) and len(g) == 2
+            and all(isinstance(a, np.ndarray) and a.shape == w.shape and a.dtype == w.dtype
+                    and a.flags.writeable for a, w in zip(g, _arrays(p)))
+        ):
+            raise ValueError(f"layer {i}: the gradient must be a pair of writable arrays shaped like its parameters")
+    for i, g in enumerate(grads):
+        if g is not None:
+            p = net.params[i]
+            for w, a in zip(_arrays(p), g):
+                a *= learning_rate
+                np.subtract(w, a, out=a)
+            net.params[i] = _with_arrays(p, *g)
 
 
 def train_step(net: Network, batch, labels, tc: TrainConfig) -> float:

@@ -22,9 +22,12 @@ place; ``_product`` is the block loop, for both layouts.  Pools gather
 their small windows whole and reduce the (channels, taps, patches)
 window array (``_pool``).  A convolution that feeds a max pool whose
 windows share no cell can compute just that window array: its table at
-the pool's window cells (``_at_windows``), tap major over the windows,
-makes its product the pool's window array (``_conv_windows``), so the
-cells no window reads are never computed and the pool gathers nothing.
+the pool's window cells, tap major over the windows, makes its product
+the pool's window array (``_conv_windows``), so the cells no window
+reads are never computed and the pool gathers nothing.  Every table
+also serves a group of samples laid side by side along the cell axis
+(``_stack``), so a network trunk runs one gather, one product per block
+and one pool for the whole group.
 
 The public kernels check their arguments, then work on plain
 (channels, cells) arrays (``window_columns``, ``_pool``).  ``nn``'s
@@ -62,6 +65,14 @@ __all__ = [
 # sized in bytes makes wide layers pay that once per few hundred patches.
 # Chosen from a sweep over 1024, 2048 and 4096 on the benchmark workloads.
 PATCH_BLOCK = 2048
+
+# Bytes that the largest array one sample builds in a network trunk's
+# layer (a conv's output or window array, or a pool's window array) may
+# take, times the samples ``nn`` runs side by side (``nn._group_size``).
+# Chosen from a sweep on the benchmark's lenet-train, whose largest such
+# array is 133,392 B: 2**19 runs 3 samples, the most whose step peaks
+# below the 2.753 MB it took one sample at a time; 4 took 2.871 MB.
+GROUP_BYTES = 1 << 19
 
 
 def _split(g: np.ndarray, block: int) -> tuple[tuple[slice, np.ndarray], ...]:
@@ -209,28 +220,23 @@ def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks) -> np.ndarr
     return y
 
 
-def _at_windows(conv: np.ndarray, pool: np.ndarray, block: int):
-    """The columns of a convolution's (taps, cells) table at the cells of
-    a max pool's (pool taps, windows) table ``pool``, tap major over the
-    windows, split into ``block``-patch pairs (``_split``); None when two
-    windows share a cell, since the product would compute that cell once
-    per window.
-
-    ``_product`` over these blocks, reshaped (filters, pool taps,
-    windows) (``_conv_windows``), is the window array ``_pool`` reads:
-    the convolution computes only the cells the pool reads, and the pool
-    gathers nothing.
-    """
-    if np.unique(pool).size != pool.size:
-        return None
-    return _split(conv[:, pool.ravel()], block)
+def _stack(g: np.ndarray, cells: int, group: int) -> np.ndarray:
+    """The table ``g`` of one sample's (channels, ``cells``) array for
+    ``group`` such arrays laid side by side along the cell axis: its last
+    axis once a sample, sample s's copy offset by ``s * cells``, so a
+    gather through it lays the group's windows out sample major within
+    each row of ``g``.  ``g`` itself for a group of one."""
+    if group == 1:
+        return g
+    return (g[..., None, :] + cells * np.arange(group)[:, None]).reshape(*g.shape[:-1], -1)
 
 
 def _conv_windows(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, taps: int) -> np.ndarray:
-    """``_product`` over blocks from ``_at_windows``: a convolution's
-    output at a max pool's ``taps``-cell windows, as the pool's
-    (filters, taps, windows) window array.  Both trunks call it here, so
-    a test can replace it for both."""
+    """``_product`` over blocks of a convolution's table at a max pool's
+    ``taps``-cell windows, tap major over the windows (``nn._trunk_steps``):
+    its output at those cells, as the pool's (filters, taps, windows)
+    window array.  Both trunks call it here, so a test can replace it for
+    both."""
     return _product(x, w, bias, blocks).reshape(w.shape[0], taps, -1)
 
 

@@ -1,12 +1,14 @@
 """The same networks realized on the ZeroOut parallelogram embedding.
 
 Every layer keeps its activations, cached conv inputs and errors in
-flat (channels, (2L-1)**2) float64 arrays: ``zeroout``'s one embedding
-(``_to_rect``), row major, so they are the native trunk's (channels,
-cells) arrays with more cells.  The input, pool outputs and the
-flatten's error enter through that zero-fill scatter, and the flatten
-reads the hexagon back through its flat offsets (``_hex_flat``); this
-module keeps no embedding of its own.  Convolution multiplies the
+flat (channels, group*(2L-1)**2) float64 arrays: ``zeroout``'s one
+embedding (``_to_rect``), row major, once for each sample of the group
+the native trunk runs side by side (``nn._group_size``), so they are the
+native trunk's (channels, group*cells) arrays with more cells.  The
+input, pool outputs and the flatten's error enter through that
+zero-fill scatter, done for the whole group (``_embed``), and the
+flatten reads the hexagons back through their flat offsets
+(``_group_hex``, ``_hex_flat`` once a sample).  Convolution multiplies the
 zeroed corner taps like a genuine hexagon-imitation framework
 (computing every rectangular output cell, not only the hexagonal ones,
 except before a max pool with disjoint windows; see below), and corner
@@ -22,14 +24,15 @@ Only the trunk (conv and pool layers up to and including the flatten)
 lives here: it is the part that depends on the layout, and it is the
 oracle.  After the flatten both layouts run the same dense algebra, so
 ``forward_zeroout`` and ``backward_zeroout`` hand this module's
-per-sample trunk to ``nn``'s batch driver, which runs the head once
-per batch; the finite-difference tests and the manual-composition test
+per-group trunk to ``nn``'s batch driver, which cuts the batch into
+groups and runs the head once per batch; the finite-difference tests and the manual-composition test
 check that head on their own.
 
 The layouts differ in their tables, filters and masks, not in their
 code.  A conv's tables are the k-by-k windows of the embedding
-(``_rect_table``), tap major and split into ``ops.PATCH_BLOCK``-patch
-blocks by the native kernels' ``ops._split`` (``_rect_blocks``); its
+(``_rect_table``), tap major, laid out for the group and split into
+``ops.PATCH_BLOCK``-patch blocks by the plan (``_trunk_plan``), or for
+one sample by ``_rect_blocks`` (``_rect_conv_all``); its
 filter is the bank packed into corner-zeroed rectangles, once, on the
 bank's first use (``_packed``).  On those, the native kernels' cores
 run unchanged: the forward is ``ops._product`` (one ``ops.window_columns``
@@ -57,7 +60,10 @@ over every rectangular anchor.
 Each layer applies its plan step's activation, as the native trunk
 does: a relu conv right before a max pool leaves its relu to the pool,
 which applies it to its pooled output only.  The backward cache holds
-what the native trunk's does: a conv keeps its embedded input and, when
+what the native trunk's does: a conv keeps its embedded input (at
+layer 0 of a group of more than one sample, the group's own tensors,
+embedded again by the backward, which costs less than the embeddings'
+memory there) and, when
 it applies relu, the packed bits of ``z > 0`` for its hex-masked output
 ``z`` (from ``nn._activate``, one bit a value), never the float64
 pre-activation; a max pool keeps the winning taps ``ops._pool``
@@ -65,7 +71,7 @@ returns, rows of its window table, one byte each as the native pool's,
 and the packed bits of its pooled output when it applies relu; an
 average pool and the flatten keep None, since their sizes are in
 ``net.shapes``.  ``nn._backward_with`` hands ``_trunk_backward`` each
-sample's cache list and the plan its forward walked; it pops every
+group's cache list and the plan its forward walked; it pops every
 entry as it walks it and drops a conv's input once its filter gradient
 is formed.
 
@@ -81,15 +87,15 @@ from functools import lru_cache
 import numpy as np
 
 from .grads import _input_grad, _unpool, _unpool_windows
-from .grid import HexTensor, cell_count, cells
+from .grid import cell_count, cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _forward_with, _learning_rate, _relu_grad, _trunk_steps,
-    apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _columns, _forward_with, _group_input, _learning_rate,
+    _relu_grad, _rows, _trunk_steps, apply_gradients,
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
-from .zeroout import ZeroOutFilterBank, _hex_flat, _to_rect, hex_mask, zeroout_filter
+from .zeroout import ZeroOutFilterBank, _hex_flat, hex_mask, zeroout_filter
 
 __all__ = ["forward_zeroout", "backward_zeroout", "train_step_zeroout"]
 
@@ -120,16 +126,48 @@ def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _trunk_plan(layers: tuple, shapes: tuple, block: int) -> tuple:
+def _trunk_plan(layers: tuple, shapes: tuple, block: int, group: int) -> tuple:
     """``nn._trunk_steps`` on the embedding: the rectangular conv's
-    window table (``_rect_table``) at the cells of the max pool's windows
-    (``_hex_windows``).  Those cells are hexagon cells, where ``hex_mask``
-    is 1, so the conv's product there needs no mask."""
+    window table (``_rect_table``) and the pool's windows
+    (``_hex_windows``), for ``group`` embeddings side by side.  A fused
+    conv's cells are hexagon cells, where ``hex_mask`` is 1, so its
+    product there needs no mask."""
 
     def conv_table(side, window, stride):
         return _rect_table(2 * side - 1, 2 * window - 1, stride)
 
-    return _trunk_steps(layers, shapes, conv_table, _hex_windows, block)
+    return _trunk_steps(layers, shapes, conv_table, _hex_windows, _span_cells, block, group)
+
+
+def _span_cells(side: int) -> int:
+    """Cells of a side-L hexagon's flat embedding, (2L-1)**2."""
+    return (2 * side - 1) ** 2
+
+
+@lru_cache(maxsize=None)
+def _group_hex(side: int, group: int) -> np.ndarray:
+    """The flat offsets of the hexagon's cells (``_hex_flat``) in each of
+    ``group`` embeddings laid side by side (``ops._stack``): sample
+    major, in hex storage order; read-only."""
+    g = ops._stack(_hex_flat(side), _span_cells(side), group)
+    g.setflags(write=False)
+    return g
+
+
+def _embed(values: np.ndarray, side: int, group: int) -> np.ndarray:
+    """``_to_rect`` of a group: (channels, group*cells) hexagon values,
+    samples side by side, on ``group`` zeroed flat embeddings side by
+    side."""
+    out = np.zeros((values.shape[0], group * _span_cells(side)))
+    out[:, _group_hex(side, group)] = values
+    return out
+
+
+def _mask(z: np.ndarray, side: int) -> None:
+    """Zero, in place, the cells off the hexagon of each embedding of the
+    (channels, group*(2L-1)**2) array ``z``."""
+    embeddings = z.reshape(z.shape[0], -1, _span_cells(side))  # a view
+    embeddings *= hex_mask(side).ravel()
 
 
 # hex bank -> (packed bank, its filter matrix).  Banks are frozen and
@@ -164,65 +202,69 @@ def _rect_conv_all(x: np.ndarray, span: int, bank: HexFilterBank, stride: int) -
 
 def forward_zeroout(net: Network, batch):
     """``nn.forward`` with the trunk run on the parallelogram embedding."""
-    return _forward_with(net, batch, _trunk_plan, _trunk_forward)
+    return _forward_with(net, batch, "ZeroOut", _trunk_plan, _trunk_forward)
 
 
-def _trunk_forward(net: Network, plan: tuple, t: HexTensor):
-    x, win, cache = _to_rect(t.data, t.side), None, []  # win: a conv's output at its max pool's windows
-    for i, (spec, side, act, windows) in enumerate(plan[:-1]):
+def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
+    group = len(tensors)
+    x, win, cache = _embed(_group_input(tensors), tensors[0].side, group), None, []  # win: a fused conv's window array
+    for i, (spec, side, act, fused, table) in enumerate(plan[:-1]):
         out_side = plan[i + 1][1]
         if spec.kind == "hexconv":
-            if windows is None:
-                z = _rect_conv_all(x, 2 * side - 1, net.params[i], spec.stride)
-                z *= hex_mask(out_side).ravel()
+            zbank, w = _packed(net.params[i])
+            if fused:  # its activation is identity: the pool applies the relu
+                win, bits = ops._conv_windows(x, w, zbank.bias, table, cell_count(plan[i + 1][0].window)), None
+            else:
+                z = ops._product(x, w, zbank.bias, table)
+                _mask(z, out_side)
                 a, bits = _activate(z, act)
                 del z  # not live beside the next conv's output
-            else:  # its activation is identity: the pool applies the relu
-                (zbank, w), taps = _packed(net.params[i]), cell_count(plan[i + 1][0].window)
-                win = ops._conv_windows(x, w, zbank.bias, windows, taps)
-                a = bits = None
-            cache.append((x, bits))
-            x = a
+            # a group's first conv keeps the group's tensors, embedded again
+            # by the backward; a single sample's keeps its embedding
+            cache.append((tensors if i == 0 and group > 1 else x, bits))
+            if not fused:
+                x = a
         else:  # a pool
             if win is None:
-                win = np.take(x, _hex_windows(side, spec.window, spec.stride), axis=1)
+                win = np.take(x, table, axis=1)
             out, taps = _pool(win, spec.kind)
             out, bits = _activate(out, act)
             # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
             cache.append(None if taps is None else (taps, bits))
-            x, win = _to_rect(out, out_side), None
+            x, win = _embed(out, out_side, group), None
     cache.append(None)  # the flatten
-    return x[:, _hex_flat(plan[-1][1])].ravel(), cache
+    return _rows(x[:, _group_hex(plan[-1][1], group)], group), cache
 
 
 def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
+    group = len(d)
     while cache:
         i = len(cache) - 1
-        spec, side, _, windows = plan[i]
+        spec, side, _, fused, table = plan[i]
         channels = net.shapes[i][2]  # the layer's input
-        span = 2 * side - 1
         if spec.kind == "flatten":
             cache.pop()
-            d = _to_rect(d.reshape(channels, -1), side)
+            d = _embed(_columns(d, channels), side, group)
         elif spec.kind in ("hexmaxpool", "hexavgpool"):
-            d = d[:, _hex_flat(plan[i + 1][1])]
+            d = d[:, _group_hex(plan[i + 1][1], group)]
             taps, bits = cache.pop() or (None, None)  # an average pool caches None
             if bits is not None:
                 d = _relu_grad(d, bits)
-            if i and plan[i - 1][3] is not None:  # its conv computed only its windows
+            if fused:
                 d = _unpool_windows(d, taps, cell_count(spec.window))
             else:
-                d = _unpool(d, taps, _hex_windows(side, spec.window, spec.stride), span * span)
+                d = _unpool(d, taps, table, group * _span_cells(side))
         else:  # hexconv
             x, bits = cache.pop()
+            if i == 0 and group > 1:  # the group's own tensors
+                x = _embed(_group_input(x), side, group)
             if bits is not None:
                 d = _relu_grad(d, bits)
             k = 2 * spec.window - 1
-            # every rectangular anchor (the error is zero off the hexagon,
-            # so extra anchors contribute nothing), or the forward's blocks
-            # at the pool's windows
-            blocks = _rect_blocks(span, k, spec.stride, ops.PATCH_BLOCK) if windows is None else windows
-            dw = sum(gemm(d[:, b], ops.window_columns(x, g).T) for b, g in blocks)
+            # over every rectangular anchor (the error is zero off the
+            # hexagon, so extra anchors contribute nothing), or the
+            # forward's blocks at the pool's windows
+            dw = sum(gemm(d[:, b], ops.window_columns(x, g).T) for b, g in table)
             dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]
@@ -231,14 +273,15 @@ def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
             del x, bits  # released before the input gradient is built
             if i > 0:
                 w = _packed(net.params[i])[1].reshape(d.shape[0], channels, -1)  # as HexFilterBank.weights
-                d = _input_grad(d, w, blocks, span * span)
-                d *= hex_mask(side).ravel()
+                d = _input_grad(d, w, table, group * _span_cells(side))
+                _mask(d, side)
 
 
 def backward_zeroout(net: Network, logits, caches, labels):
-    """``nn.backward`` with each sample's trunk walked back on the
-    embedded layout; the gradients come out in the hex layout."""
-    return _backward_with(net, logits, caches, labels, _trunk_backward)
+    """``nn.backward`` with each group's trunk walked back on the
+    embedded layout; the gradients come out in the hex layout.  Caches
+    from ``nn.forward`` raise ``ValueError``."""
+    return _backward_with(net, logits, caches, labels, "ZeroOut", _trunk_backward)
 
 
 def train_step_zeroout(net: Network, batch, labels, tc: TrainConfig) -> float:

@@ -101,6 +101,44 @@ def test_verdict_flags_a_loss_beyond_the_parents_iqr_and_main_names_it(bench_jso
     assert bench_json.regressions(bench_json.summarize(runs, BETTER)) == []
 
 
+def test_verdict_gives_the_quartiles_of_the_pair_ratios_which_drift_does_not_widen(bench_json):
+    # the host slows by a third across the run; every pair is 0.9, so the
+    # ratios agree while the parent's spread swallows the gain
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    v = bench_json.verdict(parent, [0.9 * p for p in parent], "lower")
+    assert v["pairs_won"] == 5 and not v["gain_exceeds_parent_iqr"]
+    assert v["pair_ratio_quartiles"] == pytest.approx([0.9, 0.9, 0.9], rel=1e-15)
+    # a pair whose parent reads 0 has no ratio; with none left there are no quartiles
+    assert bench_json.verdict([0.0, 2.0], [1.0, 1.0], "lower")["pair_ratio_quartiles"] == [0.5, 0.5, 0.5]
+    assert bench_json.verdict([0.0], [1.0], "lower")["pair_ratio_quartiles"] is None
+
+
+def test_main_prints_the_pair_ratio_quartiles_of_op_ms(bench_json, monkeypatch, capsys, tmp_path):
+    # the children are replaced: each run reads one made-up op time, the
+    # change 0.8 of the parent in every pair
+    monkeypatch.setattr(bench_json, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"command": ["run"], "run_seconds": 1, "workloads": [{"name": "w"}], '
+        '"end_to_end": [{"name": "op_ms.p50", "better": "lower"}]}'
+    )
+    monkeypatch.setattr(bench_json, "_git", lambda *args: "" if args[0] == "status" else "abc")
+    monkeypatch.setattr(bench_json, "export", lambda rev, dest: (dest / "src" / "hexcnn").mkdir(parents=True))
+    monkeypatch.setattr(bench_json, "verify_section", lambda trees: {
+        **{t: {"exit": 0, "wall_s": 1.0, "csv_sha256": "x"} for t in trees}, "csv_equal": True})
+    monkeypatch.setattr(bench_json, "meter_ops", lambda tree, names: {
+        n: {"macs": {"native": 7, "zeroout": 12}, "outputs": {"native": "a", "zeroout": "b"}} for n in names})
+
+    def child(tree, workload, seed, seconds):
+        ms = (10.0 + seed) * (0.8 if tree.name == "change" else 1.0)
+        return {"seed": seed, "metrics": {"op_ms.p50": ms}, "setup_samples_s": [], "digest": "d",
+                "provenance": {}}
+
+    monkeypatch.setattr(bench_json, "run_child", child)
+    assert bench_json.main(["99"]) == 0
+    out = capsys.readouterr().out
+    assert "w: op_ms.p50 change/parent 0.800, pair ratios 0.800 / 0.800 / 0.800 (quartiles), won 10 of 10" in out
+
+
 def test_summary_gives_a_verdict_per_directed_metric(bench_json):
     runs = {
         "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
@@ -110,7 +148,7 @@ def test_summary_gives_a_verdict_per_directed_metric(bench_json):
     assert list(out["verdict"]) == ["op_ms.p50"]  # ok_frac has no direction here
     assert out["verdict"]["op_ms.p50"] == {
         "pairs_won": 2, "pairs": 3, "median_gain": 4.0, "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True,
-        "loss_exceeds_parent_iqr": False,
+        "loss_exceeds_parent_iqr": False, "pair_ratio_quartiles": [0.65, 0.8, 0.9],
     }
     assert bench_json.summarize(runs, BETTER)["verdict"]["ok_frac"]["pairs_won"] == 0  # all ties
 

@@ -304,8 +304,9 @@ LAYOUTS = ((forward, backward), (forward_zeroout, backward_zeroout))
 
 def _plan(module, net):
     """The trunk plan of layout ``module`` (``nn`` or ``zeronet``) for
-    ``net`` at the current ``ops.PATCH_BLOCK``, as ``forward`` looks it up."""
-    return module._trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK)
+    ``net`` at the current ``ops.PATCH_BLOCK`` and a group of one sample,
+    as ``forward`` looks it up."""
+    return module._trunk_plan(net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK, 1)
 
 
 def test_backward_rejects_label_count_mismatch():
@@ -372,24 +373,108 @@ def test_backward_consumes_its_caches():
         assert meter.macs == 0
 
 
+def test_backward_rejects_caches_from_the_other_layout():
+    # each backward used to fail deep in its trunk: numpy's "operands
+    # could not be broadcast" on the native side, an AxisError on ZeroOut's
+    net = build_network(hex_lenet(17, 2))
+    batch, labels = make_two_class_dataset(np.random.default_rng(30), 3, 17)
+    (fwd, bwd), (zfwd, zbwd) = LAYOUTS
+    for made, forward_of, backward_of in (("ZeroOut", zfwd, bwd), ("native", fwd, zbwd)):
+        logits, caches = forward_of(net, batch)
+        with MacMeter() as meter, pytest.raises(ValueError, match=f"caches come from the {made} layout's forward"):
+            backward_of(net, logits, caches, labels)
+        assert meter.macs == 0 and len(caches) == 3  # checked first: nothing consumed
+
+
+def test_apply_gradients_checks_its_grads_and_writes_w_minus_lr_g_into_them():
+    net = build_network(composed_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(32), 3, 13, 2)
+    _, grads = backward(net, *forward(net, batch), labels)
+    params = list(net.params)
+    want = [None if g is None else [w - 0.1 * a for w, a in zip(nn._arrays(p), g)] for p, g in zip(params, grads)]
+    frozen = grads[6][1].copy()
+    frozen.setflags(write=False)
+    bad = [
+        [None],  # used to apply nothing, silently
+        grads[:-1],
+        [None] * len(grads),  # None for the convs and dense layers
+        grads[:1] + [grads[0]] + grads[2:],  # a gradient for the max pool
+        [g if g is None else g[0] for g in grads],  # not (weights, bias) pairs
+        grads[:5] + [(grads[5][0].T, grads[5][1])] + grads[6:],
+        grads[:5] + [(grads[5][0].astype(np.float32), grads[5][1])] + grads[6:],
+        grads[:6] + [(grads[6][0], frozen)] + grads[7:],  # cannot be written into
+    ]
+    for g in bad:
+        with pytest.raises(ValueError, match="grads must|gradient must"):
+            nn.apply_gradients(net, g, 0.1)
+        assert all(a is b for a, b in zip(net.params, params))  # checked before any layer changed
+    with pytest.raises(ValueError, match="learning rate"):
+        nn.apply_gradients(net, grads, np.nan)
+    nn.apply_gradients(net, grads, 0.1)
+    for p, w in zip(net.params, want):
+        if w is not None:
+            assert [a.tobytes() for a in nn._arrays(p)] == [b.tobytes() for b in w]
+    # consumed: the dense layers' gradient arrays now hold their parameters
+    assert all(a is b for i in (5, 6) for a, b in zip(net.params[i], grads[i]))
+
+
+def test_the_group_size_counts_the_largest_array_a_sample_builds():
+    # hexlenet5 on lenet-train's side-37 hexagon: conv1's window array at
+    # pool1's windows, 6 filters x 7 taps x 397 windows, on both layouts
+    net = build_network(hex_lenet(37, 2))
+    for module in (nn, zeronet):
+        assert nn._sample_bytes(_plan(module, net), net.shapes) == 8 * 6 * 7 * 397
+    # a VGG block: natively its overlapping pool's window array (4 x 7 x 19
+    # beats the convs' 3 x 169 and 4 x 127 outputs); on ZeroOut its second
+    # conv's output on the embedding, 4 x 13 x 13
+    net = build_network(_vgg_block_cfg())
+    assert nn._sample_bytes(_plan(nn, net), net.shapes) == 8 * 4 * 7 * 19
+    assert nn._sample_bytes(_plan(zeronet, net), net.shapes) == 8 * 4 * 13 * 13
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+@pytest.mark.parametrize("make_cfg", [lambda: composed_cfg(), lambda: hex_lenet(17, 2)], ids=["composed", "lenet"])
+def test_groups_of_samples_agree_with_one_sample_at_a_time(monkeypatch, layout, make_cfg):
+    (fwd, bwd), module = {"native": (LAYOUTS[0], nn), "zeroout": (LAYOUTS[1], zeronet)}[layout]
+    net = build_network(make_cfg())
+    batch, labels = make_two_class_dataset(np.random.default_rng(33), 5, net.cfg.input_side, net.cfg.input_channels)
+    per_sample = nn._sample_bytes(_plan(module, net), net.shapes)
+    got = {}
+    for group, sizes in ((1, [1] * 5), (2, [2, 2, 1]), (3, [3, 2]), (5, [5])):
+        # the largest budget that gives this group: it floors
+        monkeypatch.setattr(ops, "GROUP_BYTES", (group + 1) * per_sample - 1)
+        logits, caches = fwd(net, iter(batch))  # groups are cut as the batch is read
+        assert [n for _, n in caches.groups] == sizes
+        if group == 1:  # each sample's trunk alone, as the composed-by-hand test pins it
+            features = [module._trunk_forward(net, _plan(module, net), (t,))[0] for t in batch]
+            assert caches.head[0][1].tobytes() == np.concatenate(features).tobytes()
+        loss, grads = bwd(net, logits, caches, labels)
+        got[group] = [logits, np.array(loss)] + [a for g in grads if g is not None for a in g]
+    for group in (2, 3, 5):
+        for a, b in zip(got[group], got[1], strict=True):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 def test_trunk_caches_carry_no_sizes():
     # sizes live in net.shapes: a relu conv caches its input and one bit
     # an output value, but leaves its relu, and so its bits, to a max
     # pool right after it; that pool caches one byte a winning tap and
     # one bit a pooled value; an average pool and the flatten nothing
+    # per group of n samples run side by side: the first conv keeps the
+    # group's own tensors, every array after it covers the n samples
     net = build_network(composed_cfg())
-    batch, _ = make_two_class_dataset(np.random.default_rng(8), 2, 13, 2)
+    batch, _ = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
     (_, _, channels), (_, side, _), (_, out_side, f) = net.shapes[1:4]
     for (fwd, _), values in zip(LAYOUTS, (cell_count, lambda s: (2 * s - 1) ** 2)):
         _, caches = fwd(net, batch)
-        for conv0, (taps, pool_bits), (x2, bits), avg, flat in caches.trunk:
-            # both layouts cache each conv's input as a flat (channels, cells) array
-            inputs = [x.data if isinstance(x, HexTensor) else x for x in (conv0[0], x2)]
-            assert [x.shape for x in inputs] == [(2, values(13)), (channels, values(side))]
-            assert conv0[1] is None
-            assert bits.dtype == np.uint8 and bits.shape == (-(-f * values(out_side) // 8),)
-            assert taps.dtype == np.uint8 and taps.shape == (channels, cell_count(side))
-            assert pool_bits.dtype == np.uint8 and pool_bits.shape == (-(-channels * cell_count(side) // 8),)
+        assert [n for _, n in caches.groups] == [3]  # composed_cfg's arrays are small: one group
+        for (conv0, (taps, pool_bits), (x2, bits), avg, flat), (_, n) in zip(caches.trunk, caches.groups):
+            assert conv0[0] == tuple(batch) and conv0[1] is None
+            # both layouts cache the second conv's input as a flat (channels, n * cells) array
+            assert x2.shape == (channels, n * values(side))
+            assert bits.dtype == np.uint8 and bits.shape == (-(-f * n * values(out_side) // 8),)
+            assert taps.dtype == np.uint8 and taps.shape == (channels, n * cell_count(side))
+            assert pool_bits.dtype == np.uint8 and pool_bits.shape == (-(-channels * n * cell_count(side) // 8),)
             assert avg is None and flat is None
 
 
@@ -397,7 +482,9 @@ def test_trunk_caches_carry_no_sizes():
 def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch, layout):
     # composed_cfg's second conv (layer 2) reads the first pool's output;
     # that array lives in the cache alone, so once backward has formed
-    # the conv's filter gradient nothing keeps it
+    # the conv's filter gradient nothing keeps it.  A group of one sample
+    # each, as a network whose arrays fill ops.GROUP_BYTES runs
+    monkeypatch.setattr(ops, "GROUP_BYTES", 0)
     net = build_network(composed_cfg())
     batch, labels = make_two_class_dataset(np.random.default_rng(8), 3, 13, 2)
     (fwd, bwd), module, name = {
@@ -415,7 +502,7 @@ def test_backward_releases_each_conv_input_before_its_input_gradient(monkeypatch
 
     monkeypatch.setattr(module, name, spy)
     bwd(net, logits, caches, labels)
-    # one call per sample, in batch order: the sample's own input and
+    # one call per group, in batch order: the group's own input and
     # every earlier one are gone, the later ones still cached
     assert live == [2, 1, 0]
 
@@ -437,10 +524,10 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     rng = np.random.default_rng(31)
     (t,), _ = make_two_class_dataset(rng, 1, 13, 2)
     plan = _plan(nn, net)
-    features, cache = nn._trunk_forward(net, plan, t)  # layers 0-3, then the flatten
-    d = rng.standard_normal(features.shape)
+    features, cache = nn._trunk_forward(net, plan, (t,))  # layers 0-3, then the flatten
+    d = rng.standard_normal(features.size)
     got = nn._trunk_grads(net)
-    nn._trunk_backward(net, plan, cache, d, got)
+    nn._trunk_backward(net, plan, cache, d[None], got)  # a group of one: one row
     assert not cache
 
     conv0, pool1, conv2, pool3 = net.cfg.layers[:4]
@@ -620,7 +707,7 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
 
     monkeypatch.setattr(ops, "_conv_windows", planted_windows)
 
-    def conv(x, bank, stride):
+    def conv(x, bank, stride):  # the hand-composed trunk's
         z = conv_valid(x, bank, stride)
         if bank is not net.params[conv_layer]:
             return z
@@ -628,27 +715,31 @@ def test_a_max_pool_applying_its_convs_relu_gives_the_unfused_bits(monkeypatch, 
         plant(data)
         return HexTensor(z.side, z.channels, data)
 
-    if layout == "native":
-        monkeypatch.setattr(nn, "conv_valid", conv)
-    else:
-        rect_conv = zeronet._rect_conv_all
+    # an unfused conv runs ops._product over every output cell (on
+    # ZeroOut, every anchor of the flat embedding); the planted conv is
+    # the one whose weight matrix it multiplies
+    weights, cells = {
+        "native": (net.params[conv_layer].weights, np.arange(cell_count(side))),
+        "zeroout": (zeronet._packed(net.params[conv_layer])[1], _hex_flat(side)),
+    }[layout]
+    product = ops._product
 
-        def planted_rect_conv(x, span, bank, stride):
-            z = rect_conv(x, span, bank, stride)  # (filters, anchors) on the flat embedding
-            if bank is net.params[conv_layer]:
-                values = z[:, _hex_flat(side)]
-                plant(values)
-                z[:, _hex_flat(side)] = values
-            return z
+    def planted_product(x, w, bias, blocks):
+        z = product(x, w, bias, blocks)
+        if np.shares_memory(w, weights) and not plan[conv_layer][3]:  # the fused conv is planted above
+            values = z[:, cells]
+            plant(values)
+            z[:, cells] = values
+        return z
 
-        monkeypatch.setattr(zeronet, "_rect_conv_all", planted_rect_conv)
+    monkeypatch.setattr(ops, "_product", planted_product)
 
     d = 7.0 * rng.integers(-3, 4, net.shapes[len(plan)][1])  # exact after the average pool's 1/7
-    features, cache = module._trunk_forward(net, plan, t)
+    features, cache = module._trunk_forward(net, plan, (t,))
     disjoint = np.unique(g).size == g.size
     assert fused == ([(layers[conv_layer].filters, g.shape[0], g.shape[1])] if disjoint else [])
     got = nn._trunk_grads(net)
-    module._trunk_backward(net, plan, cache, d, got)
+    module._trunk_backward(net, plan, cache, d[None], got)  # a group of one: one row
     assert not cache
     want_features, want = _unfused_trunk(net, t, d, conv)
     assert features.tobytes() == want_features.tobytes()
@@ -695,7 +786,7 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
         net = build_network(_conv_pool_cfg(side, channels, filters))
         t = HexTensor(side, channels, rng.standard_normal((channels, cell_count(side))))
         with MacMeter() as meter:
-            features, cache = module._trunk_forward(net, _plan(module, net), t)
+            features, cache = module._trunk_forward(net, _plan(module, net), (t,))
         want, want_taps = maxpool(conv_valid(t, net.params[0]), 2, 3)
         # the product has fewer columns than conv_valid's, which can move
         # BLAS's last bits
@@ -709,7 +800,7 @@ def test_a_conv_before_a_disjoint_max_pool_computes_only_its_windows(monkeypatch
     net = build_network(_vgg_block_cfg())
     t = HexTensor(9, 2, rng.standard_normal((2, cell_count(9))))
     with MacMeter() as meter:
-        module._trunk_forward(net, _plan(module, net), t)
+        module._trunk_forward(net, _plan(module, net), (t,))
     convs = [(i, spec) for i, spec in enumerate(net.cfg.layers) if spec.kind == "hexconv"]
     assert meter.macs == sum(
         spec.filters * net.shapes[i][2] * taps * cells(net.shapes[i + 1][1]) for i, spec in convs
@@ -742,7 +833,7 @@ def test_a_fused_conv_pools_backward_runs_on_its_windows_alone(layout):
     }[layout]
     net = build_network(hex_lenet(37, 2, seed=1))
     plan = _plan({"native": nn, "zeroout": zeronet}[layout], net)
-    assert [i for i, step in enumerate(plan) if step[3] is not None] == [0, 2]
+    assert [i for i, (spec, _, _, fused, _) in enumerate(plan) if fused and spec.kind == "hexconv"] == [0, 2]
     batch, labels = make_two_class_dataset(np.random.default_rng(2), 32, 37)
     with MacMeter() as meter:
         bwd(net, *fwd(net, batch), labels)
@@ -789,13 +880,15 @@ def test_both_layouts_plan_the_same_trunk_up_to_the_flatten(make_cfg, activation
     layers = net.cfg.layers
     native, embedded = _plan(nn, net), _plan(zeronet, net)
     assert len(native) == len(embedded) == nn._head_start(layers) and native[-1][0].kind == "flatten"
-    for i, ((spec, side, act, windows), (zspec, zside, zact, zwindows)) in enumerate(zip(native, embedded)):
+    for i, ((spec, side, act, fuses, table), (zspec, zside, zact, zfuses, ztable)) in enumerate(zip(native, embedded)):
         assert spec == zspec == layers[i] and side == zside == net.shapes[i][1]
         assert act == zact == activations[i]
-        assert (windows is not None) == (zwindows is not None) == (i in fused)
+        # a fused conv and its pool; the pool gathers nothing
+        assert fuses == zfuses == (i in fused or i - 1 in fused)
+        assert (table is None) == (ztable is None) == (spec.kind == "flatten" or i - 1 in fused)
         if i in fused:  # both products cover the same cells: the pool's
-            assert [b for b, _ in windows] == [b for b, _ in zwindows]
-    assert _plan(nn, net) is native  # cached per network layout and block
+            assert [b for b, _ in table] == [b for b, _ in ztable]
+    assert _plan(nn, net) is native  # cached per network layout, block and group
 
 
 def test_a_network_whose_last_layer_is_the_flatten_returns_its_features():
@@ -1048,7 +1141,7 @@ def test_zeroout_spreads_a_nan_into_more_cells_than_the_native_conv(pool):
     )
     net = build_network(cfg)
     net.params[0] = ops.HexFilterBank(2, np.ones((1, 1, 7)))
-    (native, _), (embedded, _) = (module._trunk_forward(net, _plan(module, net), t) for module in (nn, zeronet))
+    (native, _), (embedded, _) = (module._trunk_forward(net, _plan(module, net), (t,)) for module in (nn, zeronet))
     native, embedded = set(np.flatnonzero(np.isnan(native))), set(np.flatnonzero(np.isnan(embedded)))
     assert native < embedded and (len(native), len(embedded)) == (2, 3)
 
@@ -1159,7 +1252,7 @@ def test_vgg13_trajectory_matches_zeroout():
             assert np.abs(a - b).max() <= 1e-8 * max(np.abs(a).max(), np.abs(b).max(), 1e-300)
 
 
-def _step_bytes_bound(net, batch, values, taps):
+def _step_bytes_bound(net, batch, values, taps, group):
     """Bytes one SGD step may hold at once if each conv caches only its
     input (8 bytes a value) and its packed relu bits (1 bit an output
     value, in whole bytes).
@@ -1168,10 +1261,11 @@ def _step_bytes_bound(net, batch, values, taps):
     activation on the layout and ``taps(window)`` the taps of a
     side-``window`` filter.  Per sample: the conv inputs and bits, and
     the max-pool winning taps (1 byte an output cell; pool windows are
-    hexagons on both layouts).  Once: one layer's working set, that is
-    its window block twice (the block and ``np.take``'s copy of its
-    index table) and three output-sized arrays (output, activation,
-    error), and the head's batch inputs, outputs and parameters.
+    hexagons on both layouts).  Once: one layer's working set for
+    ``group`` samples run side by side, that is its window block twice
+    (the block and ``np.take``'s copy of its index table) and three
+    output-sized arrays (output, activation, error), and the head's
+    batch inputs, outputs and parameters.
     """
     cache = block = out = head = 0
     for i, spec in enumerate(net.cfg.layers):
@@ -1179,12 +1273,12 @@ def _step_bytes_bound(net, batch, values, taps):
         if spec.kind == "hexconv":
             (_, side, c), (_, out_side, f) = before, after
             cache += 8 * c * values(side) + -(-f * values(out_side) // 8)
-            block = max(block, 8 * c * taps(spec.window) * min(values(out_side), PATCH_BLOCK))
-            out = max(out, 8 * f * values(out_side))
+            block = max(block, 8 * c * taps(spec.window) * min(group * values(out_side), PATCH_BLOCK))
+            out = max(out, 8 * f * group * values(out_side))
         elif spec.kind == "hexmaxpool":
             (_, _, c), (_, out_side, _) = before, after
             cache += c * cell_count(out_side)
-            block = max(block, 8 * c * cell_count(spec.window) * cell_count(out_side))
+            block = max(block, 8 * c * cell_count(spec.window) * group * cell_count(out_side))
         elif spec.kind == "dense":
             fan_in, units = before[1], after[1]
             head += 8 * (batch * (fan_in + units) + (fan_in + 1) * units)
@@ -1196,11 +1290,12 @@ def test_train_step_peak_holds_only_what_backward_reads(layout):
     # caching each conv's float64 pre-activation (64 bits an output
     # value, not 1) puts both layouts' peaks well over this bound; so
     # do ZeroOut's boolean masks and int64 taps
-    step, values, taps = {
-        "native": (train_step, cell_count, cell_count),
-        "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2),
+    step, values, taps, module = {
+        "native": (train_step, cell_count, cell_count, nn),
+        "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2, zeronet),
     }[layout]
     net = build_network(hex_lenet(17, 2, seed=3))
+    group = min(8, nn._group_size(_plan(module, net), net.shapes))
     batch, labels = make_two_class_dataset(np.random.default_rng(21), 8, 17)
     tc = TrainConfig(0.01)
     step(net, batch, labels, tc)  # builds the cached window tables
@@ -1210,4 +1305,4 @@ def test_train_step_peak_holds_only_what_backward_reads(layout):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _step_bytes_bound(net, 8, values, taps)
+    assert peak <= _step_bytes_bound(net, 8, values, taps, group)

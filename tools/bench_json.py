@@ -19,10 +19,12 @@ commit, and per workload and tree the runs (every end-to-end metric,
 quartiles and the provenance the first run recorded (its ``git_sha``
 is null: an export has no repository), the change/parent ratio of each
 median, the per-pair ratios, and per end-to-end metric a verdict: the
-pairs the change won in BENCHMARK.json's ``better`` direction, and
+pairs the change won in BENCHMARK.json's ``better`` direction,
 whether its median gain exceeds the parent's interquartile spread, or
-its median loss does; the summary printed at the end names every
-metric that got worse beyond that spread.
+its median loss does, and the quartiles of the per-pair ratios, which
+a drift of the host's speed over the run does not widen; the summary
+printed at the end gives those quartiles for ``op_ms.p50`` and names
+every metric that got worse beyond the parent's spread.
 One more child per tree imports that tree's ``hexbench/workloads.py``
 and runs op 0 of each workload (seed 1) on each layout, metered with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
@@ -191,10 +193,15 @@ def verdict(parent: list, change: list, better: str) -> dict:
     parent's, signed so that a gain is positive; ``gain_exceeds_parent_iqr``
     is true when that gain is larger than the spread between the
     parent's quartiles, and ``loss_exceeds_parent_iqr`` when the change
-    is worse by more than that spread."""
+    is worse by more than that spread.  ``pair_ratio_quartiles`` are the
+    quartiles of the change/parent ratio of each pair whose parent value
+    is not zero (None when none is): the two runs of a pair run back to
+    back, so a drift of the host's speed across the whole run, which
+    widens the parent's spread, cancels in them."""
     sign = {"lower": -1, "higher": 1}[better]
     (q1, pmed, q3), cmed = _quartiles(parent), _quartiles(change)[1]
     gain = sign * (cmed - pmed)
+    ratios = [c / p for p, c in zip(parent, change) if p]
     return {
         "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         "pairs": len(parent),
@@ -202,6 +209,7 @@ def verdict(parent: list, change: list, better: str) -> dict:
         "parent_iqr": q3 - q1,
         "gain_exceeds_parent_iqr": gain > q3 - q1,
         "loss_exceeds_parent_iqr": -gain > q3 - q1,
+        "pair_ratio_quartiles": _quartiles(ratios) if ratios else None,
     }
 
 
@@ -300,7 +308,9 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, w in doc["workloads"].items():
         v = w["verdict"]["op_ms.p50"]
+        q1, med, q3 = v["pair_ratio_quartiles"]
         print(f"{workload}: op_ms.p50 change/parent {w['ratio']['op_ms.p50']:.3f}, "
+              f"pair ratios {q1:.3f} / {med:.3f} / {q3:.3f} (quartiles), "
               f"won {v['pairs_won']} of {v['pairs']} pairs, median gain {v['median_gain']:.3f} ms "
               f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
               f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}, "
