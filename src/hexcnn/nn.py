@@ -504,7 +504,8 @@ def _forward_with(net: Network, batch, layout: str, trunk_plan, trunk_forward) -
     layers, shapes, block = net.cfg.layers, tuple(net.shapes), ops.PATCH_BLOCK
     size = _group_size(trunk_plan(layers, shapes, block, 1), shapes)
     features, groups, trunk = [], [], []
-    while tensors := tuple(islice(items, size)):
+    for first in items:  # a group: this item and up to size - 1 more, in a tuple of its exact size
+        tensors = (first, *islice(items, size - 1))
         for t in tensors:
             check_tensor(t, "batch items")
             if t.side != net.cfg.input_side or t.channels != net.cfg.input_channels:
