@@ -61,9 +61,9 @@ Each layer applies its plan step's activation, as the native trunk
 does: a relu conv right before a max pool leaves its relu to the pool,
 which applies it to its pooled output only.  The backward cache holds
 what the native trunk's does: a conv keeps its embedded input (at
-layer 0 of a group of more than one sample, the group's own tensors,
-embedded again by the backward, which costs less than the embeddings'
-memory there) and, when
+layer 0 the group's own tensors, embedded again by the backward, except
+in a group of one sample, which keeps its embedding: embedding a large
+input again slowed the step more than its memory was worth) and, when
 it applies relu, the packed bits of ``z > 0`` for its hex-masked output
 ``z`` (from ``nn._activate``, one bit a value), never the float64
 pre-activation; a max pool keeps the winning taps ``ops._pool``

@@ -1252,7 +1252,7 @@ def test_vgg13_trajectory_matches_zeroout():
             assert np.abs(a - b).max() <= 1e-8 * max(np.abs(a).max(), np.abs(b).max(), 1e-300)
 
 
-def _step_bytes_bound(net, batch, values, taps, group):
+def _step_bytes_bound(net, batch, values, taps):
     """Bytes one SGD step may hold at once if each conv caches only its
     input (8 bytes a value) and its packed relu bits (1 bit an output
     value, in whole bytes).
@@ -1261,11 +1261,10 @@ def _step_bytes_bound(net, batch, values, taps, group):
     activation on the layout and ``taps(window)`` the taps of a
     side-``window`` filter.  Per sample: the conv inputs and bits, and
     the max-pool winning taps (1 byte an output cell; pool windows are
-    hexagons on both layouts).  Once: one layer's working set for
-    ``group`` samples run side by side, that is its window block twice
-    (the block and ``np.take``'s copy of its index table) and three
-    output-sized arrays (output, activation, error), and the head's
-    batch inputs, outputs and parameters.
+    hexagons on both layouts).  Once: one layer's working set, that is
+    its window block twice (the block and ``np.take``'s copy of its
+    index table) and three output-sized arrays (output, activation,
+    error), and the head's batch inputs, outputs and parameters.
     """
     cache = block = out = head = 0
     for i, spec in enumerate(net.cfg.layers):
@@ -1273,12 +1272,12 @@ def _step_bytes_bound(net, batch, values, taps, group):
         if spec.kind == "hexconv":
             (_, side, c), (_, out_side, f) = before, after
             cache += 8 * c * values(side) + -(-f * values(out_side) // 8)
-            block = max(block, 8 * c * taps(spec.window) * min(group * values(out_side), PATCH_BLOCK))
-            out = max(out, 8 * f * group * values(out_side))
+            block = max(block, 8 * c * taps(spec.window) * min(values(out_side), PATCH_BLOCK))
+            out = max(out, 8 * f * values(out_side))
         elif spec.kind == "hexmaxpool":
             (_, _, c), (_, out_side, _) = before, after
             cache += c * cell_count(out_side)
-            block = max(block, 8 * c * cell_count(spec.window) * group * cell_count(out_side))
+            block = max(block, 8 * c * cell_count(spec.window) * cell_count(out_side))
         elif spec.kind == "dense":
             fan_in, units = before[1], after[1]
             head += 8 * (batch * (fan_in + units) + (fan_in + 1) * units)
@@ -1286,16 +1285,19 @@ def _step_bytes_bound(net, batch, values, taps, group):
 
 
 @pytest.mark.parametrize("layout", ["native", "zeroout"])
-def test_train_step_peak_holds_only_what_backward_reads(layout):
+def test_train_step_peak_holds_only_what_backward_reads(monkeypatch, layout):
     # caching each conv's float64 pre-activation (64 bits an output
     # value, not 1) puts both layouts' peaks well over this bound; so
-    # do ZeroOut's boolean masks and int64 taps
-    step, values, taps, module = {
-        "native": (train_step, cell_count, cell_count, nn),
-        "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2, zeronet),
+    # do ZeroOut's boolean masks and int64 taps.  The bound counts one
+    # sample's working set, so the trunk runs groups of one: a group
+    # multiplies that working set, within ops.GROUP_BYTES, and caches
+    # the same entries, only wider
+    monkeypatch.setattr(ops, "GROUP_BYTES", 0)
+    step, values, taps = {
+        "native": (train_step, cell_count, cell_count),
+        "zeroout": (train_step_zeroout, lambda side: (2 * side - 1) ** 2, lambda k: (2 * k - 1) ** 2),
     }[layout]
     net = build_network(hex_lenet(17, 2, seed=3))
-    group = min(8, nn._group_size(_plan(module, net), net.shapes))
     batch, labels = make_two_class_dataset(np.random.default_rng(21), 8, 17)
     tc = TrainConfig(0.01)
     step(net, batch, labels, tc)  # builds the cached window tables
@@ -1305,4 +1307,4 @@ def test_train_step_peak_holds_only_what_backward_reads(layout):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _step_bytes_bound(net, 8, values, taps, group)
+    assert peak <= _step_bytes_bound(net, 8, values, taps)
