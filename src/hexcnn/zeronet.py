@@ -8,8 +8,8 @@ native trunk's (channels, group*cells) arrays with more cells.  The
 input, pool outputs and the flatten's error enter through that
 zero-fill scatter, done for the whole group (``_embed``), and the
 flatten reads the hexagons back through their flat offsets
-(``_group_hex``, ``_hex_flat`` once a sample).  Convolution multiplies the
-zeroed corner taps like a genuine hexagon-imitation framework
+(``_group_hex``, ``_hex_flat`` once a sample).  Convolution multiplies
+the zeroed corner taps like a genuine hexagon-imitation framework
 (computing every rectangular output cell, not only the hexagonal ones,
 except before a max pool with disjoint windows; see below), and corner
 weight gradients are masked so the frozen zeros never move.  Cells
@@ -25,8 +25,8 @@ lives here: it is the part that depends on the layout, and it is the
 oracle.  After the flatten both layouts run the same dense algebra, so
 ``forward_zeroout`` and ``backward_zeroout`` hand this module's
 per-group trunk to ``nn``'s batch driver, which cuts the batch into
-groups and runs the head once per batch; the finite-difference tests and the manual-composition test
-check that head on their own.
+groups and runs the head once per batch; the finite-difference tests
+and the manual-composition test check that head on their own.
 
 The layouts differ in their tables, filters and masks, not in their
 code.  A conv's tables are the k-by-k windows of the embedding
