@@ -76,7 +76,9 @@ def read_img1(path) -> SquareImage:
             f"{path}: payload is {len(raw) - 16} bytes, header implies {expected}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, c)
-    return SquareImage(data.transpose(2, 0, 1).astype(np.float64))
+    with np.errstate(invalid="ignore"):  # a signalling NaN widens to a quiet one, and warns
+        data = data.transpose(2, 0, 1).astype(np.float64)
+    return SquareImage(data)
 
 
 def _pnm_tokens(raw: bytes):

@@ -14,6 +14,10 @@ winning taps in that array instead (``_unpool_windows``), and the
 conv's filter and input gradients run over the same window blocks
 (``nn._trunk_steps``) that its forward did: both trunks do this, so the
 cells no window reads, whose error is zero, are never multiplied.  The
+filter gradient's window matrix comes from the windows' receptive
+fields, as the forward's does (``ops._fields``, ``window_columns`` with
+its row map); the input gradient scatters through the composed table,
+whose (tap, cell) pairs are the matrix's rows.  The
 cores read any tap-major table, so the trunks run them over a group of
 samples laid side by side (``ops._stack``), and the filter gradient
 sums the group's share in one product a block.
@@ -32,6 +36,8 @@ anchor alone.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -152,16 +158,20 @@ def conv_backward_input_reflect(
     return conv_full(up, transpose_reflect(bank))
 
 
-def _filter_grad(x: np.ndarray, d: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+def _filter_grad(x, d: np.ndarray, blocks, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(filters, channels, taps) weight and (filters,) bias gradients of
     a convolution of the (channels, cells) input ``x`` with the
     (filters, patches) error ``d``, one block of the forward's
-    ``blocks`` at a time."""
-    parts = (gemm(d[:, b], window_columns(x, g).T) for b, g in blocks)
+    ``blocks`` at a time.  With ``rows`` they are a fused conv's blocks
+    (``ops._fields``), read as its forward reads them, and ``x`` holds
+    each block's input."""
+    inputs = repeat(x) if rows is None else x
+    parts = (gemm(d[:, b], window_columns(xb, g, rows).T) for (b, g), xb in zip(blocks, inputs))
     dw = next(parts)  # (F, C*E); a single block is used as is
     for part in parts:
         dw += part
-    return dw.reshape(d.shape[0], x.shape[0], -1), d.sum(axis=1)
+    taps = (blocks[0][1] if rows is None else rows).shape[0]
+    return dw.reshape(d.shape[0], -1, taps), d.sum(axis=1)
 
 
 def conv_backward_filter(
@@ -195,16 +205,18 @@ def _unpool(d: np.ndarray, taps: np.ndarray | None, g: np.ndarray, cells: int) -
     return out
 
 
-def _unpool_windows(d: np.ndarray, taps: np.ndarray, window_cells: int) -> np.ndarray:
-    """Adjoint of a max pool over a conv's window array
-    (``ops._conv_windows``): the (channels, window_cells*windows) error
-    of that array, tap major, from the pool's (channels, windows) error
-    ``d``, each value at its window's winning tap and zero elsewhere.
-    One write along the tap axis; the window cells are the conv's output
-    cells, so no table is read."""
-    c, n = d.shape
-    out = np.zeros((c, window_cells, n), d.dtype)
-    out[np.arange(c)[:, None], taps, np.arange(n)] = d
+def _unpool_windows(d: np.ndarray, taps: np.ndarray, fields) -> np.ndarray:
+    """Adjoint of a max pool over a fused conv's window array
+    (``ops._conv_windows`` through ``fields``): the error of that array,
+    (channels, blocks*window_cells*windows) laid out as it is, from the
+    pool's (channels, blocks*windows) error ``d``, each value at its
+    window's winning tap and zero elsewhere.  One write along the tap
+    axis; the window cells are the conv's output cells, so no table is
+    read."""
+    c, (e, n) = d.shape[0], (fields.rows.shape[1], fields.blocks[0][1].shape[1])
+    d, taps = d.reshape(-1, n), taps.reshape(-1, n)  # one row a channel and block
+    out = np.zeros((len(d), e, n), d.dtype)
+    out[np.arange(len(d))[:, None], taps, np.arange(n)] = d
     return out.reshape(c, -1)
 
 

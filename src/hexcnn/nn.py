@@ -25,7 +25,11 @@ and its derivative run on the pooled cells only, with the same bits;
 and when that pool's windows share no cell (hexlenet5's stride-3
 side-2 pools), the conv computes only the cells the pool reads, in the
 pool's window order, and its backward runs on the same cells: the
-forward's plans ride in the caches (``_Caches.groups``).  The pooled
+forward's plans ride in the caches (``_Caches.groups``).  Such a conv
+gathers each pool window's receptive field once, 19 input cells for
+hexlenet5's side-2 conv and pool where the composed table reads 49
+(tap, cell) pairs, and lays its window matrix out from them
+(``ops._fields``), in blocks of whole samples.  The pooled
 values and the conv's gradients can differ from the public kernels
 composed over every output cell in the last bits, since BLAS may round
 a column differently in a product of fewer columns.  The conv outputs
@@ -339,13 +343,16 @@ def _trunk_steps(layers, shapes, conv_table, pool_table, cells, block: int, grou
     disjoint windows, and on that pool: the conv computes only the cells
     the pool reads, as the pool's window array (``ops._conv_windows``),
     and the pool gathers nothing.  A conv's ``table`` is its window table,
-    ``conv_table(side, window, stride)``, or when fused that table's
-    columns at the pool's windows, ``pool_table(side, window, stride)``,
-    tap major over the windows; a pool's is its window table, or None
-    when fused; the flatten's None.  Each table is laid out for the group
-    (``ops._stack``, one sample's array ``cells(side)`` wide), and a
-    conv's is split into ``block``-patch (slice, table) pairs
-    (``ops._split``)."""
+    ``conv_table(side, window, stride)``, laid out for the group
+    (``ops._stack``, one sample's array ``cells(side)`` wide) and split
+    into ``block``-patch (slice, table) pairs (``ops._split``); when fused,
+    it is that table's receptive fields at the pool's windows,
+    ``pool_table(side, window, stride)`` (``ops._fields``: the field
+    tables in blocks of whole samples, the one map from (tap, pool cell)
+    pairs to field rows, and, past layer 0, the composed table that the
+    input gradient scatters through).  A pool's table is its window
+    table laid out for the group, or None when fused; the flatten's
+    None."""
     trunk = layers[: _head_start(layers)]
     steps = []
     for i, spec in enumerate(trunk):
@@ -356,10 +363,12 @@ def _trunk_steps(layers, shapes, conv_table, pool_table, cells, block: int, grou
             if pool.kind == "hexmaxpool":
                 windows = pool_table(shapes[i + 1][1], pool.window, pool.stride)
                 fused = np.unique(windows).size == windows.size  # else the conv would compute shared cells twice
-                g = g[:, windows] if fused else g
             else:
                 act = spec.activation
-            table = ops._split(ops._stack(g, cells(side), group).reshape(g.shape[0], -1), block)
+            if fused:  # layer 0 runs no input gradient, so it needs no composed table
+                table = ops._fields(g, windows, cells(side), group, block, i > 0)
+            else:
+                table = ops._split(ops._stack(g, cells(side), group), block)
         elif spec.kind != "flatten":  # a pool
             if spec.kind == "hexmaxpool" and i > 0 and trunk[i - 1].kind == "hexconv":
                 act, fused = trunk[i - 1].activation, steps[-1][3]
@@ -369,7 +378,9 @@ def _trunk_steps(layers, shapes, conv_table, pool_table, cells, block: int, grou
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+# bounded, as resample's plans are: each block and group size a network
+# runs at holds its own tables
+@lru_cache(maxsize=16)
 def _trunk_plan(layers: tuple, shapes: tuple, block: int, group: int) -> tuple:
     """``_trunk_steps`` on the hexagon: the conv's window table
     (uncached, as in ``ops._blocks``) and the pool's ``tap_gather``
@@ -380,11 +391,15 @@ def _trunk_plan(layers: tuple, shapes: tuple, block: int, group: int) -> tuple:
 
 def _sample_bytes(plan: tuple, shapes) -> int:
     """The bytes of the largest array one sample builds in a layer of the
-    one-sample ``plan``: a conv's output (its window array when fused) or
-    an unfused pool's window array, all float64."""
+    one-sample ``plan``, all float64: a fused conv's window array
+    (filters x pool window cells x windows, from ``shapes``), an unfused
+    conv's output (the patches of its blocks, which count the cells of
+    its layout) or an unfused pool's window array."""
     values = [0]
-    for i, (spec, _, _, _, table) in enumerate(plan):
-        if spec.kind == "hexconv":
+    for i, (spec, _, _, fused, table) in enumerate(plan):
+        if spec.kind == "hexconv" and fused:
+            values.append(shapes[i + 1][2] * cell_count(plan[i + 1][0].window) * cell_count(shapes[i + 2][1]))
+        elif spec.kind == "hexconv":
             last, tail = table[-1]
             values.append(shapes[i + 1][2] * (last.start + tail.shape[1]))
         elif table is not None:
@@ -405,6 +420,17 @@ def _group_input(tensors) -> np.ndarray:
     if len(tensors) == 1:
         return tensors[0].data
     return np.concatenate([t.data for t in tensors], axis=1)
+
+
+def _block_inputs(x, samples: int, cells: int, load=_group_input):
+    """The input of each block of a fused conv (``ops._fields``), lazily:
+    runs of ``samples*cells`` columns of the group's (channels,
+    group*cells) array ``x``, or, where ``x`` is the group's own tensors
+    (layer 0's cache entry), each block's tensors joined by ``load``, so
+    a block of one sample reads that sample's own array."""
+    if isinstance(x, tuple):
+        return (load(x[j : j + samples]) for j in range(0, len(x), samples))
+    return (x[:, j : j + samples * cells] for j in range(0, x.shape[1], samples * cells))
 
 
 def _rows(x: np.ndarray, group: int) -> np.ndarray:
@@ -430,24 +456,27 @@ def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
     (``ops._stack``): one gather, one product per block and one pool a
     layer.  Each layer applies its step's activation.  A fused conv
     computes only the cells the max pool after it reads, as the pool's
-    window array (``ops._conv_windows``); the pool then takes its max
-    with no gather.  Every other conv runs ``ops._product`` over its
+    window array (``ops._conv_windows``), each block of whole samples
+    gathering its windows' fields from those samples' columns
+    (``_block_inputs``); the pool then takes its max with no gather.
+    Every other conv runs ``ops._product`` over its
     blocks, and every other pool gathers its windows; both pool kinds
     reduce them in ``ops._pool``.  A conv keeps its input (the group's
-    own tensors at layer 0, joined again by the backward, so no joined
-    copy is cached) and its packed relu bits (None when it applies
+    own tensors at layer 0, which the backward reads a block at a time
+    when the conv is fused and joins again otherwise, so no joined copy
+    is cached) and its packed relu bits (None when it applies
     identity, as every conv before a max pool does), never its output; a
     max pool its one-byte winning taps, taken on its input as it comes
     (a pre-activation when it applies the relu of the conv before it),
     and its packed relu bits or None; an average pool and the flatten
     None, since their sizes are in ``net.shapes``."""
     x, win, cache = _group_input(tensors), None, []  # win: a fused conv's window array
-    for i, (spec, _, act, fused, table) in enumerate(plan[:-1]):
+    for i, (spec, side, act, fused, table) in enumerate(plan[:-1]):
         if spec.kind == "hexconv":
             bank = net.params[i]
             w = bank.weights.reshape(bank.filters, -1)
             if fused:  # its activation is identity: the pool applies the relu
-                win, bits = ops._conv_windows(x, w, bank.bias, table, cell_count(plan[i + 1][0].window)), None
+                win, bits = ops._conv_windows(_block_inputs(x, table.samples, cell_count(side)), w, bank.bias, table), None
             else:
                 out, bits = _activate(ops._product(x, w, bank.bias, table), act)
             cache.append((tensors if i == 0 else x, bits))
@@ -456,7 +485,7 @@ def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
         else:  # a pool
             if win is None:
                 win = np.take(x, table, axis=1)
-            out, taps = ops._pool(win, spec.kind)
+            out, taps = ops._pool(win, spec.kind, net.shapes[i][2])
             out, bits = _activate(out, act)
             cache.append(None if taps is None else (taps, bits))
             x, win = out, None
@@ -560,9 +589,11 @@ def _trunk_backward(net: Network, plan: tuple, cache: list, d: np.ndarray, grads
 
     A fused conv computed only its max pool's window array, and its
     backward runs on that array too: the pool puts each window's error
-    at its winning tap of a zeroed (filters, taps*windows) error
-    (``grads._unpool_windows``), and the conv's filter and input
-    gradients run over the forward's own blocks.  The cells no window
+    at its winning tap of a zeroed error laid out as that array
+    (``grads._unpool_windows``), and the conv's filter gradient reads
+    the forward's field blocks, at layer 0 from each block's own
+    tensors, with no joined copy of the group; its input gradient
+    scatters through the composed table.  The cells no window
     reads, whose error is zero, are never multiplied, so an input cell
     that only they read reaches no gradient: a NaN there leaves the loss
     and every gradient finite.  The filter gradient's product then has
@@ -586,15 +617,19 @@ def _trunk_backward(net: Network, plan: tuple, cache: list, d: np.ndarray, grads
             if bits is not None:
                 d = _relu_grad(d, bits)
             if fused:
-                d = _unpool_windows(d, taps, cell_count(spec.window))
+                d = _unpool_windows(d, taps, plan[i - 1][4])
             else:
                 d = _unpool(d, taps, table, group * cell_count(side))
         else:  # hexconv
             x, bits = cache.pop()
             if bits is not None:
                 d = _relu_grad(d, bits)
+            if fused:  # layer 0's blocks read their own samples' tensors
+                dw, db = _filter_grad(_block_inputs(x, table.samples, cell_count(side)), d, table.blocks, table.rows)
+                table = table.composed
+            else:
+                dw, db = _filter_grad(x if i else _group_input(x), d, table)
             gw, gb = grads[i]
-            dw, db = _filter_grad(x if i else _group_input(x), d, table)
             gw += dw
             gb += db
             del x, bits  # released before the input gradient is built

@@ -24,7 +24,13 @@ window array (``_pool``).  A convolution that feeds a max pool whose
 windows share no cell can compute just that window array: its table at
 the pool's window cells, tap major over the windows, makes its product
 the pool's window array (``_conv_windows``), so the cells no window
-reads are never computed and the pool gathers nothing.  Every table
+reads are never computed and the pool gathers nothing.  That composed
+table reads each window's receptive field many times over (49 (tap,
+cell) pairs on 19 cells for hexlenet5's side-2 conv and pool, 63 on 23
+on ZeroOut's rectangle), so it is not gathered: the fields are, one
+element gather for each window's distinct cells, and one gather of
+whole contiguous rows of them then lays out the same window matrix
+(``_fields``, ``window_columns``).  Every table
 also serves a group of samples laid side by side along the cell axis
 (``_stack``), so a network trunk runs one gather, one product per block
 and one pool for the whole group.
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,7 +175,10 @@ def valid_geometry(
     return span // stride + 1
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: stride = 1.0 must not hit stride = 1's entry
+# Bounded as resample's plans are: many geometries (a sweep, a stream
+# of network configs) must not pin a table each.  typed: stride = 1.0
+# must not hit stride = 1's entry.
+@lru_cache(maxsize=16, typed=True)
 def tap_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
     """(window_cells, patches) storage offsets of every window, tap major.
 
@@ -182,9 +192,9 @@ def tap_gather(input_side: int, window_side: int, stride: int) -> np.ndarray:
     return offsets(input_side, cells(window_side)[:, None] + cells(output_side)[None, :] * stride)
 
 
-# typed, as tap_gather; the block size is part of the key, since it is
-# read from PATCH_BLOCK at each call
-@lru_cache(maxsize=None, typed=True)
+# bounded and typed, as tap_gather; the block size is part of the key,
+# since it is read from PATCH_BLOCK at each call
+@lru_cache(maxsize=16, typed=True)
 def _blocks(input_side: int, window_side: int, stride: int, block: int):
     """``tap_gather``'s table split into ``block``-patch (slice, table)
     pairs (``_split``); callers pass ``PATCH_BLOCK`` at call time.  Built
@@ -192,7 +202,7 @@ def _blocks(input_side: int, window_side: int, stride: int, block: int):
     return _split(tap_gather.__wrapped__(input_side, window_side, stride), block)
 
 
-def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def window_columns(x: np.ndarray, g: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Values of the windows of ``g`` (a tap-major table, ``tap_gather``'s
     or ``zeronet``'s rectangular one, or a block of its columns) in the
     (channels, cells) array ``x``, as a contiguous
@@ -200,16 +210,26 @@ def window_columns(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Rows run channel major, then filter storage order, matching
     ``weights.reshape(filters, -1)``; column j is window j of ``g``.
+
+    With ``rows`` (``_fields``), ``g`` is a block's (field cells, windows)
+    table and the matrix is that of the composed table ``g[rows]``: one
+    gather of the fields, then one of whole rows of them, each row a
+    (tap, pool cell) pair's values over the block's windows, so the
+    columns run pool cell major over the windows.
     """
-    return np.take(x, g, axis=1).reshape(-1, g.shape[1])
+    if rows is None:
+        return np.take(x, g, axis=1).reshape(-1, g.shape[1])
+    fields = np.take(x, g, axis=1)  # (channels, field cells, windows)
+    return np.take(fields, rows, axis=1).reshape(-1, rows.shape[1] * g.shape[1])
 
 
 def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks) -> np.ndarray:
     """The (filters, patches) product of the weight matrix ``w`` with the
     window matrix ``window_columns(x, g)`` of each (slice, table) block,
     written into the block's columns, plus ``bias``: the product loop of
-    every convolution forward, native and ZeroOut (``zeronet``, whose
-    flat embedding is a (channels, cells) array too).  It calls the
+    every convolution forward but a fused one (``_conv_windows``), native
+    and ZeroOut (``zeronet``, whose flat embedding is a (channels, cells)
+    array too).  It calls the
     module's ``window_columns``, so one patch of it reaches both
     layouts."""
     last, tail = blocks[-1]
@@ -231,13 +251,80 @@ def _stack(g: np.ndarray, cells: int, group: int) -> np.ndarray:
     return (g[..., None, :] + cells * np.arange(group)[:, None]).reshape(*g.shape[:-1], -1)
 
 
-def _conv_windows(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks, taps: int) -> np.ndarray:
-    """``_product`` over blocks of a convolution's table at a max pool's
-    ``taps``-cell windows, tap major over the windows (``nn._trunk_steps``):
-    its output at those cells, as the pool's (filters, taps, windows)
-    window array.  Both trunks call it here, so a test can replace it for
-    both."""
-    return _product(x, w, bias, blocks).reshape(w.shape[0], taps, -1)
+class _Fields(NamedTuple):
+    """A fused convolution's tables (``_fields``).
+
+    ``rows`` maps each (filter tap, pool cell) pair to its row of a
+    window's field, (taps, window cells), the same in every window.
+    ``blocks`` are (slice, table) pairs: a block's columns of the
+    (filters, window cells*windows) product, and one (field cells,
+    windows) table of input offsets that every block shares, since each
+    block reads the (channels, samples*cells) array of its own samples.
+    ``samples`` counts a block's samples.  ``composed`` holds (slice,
+    table) pairs of the composed table ``fields[rows]``, (taps, window
+    cells*windows) a block, addressed on the whole group's array, into
+    which the input gradient scatters; None where no input gradient
+    runs.
+    """
+
+    rows: np.ndarray
+    blocks: tuple
+    samples: int
+    composed: tuple | None
+
+
+def _fields(g: np.ndarray, windows: np.ndarray, cells: int, group: int, block: int, composed: bool) -> _Fields:
+    """The receptive fields of the convolution whose window table is
+    ``g`` (taps, patches) at the max pool windows ``windows`` (window
+    cells, windows), which share no cell, for ``group`` samples of
+    ``cells`` cells laid side by side (``_stack``).
+
+    The composed table ``g[:, windows]`` lists each window's taps*window
+    cells (tap, pool cell) pairs, but they read only a few distinct
+    input cells, its field.  Which pairs meet at one cell does not
+    depend on the window, since the windows are translates of one
+    another, so one map ``rows`` takes every pair to its field row: the
+    field rows are the pairs that first reach each of window 0's cells,
+    taken in the order of those cells' offsets, and the build checks
+    that ``fields[rows]`` is the composed table.
+
+    A block holds whole samples, as many as keep its window cells*windows
+    columns within ``block`` and divide ``group``, so that every block is
+    as wide, and at least one.  ``composed`` asks for the composed table
+    too.
+    """
+    taps, e = g.shape[0], windows.shape[0]
+    n = windows.shape[1]
+    pairs = g[:, windows].reshape(taps * e, n)  # the composed table, one column a window
+    _, first, rows = np.unique(pairs[:, 0], return_index=True, return_inverse=True)
+    fields = pairs[first]
+    if not np.array_equal(fields[rows], pairs):
+        raise AssertionError("the windows' (tap, cell) pairs do not meet in one pattern")
+    k = max(k for k in range(1, group + 1) if group % k == 0 and (k == 1 or k * e * n <= block))
+    table, width = np.array(_stack(fields, cells, k), order="C"), e * k * n
+    slices = [slice(j * width, (j + 1) * width) for j in range(group // k)]
+    rows = np.array(rows.reshape(taps, e), np.int64)
+    scatter = None
+    if composed:  # block j's samples start at column j*k*cells of the group's array
+        scatter = tuple((b, table[rows].reshape(taps, -1) + j * k * cells) for j, b in enumerate(slices))
+    return _Fields(rows, tuple((b, table) for b in slices), k, scatter)
+
+
+def _conv_windows(inputs, w: np.ndarray, bias: np.ndarray, fields: _Fields) -> np.ndarray:
+    """The product of the weight matrix ``w`` with each block's window
+    matrix (``window_columns`` through ``fields``' table, block j reading
+    the j-th of ``inputs``, its samples' (channels, samples*cells)
+    array), plus ``bias``: a convolution's output at a max pool's
+    windows, as the pool's window array, one (window cells, windows a
+    block) slab a filter and block, filter major (``nn._trunk_steps``);
+    a single block's is (filters, window cells, windows).  Both trunks
+    call it here, so a test can replace it for both."""
+    (last, g), e = fields.blocks[-1], fields.rows.shape[1]
+    y = np.empty((w.shape[0], last.stop), w.dtype)  # the trunks' arrays are all float64
+    for (b, g), x in zip(fields.blocks, inputs):
+        gemm(w, window_columns(x, g, fields.rows), out=y[:, b])
+    y += bias[:, None]
+    return y.reshape(-1, e, g.shape[1])
 
 
 def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:
@@ -286,17 +373,21 @@ def _first_max_taps(win: np.ndarray, out: np.ndarray) -> np.ndarray:
     return taps
 
 
-def _pool(win: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+def _pool(win: np.ndarray, kind: str, channels: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The (channels, patches) max or mean (``kind`` is ``"hexmaxpool"``
-    or ``"hexavgpool"``) of a (channels, taps, patches) window array, as
+    or ``"hexavgpool"``) of a window array of (taps, patches) slabs, as
     ``np.take`` of a (channels, cells) array through a tap-major table
-    lays it out, and the max's winning taps (None for the mean).  The
-    pools of both layouts run through here; ``grads._unpool`` is the
-    adjoint."""
+    lays it out, one slab a channel, and the max's winning taps (None
+    for the mean).  A fused conv's window array (``_conv_windows``) has
+    one slab a channel and block, in channel order; each channel's
+    blocks join into its row.  The pools of both layouts run through
+    here; ``grads._unpool`` is the adjoint."""
     if kind == "hexavgpool":
         return win.mean(axis=1), None
     out = win.max(axis=1)
-    return out, _first_max_taps(win, out)
+    taps = _first_max_taps(win, out)
+    out.shape = taps.shape = (channels, -1)  # in place: a view would be copied by HexTensor
+    return out, taps
 
 
 def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.ndarray]:
@@ -313,7 +404,7 @@ def maxpool(t: HexTensor, window_side: int, stride: int) -> tuple[HexTensor, np.
     """
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    out, taps = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexmaxpool")
+    out, taps = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexmaxpool", t.channels)
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out), taps
 
@@ -322,6 +413,6 @@ def avgpool(t: HexTensor, window_side: int, stride: int) -> HexTensor:
     """Arithmetic mean over each hexagonal window."""
     check_tensor(t, "input")
     out_side = valid_geometry(t.side, window_side, stride, floor_mode=True)
-    out, _ = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexavgpool")
+    out, _ = _pool(np.take(t.data, tap_gather(t.side, window_side, stride), axis=1), "hexavgpool", t.channels)
     out.setflags(write=False)
     return HexTensor(out_side, t.channels, out)

@@ -107,8 +107,8 @@ def square_to_hex(img: SquareImage, side: int) -> HexTensor:
     The hexagon is centered on the image center; positions outside the
     image read as zero, even where the nearest pixel is NaN.  The
     sampling plan (indices, weights) depends only on the side and the
-    image size and is cached, so each call does one gather and the
-    weighted sum, accumulated tap by tap.
+    image size and is cached, so each call does one gather, one in-place
+    multiply by the weights and the sum, accumulated tap by tap.
     """
     if not isinstance(img, SquareImage):
         raise ValueError(f"image must be a SquareImage, got {type(img).__name__}")
@@ -117,8 +117,9 @@ def square_to_hex(img: SquareImage, side: int) -> HexTensor:
     padded = np.zeros((c, img.height * img.width + 1))  # the last pixel is the outside's zero
     padded[:, :-1] = img.data.reshape(c, -1)
     vals = np.take(padded, index, axis=1)  # (C, 4, N)
-    out = vals[:, 0] * w[0]
-    for k in (1, 2, 3):
-        out += vals[:, k] * w[k]
+    vals *= w  # every tap's product, in place, as tap k's temporary would round it
+    out = vals[:, 0] + vals[:, 1]  # owned, so HexTensor adopts it
+    out += vals[:, 2]
+    out += vals[:, 3]
     out.setflags(write=False)
     return HexTensor(side, c, out)

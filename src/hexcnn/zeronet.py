@@ -47,7 +47,11 @@ tables, so both layouts make the same decisions.  A conv that feeds a
 max pool with disjoint windows computes only those windows' cells
 (``ops._conv_windows``): they are hexagon cells, where ``hex_mask`` is
 1, so the rectangular anchors off the pool's windows, the corner
-anchors among them, are never computed.  Its backward runs on the same
+anchors among them, are never computed.  Its window matrix is gathered
+from each pool window's receptive field on the embedding, 23 cells for
+a side-2 pool under the 3-by-3 rectangle's 63 (tap, cell) pairs
+(``ops._fields``), the same code as the native trunk's on this layout's
+tables.  Its backward runs on the same
 blocks, which the forward's plan carries to it: the pool puts its error
 at its winning taps of the window array (``grads._unpool_windows``),
 then the filter gradient's block loop and ``grads._input_grad`` run over
@@ -61,9 +65,10 @@ Each layer applies its plan step's activation, as the native trunk
 does: a relu conv right before a max pool leaves its relu to the pool,
 which applies it to its pooled output only.  The backward cache holds
 what the native trunk's does: a conv keeps its embedded input (at
-layer 0 the group's own tensors, embedded again by the backward, except
-in a group of one sample, which keeps its embedding: embedding a large
-input again slowed the step more than its memory was worth) and, when
+layer 0 the group's own tensors, embedded again by the backward, one
+block of samples at a time when the conv is fused, except in a group of
+one sample, which keeps its embedding: embedding a large input again
+slowed the step more than its memory was worth) and, when
 it applies relu, the packed bits of ``z > 0`` for its hex-masked output
 ``z`` (from ``nn._activate``, one bit a value), never the float64
 pre-activation; a max pool keeps the winning taps ``ops._pool``
@@ -83,15 +88,16 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .grads import _input_grad, _unpool, _unpool_windows
-from .grid import cell_count, cells
+from .grid import cells
 from .matmul import gemm
 from .nn import (
-    Network, TrainConfig, _activate, _backward_with, _columns, _forward_with, _group_input, _learning_rate,
-    _relu_grad, _rows, _trunk_steps, apply_gradients,
+    Network, TrainConfig, _activate, _backward_with, _block_inputs, _columns, _forward_with, _group_input,
+    _learning_rate, _relu_grad, _rows, _trunk_steps, apply_gradients,
 )
 from . import ops
 from .ops import HexFilterBank, _pool, _split, tap_gather
@@ -109,7 +115,7 @@ def _rect_table(span: int, k: int, stride: int) -> np.ndarray:
     return (taps[:, None] + taps * span).reshape(-1, 1) + (anchors[:, None] * span + anchors).ravel()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # bounded, as ops._blocks is
 def _rect_blocks(span: int, k: int, stride: int, block: int):
     """``_rect_table`` split into ``block``-patch (slice, table) pairs
     (``ops._split``); callers pass ``ops.PATCH_BLOCK`` at call time."""
@@ -125,7 +131,7 @@ def _hex_windows(side: int, window: int, stride: int) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # bounded, as nn._trunk_plan is
 def _trunk_plan(layers: tuple, shapes: tuple, block: int, group: int) -> tuple:
     """``nn._trunk_steps`` on the embedding: the rectangular conv's
     window table (``_rect_table``) and the pool's windows
@@ -213,7 +219,7 @@ def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
         if spec.kind == "hexconv":
             zbank, w = _packed(net.params[i])
             if fused:  # its activation is identity: the pool applies the relu
-                win, bits = ops._conv_windows(x, w, zbank.bias, table, cell_count(plan[i + 1][0].window)), None
+                win, bits = ops._conv_windows(_block_inputs(x, table.samples, _span_cells(side)), w, zbank.bias, table), None
             else:
                 z = ops._product(x, w, zbank.bias, table)
                 _mask(z, out_side)
@@ -227,7 +233,7 @@ def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
         else:  # a pool
             if win is None:
                 win = np.take(x, table, axis=1)
-            out, taps = _pool(win, spec.kind)
+            out, taps = _pool(win, spec.kind, net.shapes[i][2])
             out, bits = _activate(out, act)
             # a max pool's winning taps, as ops.maxpool's, and relu bits; None for a mean
             cache.append(None if taps is None else (taps, bits))
@@ -251,26 +257,33 @@ def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
             if bits is not None:
                 d = _relu_grad(d, bits)
             if fused:
-                d = _unpool_windows(d, taps, cell_count(spec.window))
+                d = _unpool_windows(d, taps, plan[i - 1][4])
             else:
                 d = _unpool(d, taps, table, group * _span_cells(side))
         else:  # hexconv
             x, bits = cache.pop()
-            if i == 0 and group > 1:  # the group's own tensors
-                x = _embed(_group_input(x), side, group)
             if bits is not None:
                 d = _relu_grad(d, bits)
             k = 2 * spec.window - 1
             # over every rectangular anchor (the error is zero off the
             # hexagon, so extra anchors contribute nothing), or the
-            # forward's blocks at the pool's windows
-            dw = sum(gemm(d[:, b], ops.window_columns(x, g).T) for b, g in table)
+            # forward's field blocks at the pool's windows, each block
+            # reading its own samples (at layer 0 of a group, its tensors,
+            # embedded one block at a time)
+            if fused:
+                blocks, rows = table.blocks, table.rows
+                inputs = _block_inputs(x, table.samples, _span_cells(side), lambda ts: _embed(_group_input(ts), side, len(ts)))
+                table = table.composed
+            else:
+                blocks, rows = table, None
+                inputs = repeat(_embed(_group_input(x), side, group) if i == 0 and group > 1 else x)
+            dw = sum(gemm(d[:, b], ops.window_columns(xb, g, rows).T) for (b, g), xb in zip(blocks, inputs))
             dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
             gb += d.sum(axis=1)
-            del x, bits  # released before the input gradient is built
+            del x, bits, inputs  # released before the input gradient is built
             if i > 0:
                 w = _packed(net.params[i])[1].reshape(d.shape[0], channels, -1)  # as HexFilterBank.weights
                 d = _input_grad(d, w, table, group * _span_cells(side))

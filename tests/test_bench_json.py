@@ -8,6 +8,7 @@ checkout.
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -126,7 +127,8 @@ def test_main_prints_the_pair_ratio_quartiles_of_op_ms(bench_json, monkeypatch, 
     monkeypatch.setattr(bench_json, "verify_section", lambda trees: {
         **{t: {"exit": 0, "wall_s": 1.0, "csv_sha256": "x"} for t in trees}, "csv_equal": True})
     monkeypatch.setattr(bench_json, "meter_ops", lambda tree, names: {
-        n: {"macs": {"native": 7, "zeroout": 12}, "outputs": {"native": "a", "zeroout": "b"}} for n in names})
+        n: {"macs": {"native": 7, "zeroout": 12}, "outputs": {"native": "a", "zeroout": "b"},
+            "take_lookups": {"native": 19 if tree.name == "change" else 49, "zeroout": 1234}} for n in names})
 
     def child(tree, workload, seed, seconds):
         ms = (10.0 + seed) * (0.8 if tree.name == "change" else 1.0)
@@ -137,6 +139,10 @@ def test_main_prints_the_pair_ratio_quartiles_of_op_ms(bench_json, monkeypatch, 
     assert bench_json.main(["99"]) == 0
     out = capsys.readouterr().out
     assert "w: op_ms.p50 change/parent 0.800, pair ratios 0.800 / 0.800 / 0.800 (quartiles), won 10 of 10" in out
+    assert "np.take lookups in op 0, parent -> change: native 49 -> 19, zeroout 1,234 -> 1,234" in out
+    doc = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert doc["workloads"]["w"]["take_lookups"] == {"parent": {"native": 49, "zeroout": 1234},
+                                                     "change": {"native": 19, "zeroout": 1234}}
 
 
 def test_summary_gives_a_verdict_per_directed_metric(bench_json):
@@ -201,6 +207,42 @@ def test_op_meter_counts_and_hashes_op_zero_of_each_layout(bench_json, monkeypat
             digest = hashlib.sha256(b"".join(np.ascontiguousarray(a, np.float64).tobytes() for a in arrays))
             assert got[name]["macs"][layout] == meter.macs > 0
             assert got[name]["outputs"][layout] == digest.hexdigest()
+
+
+STUB_WORKLOADS = """
+import numpy as np
+
+
+class Case:
+    train = False
+
+    def native(self, i):  # 3 rows of 2 x 2 indices, then 5 flat ones: 17 lookups
+        a = np.arange(30.0).reshape(3, 10)
+        return np.take(a, [[0, 1], [2, 3]], axis=1).sum() + np.take(a, [1, 2, 3, 4, 5]).sum()
+
+    def zeroout(self, i):  # 2 rows before axis -2 of 3 indices, and 0 indices: 6 lookups
+        a = np.ones((2, 3, 4))
+        return np.take(a, [0, 2, 2], axis=-2).sum() + np.take(a, np.zeros(0, int), axis=2).sum()
+
+
+def make_case(name, seed):
+    return Case()
+"""
+
+
+def test_op_meter_counts_the_index_lookups_of_every_take_in_op_zero(bench_json, tmp_path):
+    # a stub tree: its package meters nothing, its workload only gathers
+    (tmp_path / "src" / "hexcnn").mkdir(parents=True)
+    (tmp_path / "src" / "hexcnn" / "__init__.py").write_text("")
+    (tmp_path / "src" / "hexcnn" / "instrument.py").write_text(
+        "class MacMeter:\n    macs = 0\n    def __enter__(self):\n        return self\n"
+        "    def __exit__(self, *exc):\n        pass\n"
+    )
+    (tmp_path / "hexbench").mkdir()
+    (tmp_path / "hexbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    got = bench_json.meter_ops(tmp_path, ["a", "b"])
+    assert got["a"]["take_lookups"] == got["b"]["take_lookups"] == {"native": 17, "zeroout": 6}
+    assert got["a"]["macs"] == {"native": 0, "zeroout": 0}
 
 
 def test_outputs_are_equal_only_when_every_tree_agrees_on_both_layouts(bench_json):

@@ -75,6 +75,15 @@ CKPT = _bytes_of(lambda p, net: save_checkpoint(net, p), build_network(CKPT_CFG)
 CKPT_FIELDS = (4, 40, 44)
 
 
+def test_img1_reads_a_signalling_nan_as_nan(tmp_path):
+    # a float32 signalling NaN (0x7fa4cc11, found by the fuzz test below)
+    # warns as numpy widens it, and the suite turns warnings into errors
+    path = tmp_path / "x.img"
+    path.write_bytes(IMG1[:16] + struct.pack("<I", 0x7FA4CC11) + IMG1[20:])
+    data = read_image(path).data
+    assert np.isnan(data[0, 0, 0]) and np.isfinite(data).sum() == data.size - 1
+
+
 def parses_or_value_error(read, path):
     try:
         read(path)

@@ -551,18 +551,13 @@ def test_trunk_backward_matches_the_public_kernels_composed_by_hand(monkeypatch,
     e = maxpool_backward(e, taps, pool1.window, pool1.stride, a0.side)
     e = HexTensor(e.side, e.channels, e.data * (z0.data > 0))
     # conv0 feeds a max pool whose windows share no cell, so its backward
-    # runs on the pool's window cells only, tap major over the windows, in
-    # blocks of the test's size: the conv table's columns at those cells
+    # runs on the pool's window cells only, tap major over the windows:
+    # the conv table's columns at those cells.  A fused conv's blocks hold
+    # whole samples, so one sample is one product at either block size
     cells = tap_gather(a0.side, pool1.window, pool1.stride).ravel()
     g = tap_gather(t.side, conv0.window, conv0.stride)[:, cells]
     e_win = np.take(e.data, cells, axis=1)  # C order, as the trunk's error: BLAS rounds by layout
-    parts = [
-        gemm(e_win[:, lo : lo + block], window_columns(t.data, g[:, lo : lo + block]).T)
-        for lo in range(0, cells.size, block)
-    ]
-    dw = parts[0]
-    for part in parts[1:]:
-        dw += part
+    dw = gemm(e_win, window_columns(t.data, g).T)
     by_hand = (dw.reshape(net.params[0].weights.shape), e_win.sum(axis=1))
     full = conv_backward_filter(t, e, conv0.stride, conv0.window)  # every output cell
     for a, b, c in zip(got[0], by_hand, full):
@@ -842,6 +837,94 @@ def test_a_fused_conv_pools_backward_runs_on_its_windows_alone(layout):
     assert meter.macs == {"native": 31_021_440, "zeroout": 37_929_600}[layout]
 
 
+# each layout's conv window table, pool window table and cells a side-L
+# array, as its trunk plan reads them
+LAYOUT_TABLES = {
+    "native": (nn, lambda side, k, s: tap_gather(side, k, s), tap_gather, cell_count),
+    "zeroout": (zeronet, lambda side, k, s: zeronet._rect_table(2 * side - 1, 2 * k - 1, s), zeronet._hex_windows,
+                lambda side: (2 * side - 1) ** 2),
+}
+FIELD_CONFIGS = [
+    (lambda: hex_lenet(37, 2), [0, 2]),  # lenet-train's side-37 hexagon
+    (lambda: hex_lenet(17, 2), [0, 2]),
+    (composed_cfg, [0]),
+    (lambda: hex_vgg13(94, 2, width_scale=1 / 16), [13]),  # its last pool has one window
+]
+
+
+@pytest.mark.parametrize("block", [PATCH_BLOCK, 5])
+@pytest.mark.parametrize("make_cfg,convs", FIELD_CONFIGS, ids=["lenet37", "lenet17", "composed", "vgg13"])
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_a_fused_conv_gathers_its_window_matrix_from_the_pool_windows_fields(block, make_cfg, convs, layout):
+    # the field gather (ops.window_columns with rows) lays out, for each
+    # block, the same bits as the composed table's gather: the conv's
+    # table at the pool's window cells, tap major over the windows
+    module, conv_table, pool_table, cells = LAYOUT_TABLES[layout]
+    net = build_network(make_cfg())
+    layers, rng = net.cfg.layers, np.random.default_rng(43)
+    for group in (1, 2, 3):
+        plan = module._trunk_plan(layers, tuple(net.shapes), block, group)
+        assert [i for i, (spec, _, _, fused, _) in enumerate(plan) if fused and spec.kind == "hexconv"] == convs
+        for i in convs:
+            (spec, side, _, _, fields), pool = plan[i], layers[i + 1]
+            g = conv_table(side, spec.window, spec.stride)
+            windows = pool_table(net.shapes[i + 1][1], pool.window, pool.stride)
+            composed = ops._stack(g[:, windows], cells(side), group)  # (taps, window cells, group*windows)
+            per = windows.shape[1] * fields.samples
+            x = rng.standard_normal((net.shapes[i][2], group * cells(side)))
+            inputs = list(nn._block_inputs(x, fields.samples, cells(side)))
+            assert len(inputs) == len(fields.blocks) == group // fields.samples
+            for j, ((b, table), xb) in enumerate(zip(fields.blocks, inputs)):
+                want = composed[:, :, j * per : (j + 1) * per].reshape(g.shape[0], -1)
+                got = window_columns(xb, table, fields.rows)
+                assert got.tobytes() == window_columns(x, want).tobytes()
+                assert b == slice(j * want.shape[1], (j + 1) * want.shape[1])
+                if i > 0:  # the input gradient scatters through the composed table itself
+                    assert np.array_equal(fields.composed[j][1], want) and fields.composed[j][0] == b
+            assert fields.composed is None if i == 0 else len(fields.composed) == len(fields.blocks)
+            # a block holds whole samples: as many as fit the block and divide the group, at least one
+            assert group % fields.samples == 0
+            assert fields.samples == 1 or fields.samples * windows.size <= block
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_a_side2_conv_at_a_side2_pool_reads_a_field_of_19_cells_natively_and_23_on_zeroout(layout):
+    # of the 7 x 7 (tap, pool cell) pairs a window reads natively, 49
+    # values meet on the side-3 hexagon's 19 cells; ZeroOut's 3 x 3
+    # rectangle reads 63 pairs on 23 cells of the embedding
+    module = LAYOUT_TABLES[layout][0]
+    net = build_network(hex_lenet(37, 2))
+    for i in (0, 2):
+        fields = _plan(module, net)[i][4]
+        taps = {"native": 7, "zeroout": 9}[layout]
+        assert fields.rows.shape == (taps, 7)
+        assert fields.blocks[0][1].shape[0] == {"native": 19, "zeroout": 23}[layout]
+        assert np.unique(fields.rows).size == fields.blocks[0][1].shape[0]
+
+
+@pytest.mark.parametrize("layout", ["native", "zeroout"])
+def test_an_evicted_trunk_plan_is_rebuilt_with_the_same_bits(layout):
+    # the plan caches are bounded (16 entries): filling one with other
+    # block sizes evicts a network's plans, and the next step builds them
+    # again, with the same tables and the same bits
+    (fwd, bwd), module = {"native": (LAYOUTS[0], nn), "zeroout": (LAYOUTS[1], zeronet)}[layout]
+    net = build_network(hex_lenet(17, 2))
+    batch, labels = make_two_class_dataset(np.random.default_rng(47), 5, 17)
+    first = _plan(module, net)
+
+    def step():
+        loss, grads = bwd(net, *fwd(net, batch), labels)
+        return [np.array(loss)] + [a for g in grads if g is not None for a in g]
+
+    want = step()
+    for block in range(1, 17):
+        module._trunk_plan(net.cfg.layers, tuple(net.shapes), block, 1)
+    assert module._trunk_plan.cache_info().currsize == 16
+    assert _plan(module, net) is not first
+    for a, b in zip(step(), want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_a_nan_read_only_by_cells_no_pool_window_reads_reaches_no_gradient():
     # hexlenet5's first conv feeds a disjoint max pool: of the 817 input
     # cells, 186 are read only by conv outputs that no window of the pool
@@ -886,8 +969,9 @@ def test_both_layouts_plan_the_same_trunk_up_to_the_flatten(make_cfg, activation
         # a fused conv and its pool; the pool gathers nothing
         assert fuses == zfuses == (i in fused or i - 1 in fused)
         assert (table is None) == (ztable is None) == (spec.kind == "flatten" or i - 1 in fused)
-        if i in fused:  # both products cover the same cells: the pool's
-            assert [b for b, _ in table] == [b for b, _ in ztable]
+        if i in fused:  # both products cover the same cells, the pool's, in blocks of as many samples
+            assert [b for b, _ in table.blocks] == [b for b, _ in ztable.blocks]
+            assert table.samples == ztable.samples
     assert _plan(nn, net) is native  # cached per network layout, block and group
 
 

@@ -126,6 +126,23 @@ def test_a_convolution_holds_its_window_table_once():
     assert ops.tap_gather.cache_info().currsize == 0
 
 
+def test_an_evicted_block_table_is_rebuilt_with_the_same_bits():
+    # ops._blocks and tap_gather hold 16 geometries each: filling them
+    # with others evicts a convolution's tables, and its next call builds
+    # them again, with the same bits
+    rng = np.random.default_rng(28)
+    t = HexTensor(7, 2, rng.standard_normal((2, 127)))
+    bank = HexFilterBank.random(rng, 3, 2, 2)
+    want = ops.conv_valid(t, bank)
+    first = ops._blocks(7, 2, 1, BLOCK)
+    for side in range(8, 24):
+        ops._blocks(side, 2, 1, BLOCK)
+        ops.tap_gather(side, 2, 1)
+    assert ops._blocks.cache_info().currsize == ops.tap_gather.cache_info().currsize == 16
+    assert ops._blocks(7, 2, 1, BLOCK) is not first
+    assert ops.conv_valid(t, bank).data.tobytes() == want.data.tobytes()
+
+
 def test_block_tables_follow_patch_block_at_call_time(monkeypatch):
     rng = np.random.default_rng(25)
     t = HexTensor(6, 1, rng.standard_normal((1, 91)))
@@ -141,15 +158,17 @@ def test_block_tables_follow_patch_block_at_call_time(monkeypatch):
 @pytest.mark.parametrize("layout", ["native", "zeroout"])
 def test_the_trunk_plan_follows_patch_block_at_call_time(monkeypatch, layout):
     # a network that has already run at one block size takes up another at
-    # its next forward: the fused conv's 7 pool windows of 7 cells each
+    # its next forward: the fused conv's 7 pool windows of 7 cells each, a
+    # sample, for a group of two; its blocks hold whole samples, as many as
+    # fit the block, and at least one
     net = build_network(
         NetworkConfig(8, 1, (LayerSpec.conv(2, 2, 1), LayerSpec.maxpool(2, 3), LayerSpec.flatten(),
                              LayerSpec.dense(2), LayerSpec.softmax()))
     )
-    batch, _ = make_two_class_dataset(np.random.default_rng(27), 1, 8)
+    batch, _ = make_two_class_dataset(np.random.default_rng(27), 2, 8)
     fwd = {"native": nn.forward, "zeroout": zeronet.forward_zeroout}[layout]
     cols = _counting(monkeypatch, ops, "window_columns")
-    for block, want in ((2048, [49]), (BLOCK, [5] * 9 + [4])):
+    for block, want in ((2048, [98]), (BLOCK, [49, 49]), (2048, [98])):
         monkeypatch.setattr(ops, "PATCH_BLOCK", block)
         cols.clear()
         fwd(net, batch)

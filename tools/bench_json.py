@@ -33,7 +33,9 @@ does.  The child also hashes each op's outputs (a train op's loss and
 updated parameters, a forward op's logits): the ``outputs`` section
 holds each tree's two sha256 digests, and ``outputs_equal`` is true when
 the trees agree on both layouts, so a change to either layout's bits
-shows (the run digest covers native outputs only).  Each tree's
+shows (the run digest covers native outputs only), and counts the index
+lookups its ``np.take`` calls make (indices times the rows before the
+axis): the ``take_lookups`` section holds each tree's two counts.  Each tree's
 ``src_lines`` counts the lines of every ``src/hexcnn`` module and their
 total.  Each tree also runs ``hexcnn verify --cases 50`` once, from its
 own ``src``; the ``verify`` section holds each tree's exit code, wall
@@ -62,22 +64,34 @@ PAIRS = 10  # the fewest pairs a gain claim is judged on
 SIDE2_MAC_RATIO = 7 / 12  # native over ZeroOut MACs of a side-2 conv: 7 taps to 9, 3/4 of the anchors
 
 # Run in a tree's root with the workload names as arguments; prints
-# {workload: {"macs": {layout: MACs}, "outputs": {layout: sha256}}} for
-# op 0 of each layout.
+# {workload: {"macs": {layout: MACs}, "outputs": {layout: sha256},
+# "take_lookups": {layout: count}}} for op 0 of each layout.  Every
+# ``np.take`` call in the op is counted: its indices times the rows of
+# the axes before its axis, the index lookups it makes.
 METER = """
-import hashlib, json, sys
+import hashlib, json, math, sys
 sys.path[:0] = ["src", "hexbench"]
 import numpy as np
 from hexcnn import instrument
 import workloads
+take, lookups = np.take, [0]
+
+def counted_take(a, indices, axis=None, *args, **kwargs):
+    shape = np.shape(a)
+    lookups[0] += np.size(indices) * (1 if axis is None else math.prod(shape[: axis % len(shape)]))
+    return take(a, indices, axis, *args, **kwargs)
+
+np.take = counted_take
 counts = {}
 for name in sys.argv[1:]:
     case = workloads.make_case(name, 1)
-    counts[name] = {"macs": {}, "outputs": {}}
+    counts[name] = {"macs": {}, "outputs": {}, "take_lookups": {}}
     for path in ("native", "zeroout"):
+        lookups[0] = 0
         with instrument.MacMeter() as meter:
             out = getattr(case, path)(0)
         counts[name]["macs"][path] = meter.macs
+        counts[name]["take_lookups"][path] = lookups[0]
         arrays = [out[0], *workloads._param_arrays(out[1])] if case.train else [out]
         bits = b"".join(np.asarray(a, dtype=np.float64).tobytes() for a in arrays)
         counts[name]["outputs"][path] = hashlib.sha256(bits).hexdigest()
@@ -124,9 +138,10 @@ def run_child(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def meter_ops(tree: Path, workloads: list) -> dict:
-    """{workload: {"macs": {layout: MACs}, "outputs": {layout: sha256}}}:
-    op 0 of each layout, metered and hashed by ``tree``'s own code in a
-    child process."""
+    """{workload: {"macs": {layout: MACs}, "outputs": {layout: sha256},
+    "take_lookups": {layout: count}}}: op 0 of each layout, metered,
+    hashed and its ``np.take`` index lookups counted by ``tree``'s own
+    code in a child process."""
     out = subprocess.run([sys.executable, "-c", METER, *workloads], cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"op meter in {tree} exited {out.returncode}:\n{out.stderr}")
@@ -303,6 +318,7 @@ def main(argv=None) -> int:
             w = doc["workloads"][workload]
             w["macs"] = mac_ratios({tree: metered[tree][workload]["macs"] for tree in TREES})
             w["outputs"] = {tree: metered[tree][workload]["outputs"] for tree in TREES}
+            w["take_lookups"] = {tree: metered[tree][workload]["take_lookups"] for tree in TREES}
             w["outputs_equal"] = outputs_equal(w["outputs"])
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -315,6 +331,9 @@ def main(argv=None) -> int:
               f"{'>' if v['gain_exceeds_parent_iqr'] else '<='} parent IQR {v['parent_iqr']:.3f} ms, "
               f"metered MAC ratio {w['macs']['change']['ratio']:.3f}, digests equal {w['digests_equal']}, "
               f"outputs equal {w['outputs_equal']}")
+        t = w["take_lookups"]
+        print("  np.take lookups in op 0, parent -> change: "
+              + ", ".join(f"{layout} {t['parent'][layout]:,} -> {t['change'][layout]:,}" for layout in ("native", "zeroout")))
         for line in regressions(w):
             print(line)
     v = doc["verify"]
