@@ -476,7 +476,8 @@ def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
             bank = net.params[i]
             w = bank.weights.reshape(bank.filters, -1)
             if fused:  # its activation is identity: the pool applies the relu
-                win, bits = ops._conv_windows(_block_inputs(x, table.samples, cell_count(side)), w, bank.bias, table), None
+                inputs = _block_inputs(x, table.samples, cell_count(side))
+                win, bits = ops._conv_windows(inputs, w, bank.bias, table), None
             else:
                 out, bits = _activate(ops._product(x, w, bank.bias, table), act)
             cache.append((tensors if i == 0 else x, bits))
@@ -626,7 +627,7 @@ def _trunk_backward(net: Network, plan: tuple, cache: list, d: np.ndarray, grads
                 d = _relu_grad(d, bits)
             if fused:  # layer 0's blocks read their own samples' tensors
                 dw, db = _filter_grad(_block_inputs(x, table.samples, cell_count(side)), d, table.blocks, table.rows)
-                table = table.composed
+                table = table.composed  # which the input gradient scatters through
             else:
                 dw, db = _filter_grad(x if i else _group_input(x), d, table)
             gw, gb = grads[i]

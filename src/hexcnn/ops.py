@@ -252,20 +252,14 @@ def _stack(g: np.ndarray, cells: int, group: int) -> np.ndarray:
 
 
 class _Fields(NamedTuple):
-    """A fused convolution's tables (``_fields``).
-
-    ``rows`` maps each (filter tap, pool cell) pair to its row of a
-    window's field, (taps, window cells), the same in every window.
-    ``blocks`` are (slice, table) pairs: a block's columns of the
-    (filters, window cells*windows) product, and one (field cells,
-    windows) table of input offsets that every block shares, since each
-    block reads the (channels, samples*cells) array of its own samples.
-    ``samples`` counts a block's samples.  ``composed`` holds (slice,
-    table) pairs of the composed table ``fields[rows]``, (taps, window
-    cells*windows) a block, addressed on the whole group's array, into
-    which the input gradient scatters; None where no input gradient
-    runs.
-    """
+    """A fused convolution's tables (``_fields``): ``rows``, the field
+    row of each (filter tap, pool cell) pair, (taps, window cells);
+    ``blocks``, (slice, table) pairs of a block's product columns and
+    the one (field cells, windows) table that every block reads on its
+    own samples' (channels, samples*cells) array; ``samples``, a block's
+    samples; ``composed``, (slice, table) pairs of ``table[rows]``
+    addressed on the group's array, for the input gradient's scatter,
+    or None where none runs."""
 
     rows: np.ndarray
     blocks: tuple
@@ -274,24 +268,20 @@ class _Fields(NamedTuple):
 
 
 def _fields(g: np.ndarray, windows: np.ndarray, cells: int, group: int, block: int, composed: bool) -> _Fields:
-    """The receptive fields of the convolution whose window table is
-    ``g`` (taps, patches) at the max pool windows ``windows`` (window
-    cells, windows), which share no cell, for ``group`` samples of
-    ``cells`` cells laid side by side (``_stack``).
+    """The receptive fields of the convolution with window table ``g``
+    (taps, patches) at the max pool windows ``windows`` (window cells,
+    windows), which share no cell, for ``group`` samples of ``cells``
+    cells side by side (``_stack``).
 
-    The composed table ``g[:, windows]`` lists each window's taps*window
-    cells (tap, pool cell) pairs, but they read only a few distinct
-    input cells, its field.  Which pairs meet at one cell does not
-    depend on the window, since the windows are translates of one
-    another, so one map ``rows`` takes every pair to its field row: the
-    field rows are the pairs that first reach each of window 0's cells,
-    taken in the order of those cells' offsets, and the build checks
-    that ``fields[rows]`` is the composed table.
-
+    The composed table ``g[:, windows]`` reads taps*window cells (tap,
+    pool cell) pairs a window, but only a few distinct cells, its field.
+    Which pairs meet at a cell is the same in every window, a translate
+    of window 0, so one map ``rows`` serves all: a field row is the
+    first pair that reaches each of window 0's cells, in offset order,
+    and the build checks that ``fields[rows]`` is the composed table.
     A block holds whole samples, as many as keep its window cells*windows
-    columns within ``block`` and divide ``group``, so that every block is
-    as wide, and at least one.  ``composed`` asks for the composed table
-    too.
+    columns within ``block`` and divide ``group`` (so blocks are equally
+    wide), and at least one.
     """
     taps, e = g.shape[0], windows.shape[0]
     n = windows.shape[1]
@@ -319,12 +309,12 @@ def _conv_windows(inputs, w: np.ndarray, bias: np.ndarray, fields: _Fields) -> n
     block) slab a filter and block, filter major (``nn._trunk_steps``);
     a single block's is (filters, window cells, windows).  Both trunks
     call it here, so a test can replace it for both."""
-    (last, g), e = fields.blocks[-1], fields.rows.shape[1]
-    y = np.empty((w.shape[0], last.stop), w.dtype)  # the trunks' arrays are all float64
+    e, n = fields.rows.shape[1], fields.blocks[0][1].shape[1]
+    y = np.empty((w.shape[0], fields.blocks[-1][0].stop), w.dtype)  # the trunks' arrays are all float64
     for (b, g), x in zip(fields.blocks, inputs):
         gemm(w, window_columns(x, g, fields.rows), out=y[:, b])
     y += bias[:, None]
-    return y.reshape(-1, e, g.shape[1])
+    return y.reshape(-1, e, n)
 
 
 def conv_valid(t: HexTensor, bank: HexFilterBank, stride: int = 1) -> HexTensor:

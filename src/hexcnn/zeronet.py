@@ -169,6 +169,11 @@ def _embed(values: np.ndarray, side: int, group: int) -> np.ndarray:
     return out
 
 
+def _embed_tensors(tensors) -> np.ndarray:
+    """``_embed`` of a group of input tensors, each its own sample."""
+    return _embed(_group_input(tensors), tensors[0].side, len(tensors))
+
+
 def _mask(z: np.ndarray, side: int) -> None:
     """Zero, in place, the cells off the hexagon of each embedding of the
     (channels, group*(2L-1)**2) array ``z``."""
@@ -213,13 +218,14 @@ def forward_zeroout(net: Network, batch):
 
 def _trunk_forward(net: Network, plan: tuple, tensors: tuple):
     group = len(tensors)
-    x, win, cache = _embed(_group_input(tensors), tensors[0].side, group), None, []  # win: a fused conv's window array
+    x, win, cache = _embed_tensors(tensors), None, []  # win: a fused conv's window array
     for i, (spec, side, act, fused, table) in enumerate(plan[:-1]):
         out_side = plan[i + 1][1]
         if spec.kind == "hexconv":
             zbank, w = _packed(net.params[i])
             if fused:  # its activation is identity: the pool applies the relu
-                win, bits = ops._conv_windows(_block_inputs(x, table.samples, _span_cells(side)), w, zbank.bias, table), None
+                inputs = _block_inputs(x, table.samples, _span_cells(side))
+                win, bits = ops._conv_windows(inputs, w, zbank.bias, table), None
             else:
                 z = ops._product(x, w, zbank.bias, table)
                 _mask(z, out_side)
@@ -272,11 +278,11 @@ def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
             # embedded one block at a time)
             if fused:
                 blocks, rows = table.blocks, table.rows
-                inputs = _block_inputs(x, table.samples, _span_cells(side), lambda ts: _embed(_group_input(ts), side, len(ts)))
-                table = table.composed
+                inputs = _block_inputs(x, table.samples, _span_cells(side), _embed_tensors)
+                table = table.composed  # which the input gradient scatters through
             else:
                 blocks, rows = table, None
-                inputs = repeat(_embed(_group_input(x), side, group) if i == 0 and group > 1 else x)
+                inputs = repeat(_embed_tensors(x) if i == 0 and group > 1 else x)
             dw = sum(gemm(d[:, b], ops.window_columns(xb, g, rows).T) for (b, g), xb in zip(blocks, inputs))
             dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen

@@ -333,7 +333,7 @@ def main(argv=None) -> int:
               f"outputs equal {w['outputs_equal']}")
         t = w["take_lookups"]
         print("  np.take lookups in op 0, parent -> change: "
-              + ", ".join(f"{layout} {t['parent'][layout]:,} -> {t['change'][layout]:,}" for layout in ("native", "zeroout")))
+              + ", ".join(f"{path} {t['parent'][path]:,} -> {t['change'][path]:,}" for path in ("native", "zeroout")))
         for line in regressions(w):
             print(line)
     v = doc["verify"]
