@@ -840,7 +840,7 @@ def test_a_fused_conv_pools_backward_runs_on_its_windows_alone(layout):
 # each layout's conv window table, pool window table and cells a side-L
 # array, as its trunk plan reads them
 LAYOUT_TABLES = {
-    "native": (nn, lambda side, k, s: tap_gather(side, k, s), tap_gather, cell_count),
+    "native": (nn, tap_gather, tap_gather, cell_count),
     "zeroout": (zeronet, lambda side, k, s: zeronet._rect_table(2 * side - 1, 2 * k - 1, s), zeronet._hex_windows,
                 lambda side: (2 * side - 1) ** 2),
 }
