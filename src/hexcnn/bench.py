@@ -4,8 +4,9 @@ Timing protocol: one warm-up call, then the median of ``reps`` timed
 repetitions on a monotonic clock.  MAC counts come from the kernels'
 own counters, read over the warm-up call; byte counts are the actual
 array allocations (for a window matrix, the largest block the lowering
-builds).  Training time on both layouts is measured by hexbench's
-``lenet-train`` workload.
+builds: at most ``ops.PATCH_BLOCK`` patches of one chunk of channels,
+``ops._chunk_channels``).  Training time on both layouts is measured
+by hexbench's ``lenet-train`` workload.
 """
 
 from __future__ import annotations
@@ -99,10 +100,12 @@ def bench_conv(
         span, hexagon = rect.shape[1], _hex_flat(out_side)  # the flat ZeroOut output's hexagon
         hex_out = cell_count(out_side)
         rect_out = ((span - zbank.span) // stride + 1) ** 2
-        # (method, timed call, output cells, input, window-matrix block and filter bytes)
+        # (method, timed call, output cells, input, window-matrix block and
+        # filter bytes); a block holds one chunk of channels (ops._block_product)
+        taps, rect_taps = cell_count(filter_side), zbank.span**2
         methods = (
             ("hex_direct", lambda: conv_valid(t, bank, stride), hex_out, t.data.nbytes,
-             min(hex_out, ops.PATCH_BLOCK) * channels * cell_count(filter_side) * t.data.itemsize,
+             min(hex_out, ops.PATCH_BLOCK) * ops._chunk_channels(channels, taps) * taps * t.data.itemsize,
              bank.weights.nbytes),
             ("zeroout_ref",
              lambda: extract_hex(rect_conv_reference(embed_parallelogram(t), zbank, stride), out_side),
@@ -111,7 +114,7 @@ def bench_conv(
              lambda: HexTensor(out_side, filters,
                                _rect_conv_all(_to_rect(t.data, side), span, bank, stride)[:, hexagon]),
              rect_out, rect.nbytes,
-             min(rect_out, ops.PATCH_BLOCK) * channels * zbank.span**2 * rect.itemsize,
+             min(rect_out, ops.PATCH_BLOCK) * ops._chunk_channels(channels, rect_taps) * rect_taps * rect.itemsize,
              zbank.weights.nbytes),
         )
         for method, fn, *cells_and_bytes in methods:

@@ -1,6 +1,7 @@
 """Backward kernels: error propagation and gradients for conv and pool layers.
 
-The filter gradient is the error times the transposed window matrix.
+The filter gradient is the window matrix times the transposed error,
+transposed: one (channels*taps, filters) product a block.
 The input gradient is the exact transpose of the window gather (col2im):
 a BLAS product forms the windows' error, and ``np.bincount``
 scatter-adds it per channel through the tap-major window table, so
@@ -164,14 +165,17 @@ def _filter_grad(x, d: np.ndarray, blocks, rows: np.ndarray | None = None) -> tu
     (filters, patches) error ``d``, one block of the forward's
     ``blocks`` at a time.  With ``rows`` they are a fused conv's blocks
     (``ops._fields``), read as its forward reads them, and ``x`` holds
-    each block's input."""
+    each block's input.  Each block multiplies its (channels*taps,
+    patches) window matrix with its transposed error; the blocks'
+    (channels*taps, filters) products are summed and returned
+    transposed, a view."""
     inputs = repeat(x) if rows is None else x
-    parts = (gemm(d[:, b], window_columns(xb, g, rows).T) for (b, g), xb in zip(blocks, inputs))
-    dw = next(parts)  # (F, C*E); a single block is used as is
+    parts = (gemm(window_columns(xb, g, rows), d[:, b].T) for (b, g), xb in zip(blocks, inputs))
+    dw = next(parts)  # (C*E, F); a single block is used as is
     for part in parts:
         dw += part
     taps = (blocks[0][1] if rows is None else rows).shape[0]
-    return dw.reshape(d.shape[0], -1, taps), d.sum(axis=1)
+    return dw.T.reshape(d.shape[0], -1, taps), d.sum(axis=1)
 
 
 def conv_backward_filter(

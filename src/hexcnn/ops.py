@@ -16,9 +16,20 @@ is a BLAS product of the (filters, channels*window_cells) weights with
 it, already in output storage order.  The matrix is built for at most
 ``PATCH_BLOCK`` patches at a time, so the memory a convolution (or its
 gradients, in ``grads``) takes grows with the block, not with the
-output size.  Each block gathers through its own cached, writable copy
-of its columns of the table (``_blocks``), which ``np.take`` reads in
-place; ``_product`` is the block loop, for both layouts.  Pools gather
+output size.  A forward also builds it for at most ``ROW_BLOCK`` rows
+at a time, in chunks of whole channels (``_block_product``, which every
+forward product, fused or not, on both layouts, runs through): the
+chunks split the product's inner dimension, so a wide layer holds one
+chunk's window matrix and one block of scratch output, not its whole
+(channels*taps, patches) matrix.  The backward kernels bound patches
+only: no benchmark workload's backward builds a window matrix of more
+than 400 rows, and the largest preset step measured, a VGG-13 step at
+side 94 and width 1/4 on one sample, peaks at 16.87 MB in its backward,
+whose largest window matrix is (448, 1141) and whose widest, (896,
+169), takes 1.2 MB.  Each block gathers through its own cached,
+writable copy of its columns of the table (``_blocks``), which
+``np.take`` reads in place; ``_product`` is the block loop, for both
+layouts.  Pools gather
 their small windows whole and reduce the (channels, taps, patches)
 window array (``_pool``).  A convolution that feeds a max pool whose
 windows share no cell can compute just that window array: its table at
@@ -59,6 +70,7 @@ __all__ = [
     "check_bank",
     "valid_geometry",
     "PATCH_BLOCK",
+    "ROW_BLOCK",
     "tap_gather",
     "conv_valid",
     "conv_full",
@@ -72,6 +84,18 @@ __all__ = [
 # sized in bytes makes wide layers pay that once per few hundred patches.
 # Chosen from a sweep over 1024, 2048 and 4096 on the benchmark workloads.
 PATCH_BLOCK = 2048
+
+# Rows per window-matrix block: the most that one product's window
+# matrix holds, counted in whole channels of taps (``_block_product``).
+# Splitting the rows splits the product's inner dimension, which BLAS
+# already walks in panels of a few hundred, so a chunk multiplies at the
+# whole product's rate; each extra chunk costs one add over the block's
+# output.  Chosen from a sweep over 512, 768 and 1024 on the benchmark's
+# wide-infer (C = F = 256, side-2 filters): its forward peaked at 13.81,
+# 15.52 and 18.79 MB natively (25.89 MB unchunked) and at 23.23, 24.83
+# and 27.76 MB on ZeroOut (46.61 MB), with native op times within 2.5%
+# of the unchunked one's at every size in an in-process probe.
+ROW_BLOCK = 512
 
 # Bytes that the largest array one sample builds in a network trunk's
 # layer (a conv's output or window array, or a pool's window array) may
@@ -223,19 +247,44 @@ def window_columns(x: np.ndarray, g: np.ndarray, rows: np.ndarray | None = None)
     return np.take(fields, rows, axis=1).reshape(-1, rows.shape[1] * g.shape[1])
 
 
+def _chunk_channels(channels: int, taps: int) -> int:
+    """Channels in each chunk of a window matrix with ``taps`` rows a
+    channel: the chunks are as few as keep each within ``ROW_BLOCK``
+    rows (and at least one channel), and as equal as they can be, the
+    last no larger than the others."""
+    chunks = -(-channels // max(1, ROW_BLOCK // taps))
+    return -(-channels // chunks)
+
+
+def _block_product(w: np.ndarray, x: np.ndarray, g: np.ndarray, out: np.ndarray, rows=None) -> None:
+    """``gemm(w, window_columns(x, g, rows), out=out)``, one chunk of
+    channels at a time (``_chunk_channels``), so no window matrix holds
+    more than ``ROW_BLOCK`` rows, or one channel's.  The chunks split the
+    product's inner dimension: each multiplies its window matrix with its
+    own columns of ``w``; the first writes ``out`` and each later one is
+    added in from one scratch array.  A matrix of at most ``ROW_BLOCK``
+    rows is one chunk: one gather and one product, as unchunked."""
+    taps = (g if rows is None else rows).shape[0]
+    size = _chunk_channels(x.shape[0], taps)
+    gemm(w[:, : size * taps], window_columns(x[:size], g, rows), out=out)
+    if size < x.shape[0]:
+        scratch = np.empty_like(out)
+        for lo in range(size, x.shape[0], size):
+            out += gemm(w[:, lo * taps : (lo + size) * taps], window_columns(x[lo : lo + size], g, rows), scratch)
+
+
 def _product(x: np.ndarray, w: np.ndarray, bias: np.ndarray, blocks) -> np.ndarray:
     """The (filters, patches) product of the weight matrix ``w`` with the
     window matrix ``window_columns(x, g)`` of each (slice, table) block,
-    written into the block's columns, plus ``bias``: the product loop of
-    every convolution forward but a fused one (``_conv_windows``), native
-    and ZeroOut (``zeronet``, whose flat embedding is a (channels, cells)
-    array too).  It calls the
-    module's ``window_columns``, so one patch of it reaches both
-    layouts."""
+    written into the block's columns (``_block_product``), plus ``bias``:
+    the product loop of every convolution forward but a fused one
+    (``_conv_windows``), native and ZeroOut (``zeronet``, whose flat
+    embedding is a (channels, cells) array too).  It calls the module's
+    ``window_columns``, so one patch of it reaches both layouts."""
     last, tail = blocks[-1]
     y = np.empty((w.shape[0], last.start + tail.shape[1]), np.result_type(w, x))
     for b, g in blocks:
-        gemm(w, window_columns(x, g), out=y[:, b])
+        _block_product(w, x, g, y[:, b])
     y += bias[:, None]
     return y
 
@@ -312,7 +361,7 @@ def _conv_windows(inputs, w: np.ndarray, bias: np.ndarray, fields: _Fields) -> n
     e, n = fields.rows.shape[1], fields.blocks[0][1].shape[1]
     y = np.empty((w.shape[0], fields.blocks[-1][0].stop), w.dtype)  # the trunks' arrays are all float64
     for (b, g), x in zip(fields.blocks, inputs):
-        gemm(w, window_columns(x, g, fields.rows), out=y[:, b])
+        _block_product(w, x, g, y[:, b], fields.rows)
     y += bias[:, None]
     return y.reshape(-1, e, n)
 

@@ -36,10 +36,10 @@ one sample by ``_rect_blocks`` (``_rect_conv_all``); its
 filter is the bank packed into corner-zeroed rectangles, once, on the
 bank's first use (``_packed``).  On those, the native kernels' cores
 run unchanged: the forward is ``ops._product`` (one ``ops.window_columns``
-gather and one ``matmul.gemm`` per block), and the input gradient is
-``grads._input_grad``'s col2im, then ``hex_mask``.  The filter gradient
-sums one product per block, as ``grads._filter_grad`` does, and keeps
-only the hexagon taps.  Pools run through ``ops._pool`` and
+gather and one ``matmul.gemm`` per block and chunk of channels), the
+filter gradient is ``grads._filter_grad``, of which only the hexagon
+taps are kept, and the input gradient is ``grads._input_grad``'s col2im,
+then ``hex_mask``.  Pools run through ``ops._pool`` and
 ``grads._unpool`` on ``tap_gather``'s table addressed on the embedding
 (``_hex_windows``).  The trunk walks its own plan (``_trunk_plan``),
 built by the native trunk's ``nn._trunk_steps`` on this layout's
@@ -54,8 +54,8 @@ a side-2 pool under the 3-by-3 rectangle's 63 (tap, cell) pairs
 tables.  Its backward runs on the same
 blocks, which the forward's plan carries to it: the pool puts its error
 at its winning taps of the window array (``grads._unpool_windows``),
-then the filter gradient's block loop and ``grads._input_grad`` run over
-the window cells alone.  So an input cell that only the dropped anchors
+then ``grads._filter_grad`` and ``grads._input_grad`` run over the
+window cells alone.  So an input cell that only the dropped anchors
 read, through any of their k-by-k taps, reaches neither the loss nor a
 gradient, NaN included.  Every product is metered like the native
 path's; an unfused conv's input gradient does the MACs of a forward
@@ -88,13 +88,14 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
-from .grads import _input_grad, _unpool, _unpool_windows
+from .grads import _filter_grad, _input_grad, _unpool, _unpool_windows
 from .grid import cells
-from .matmul import gemm
+# gemm is bound here, unused, for the benchmark tracer, which patches
+# every binding of the functions it wraps
+from .matmul import gemm  # noqa: F401
 from .nn import (
     Network, TrainConfig, _activate, _backward_with, _block_inputs, _columns, _forward_with, _group_input,
     _learning_rate, _relu_grad, _rows, _trunk_steps, apply_gradients,
@@ -277,19 +278,18 @@ def _trunk_backward(net: Network, plan: tuple, cache, d, grads) -> None:
             # reading its own samples (at layer 0 of a group, its tensors,
             # embedded one block at a time)
             if fused:
-                blocks, rows = table.blocks, table.rows
                 inputs = _block_inputs(x, table.samples, _span_cells(side), _embed_tensors)
+                dw, db = _filter_grad(inputs, d, table.blocks, table.rows)
+                del inputs  # a generator, which holds x
                 table = table.composed  # which the input gradient scatters through
             else:
-                blocks, rows = table, None
-                inputs = repeat(_embed_tensors(x) if i == 0 and group > 1 else x)
-            dw = sum(gemm(d[:, b], ops.window_columns(xb, g, rows).T) for (b, g), xb in zip(blocks, inputs))
+                dw, db = _filter_grad(_embed_tensors(x) if i == 0 and group > 1 else x, d, table)
             dw = dw.reshape(d.shape[0], channels, k, k).transpose(0, 1, 3, 2)
             uv = cells(spec.window)  # only hexagon taps: the corners stay frozen
             gw, gb = grads[i]
             gw += dw[:, :, uv[:, 0], uv[:, 1]]
-            gb += d.sum(axis=1)
-            del x, bits, inputs  # released before the input gradient is built
+            gb += db
+            del x, bits, dw  # released before the input gradient is built
             if i > 0:
                 w = _packed(net.params[i])[1].reshape(d.shape[0], channels, -1)  # as HexFilterBank.weights
                 d = _input_grad(d, w, table, group * _span_cells(side))

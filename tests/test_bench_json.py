@@ -29,7 +29,7 @@ def bench_json():
     return mod
 
 
-BETTER = {"op_ms.p50": "lower", "ok_frac": "higher"}
+BETTER = {"op_ms.p50": ("lower", 0.25), "ok_frac": ("higher", 0.01)}
 
 
 def _run(seed, op_ms, digest):
@@ -69,25 +69,26 @@ def test_mac_section_gives_each_trees_ratio_beside_seven_twelfths(bench_json):
 
 def test_verdict_counts_won_pairs_in_the_metrics_direction(bench_json):
     parent, change = [10.0, 12.0, 14.0, 11.0, 13.0], [9.0, 12.0, 15.0, 8.0, 10.0]
-    lower = bench_json.verdict(parent, change, "lower")
+    lower = bench_json.verdict(parent, change, "lower", 0.25)
     assert lower["pairs_won"] == 3 and lower["pairs"] == 5  # the tie at 12.0 goes to neither side
     # medians 12 -> 10; the parent's quartiles are 11 and 13
     assert lower["median_gain"] == 2.0 and lower["parent_iqr"] == 2.0
     assert not lower["gain_exceeds_parent_iqr"]  # a gain must exceed the spread, not match it
-    higher = bench_json.verdict(parent, change, "higher")
+    higher = bench_json.verdict(parent, change, "higher", 0.25)
     assert higher["pairs_won"] == 1 and higher["median_gain"] == -2.0 and not higher["gain_exceeds_parent_iqr"]
-    assert bench_json.verdict(parent, [c - 0.5 for c in change], "lower")["gain_exceeds_parent_iqr"]
+    assert bench_json.verdict(parent, [c - 0.5 for c in change], "lower", 0.25)["gain_exceeds_parent_iqr"]
 
 
-def test_verdict_flags_a_loss_beyond_the_parents_iqr_and_main_names_it(bench_json):
+def test_verdict_flags_a_loss_beyond_the_metrics_bound_and_main_names_it(bench_json):
     parent, change = [10.0, 12.0, 14.0, 11.0, 13.0], [13.0, 15.0, 16.0, 14.0, 12.0]
-    # medians 12 -> 14 against quartiles 11 and 13: worse by 2, not beyond
-    assert not bench_json.verdict(parent, change, "lower")["loss_exceeds_parent_iqr"]
-    worse = bench_json.verdict(parent, [c + 0.5 for c in change], "lower")
-    assert worse["loss_exceeds_parent_iqr"] and not worse["gain_exceeds_parent_iqr"]
-    assert worse["median_gain"] == -2.5
+    # medians 12 -> 14, worse by 2 = 0.167 of the parent's, inside a bound of 0.25
+    # though beyond the parent's quartiles 11 and 13
+    assert not bench_json.verdict(parent, change, "lower", 0.25)["loss_exceeds_bound"]
+    worse = bench_json.verdict(parent, [c + 2.5 for c in change], "lower", 0.25)
+    assert worse["loss_exceeds_bound"] and not worse["gain_exceeds_parent_iqr"]
+    assert worse["median_gain"] == -4.5 and worse["parent_iqr"] == 2.0
     # the mirror in the other direction: a higher-is-better metric that fell
-    assert bench_json.verdict([c + 0.5 for c in change], parent, "higher")["loss_exceeds_parent_iqr"]
+    assert bench_json.verdict([c + 2.5 for c in change], parent, "higher", 0.25)["loss_exceeds_bound"]
 
     runs = {
         "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
@@ -102,16 +103,33 @@ def test_verdict_flags_a_loss_beyond_the_parents_iqr_and_main_names_it(bench_jso
     assert bench_json.regressions(bench_json.summarize(runs, BETTER)) == []
 
 
+@pytest.mark.parametrize("metric,bound,parent,rise,flagged", [
+    ("peak_mb", 0.05, 2.9376, 4e-5, False),  # 40 B: an allocator's jitter with no code change
+    ("peak_mb", 0.05, 2.9376, 0.06 * 2.9376, True),
+    ("op_ms.p50", 0.25, 40.0, 0.02 * 40.0, False),
+    ("op_ms.p50", 0.25, 40.0, 0.30 * 40.0, True),
+])
+def test_a_metric_is_worse_only_beyond_its_bound(bench_json, metric, bound, parent, rise, flagged):
+    # ten equal parent runs: a deterministic metric's IQR is 0, which any rise exceeds
+    runs = {tree: [{"seed": k, "metrics": {metric: parent + (rise if tree == "change" else 0.0)},
+                    "setup_samples_s": [], "digest": "d", "provenance": {}} for k in range(1, 11)]
+            for tree in ("parent", "change")}
+    out = bench_json.summarize(runs, {metric: ("lower", bound)})
+    assert out["verdict"][metric]["parent_iqr"] == 0.0
+    lines = bench_json.regressions(out)
+    assert [line.split()[1] for line in lines] == ([metric] if flagged else [])
+
+
 def test_verdict_gives_the_quartiles_of_the_pair_ratios_which_drift_does_not_widen(bench_json):
     # the host slows by a third across the run; every pair is 0.9, so the
     # ratios agree while the parent's spread swallows the gain
     parent = [10.0, 11.0, 12.0, 13.0, 14.0]
-    v = bench_json.verdict(parent, [0.9 * p for p in parent], "lower")
+    v = bench_json.verdict(parent, [0.9 * p for p in parent], "lower", 0.25)
     assert v["pairs_won"] == 5 and not v["gain_exceeds_parent_iqr"]
     assert v["pair_ratio_quartiles"] == pytest.approx([0.9, 0.9, 0.9], rel=1e-15)
     # a pair whose parent reads 0 has no ratio; with none left there are no quartiles
-    assert bench_json.verdict([0.0, 2.0], [1.0, 1.0], "lower")["pair_ratio_quartiles"] == [0.5, 0.5, 0.5]
-    assert bench_json.verdict([0.0], [1.0], "lower")["pair_ratio_quartiles"] is None
+    assert bench_json.verdict([0.0, 2.0], [1.0, 1.0], "lower", 0.25)["pair_ratio_quartiles"] == [0.5, 0.5, 0.5]
+    assert bench_json.verdict([0.0], [1.0], "lower", 0.25)["pair_ratio_quartiles"] is None
 
 
 def test_main_prints_the_pair_ratio_quartiles_of_op_ms(bench_json, monkeypatch, capsys, tmp_path):
@@ -120,7 +138,7 @@ def test_main_prints_the_pair_ratio_quartiles_of_op_ms(bench_json, monkeypatch, 
     monkeypatch.setattr(bench_json, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(
         '{"command": ["run"], "run_seconds": 1, "workloads": [{"name": "w"}], '
-        '"end_to_end": [{"name": "op_ms.p50", "better": "lower"}]}'
+        '"end_to_end": [{"name": "op_ms.p50", "better": "lower", "bound": 0.25}]}'
     )
     monkeypatch.setattr(bench_json, "_git", lambda *args: "" if args[0] == "status" else "abc")
     monkeypatch.setattr(bench_json, "export", lambda rev, dest: (dest / "src" / "hexcnn").mkdir(parents=True))
@@ -150,11 +168,11 @@ def test_summary_gives_a_verdict_per_directed_metric(bench_json):
         "parent": [_run(1, 10.0, "a"), _run(2, 12.0, "b"), _run(3, 14.0, "c")],
         "change": [_run(1, 8.0, "a"), _run(2, 12.0, "b"), _run(3, 7.0, "c")],
     }
-    out = bench_json.summarize(runs, {"op_ms.p50": "lower"})
+    out = bench_json.summarize(runs, {"op_ms.p50": ("lower", 0.25)})
     assert list(out["verdict"]) == ["op_ms.p50"]  # ok_frac has no direction here
     assert out["verdict"]["op_ms.p50"] == {
         "pairs_won": 2, "pairs": 3, "median_gain": 4.0, "parent_iqr": 2.0, "gain_exceeds_parent_iqr": True,
-        "loss_exceeds_parent_iqr": False, "pair_ratio_quartiles": [0.65, 0.8, 0.9],
+        "loss_exceeds_bound": False, "pair_ratio_quartiles": [0.65, 0.8, 0.9],
     }
     assert bench_json.summarize(runs, BETTER)["verdict"]["ok_frac"]["pairs_won"] == 0  # all ties
 

@@ -169,6 +169,15 @@ def test_bench_conv_im2col_bytes_are_the_largest_block(capsys):
     assert got == {"conv_L16_k2_s1": 631 * per_patch, f"conv_L{big}_k2_s1": PATCH_BLOCK * per_patch}
 
 
+def test_bench_conv_im2col_bytes_are_one_chunk_of_channels(capsys):
+    # 128 channels: two chunks of 64 natively (448 rows of 7 taps), three of
+    # 43 on ZeroOut's 3x3 rectangle (387 rows), over 127 and 13x13 patches
+    code, rows = run_cli(["bench-conv", "--sizes", "8", "--channels", "128", "--reps", "1"], capsys)
+    assert code == 0
+    got = {r[1]: int(dict(zip(rows[0], r))["bytes_im2col"]) for r in rows[1:]}
+    assert got == {"hex_direct": 127 * 64 * 7 * 8, "zeroout_ref": 0, "zeroout_fair": 169 * 43 * 9 * 8}
+
+
 def test_bench_conv_skips_invalid_geometry(capsys):
     for argv, skipped, kept in (
         (["bench-conv", "--sizes", "3,4", "--stride", "2", "--reps", "1"], "side 3", "conv_L4_k2_s2"),

@@ -88,12 +88,13 @@ def test_every_zeroout_conv_product_runs_block_by_block(monkeypatch):
     batch, labels = make_two_class_dataset(np.random.default_rng(23), 1, 5, 2)
     want = [5] * 9 + [4]
 
-    # the native kernels' gather and col2im serve the rectangle too
+    # the native kernels' gather, filter gradient and col2im serve the rectangle too
     cols = _counting(monkeypatch, ops, "window_columns")
     logits, caches = zeronet.forward_zeroout(net, batch)
     assert cols == want
+    backward = _counting(monkeypatch, grads, "window_columns")  # the same function, grads' binding
     zeronet.backward_zeroout(net, logits, caches, labels)
-    assert cols == want * 2  # then the filter gradient's
+    assert cols == want and backward == want  # the filter gradient's
 
     products = _counting(monkeypatch, grads, "gemm")
     d = np.random.default_rng(24).standard_normal((3, 49))

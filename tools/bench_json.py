@@ -20,11 +20,12 @@ quartiles and the provenance the first run recorded (its ``git_sha``
 is null: an export has no repository), the change/parent ratio of each
 median, the per-pair ratios, and per end-to-end metric a verdict: the
 pairs the change won in BENCHMARK.json's ``better`` direction,
-whether its median gain exceeds the parent's interquartile spread, or
-its median loss does, and the quartiles of the per-pair ratios, which
+whether its median gain exceeds the parent's interquartile spread,
+whether its median loss exceeds the metric's ``bound`` (a fraction of
+the parent's median), and the quartiles of the per-pair ratios, which
 a drift of the host's speed over the run does not widen; the summary
 printed at the end gives those quartiles for ``op_ms.p50`` and names
-every metric that got worse beyond the parent's spread.
+every metric that got worse by more than its bound.
 One more child per tree imports that tree's ``hexbench/workloads.py``
 and runs op 0 of each workload (seed 1) on each layout, metered with
 ``instrument.MacMeter``; each workload's ``macs`` section holds both
@@ -200,15 +201,17 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def verdict(parent: list, change: list, better: str) -> dict:
+def verdict(parent: list, change: list, better: str, bound: float) -> dict:
     """Whether the change beat the parent on one metric, from its values
-    in pair order and the metric's ``better`` direction ("lower" or
-    "higher"): ``pairs_won`` counts the pairs the change won (a tie goes
-    to neither side); ``median_gain`` is the change's median minus the
-    parent's, signed so that a gain is positive; ``gain_exceeds_parent_iqr``
-    is true when that gain is larger than the spread between the
-    parent's quartiles, and ``loss_exceeds_parent_iqr`` when the change
-    is worse by more than that spread.  ``pair_ratio_quartiles`` are the
+    in pair order, the metric's ``better`` direction ("lower" or
+    "higher") and its ``bound``: ``pairs_won`` counts the pairs the
+    change won (a tie goes to neither side); ``median_gain`` is the
+    change's median minus the parent's, signed so that a gain is
+    positive; ``gain_exceeds_parent_iqr`` is true when that gain is
+    larger than the spread between the parent's quartiles, and
+    ``loss_exceeds_bound`` when the change is worse by more than
+    ``bound`` times the parent's median.  A deterministic metric, such
+    as a peak, has no spread, so its loss is judged by the bound alone.  ``pair_ratio_quartiles`` are the
     quartiles of the change/parent ratio of each pair whose parent value
     is not zero (None when none is): the two runs of a pair run back to
     back, so a drift of the host's speed across the whole run, which
@@ -223,15 +226,15 @@ def verdict(parent: list, change: list, better: str) -> dict:
         "median_gain": gain,
         "parent_iqr": q3 - q1,
         "gain_exceeds_parent_iqr": gain > q3 - q1,
-        "loss_exceeds_parent_iqr": -gain > q3 - q1,
+        "loss_exceeds_bound": -gain > bound * abs(pmed),
         "pair_ratio_quartiles": _quartiles(ratios) if ratios else None,
     }
 
 
-def summarize(runs: dict, better: dict) -> dict:
+def summarize(runs: dict, directed: dict) -> dict:
     """One workload's section from ``runs`` = {tree: [run records, in pair
-    order]} and ``better`` = {metric: "lower" or "higher"}, BENCHMARK.json's
-    end-to-end directions.
+    order]} and ``directed`` = {metric: ("lower" or "higher", bound)},
+    BENCHMARK.json's end-to-end directions and bounds.
 
     Each tree gets the median and quartiles of every metric over its
     runs; ``ratio`` divides the change's median by the parent's, and
@@ -253,8 +256,8 @@ def summarize(runs: dict, better: dict) -> dict:
     out["ratio"] = {k: _ratio(out["change"]["median"][k], out["parent"]["median"][k]) for k in names}
     out["pair_ratios"] = {k: [_ratio(c["metrics"][k], p["metrics"][k]) for p, c in pairs] for k in names}
     out["verdict"] = {
-        k: verdict([p["metrics"][k] for p, _ in pairs], [c["metrics"][k] for _, c in pairs], better[k])
-        for k in names if k in better
+        k: verdict([p["metrics"][k] for p, _ in pairs], [c["metrics"][k] for _, c in pairs], *directed[k])
+        for k in names if k in directed
     }
     out["digests_equal"] = all(p["digest"] == c["digest"] for p, c in pairs)
     return out
@@ -262,12 +265,11 @@ def summarize(runs: dict, better: dict) -> dict:
 
 def regressions(workload: dict) -> list:
     """Lines naming each end-to-end metric of one workload's section
-    whose change is worse than the parent by more than the parent's
-    interquartile range."""
+    whose change is worse than the parent by more than its bound."""
     return [
         f"  worse: {k} change/parent {workload['ratio'][k]:.3f}, median loss {-v['median_gain']:.4g} "
-        f"> parent IQR {v['parent_iqr']:.4g}, won {v['pairs_won']} of {v['pairs']} pairs"
-        for k, v in workload["verdict"].items() if v["loss_exceeds_parent_iqr"]
+        f"beyond its bound, won {v['pairs_won']} of {v['pairs']} pairs"
+        for k, v in workload["verdict"].items() if v["loss_exceeds_bound"]
     ]
 
 
@@ -288,7 +290,7 @@ def main(argv=None) -> int:
         sys.exit("tracked files differ from HEAD; commit them first, since the change side runs HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    directed = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     doc = {
         "n": args.n,
@@ -314,7 +316,7 @@ def main(argv=None) -> int:
                     runs[tree].append(run_child(trees[tree], workload, seed, seconds))
                     print(f"{workload} seed {seed} {tree}: op_ms.p50 "
                           f"{runs[tree][-1]['metrics']['op_ms.p50']:.3f}", file=sys.stderr, flush=True)
-            doc["workloads"][workload] = summarize(runs, better)
+            doc["workloads"][workload] = summarize(runs, directed)
             w = doc["workloads"][workload]
             w["macs"] = mac_ratios({tree: metered[tree][workload]["macs"] for tree in TREES})
             w["outputs"] = {tree: metered[tree][workload]["outputs"] for tree in TREES}
